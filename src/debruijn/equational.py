@@ -26,7 +26,7 @@ from .model import (
     named_model,
     term_model,
 )
-from .term import Term, Var, Op
+from .term import Term, Var, Op, free_indices, map_free_vars
 
 
 @dataclass(frozen=True)
@@ -184,26 +184,7 @@ def eval_metaterm(algebra: DBAlgebra, env: list, mt: MetaTerm):
 # --- matching and rewriting ---------------------------------------------
 
 
-def _min_free_index(t: Term, sig: BindingSignature) -> Optional[int]:
-    best: Optional[int] = None
-    stack = [(t, 0)]
-    while stack:
-        node, depth = stack.pop()
-        match node:
-            case Var(index):
-                if index >= depth:
-                    free = index - depth
-                    if best is None or free < best:
-                        best = free
-            case Op(name, args):
-                for a, n in zip(args, sig.ops[name].binders):
-                    stack.append((a, depth + n))
-    return best
-
-
 def _unshift(t: Term, k: int, sig: BindingSignature) -> Term:
-    from .term import map_free_vars
-
     return map_free_vars(t, sig, lambda d, n: Var(n - k))
 
 
@@ -217,7 +198,7 @@ def match_pattern(pat: MetaTerm, t: Term, sig: BindingSignature) -> Optional[dic
                 return True
             case ExplicitSubst(MetaVar(index), MetaAssignment((), k)):
                 # t must be a k-shift of some term: no free index below k
-                low = _min_free_index(t, sig)
+                low = min(free_indices(t, sig), default=None)
                 if low is not None and low < k:
                     return False
                 env[index] = _unshift(t, k, sig)

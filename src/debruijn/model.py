@@ -345,7 +345,8 @@ def debruijn_to_named_direct(sig: BindingSignature, t: Term) -> NamedTerm:
     """Independent top-down converter used to cross-check the fold-based
     conversion; binder names are drawn per nesting depth."""
     supply = []
-    gen = _letter_supply()
+    # skip the names of free variables (x1, x2, ...), which a binder would capture
+    gen = (z for z in _letter_supply() if default_supply_index(z) is None)
 
     def letter(i: int) -> str:
         while len(supply) <= i:

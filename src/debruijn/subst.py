@@ -89,6 +89,9 @@ def lift_n_renaming(f: Renaming, n: int) -> Renaming:
 def rename(t: Term, f: Renaming, sig: BindingSignature) -> Term:
     """Apply ``f`` to the free variables of ``t``, lifting under binders."""
     # lift^d(f)(n) = n for n < d, f(n - d) + d otherwise
+    if not f.prefix:  # a pure shift, or the identity
+        k = f.tail_shift
+        return map_free_vars(t, sig, lambda d, n: Var(n + k)) if k else t
     return map_free_vars(
         t, sig, lambda d, n: Var(apply_renaming(f, n - d) + d)
     )
@@ -117,13 +120,23 @@ def subst(t: Term, sigma: Assignment, sig: BindingSignature) -> Term:
     variables is substituted under the n_i-fold lifting of ``sigma``.
 
     Uses the identity lift_n(sigma, d)(n) = sigma(n - d) shifted by d (for
-    n >= d), so lifted assignments are never materialised.
+    n >= d), so lifted assignments are never materialised.  The shifted
+    image depends only on (n - d, d) and is computed once per pair.
     """
-    return map_free_vars(
-        t,
-        sig,
-        lambda d, n: _shift_term(apply_assignment(sigma, n - d), d, sig),
-    )
+    prefix, q = sigma.prefix, len(sigma.prefix)
+    if not q and not sigma.tail_shift:
+        return t
+    images: dict[tuple[int, int], Term] = {}
+
+    def on_free(d: int, n: int) -> Term:
+        if n - d >= q:
+            return Var(n + sigma.tail_shift - q)
+        image = images.get((n - d, d))
+        if image is None:
+            image = images[n - d, d] = _shift_term(prefix[n - d], d, sig)
+        return image
+
+    return map_free_vars(t, sig, on_free)
 
 
 def drop(sigma: Assignment, k: int) -> Assignment:

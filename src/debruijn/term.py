@@ -9,7 +9,8 @@ recursion limit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from operator import is_not
+from typing import Callable, Iterator, Optional
 
 from .signature import BindingSignature, first_order_arity
 
@@ -35,29 +36,37 @@ class Op(Term):
 
 def wellformed(sig: BindingSignature, t: Term) -> list[str]:
     """Arity-check every node; returns diagnostics with node paths."""
+
+    def path(link) -> list[int]:  # link = (parent link, position), root ()
+        out = []
+        while link:
+            link, i = link
+            out.append(i)
+        return out[::-1]
+
     errs: list[str] = []
-    stack: list[tuple[Term, tuple[int, ...]]] = [(t, ())]
+    stack: list[tuple[Term, tuple]] = [(t, ())]  # a path is spelled out when reported
     while stack:
-        node, path = stack.pop()
+        node, link = stack.pop()
         match node:
             case Var(index):
                 if index < 0:
-                    errs.append(f"negative variable index at {list(path)}")
+                    errs.append(f"negative variable index at {path(link)}")
             case Op(name, args):
                 if name not in sig.ops:
-                    errs.append(f"unknown operation '{name}' at {list(path)}")
+                    errs.append(f"unknown operation '{name}' at {path(link)}")
                     continue
                 want = first_order_arity(sig.ops[name])
                 if len(args) != want:
                     errs.append(
                         f"operation '{name}' expects {want} arguments, "
-                        f"got {len(args)} at {list(path)}"
+                        f"got {len(args)} at {path(link)}"
                     )
                     continue
                 for i, a in enumerate(args):
-                    stack.append((a, path + (i,)))
+                    stack.append((a, (link, i)))
             case _:
-                errs.append(f"not a term at {list(path)}: {node!r}")
+                errs.append(f"not a term at {path(link)}: {node!r}")
     errs.reverse()
     return errs
 
@@ -94,45 +103,55 @@ def map_free_vars(t: Term, sig: BindingSignature, on_free: Callable[[int, int], 
     ``on_free(depth, index)`` is called for every ``Var(index)`` under
     ``depth`` accumulated binders with ``index >= depth``; bound
     occurrences are kept as is.
+
+    Sharing: a subterm (``t`` too) in which no free variable changed index
+    is returned itself, not a copy.  A node that is not a term raises
+    ``TypeError``.
     """
+    binders = {name: a.binders for name, a in sig.ops.items()}
     stack: list[tuple[Term, int, bool]] = [(t, 0, False)]
     values: list[Term] = []
+    push, pop, emit = stack.append, stack.pop, values.append
     while stack:
-        node, depth, ready = stack.pop()
-        match node:
-            case Var(index):
-                values.append(node if index < depth else on_free(depth, index))
-            case Op(name, args):
-                if ready:
-                    k = len(args)
-                    rebuilt = tuple(values[len(values) - k :])
-                    del values[len(values) - k :]
-                    values.append(Op(name, rebuilt))
-                else:
-                    stack.append((node, depth, True))
-                    binders = sig.ops[name].binders
-                    for a, n in zip(reversed(args), reversed(binders)):
-                        stack.append((a, depth + n, False))
+        node, depth, ready = pop()
+        if type(node) is Var:
+            if node.index >= depth:
+                new = on_free(depth, node.index)
+                if type(new) is not Var or new.index != node.index:
+                    node = new
+            emit(node)
+        elif type(node) is not Op:
+            raise TypeError(f"not a term: {node!r}")
+        elif ready:
+            k = len(values) - len(node.args)
+            rebuilt = tuple(values[k:])
+            del values[k:]
+            emit(Op(node.name, rebuilt) if any(map(is_not, rebuilt, node.args)) else node)
+        else:
+            push((node, depth, True))
+            for a, n in zip(reversed(node.args), reversed(binders[node.name]), strict=True):
+                push((a, depth + n, False))
     return values[0]
+
+
+def free_indices(t: Term, sig: BindingSignature) -> Iterator[int]:
+    """Each free variable occurrence of ``t``, as an index into its context."""
+    stack: list[tuple[Term, int]] = [(t, 0)]
+    while stack:
+        node, depth = stack.pop()
+        if type(node) is Var:
+            if node.index >= depth:
+                yield node.index - depth
+        elif type(node) is Op:
+            for a, n in zip(node.args, sig.ops[node.name].binders, strict=True):
+                stack.append((a, depth + n))
+        else:
+            raise TypeError(f"not a term: {node!r}")
 
 
 def max_free_var(t: Term, sig: BindingSignature) -> Optional[int]:
     """Greatest free index of ``t``, or None when the term is closed."""
-    best: Optional[int] = None
-    stack: list[tuple[Term, int]] = [(t, 0)]
-    while stack:
-        node, depth = stack.pop()
-        match node:
-            case Var(index):
-                if index >= depth:
-                    free = index - depth
-                    if best is None or free > best:
-                        best = free
-            case Op(name, args):
-                binders = sig.ops[name].binders
-                for a, n in zip(args, binders):
-                    stack.append((a, depth + n))
-    return best
+    return max(free_indices(t, sig), default=None)
 
 
 def support(t: Term, sig: BindingSignature) -> int:

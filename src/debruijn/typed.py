@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import zip_longest
+from operator import is_not
 from typing import Any, Callable, Optional
 
 from .signature import (
@@ -130,48 +132,76 @@ def typecheck(schema: TypedSignatureSchema, t: TypedTerm) -> TypeExpr:
 # --- renaming and substitution ------------------------------------------
 
 
+def _map_free_tvars(
+    t: TypedTerm, schema: TypedSignatureSchema, on_free: Callable, slot: dict, shifts: dict
+) -> TypedTerm:
+    """Typed ``term.map_free_vars``: same sharing and errors.  Depths are
+    binder counts indexed by ``slot[ty]``; ``on_free(node, s, m, depth)``
+    gets a free variable, its type's slot and its index less the binders of
+    its type.  ``shifts`` caches each premise's shift vector per (name,
+    type_args); one substitution shares both tables."""
+    stack: list[tuple[TypedTerm, tuple[int, ...], bool]] = [(t, (), False)]
+    values: list[TypedTerm] = []
+    push, pop, emit = stack.append, stack.pop, values.append
+    while stack:
+        node, depth, ready = pop()
+        if type(node) is TVar:
+            s = slot.setdefault(node.ty, len(slot))
+            m = node.index - (depth[s] if s < len(depth) else 0)
+            if m >= 0:
+                new = on_free(node, s, m, depth)
+                if type(new) is not TVar or new.index != node.index or new.ty is not node.ty:
+                    node = new
+            emit(node)
+        elif type(node) is not TOp:
+            raise TypeError(f"not a typed term: {node!r}")
+        elif ready:
+            k = len(values) - len(node.args)
+            rebuilt = tuple(values[k:])
+            del values[k:]
+            changed = any(map(is_not, rebuilt, node.args))
+            emit(TOp(node.name, node.type_args, rebuilt) if changed else node)
+        else:
+            vecs = shifts.get((node.name, node.type_args))
+            if vecs is None:
+                vecs = shifts[node.name, node.type_args] = []
+                for gamma, _ in op_arity(schema, node).premises:
+                    slots = [slot.setdefault(ty, len(slot)) for ty in gamma]
+                    vecs.append(tuple(map(slots.count, range(max(slots, default=-1) + 1))))
+            push((node, depth, True))
+            for a, vec in zip(reversed(node.args), reversed(vecs), strict=True):
+                deeper = tuple(map(sum, zip_longest(depth, vec, fillvalue=0))) if vec else depth
+                push((a, deeper, False))
+    return values[0]
+
+
+def _shift(t: TypedTerm, by: tuple[int, ...], schema, slot, shifts) -> TypedTerm:
+    """Add ``by[slot[ty]]`` to every free index of type ``ty``."""
+
+    def on_free(node, s, m, depth):
+        return TVar(node.index + by[s], node.ty) if s < len(by) else node
+
+    return _map_free_tvars(t, schema, on_free, slot, shifts) if any(by) else t
+
+
 def multi_shift(
     t: TypedTerm, by: dict[TypeExpr, int], schema: TypedSignatureSchema
 ) -> TypedTerm:
     """Add ``by[ty]`` to every free index of type ``ty``."""
-    if not any(by.values()):
-        return t
-
-    def go(node: TypedTerm, depth: Counter) -> TypedTerm:
-        match node:
-            case TVar(index, ty):
-                if index >= depth[ty]:
-                    return TVar(index + by.get(ty, 0), ty)
-                return node
-            case TOp(name, targs, args):
-                ar = op_arity(schema, node)
-                new = tuple(
-                    go(a, depth + Counter(gamma))
-                    for a, (gamma, _) in zip(args, ar.premises)
-                )
-                return TOp(name, targs, new)
-        raise TypeError(node)
-
-    return go(t, Counter())
+    return _shift(t, tuple(by.values()), schema, {ty: i for i, ty in enumerate(by)}, {})
 
 
 def tlift(
     sigma: TypedAssignment, ty: TypeExpr, schema: TypedSignatureSchema
 ) -> TypedAssignment:
-    """Lift at one type: fixes the new index 0 of that type, shifts the
-    type's other images, and renames every other component by the
-    type-local shift (which leaves their indices alone)."""
-    components = dict(sigma.components)
-    prefix, k = sigma.component(ty)
-    out = {}
-    for ty2, (p2, k2) in components.items():
-        if ty2 == ty:
-            continue
-        out[ty2] = (tuple(multi_shift(t, {ty: 1}, schema) for t in p2), k2)
-    out[ty] = (
-        (TVar(0, ty),) + tuple(multi_shift(t, {ty: 1}, schema) for t in prefix),
-        k + 1,
-    )
+    """Lift at one type: fixes the new index 0 of that type and shifts that
+    type's indices in every image (which leaves other types alone)."""
+    out = {
+        ty2: (tuple(multi_shift(t, {ty: 1}, schema) for t in prefix), k)
+        for ty2, (prefix, k) in sigma.components.items()
+    }
+    prefix, k = out.get(ty, ((), 0))
+    out[ty] = ((TVar(0, ty),) + prefix, k + 1)
     return TypedAssignment(out)
 
 
@@ -191,27 +221,21 @@ def tsubst(
 
     Uses the per-type analogue of the shift identity: under ``depth``
     accumulated binders, a free variable's image is the unlifted image
-    shifted by the per-type binder counts.
+    shifted by the per-type binder counts, computed once per type, index
+    and depth.
     """
+    if not sigma.components:
+        return t
+    slot, shifts, images = {}, {}, {}
 
-    def go(node: TypedTerm, depth: Counter) -> TypedTerm:
-        match node:
-            case TVar(index, ty):
-                d = depth[ty]
-                if index < d:
-                    return node
-                image = typed_assignment_at(sigma, ty, index - d)
-                return multi_shift(image, dict(depth), schema)
-            case TOp(name, targs, args):
-                ar = op_arity(schema, node)
-                new = tuple(
-                    go(a, depth + Counter(gamma))
-                    for a, (gamma, _) in zip(args, ar.premises)
-                )
-                return TOp(name, targs, new)
-        raise TypeError(node)
+    def on_free(node, s, m, depth):
+        image = images.get((s, m, depth))
+        if image is None:
+            image = typed_assignment_at(sigma, node.ty, m)
+            image = images[s, m, depth] = _shift(image, depth, schema, slot, shifts)
+        return image
 
-    return go(t, Counter())
+    return _map_free_tvars(t, schema, on_free, slot, shifts)
 
 
 def tcompose(

@@ -1,0 +1,165 @@
+"""The traversal kernel and the substitutions built on it, checked against
+the definitional references in ``helpers``: results, sharing with the
+input, and rejection of nodes that are not terms."""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from debruijn import (
+    IDENTITY,
+    TYPED_IDENTITY,
+    Assignment,
+    Op,
+    Renaming,
+    TOp,
+    TVar,
+    TypedAssignment,
+    Var,
+    arrow,
+    base,
+    lambda_signature,
+    make_signature,
+    map_free_vars,
+    max_free_var,
+    rename,
+    shift_renaming,
+    stlc_schema,
+    subst,
+    tsubst,
+    wellformed,
+)
+from debruijn.gen import (
+    ground_types,
+    random_assignment,
+    random_renaming,
+    random_term,
+    random_typed_assignment,
+    random_typed_term,
+)
+from debruijn.typed import multi_shift
+
+from helpers import (
+    app,
+    lam,
+    ref_multi_shift,
+    ref_rename,
+    ref_subst,
+    ref_tsubst,
+)
+
+SIG = lambda_signature()
+FO_SIG = make_signature({"f": (0, 0), "c": ()})
+MIXED_SIG = make_signature({"m": (2, 0, 1)})
+SCH = stlc_schema({"a", "b"})
+A = base("a")
+
+
+@pytest.mark.parametrize("sig", [SIG, FO_SIG, MIXED_SIG], ids=["lambda", "FO", "MIXED"])
+def test_subst_and_rename_match_reference(sig):
+    rng = random.Random(41)
+    for _ in range(300):
+        t = random_term(sig, rng, max_depth=5)
+        sigma = random_assignment(sig, rng, max_depth=3)
+        assert subst(t, sigma, sig) == ref_subst(t, sigma, sig)
+        f = random_renaming(rng)
+        assert rename(t, f, sig) == ref_rename(t, f, sig)
+
+
+def test_tsubst_and_multi_shift_match_reference():
+    rng = random.Random(43)
+    pool = ground_types(SCH.grammar)
+    for _ in range(300):
+        t = random_typed_term(SCH, rng, rng.choice(pool), max_depth=4)
+        sigma = random_typed_assignment(SCH, rng)
+        assert tsubst(t, sigma, SCH) == ref_tsubst(t, sigma, SCH)
+        by = {ty: rng.randint(0, 2) for ty in rng.sample(pool, 2)}
+        assert multi_shift(t, by, SCH) == ref_multi_shift(t, by, SCH)
+
+
+def test_identity_returns_the_input():
+    rng = random.Random(47)
+    for sig in (SIG, FO_SIG, MIXED_SIG):
+        t = random_term(sig, rng, max_depth=6)
+        assert subst(t, IDENTITY, sig) is t
+        assert rename(t, shift_renaming(0), sig) is t
+    t = random_typed_term(SCH, rng, arrow(A, A), max_depth=4)
+    assert tsubst(t, TYPED_IDENTITY, SCH) is t
+    assert multi_shift(t, {A: 0}, SCH) is t
+
+
+def test_unchanged_subterms_are_shared():
+    closed = lam(lam(app(Var(1), Var(0))))
+    t = app(closed, Var(0))
+    shifted = rename(t, shift_renaming(1), SIG)
+    assert shifted == app(closed, Var(1))
+    assert shifted.args[0] is closed
+    assert rename(closed, shift_renaming(3), SIG) is closed
+    assert subst(closed, Assignment((Var(7),), 2), SIG) is closed
+    # a renaming that fixes every free variable rebuilds nothing
+    assert rename(t, Renaming((0,), 2), SIG) is t
+
+    tclosed = TOp("lam", (A, A), (TVar(0, A),))
+    tt = TOp("app", (A, A), (tclosed, TVar(0, A)))
+    out = tsubst(tt, TypedAssignment({A: ((TVar(5, A),), 0)}), SCH)
+    assert out == TOp("app", (A, A), (tclosed, TVar(5, A)))
+    assert out.args[0] is tclosed
+    assert multi_shift(tclosed, {A: 2}, SCH) is tclosed
+
+
+def test_substitution_images_are_shared_across_occurrences():
+    image = lam(app(Var(0), Var(3)))
+    t = app(lam(app(Var(1), Var(1))), Var(0))
+    out = subst(t, Assignment((image,), 0), SIG)
+    inner = out.args[0].args[0]
+    assert inner.args[0] is inner.args[1]
+    assert out == ref_subst(t, Assignment((image,), 0), SIG)
+
+
+def test_non_term_nodes_raise_type_error():
+    bad = app(Var(0), "not a term")
+    with pytest.raises(TypeError):
+        map_free_vars(bad, SIG, lambda d, n: Var(n))
+    with pytest.raises(TypeError):
+        subst(bad, Assignment((Var(3),), 0), SIG)
+    with pytest.raises(TypeError):
+        rename(lam(bad), shift_renaming(1), SIG)
+    tbad = TOp("app", (A, A), (TVar(0, arrow(A, A)), "not a term"))
+    with pytest.raises(TypeError):
+        tsubst(tbad, TypedAssignment({A: ((), 1)}), SCH)
+    with pytest.raises(TypeError):
+        multi_shift(tbad, {A: 1}, SCH)
+
+
+def test_wrong_argument_count_raises():
+    # an extra argument must raise, not be dropped with a corrupt result
+    bad = app(Op("app", (Var(0), Var(1), Var(2))), Var(3))
+    with pytest.raises(ValueError):
+        subst(bad, Assignment((Var(5),), 0), SIG)
+    with pytest.raises(ValueError):
+        max_free_var(bad, SIG)
+    tbad = TOp("lam", (A, A), (TVar(0, A), TVar(1, A)))
+    with pytest.raises(ValueError):
+        tsubst(tbad, TypedAssignment({A: ((), 1)}), SCH)
+
+
+def test_wellformed_paths_and_order():
+    t = lam(app(Op("app", (Var(0),)), app(Var(-1), Op("foo", ()))))
+    assert wellformed(SIG, t) == [
+        "operation 'app' expects 2 arguments, got 1 at [0, 0]",
+        "negative variable index at [0, 1, 0]",
+        "unknown operation 'foo' at [0, 1, 1]",
+    ]
+    assert wellformed(SIG, app(Var(0), "x")) == ["not a term at [1]: 'x'"]
+
+
+def test_deep_typed_substitution():
+    t = TVar(100_000, A)
+    for _ in range(100_000):
+        t = TOp("lam", (A, A), (t,))
+    out = tsubst(t, TypedAssignment({A: ((TVar(2, A),), 0)}), SCH)
+    for _ in range(100_000):
+        out = out.args[0]
+    assert out == TVar(100_002, A)

@@ -276,6 +276,19 @@ def test_direct_converter_agrees_with_fold():
         assert alpha_eq(to_named(SIG, t), debruijn_to_named_direct(SIG, t))
 
 
+def test_direct_converter_deep_binders_do_not_capture_free_variables():
+    # binder names run a..z, a1..z1, ...; the binder at depth 49 would be
+    # x1, the name of free variable 1, unless supply names are skipped
+    depth = 64
+    body = app(app(Var(depth), Var(depth + 1)), app(Var(depth - 50), Var(depth + 3)))
+    t = body
+    for _ in range(depth):
+        t = lam(t)
+    direct = debruijn_to_named_direct(SIG, t)
+    assert alpha_eq(direct, to_named(SIG, t))
+    assert from_named(SIG, direct) == t
+
+
 def test_morphism_check_accepts_fold():
     report = check_morphism(
         lambda t: to_named(SIG, t), TM, NM, SIG, gen_elem, gen_assign,
