@@ -18,13 +18,16 @@ def random_term(
     max_depth: int = 8,
     max_index: int = 5,
 ) -> Term:
-    ops = sorted(sig.ops.items())
+    return _random_term(sorted(sig.ops.items()), rng, max_depth, max_index)
+
+
+def _random_term(ops: list, rng: random.Random, max_depth: int, max_index: int) -> Term:
     if max_depth <= 0 or not ops or rng.random() < 0.35:
         return Var(rng.randrange(max_index))
     name, a = rng.choice(ops)
     return Op(
         name,
-        tuple(random_term(sig, rng, max_depth - 1, max_index) for _ in a.binders),
+        tuple(_random_term(ops, rng, max_depth - 1, max_index) for _ in a.binders),
     )
 
 

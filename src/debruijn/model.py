@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Any, Callable, Optional
 
 from .signature import BindingSignature
@@ -125,9 +126,17 @@ class NamedTerm:
     pass
 
 
+# Each named node caches its set of free names in ``free``, computed once
+# from its children's sets; the field takes no part in ==, hash or repr.
+
+
 @dataclass(frozen=True)
 class NVar(NamedTerm):
     name: str
+    free: frozenset[str] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "free", frozenset((self.name,)))
 
 
 @dataclass(frozen=True)
@@ -136,24 +145,56 @@ class NOp(NamedTerm):
     # one (binder names, body) pair per argument; binders listed
     # outermost-first, so the last binder is nameless index 0
     args: tuple[tuple[tuple[str, ...], NamedTerm], ...]
+    free: frozenset[str] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "free", _free_of_args(self.args))
 
 
-def free_names(t: NamedTerm) -> set[str]:
-    match t:
-        case NVar(name):
-            return {name}
-        case NOp(_, args):
-            out: set[str] = set()
-            for binders, body in args:
-                out |= free_names(body) - set(binders)
-            return out
-    raise TypeError(t)
+def _free_of_args(args) -> frozenset:
+    """Union over ``(binders, body)`` pairs of the body's free set minus
+    its binders; a lone body's set is shared when it binds none of it."""
+    sets = []
+    for binders, body in args:
+        if not isinstance(body, NamedTerm):
+            raise TypeError(body)
+        fv = body.free
+        if not fv.isdisjoint(binders):
+            fv = fv.difference(binders)
+        sets.append(fv)
+    if len(sets) == 1:
+        return sets[0]
+    return frozenset().union(*sets)
+
+
+def free_names(t: NamedTerm) -> frozenset[str]:
+    if not isinstance(t, NamedTerm):
+        raise TypeError(t)
+    return t.free
 
 
 def alpha_eq(a: NamedTerm, b: NamedTerm) -> bool:
     """Equality of named terms up to consistent renaming of binders."""
+    # name -> binder depth on each side, updated in place and restored
+    # after each body; a mismatch ends the whole comparison unrestored
+    env_a: dict[str, int] = {}
+    env_b: dict[str, int] = {}
 
-    def go(a, b, env_a: dict[str, int], env_b: dict[str, int], depth: int) -> bool:
+    def bind(env: dict[str, int], names, depth: int) -> list:
+        saved = []
+        for i, x in enumerate(names):
+            saved.append((x, env.get(x)))
+            env[x] = depth + i
+        return saved
+
+    def restore(env: dict[str, int], saved: list) -> None:
+        for x, old in reversed(saved):
+            if old is None:
+                del env[x]
+            else:
+                env[x] = old
+
+    def go(a, b, depth: int) -> bool:
         match a, b:
             case (NVar(x), NVar(y)):
                 ia, ib = env_a.get(x), env_b.get(y)
@@ -162,14 +203,16 @@ def alpha_eq(a: NamedTerm, b: NamedTerm) -> bool:
                 for (bx, tx), (by, ty) in zip(xs, ys):
                     if len(bx) != len(by):
                         return False
-                    ea = env_a | {x: depth + i for i, x in enumerate(bx)}
-                    eb = env_b | {y: depth + i for i, y in enumerate(by)}
-                    if not go(tx, ty, ea, eb, depth + len(bx)):
+                    saved_a = bind(env_a, bx, depth)
+                    saved_b = bind(env_b, by, depth)
+                    if not go(tx, ty, depth + len(bx)):
                         return False
+                    restore(env_a, saved_a)
+                    restore(env_b, saved_b)
                 return True
         return False
 
-    return go(a, b, {}, {}, 0)
+    return go(a, b, 0)
 
 
 def _letter_supply():
@@ -180,49 +223,70 @@ def _letter_supply():
         i += 1
 
 
-def fresh_names(count: int, avoid: set[str]) -> list[str]:
+def fresh_names(count: int, avoid) -> list[str]:
     """First ``count`` binder names (a, b, c, ...) not in ``avoid``."""
     out: list[str] = []
+    # the supply never repeats a name, so ``avoid`` needs no additions
     for name in _letter_supply():
         if name not in avoid:
             out.append(name)
-            avoid = avoid | {name}
             if len(out) == count:
                 return out
     raise AssertionError("unreachable")
 
 
+_free = attrgetter("free")
+
+
+def _relevant(mapping: dict, fv: frozenset, bound) -> dict:
+    """The entries of ``mapping`` whose key is in ``fv`` but not ``bound``:
+    ``mapping`` itself when that is all of it, else a new dict built by
+    walking the smaller of ``mapping`` and ``fv``."""
+    keys = mapping.keys()
+    if keys <= fv and keys.isdisjoint(bound):
+        return mapping
+    if len(mapping) <= len(fv):
+        return {x: v for x, v in mapping.items() if x in fv and x not in bound}
+    return {x: mapping[x] for x in fv if x in mapping and x not in bound}
+
+
 def named_subst(t: NamedTerm, mapping: dict[str, NamedTerm]) -> NamedTerm:
     """Simultaneous capture-avoiding substitution with deterministic
-    fresh binder names."""
-    match t:
-        case NVar(name):
-            return mapping.get(name, t)
-        case NOp(op, args):
-            new_args = []
-            for binders, body in args:
-                fv = free_names(body)
-                relevant = {
-                    x: v
-                    for x, v in mapping.items()
-                    if x in fv and x not in binders
-                }
-                avoid = (fv - set(binders)) | {
-                    n for v in relevant.values() for n in free_names(v)
-                }
-                inner = dict(relevant)
+    fresh binder names.
+
+    Sharing: a subterm (``t`` too) in which no key of ``mapping`` is free
+    is returned itself, and only the entries free in a body are passed
+    down into it.
+    """
+    if mapping.keys().isdisjoint(t.free):
+        return t
+    if type(t) is NVar:
+        return mapping[t.name]
+    new_args = []
+    for binders, body in t.args:
+        if not binders and type(body) is NVar:
+            new_args.append(((), mapping.get(body.name, body)))
+            continue
+        relevant = _relevant(mapping, body.free, binders)
+        if binders and relevant:
+            captured = frozenset().union(*map(_free, relevant.values()))
+            if not captured.isdisjoint(binders):
+                # a binder would capture a free name of an image: rename
+                # it, fresh for the body and every image, as binders go
+                avoid = body.free.difference(binders) | captured
+                taken = set(avoid)
+                relevant = dict(relevant)
                 new_binders = []
                 for b in binders:
+                    z = b
                     if b in avoid:
-                        (z,) = fresh_names(1, avoid | set(new_binders))
-                        inner[b] = NVar(z)
-                        new_binders.append(z)
-                    else:
-                        inner.pop(b, None)
-                        new_binders.append(b)
-                new_args.append((tuple(new_binders), named_subst(body, inner)))
-            return NOp(op, tuple(new_args))
-    raise TypeError(t)
+                        (z,) = fresh_names(1, taken)
+                        relevant[b] = NVar(z)
+                    new_binders.append(z)
+                    taken.add(z)
+                binders = tuple(new_binders)
+        new_args.append((binders, named_subst(body, relevant)))
+    return NOp(t.name, tuple(new_args))
 
 
 _SUPPLY_RE = re.compile(r"^x(0|[1-9][0-9]*)$")
@@ -254,7 +318,7 @@ def named_model(
 
     def substitution(t: NamedTerm, a: ModelAssignment) -> NamedTerm:
         mapping = {}
-        for name in free_names(t):
+        for name in t.free:
             idx = supply_index(name)
             if idx is not None:
                 mapping[name] = value_at(a, idx)
@@ -269,8 +333,8 @@ def named_model(
                 if k == 0:
                     pieces.append(((), e))
                     continue
-                fv = free_names(e)
-                zs = fresh_names(k, set(fv))
+                fv = e.free
+                zs = fresh_names(k, fv)
                 mapping: dict[str, NamedTerm] = {}
                 for name_ in fv:
                     idx = supply_index(name_)

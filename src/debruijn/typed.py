@@ -300,10 +300,21 @@ class TypedNamedTerm:
     pass
 
 
+# Each node caches its set of free (name, type) pairs in ``free``, and in
+# ``clash`` whether some binder in it shares its name with a free variable
+# of another type in its scope (``tn_subst`` renames such a binder even when
+# it substitutes nothing).  Neither field takes part in ==, hash or repr.
+
+
 @dataclass(frozen=True)
 class TNVar(TypedNamedTerm):
     name: str
     ty: TypeExpr
+    free: frozenset = field(init=False, repr=False, compare=False)
+    clash: bool = field(init=False, repr=False, compare=False, default=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "free", frozenset(((self.name, self.ty),)))
 
 
 @dataclass(frozen=True)
@@ -313,18 +324,33 @@ class TNOp(TypedNamedTerm):
     # per argument: (binder declarations ordered along the premise
     # context, body); a binder declaration is a (name, type) pair
     args: tuple[tuple[tuple[tuple[str, TypeExpr], ...], TypedNamedTerm], ...]
+    free: frozenset = field(init=False, repr=False, compare=False)
+    clash: bool = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        sets = []
+        clash = False
+        for binders, body in self.args:
+            if not isinstance(body, TypedNamedTerm):
+                raise TypeError(body)
+            fv = body.free
+            if not fv.isdisjoint(binders):
+                fv = fv.difference(binders)
+            sets.append(fv)
+            clash = clash or body.clash
+            if binders and not clash:
+                names = {n for n, _ in binders}
+                clash = any(n in names for n, _ in fv)
+        object.__setattr__(
+            self, "free", sets[0] if len(sets) == 1 else frozenset().union(*sets)
+        )
+        object.__setattr__(self, "clash", clash)
 
 
-def tn_free(t: TypedNamedTerm) -> set[tuple[str, TypeExpr]]:
-    match t:
-        case TNVar(name, ty):
-            return {(name, ty)}
-        case TNOp(_, _, args):
-            out: set = set()
-            for binders, body in args:
-                out |= tn_free(body) - set(binders)
-            return out
-    raise TypeError(t)
+def tn_free(t: TypedNamedTerm) -> frozenset[tuple[str, TypeExpr]]:
+    if not isinstance(t, TypedNamedTerm):
+        raise TypeError(t)
+    return t.free
 
 
 def tn_alpha_eq(a: TypedNamedTerm, b: TypedNamedTerm) -> bool:
@@ -357,35 +383,39 @@ def tn_alpha_eq(a: TypedNamedTerm, b: TypedNamedTerm) -> bool:
 def tn_subst(
     t: TypedNamedTerm, mapping: dict[tuple[str, TypeExpr], TypedNamedTerm]
 ) -> TypedNamedTerm:
-    from .model import fresh_names
+    """Simultaneous capture-avoiding substitution on typed named terms.
 
-    match t:
-        case TNVar(name, ty):
-            return mapping.get((name, ty), t)
-        case TNOp(op, targs, args):
-            new_args = []
-            for binders, body in args:
-                fv = tn_free(body)
-                bset = set(binders)
-                relevant = {
-                    k: v for k, v in mapping.items() if k in fv and k not in bset
-                }
-                avoid = {n for n, _ in fv - bset} | {
-                    n for v in relevant.values() for n, _ in tn_free(v)
-                }
-                inner = dict(relevant)
+    Sharing: a subterm (``t`` too) in which no key of ``mapping`` is free
+    and no binder clashes (see ``TNOp.clash``) is returned itself, and only
+    the entries free in a body are passed down into it.
+    """
+    from .model import _relevant, fresh_names
+
+    if not t.clash and mapping.keys().isdisjoint(t.free):
+        return t
+    if type(t) is TNVar:
+        return mapping.get((t.name, t.ty), t)
+    new_args = []
+    for binders, body in t.args:
+        inner = _relevant(mapping, body.free, binders)
+        if binders:
+            avoid = {n for n, _ in body.free.difference(binders)}
+            for v in inner.values():
+                avoid.update(n for n, _ in v.free)
+            if any(n in avoid for n, _ in binders):
+                taken = set(avoid)
+                inner = dict(inner)
                 new_binders = []
                 for bname, bty in binders:
+                    z = bname
                     if bname in avoid:
-                        (z,) = fresh_names(1, avoid | {n for n, _ in new_binders})
+                        (z,) = fresh_names(1, taken)
                         inner[(bname, bty)] = TNVar(z, bty)
-                        new_binders.append((z, bty))
-                    else:
-                        inner.pop((bname, bty), None)
-                        new_binders.append((bname, bty))
-                new_args.append((tuple(new_binders), tn_subst(body, inner)))
-            return TNOp(op, targs, tuple(new_args))
-    raise TypeError(t)
+                    new_binders.append((z, bty))
+                    taken.add(z)
+                binders = tuple(new_binders)
+        new_args.append((binders, tn_subst(body, inner)))
+    return TNOp(t.name, t.type_args, tuple(new_args))
 
 
 def typed_named_model(schema: TypedSignatureSchema) -> TypedAlgebra:
@@ -400,7 +430,7 @@ def typed_named_model(schema: TypedSignatureSchema) -> TypedAlgebra:
 
     def substitution(t: TypedNamedTerm, sigma: TypedAssignment) -> TypedNamedTerm:
         mapping = {}
-        for name, ty in tn_free(t):
+        for name, ty in t.free:
             idx = default_supply_index(name)
             if idx is not None:
                 mapping[(name, ty)] = value_at(sigma, ty, idx)
@@ -414,7 +444,7 @@ def typed_named_model(schema: TypedSignatureSchema) -> TypedAlgebra:
                 pieces.append(((), e))
                 continue
             counts = Counter(gamma)
-            fv = tn_free(e)
+            fv = e.free
             zs = fresh_names(len(gamma), {n for n, _ in fv})
             binders = tuple((z, ty) for z, ty in zip(zs, gamma))
             # position j of type ty binds the index equal to the number

@@ -7,7 +7,11 @@ from collections import Counter
 
 from debruijn import (
     Assignment,
+    NOp,
+    NVar,
     Op,
+    TNOp,
+    TNVar,
     TOp,
     TVar,
     Term,
@@ -18,6 +22,7 @@ from debruijn import (
     lift_n_renaming,
     shift_renaming,
 )
+from debruijn.model import _letter_supply
 from debruijn.typed import op_arity, typed_assignment_at
 
 
@@ -117,3 +122,136 @@ def ref_tsubst(t, sigma, schema):
         ref_tsubst(a, ref_tlift_gamma(sigma, gamma, schema), schema)
         for a, (gamma, _) in zip(t.args, premises)
     ))
+
+
+# --- named-term references -----------------------------------------------
+#
+# The named oracle as first written: free names recomputed by recursion at
+# every node, and every node rebuilt.  The library's versions cache free
+# sets on the nodes and share unchanged subterms; they must agree with
+# these structurally, binder names included.
+
+
+def ref_fresh_names(count, avoid):
+    out = []
+    for name in _letter_supply():
+        if name not in avoid:
+            out.append(name)
+            avoid = avoid | {name}
+            if len(out) == count:
+                return out
+
+
+def ref_free_names(t):
+    if isinstance(t, NVar):
+        return {t.name}
+    out = set()
+    for binders, body in t.args:
+        out |= ref_free_names(body) - set(binders)
+    return out
+
+
+def ref_named_subst(t, mapping):
+    if isinstance(t, NVar):
+        return mapping.get(t.name, t)
+    new_args = []
+    for binders, body in t.args:
+        fv = ref_free_names(body)
+        relevant = {x: v for x, v in mapping.items() if x in fv and x not in binders}
+        avoid = (fv - set(binders)) | {
+            n for v in relevant.values() for n in ref_free_names(v)
+        }
+        inner = dict(relevant)
+        new_binders = []
+        for b in binders:
+            if b in avoid:
+                (z,) = ref_fresh_names(1, avoid | set(new_binders))
+                inner[b] = NVar(z)
+                new_binders.append(z)
+            else:
+                inner.pop(b, None)
+                new_binders.append(b)
+        new_args.append((tuple(new_binders), ref_named_subst(body, inner)))
+    return NOp(t.name, tuple(new_args))
+
+
+def ref_alpha_eq(a, b):
+    """Alpha-equivalence with a fresh copy of each environment per binder."""
+
+    def go(a, b, env_a, env_b, depth):
+        if isinstance(a, NVar) and isinstance(b, NVar):
+            ia, ib = env_a.get(a.name), env_b.get(b.name)
+            return ia == ib and (ia is not None or a.name == b.name)
+        if not (isinstance(a, NOp) and isinstance(b, NOp)):
+            return False
+        if a.name != b.name or len(a.args) != len(b.args):
+            return False
+        for (bx, tx), (by, ty) in zip(a.args, b.args):
+            if len(bx) != len(by):
+                return False
+            ea = env_a | {x: depth + i for i, x in enumerate(bx)}
+            eb = env_b | {y: depth + i for i, y in enumerate(by)}
+            if not go(tx, ty, ea, eb, depth + len(bx)):
+                return False
+        return True
+
+    return go(a, b, {}, {}, 0)
+
+
+def ref_tn_free(t):
+    if isinstance(t, TNVar):
+        return {(t.name, t.ty)}
+    out = set()
+    for binders, body in t.args:
+        out |= ref_tn_free(body) - set(binders)
+    return out
+
+
+def ref_tn_subst(t, mapping):
+    if isinstance(t, TNVar):
+        return mapping.get((t.name, t.ty), t)
+    new_args = []
+    for binders, body in t.args:
+        fv = ref_tn_free(body)
+        bset = set(binders)
+        relevant = {k: v for k, v in mapping.items() if k in fv and k not in bset}
+        avoid = {n for n, _ in fv - bset} | {
+            n for v in relevant.values() for n, _ in ref_tn_free(v)
+        }
+        inner = dict(relevant)
+        new_binders = []
+        for bname, bty in binders:
+            if bname in avoid:
+                (z,) = ref_fresh_names(1, avoid | {n for n, _ in new_binders})
+                inner[(bname, bty)] = TNVar(z, bty)
+                new_binders.append((z, bty))
+            else:
+                inner.pop((bname, bty), None)
+                new_binders.append((bname, bty))
+        new_args.append((tuple(new_binders), ref_tn_subst(body, inner)))
+    return TNOp(t.name, t.type_args, tuple(new_args))
+
+
+# --- generator reference -------------------------------------------------
+
+
+def ref_random_term(sig, rng, max_depth=8, max_index=5):
+    """``gen.random_term`` as first written, sorting the operations at
+    every node; the library sorts once per call and must draw the same
+    random stream."""
+    ops = sorted(sig.ops.items())
+    if max_depth <= 0 or not ops or rng.random() < 0.35:
+        return Var(rng.randrange(max_index))
+    name, a = rng.choice(ops)
+    return Op(
+        name,
+        tuple(ref_random_term(sig, rng, max_depth - 1, max_index) for _ in a.binders),
+    )
+
+
+def ref_random_assignment(sig, rng, max_prefix=4, max_shift=3, max_depth=4, max_index=5):
+    prefix = tuple(
+        ref_random_term(sig, rng, max_depth, max_index)
+        for _ in range(rng.randint(0, max_prefix))
+    )
+    return Assignment(prefix, rng.randint(0, max_shift))

@@ -1,0 +1,330 @@
+"""The named oracle's fast paths, checked against the definitional
+references in ``helpers``: cached free sets, substitution that shares
+unchanged subterms, in-place alpha-equivalence, and a conversion whose
+printed names are pinned."""
+
+from __future__ import annotations
+
+import hashlib
+import itertools
+import random
+import time
+
+import pytest
+
+from debruijn import (
+    NOp,
+    NVar,
+    TNOp,
+    TNVar,
+    Var,
+    alpha_eq,
+    arrow,
+    base,
+    free_names,
+    from_named,
+    lambda_signature,
+    make_signature,
+    named_subst,
+    print_term,
+    stlc_schema,
+    to_named,
+)
+from debruijn.gen import (
+    ground_types,
+    random_assignment,
+    random_term,
+    random_typed_term,
+)
+from debruijn.model import fresh_names
+from debruijn.typed import tn_free, tn_subst, typed_to_named
+
+from helpers import (
+    app,
+    lam,
+    ref_alpha_eq,
+    ref_free_names,
+    ref_named_subst,
+    ref_random_assignment,
+    ref_random_term,
+    ref_tn_free,
+    ref_tn_subst,
+)
+
+SIG = lambda_signature()
+FO_SIG = make_signature({"f": (0, 0), "c": ()})
+MIXED_SIG = make_signature({"m": (2, 0, 1)})
+SCH = stlc_schema({"a", "b"})
+A, B = base("a"), base("b")
+
+# few names, supply names among them, so that binders often capture
+NAMES = ("a", "b", "c", "x0", "x1")
+TYPES = (A, B, arrow(A, B))
+
+
+def random_named(rng: random.Random, depth: int):
+    if depth <= 0 or rng.random() < 0.3:
+        return NVar(rng.choice(NAMES))
+    kind = rng.randrange(3)
+    if kind == 0:
+        return NOp("lam", (((rng.choice(NAMES),), random_named(rng, depth - 1)),))
+    if kind == 1:
+        return NOp("app", tuple(((), random_named(rng, depth - 1)) for _ in range(2)))
+    return NOp("m", (
+        ((rng.choice(NAMES), rng.choice(NAMES)), random_named(rng, depth - 1)),
+        ((), random_named(rng, depth - 1)),
+        ((rng.choice(NAMES),), random_named(rng, depth - 1)),
+    ))
+
+
+def random_mapping(rng: random.Random) -> dict:
+    keys = rng.sample(NAMES, rng.randint(0, 3))
+    return {k: random_named(rng, 2) for k in keys}
+
+
+def random_tnamed(rng: random.Random, depth: int):
+    if depth <= 0 or rng.random() < 0.3:
+        return TNVar(rng.choice(NAMES), rng.choice(TYPES))
+    if rng.random() < 0.5:
+        binders = tuple(
+            (rng.choice(NAMES), rng.choice(TYPES)) for _ in range(rng.randint(1, 2))
+        )
+        return TNOp("lam", (A,), ((binders, random_tnamed(rng, depth - 1)),))
+    return TNOp("app", (A, B), tuple(((), random_tnamed(rng, depth - 1)) for _ in range(2)))
+
+
+def random_tmapping(rng: random.Random) -> dict:
+    keys = {(rng.choice(NAMES), rng.choice(TYPES)) for _ in range(rng.randint(0, 3))}
+    return {k: random_tnamed(rng, 2) for k in keys}
+
+
+def subterms(t):
+    stack = [t]
+    while stack:
+        x = stack.pop()
+        yield x
+        for _, body in getattr(x, "args", ()):
+            stack.append(body)
+
+
+def test_free_sets_match_reference():
+    rng = random.Random(51)
+    for _ in range(400):
+        t = random_named(rng, 5)
+        assert free_names(t) == ref_free_names(t)
+        tt = random_tnamed(rng, 5)
+        assert tn_free(tt) == ref_tn_free(tt)
+
+
+def test_fresh_names():
+    assert fresh_names(3, {"a", "c"}) == ["b", "d", "e"]
+    assert fresh_names(2, frozenset("abcdefghijklmnopqrstuvwxyz")) == ["a1", "b1"]
+
+
+def test_free_set_is_not_part_of_equality_hash_or_repr():
+    t = NOp("lam", ((("x",), NVar("x")),))
+    assert t.free == frozenset()
+    assert repr(t) == "NOp(name='lam', args=((('x',), NVar(name='x')),))"
+    assert t == NOp("lam", ((("x",), NVar("x")),))
+    assert hash(t) == hash(("lam", ((("x",), NVar("x")),)))
+    assert repr(TNVar("x", A)) == f"TNVar(name='x', ty={A!r})"
+    with pytest.raises(TypeError):
+        NOp("app", (((), "not a term"),))
+
+
+def test_named_subst_matches_reference():
+    rng = random.Random(53)
+    for _ in range(1500):
+        t = random_named(rng, 5)
+        mapping = random_mapping(rng)
+        assert named_subst(t, mapping) == ref_named_subst(t, mapping)
+
+
+def test_named_subst_capture_cases_match_reference():
+    # the image of x0 mentions every binder name in scope
+    t = NOp("m", (
+        (("a", "b"), NOp("app", (((), NVar("x0")), ((), NVar("a"))))),
+        ((), NVar("x0")),
+        (("b",), NOp("lam", ((("c",), NOp("app", (((), NVar("x0")), ((), NVar("b"))))),))),
+    ))
+    bc = NOp("app", (((), NVar("b")), ((), NVar("c"))))
+    image = NOp("app", (((), NVar("a")), ((), bc)))
+    for mapping in ({"x0": image}, {"x0": image, "a": NVar("b")}, {"x0": NVar("a")}):
+        got = named_subst(t, mapping)
+        assert got == ref_named_subst(t, mapping)
+        assert got != t
+
+
+def test_tn_subst_matches_reference():
+    rng = random.Random(57)
+    for _ in range(1500):
+        t = random_tnamed(rng, 5)
+        mapping = random_tmapping(rng)
+        assert tn_subst(t, mapping) == ref_tn_subst(t, mapping)
+
+
+def test_unmapped_subterms_are_shared():
+    rng = random.Random(59)
+    for _ in range(300):
+        t = random_named(rng, 5)
+        mapping = random_mapping(rng)
+        for s in subterms(t):
+            if mapping.keys().isdisjoint(ref_free_names(s)):
+                assert named_subst(s, mapping) is s
+        tt = random_tnamed(rng, 5)
+        tmapping = random_tmapping(rng)
+        for s in subterms(tt):
+            unmapped = tmapping.keys().isdisjoint(ref_tn_free(s))
+            if unmapped and ref_tn_subst(s, {}) == s:
+                assert tn_subst(s, tmapping) is s
+    closed = NOp("lam", ((("y",), NVar("y")),))
+    t = NOp("app", (((), closed), ((), NVar("x0"))))
+    out = named_subst(t, {"x0": NVar("x1")})
+    assert out.args[0][1] is closed
+    assert named_subst(t, {"x1": NVar("x0")}) is t
+
+
+def test_tn_subst_renames_a_clashing_binder_without_substituting():
+    # binder (a : A) over a free (a : B): the oracle renames the binder even
+    # for an empty mapping, and the fast path keeps that behaviour
+    t = TNOp("lam", (A,), (((("a", A),), TNOp("app", (A, B), (
+        ((), TNVar("a", A)), ((), TNVar("a", B)),
+    ))),))
+    assert tn_subst(t, {}) == ref_tn_subst(t, {})
+    assert tn_subst(t, {}).args[0][0] == (("b", A),)
+
+
+def test_alpha_eq_matches_reference():
+    rng = random.Random(61)
+
+    def alpha_variant(t, counter):
+        # rename every binder group to names used nowhere else
+        if isinstance(t, NVar):
+            return t
+        args = []
+        for binders, body in t.args:
+            body = alpha_variant(body, counter)
+            if len(set(binders)) == len(binders):
+                new = tuple(f"r{next(counter)}" for _ in binders)
+                body = ref_named_subst(body, {b: NVar(n) for b, n in zip(binders, new)})
+                binders = new
+            args.append((binders, body))
+        return NOp(t.name, tuple(args))
+
+    def perturb(t, rng):
+        # change one node: a variable name, or one binder name
+        nodes = list(subterms(t))
+        target = rng.choice(nodes)
+
+        def go(x):
+            if x is target:
+                if isinstance(x, NVar):
+                    return NVar(rng.choice(NAMES))
+                i = rng.randrange(len(x.args))
+                binders, body = x.args[i]
+                if binders:
+                    binders = (rng.choice(NAMES),) + binders[1:]
+                args = x.args[:i] + ((binders, body),) + x.args[i + 1 :]
+                return NOp(x.name, args)
+            if isinstance(x, NVar):
+                return x
+            return NOp(x.name, tuple((bs, go(b)) for bs, b in x.args))
+
+        return go(t)
+
+    for _ in range(600):
+        a = random_named(rng, 5)
+        pairs = [
+            (a, a),
+            (a, NOp(a.name, a.args) if isinstance(a, NOp) else NVar(a.name)),
+            (a, alpha_variant(a, itertools.count())),
+            (a, perturb(a, rng)),
+            (a, random_named(rng, 5)),
+        ]
+        for x, y in pairs:
+            assert alpha_eq(x, y) == ref_alpha_eq(x, y)
+            assert alpha_eq(y, x) == ref_alpha_eq(y, x)
+
+
+def test_alpha_eq_shadowed_and_repeated_binders():
+    inner = NOp("app", (((), NVar("x")), ((), NVar("y"))))
+    t1 = NOp("m", (
+        (("x", "x"), inner), ((), NVar("x")), (("y",), NOp("lam", ((("y",), inner),))),
+    ))
+    t2 = NOp("m", (
+        (("p", "q"), NOp("app", (((), NVar("q")), ((), NVar("y"))))),
+        ((), NVar("x")),
+        (("z",), NOp("lam", ((("w",), NOp("app", (((), NVar("x")), ((), NVar("w"))))),))),
+    ))
+    for x, y in ((t1, t2), (t2, t1), (t1, t1)):
+        assert alpha_eq(x, y) == ref_alpha_eq(x, y)
+    assert alpha_eq(t1, t2)
+
+
+@pytest.mark.parametrize("sig", [SIG, FO_SIG, MIXED_SIG], ids=["lambda", "FO", "MIXED"])
+def test_random_term_stream_is_unchanged(sig):
+    rng, ref = random.Random(67), random.Random(67)
+    for _ in range(300):
+        assert random_term(sig, rng, max_depth=6) == ref_random_term(sig, ref, max_depth=6)
+        assert random_assignment(sig, rng) == ref_random_assignment(sig, ref)
+        assert rng.random() == ref.random()
+
+
+# --- pinned output ------------------------------------------------------
+
+
+def deep_lambda(rng: random.Random, depth: int):
+    """A chain of ``depth`` binders, half of them over an application to a
+    variable that may point anywhere in scope or be free."""
+    app_levels = set(rng.sample(range(depth), depth // 2))
+    t = Var(rng.randrange(depth + 3))
+    for level in range(depth):
+        if level in app_levels:
+            t = app(t, Var(rng.randrange(depth - level + 3)))
+        t = lam(t)
+    return t
+
+
+def named_output_digest() -> str:
+    """SHA-256 over the printed named forms of seeded random terms,
+    deep-terms-style chains and typed terms."""
+    h = hashlib.sha256()
+    for k, sig in enumerate((SIG, FO_SIG, MIXED_SIG)):
+        rng = random.Random(100 + k)
+        for _ in range(300):
+            t = random_term(sig, rng, max_depth=7, max_index=6)
+            h.update(print_term(to_named(sig, t), "named").encode() + b"\n")
+    for depth in (30, 60, 90):
+        t = deep_lambda(random.Random(depth), depth)
+        h.update(print_term(to_named(SIG, t), "named").encode() + b"\n")
+    rng = random.Random(104)
+    pool = ground_types(SCH.grammar)
+    for _ in range(200):
+        t = random_typed_term(SCH, rng, rng.choice(pool), max_depth=5)
+        h.update(repr(typed_to_named(SCH, t)).encode() + b"\n")
+    return h.hexdigest()
+
+
+def test_to_named_output_is_pinned():
+    # recorded before free sets were cached and named_subst shared subterms:
+    # any change of a printed binder name changes the digest
+    assert named_output_digest() == (
+        "42e18c2bdf7e49d6bab80efa50104229bce065e0529164e3ca0705df2ddb2dde"
+    )
+
+
+def test_deep_to_named_is_fast_and_round_trips():
+    t = deep_lambda(random.Random(300), 300)
+    start = time.perf_counter()
+    named = to_named(SIG, t)
+    assert time.perf_counter() - start < 10.0
+    # term == recurses, so compare node by node
+    stack = [(from_named(SIG, named), t)]
+    while stack:
+        x, y = stack.pop()
+        assert type(x) is type(y)
+        if isinstance(x, Var):
+            assert x == y
+        else:
+            assert x.name == y.name and len(x.args) == len(y.args)
+            stack.extend(zip(x.args, y.args))
