@@ -10,7 +10,6 @@ Run with: python3 demos/law_fuzzing.py
 
 from debruijn import (
     DBAlgebra,
-    ModelAssignment,
     Var,
     check_binding_conditions,
     check_monad_laws,
@@ -28,8 +27,7 @@ def gen_elem(rng):
 
 
 def gen_assign(rng):
-    a = random_assignment(sig, rng)
-    return ModelAssignment(a.prefix, a.tail_shift)
+    return random_assignment(sig, rng)
 
 
 print("-- term model --")

@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 semantic failure (law violation, type error,
 inequivalence), 2 parse or validation error, 3 fuel exhausted /
-undecided.
+undecided, 4 internal error (an unexpected exception).
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from pathlib import Path
 from .equational import beta_eta_theory, beta_theory, equiv, normalize
 from .gen import random_assignment, random_term, shrink_law_sample
 from .model import (
-    ModelAssignment,
     check_binding_conditions,
     check_monad_laws,
     check_morphism,
@@ -32,6 +31,7 @@ from .surface import (
     parse_signature_file,
     parse_term,
     parse_theory_file,
+    print_assignment,
     print_term,
     term_from_json,
     term_to_json,
@@ -44,6 +44,7 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_PARSE = 2
 EXIT_FUEL = 3
+EXIT_INTERNAL = 4
 
 
 class CliError(Exception):
@@ -190,9 +191,7 @@ def cmd_fuzz(args) -> int:
         raise CliError(f"unknown law group(s): {', '.join(unknown)}", EXIT_PARSE)
     tm = term_model(sig)
     gen_elem = lambda rng: random_term(sig, rng, max_depth=5)
-    gen_assign = lambda rng: (
-        lambda a: ModelAssignment(a.prefix, a.tail_shift)
-    )(random_assignment(sig, rng))
+    gen_assign = lambda rng: random_assignment(sig, rng)
     ok = True
     for law in laws:
         if law == "monad":
@@ -218,12 +217,7 @@ def cmd_fuzz(args) -> int:
 
 def _show_sample(sample) -> str:
     x, f, g, n = sample
-    def one(v):
-        if hasattr(v, "prefix"):
-            inner = ", ".join(print_term(t) for t in v.prefix)
-            return f"[{inner}; ^{v.tail_shift}]"
-        return print_term(v) if not isinstance(v, int) else str(v)
-    return f"(x={one(x)} f={one(f)} g={one(g)} n={n})"
+    return f"(x={print_term(x)} f={print_assignment(f)} g={print_assignment(g)} n={n})"
 
 
 # --- parser --------------------------------------------------------------
@@ -315,6 +309,9 @@ def main(argv=None) -> int:
     except CliError as e:
         print(str(e), file=sys.stderr)
         return e.code
+    except Exception as e:  # a bug, not a verdict: never EXIT_FAIL
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -17,16 +17,9 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .signature import BindingArity, BindingSignature, lambda_signature
-from .model import (
-    DBAlgebra,
-    ModelAssignment,
-    Report,
-    _run_law,
-    model_lift_n,
-    named_model,
-    term_model,
-)
-from .term import Term, Var, Op, free_indices, map_free_vars
+from .model import DBAlgebra, Report, _run_law, named_model, term_model
+from .subst import Assignment, lift_n, rename, shift_renaming
+from .term import Term, Var, Op, free_indices
 
 
 @dataclass(frozen=True)
@@ -36,16 +29,15 @@ class MetaVar:
     index: int
 
 
-@dataclass(frozen=True)
-class MetaAssignment:
-    prefix: tuple = ()
-    tail_shift: int = 0
+# the explicit substitution of a metaterm is an ``Assignment`` whose
+# prefix holds metaterms; its tail variables are object variables
+MetaAssignment = Assignment
 
 
 @dataclass(frozen=True)
 class ExplicitSubst:
     body: object
-    assign: MetaAssignment
+    assign: Assignment
 
 
 # a metaterm is a MetaVar, a Var, an Op whose args are metaterms, or an
@@ -119,7 +111,7 @@ def validate_theory(theory: EquationalTheory) -> list[str]:
                         if msg:
                             return msg
                     return None
-                case ExplicitSubst(MetaVar(index), MetaAssignment((), _)):
+                case ExplicitSubst(MetaVar(index), Assignment((), _)):
                     if index in used:
                         return f"metavariable ?{index} used twice"
                     used.append(index)
@@ -173,19 +165,16 @@ def eval_metaterm(algebra: DBAlgebra, env: list, mt: MetaTerm):
                 [eval_metaterm(algebra, env, a) for a in args]
             )
         case ExplicitSubst(body, assign):
-            a = ModelAssignment(
+            a = Assignment(
                 tuple(eval_metaterm(algebra, env, p) for p in assign.prefix),
                 assign.tail_shift,
+                algebra.variables,
             )
             return algebra.substitution(eval_metaterm(algebra, env, body), a)
     raise TypeError(mt)
 
 
 # --- matching and rewriting ---------------------------------------------
-
-
-def _unshift(t: Term, k: int, sig: BindingSignature) -> Term:
-    return map_free_vars(t, sig, lambda d, n: Var(n - k))
 
 
 def match_pattern(pat: MetaTerm, t: Term, sig: BindingSignature) -> Optional[dict[int, Term]]:
@@ -196,12 +185,13 @@ def match_pattern(pat: MetaTerm, t: Term, sig: BindingSignature) -> Optional[dic
             case MetaVar(index):
                 env[index] = t
                 return True
-            case ExplicitSubst(MetaVar(index), MetaAssignment((), k)):
-                # t must be a k-shift of some term: no free index below k
+            case ExplicitSubst(MetaVar(index), Assignment((), k)):
+                # t must be a k-shift of some term: no free index below k,
+                # which is all that renaming by the pure shift -k needs
                 low = min(free_indices(t, sig), default=None)
                 if low is not None and low < k:
                     return False
-                env[index] = _unshift(t, k, sig)
+                env[index] = rename(t, shift_renaming(-k), sig)
                 return True
             case Var(index):
                 return t == Var(index)
@@ -307,14 +297,10 @@ def check_half_equation(
 
     def binding_ok(s) -> bool:
         args, sigma = s
-        ma = ModelAssignment(sigma.prefix, sigma.tail_shift)
-        lhs = tm.substitution(eval_metaterm(tm, args, side), ma)
+        lhs = tm.substitution(eval_metaterm(tm, args, side), sigma)
         rhs = eval_metaterm(
             tm,
-            [
-                tm.substitution(x, model_lift_n(tm, ma, n))
-                for x, n in zip(args, binders)
-            ],
+            [tm.substitution(x, lift_n(sigma, n, sig)) for x, n in zip(args, binders)],
             side,
         )
         return lhs == rhs
@@ -351,7 +337,7 @@ def beta_theory() -> EquationalTheory:
         "beta",
         BindingArity((1, 0)),
         Op("app", (Op("lam", (MetaVar(0),)), MetaVar(1))),
-        ExplicitSubst(MetaVar(0), MetaAssignment((MetaVar(1),), 0)),
+        ExplicitSubst(MetaVar(0), Assignment((MetaVar(1),), 0)),
     )
     return EquationalTheory(sig, (beta,))
 
@@ -368,7 +354,7 @@ def beta_eta_theory() -> EquationalTheory:
             (
                 Op(
                     "app",
-                    (ExplicitSubst(MetaVar(0), MetaAssignment((), 1)), Var(0)),
+                    (ExplicitSubst(MetaVar(0), Assignment((), 1)), Var(0)),
                 ),
             ),
         ),

@@ -48,7 +48,7 @@ def random_assignment(
 
 def random_renaming(
     rng: random.Random, max_prefix: int = 4, max_shift: int = 3, max_index: int = 6
-) -> Renaming:
+) -> Assignment:
     prefix = tuple(
         rng.randrange(max_index) for _ in range(rng.randint(0, max_prefix))
     )

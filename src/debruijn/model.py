@@ -21,26 +21,15 @@ from operator import attrgetter
 from typing import Any, Callable, Optional
 
 from .signature import BindingSignature
-from .subst import Assignment, subst
+from .subst import IDENTITY, NAT, Assignment, at, compose_with, lift_with, subst
 from .term import Term, Var, Op
 
 
 # --- assignments over an arbitrary carrier ------------------------------
 
-
-@dataclass(frozen=True)
-class ModelAssignment:
-    """Finite-representation assignment over a model carrier.
-
-    ``n -> prefix[n]`` for ``n < len(prefix)``; beyond the prefix the tail
-    yields ``variables(tail_shift + j)`` of whichever model applies it.
-    """
-
-    prefix: tuple = ()
-    tail_shift: int = 0
-
-
-MODEL_IDENTITY = ModelAssignment()
+# A model's assignments are the one finite ``Assignment``, with the model's
+# variables map as the carrier's ``var``.
+ModelAssignment = Assignment
 
 
 @dataclass
@@ -48,7 +37,7 @@ class DeBruijnMonad:
     """Carrier with variables and substitution maps plus decidable equality."""
 
     variables: Callable[[int], Any]
-    substitution: Callable[[Any, ModelAssignment], Any]
+    substitution: Callable[[Any, Assignment], Any]
     equal: Callable[[Any, Any], bool] = field(default=lambda a, b: a == b)
 
 
@@ -62,34 +51,18 @@ class DBAlgebra(DeBruijnMonad):
     interpretations: dict[str, Callable[[list], Any]] = field(default_factory=dict)
 
 
-def assignment_at(m: DeBruijnMonad, a: ModelAssignment, n: int):
-    q = len(a.prefix)
-    return a.prefix[n] if n < q else m.variables(a.tail_shift + (n - q))
-
-
-def model_lift(m: DeBruijnMonad, a: ModelAssignment) -> ModelAssignment:
+def model_lift(m: DeBruijnMonad, a: Assignment) -> Assignment:
     """0 -> v(0), n+1 -> a(n)[shift], in the model's own substitution."""
-    up = ModelAssignment((), 1)
-    return ModelAssignment(
-        (m.variables(0),) + tuple(m.substitution(x, up) for x in a.prefix),
-        a.tail_shift + 1,
-    )
+    return model_lift_n(m, a, 1)
 
 
-def model_lift_n(m: DeBruijnMonad, a: ModelAssignment, n: int) -> ModelAssignment:
-    for _ in range(n):
-        a = model_lift(m, a)
-    return a
+def model_lift_n(m: DeBruijnMonad, a: Assignment, n: int) -> Assignment:
+    return lift_with(a, n, m.variables, lambda x: m.substitution(x, Assignment((), n)))
 
 
-def model_compose(m: DeBruijnMonad, f: ModelAssignment, g: ModelAssignment) -> ModelAssignment:
+def model_compose(m: DeBruijnMonad, f: Assignment, g: Assignment) -> Assignment:
     """n -> f(n)[g]."""
-    head = tuple(m.substitution(x, g) for x in f.prefix)
-    q = len(g.prefix)
-    k = f.tail_shift
-    if k < q:
-        return ModelAssignment(head + g.prefix[k:], g.tail_shift)
-    return ModelAssignment(head, g.tail_shift + (k - q))
+    return compose_with(f, g, m.variables, lambda x: m.substitution(x, g))
 
 
 # --- builtin models -----------------------------------------------------
@@ -98,8 +71,8 @@ def model_compose(m: DeBruijnMonad, f: ModelAssignment, g: ModelAssignment) -> M
 def term_model(sig: BindingSignature) -> DBAlgebra:
     """The term carrier with structural substitution and constructors."""
 
-    def substitution(t: Term, a) -> Term:
-        return subst(t, Assignment(tuple(a.prefix), a.tail_shift), sig)
+    def substitution(t: Term, a: Assignment) -> Term:
+        return subst(t, a, sig)
 
     def interp(name: str):
         return lambda args: Op(name, tuple(args))
@@ -113,9 +86,7 @@ def term_model(sig: BindingSignature) -> DBAlgebra:
 
 def nat_monad() -> DeBruijnMonad:
     """The naturals: variables are the identity, substitution is evaluation."""
-    m = DeBruijnMonad(variables=lambda n: n, substitution=None)  # type: ignore[arg-type]
-    m.substitution = lambda x, a: assignment_at(m, a, x)
-    return m
+    return DeBruijnMonad(variables=NAT, substitution=lambda x, a: at(a, x, NAT))
 
 
 # --- named terms --------------------------------------------------------
@@ -312,16 +283,12 @@ def named_model(
     def variables(n: int) -> NamedTerm:
         return NVar(name_supply(n))
 
-    def value_at(a: ModelAssignment, n: int) -> NamedTerm:
-        q = len(a.prefix)
-        return a.prefix[n] if n < q else variables(a.tail_shift + (n - q))
-
-    def substitution(t: NamedTerm, a: ModelAssignment) -> NamedTerm:
+    def substitution(t: NamedTerm, a: Assignment) -> NamedTerm:
         mapping = {}
         for name in t.free:
             idx = supply_index(name)
             if idx is not None:
-                mapping[name] = value_at(a, idx)
+                mapping[name] = at(a, idx, variables)
         return named_subst(t, mapping)
 
     def interp(name: str):
@@ -503,7 +470,7 @@ def _run_law(
 def check_monad_laws(
     m: DeBruijnMonad,
     gen_element: Callable[[Any], Any],
-    gen_assignment: Callable[[Any], ModelAssignment],
+    gen_assignment: Callable[[Any], Assignment],
     cases: int = 1000,
     seed: int = 0,
     shrink: Optional[Callable] = None,
@@ -530,11 +497,11 @@ def check_monad_laws(
 
     def left_unit(s) -> bool:
         _, f, _, n = s
-        return m.equal(m.substitution(m.variables(n), f), assignment_at(m, f, n))
+        return m.equal(m.substitution(m.variables(n), f), at(f, n, m.variables))
 
     def right_unit(s) -> bool:
         x, _, _, _ = s
-        return m.equal(m.substitution(x, MODEL_IDENTITY), x)
+        return m.equal(m.substitution(x, IDENTITY), x)
 
     _run_law(report, "associativity", seed, samples(), assoc, shrink, show)
     _run_law(report, "left-unitality", seed, samples(), left_unit, shrink, show)
@@ -622,7 +589,7 @@ def check_morphism(
 
     def subst_ok(s) -> bool:
         x, f = s
-        mapped = ModelAssignment(tuple(h(t) for t in f.prefix), f.tail_shift)
+        mapped = Assignment(tuple(map(h, f.prefix)), f.tail_shift, b.variables)
         return b.equal(h(a.substitution(x, f)), b.substitution(h(x), mapped))
 
     _run_law(report, "morphism:substitution", seed, subst_samples(), subst_ok, show=show)

@@ -1,11 +1,18 @@
-"""Renaming, assignment lifting, and capture-avoiding parallel substitution.
+"""Finite assignments, renaming, and capture-avoiding parallel substitution.
 
-Assignments and renamings are total maps on the naturals, represented
-canonically by a finite prefix plus a tail shift: the map sends ``i`` to
-``prefix[i]`` for ``i < len(prefix)`` and ``len(prefix) + j`` to the tail
-value at shift ``k + j``.  Canonical form never keeps a trailing prefix
-entry the tail would reproduce, so structural equality of representations
-coincides with pointwise equality of the denoted maps.
+An assignment in a De Bruijn monad is a finite object, a prefix plus a
+tail shift: it sends ``i`` to ``prefix[i]`` for ``i < len(prefix)`` and
+``len(prefix) + j`` to ``var(tail_shift + j)``, where ``var`` is the
+variables map of the carrier.  One :class:`Assignment` serves every
+carrier: terms (``var`` is ``Var``), the naturals (a renaming is an
+assignment in the ℕ monad, whose ``var`` is ``n -> n``), any model of
+:mod:`debruijn.model`, metaterms, and each per-type component of a typed
+assignment.  The carrier passes its ``var`` and its shift or substitution
+into :func:`at`, :func:`lift_with` and :func:`compose_with`.
+
+Canonical form never keeps a trailing prefix entry the tail would
+reproduce, so structural equality of representations coincides with
+pointwise equality of the denoted maps.
 
 Substitution under a binder uses the usual two-phase construction: the
 lifted assignment shifts images with a *renaming*, which is structurally
@@ -14,105 +21,111 @@ decreasing, so the whole thing terminates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import Any, Callable
 
 from .signature import BindingSignature
 from .term import Term, Var, map_free_vars
 
 
-@dataclass(frozen=True)
-class Renaming:
+class Assignment(namedtuple("Assignment", ("prefix", "tail_shift"))):
+    """The pair ``(prefix, tail_shift)``, trimmed on construction to
+    canonical form against the carrier's ``var`` (terms unless given)."""
+
+    __slots__ = ()
+
+    def __new__(cls, prefix=(), tail_shift: int = 0, var: Callable[[int], Any] = Var):
+        prefix = tuple(prefix)
+        q, k = len(prefix), tail_shift
+        while q and k > 0 and prefix[q - 1] == var(k - 1):
+            q -= 1
+            k -= 1
+        return super().__new__(cls, prefix[:q], k)
+
+
+# the ℕ monad's variables map, n -> n
+NAT = int
+
+
+def Renaming(prefix=(), tail_shift: int = 0) -> Assignment:
     """n -> prefix[n] for n < q, q + j -> tail_shift + j."""
-
-    prefix: tuple[int, ...] = ()
-    tail_shift: int = 0
-
-    def __post_init__(self):
-        prefix = list(self.prefix)
-        k = self.tail_shift
-        while prefix and k > 0 and prefix[-1] == k - 1:
-            prefix.pop()
-            k -= 1
-        object.__setattr__(self, "prefix", tuple(prefix))
-        object.__setattr__(self, "tail_shift", k)
+    return Assignment(prefix, tail_shift, NAT)
 
 
-@dataclass(frozen=True)
-class Assignment:
-    """n -> prefix[n] for n < q, q + j -> Var(tail_shift + j)."""
-
-    prefix: tuple[Term, ...] = ()
-    tail_shift: int = 0
-
-    def __post_init__(self):
-        prefix = list(self.prefix)
-        k = self.tail_shift
-        while prefix and k > 0 and prefix[-1] == Var(k - 1):
-            prefix.pop()
-            k -= 1
-        object.__setattr__(self, "prefix", tuple(prefix))
-        object.__setattr__(self, "tail_shift", k)
+IDENTITY = IDENTITY_RENAMING = Assignment()
+SHIFT = Assignment((), 1)
 
 
-IDENTITY_RENAMING = Renaming()
-IDENTITY = Assignment()
-SHIFT = Assignment(tail_shift=1)
+def shift_renaming(k: int) -> Assignment:
+    return Renaming((), k)
 
 
-def shift_renaming(k: int) -> Renaming:
-    return Renaming(tail_shift=k)
+def at(a: Assignment, n: int, var: Callable[[int], Any] = Var):
+    """The image of ``n``: ``prefix[n]``, else ``var(tail_shift + n - q)``."""
+    prefix, k = a
+    q = len(prefix)
+    return prefix[n] if n < q else var(k + n - q)
 
 
-def apply_renaming(f: Renaming, n: int) -> int:
-    q = len(f.prefix)
-    return f.prefix[n] if n < q else f.tail_shift + (n - q)
+apply_assignment = at
 
 
-def apply_assignment(sigma: Assignment, n: int) -> Term:
-    q = len(sigma.prefix)
-    return sigma.prefix[n] if n < q else Var(sigma.tail_shift + (n - q))
+def apply_renaming(f: Assignment, n: int) -> int:
+    return at(f, n, NAT)
 
 
-def lift_renaming(f: Renaming) -> Renaming:
+def drop(a: Assignment, k: int) -> Assignment:
+    """The assignment n -> a(k + n), canonical whenever ``a`` is."""
+    prefix, s = a
+    q = len(prefix)
+    return Assignment(prefix[k:], s) if k < q else Assignment((), s + k - q)
+
+
+def lift_with(a: Assignment, n: int, var: Callable, shift: Callable) -> Assignment:
+    """The n-fold lift: ``var(0) .. var(n - 1)``, then each image of ``a``
+    shifted once by n (``shift`` does that in the carrier), tail shift + n."""
+    prefix, k = a
+    return Assignment((*map(var, range(n)), *map(shift, prefix)), k + n, var)
+
+
+def compose_with(f: Assignment, g: Assignment, var: Callable, image: Callable) -> Assignment:
+    """n -> f(n)[g], where ``image`` substitutes ``g`` into one image of
+    ``f``; past f's prefix, ``var(k + j)[g]`` is ``g(k + j)``."""
+    prefix, k = f
+    rest = drop(g, k)
+    return Assignment((*map(image, prefix), *rest.prefix), rest.tail_shift, var)
+
+
+def lift_renaming(f: Assignment) -> Assignment:
     """0 -> 0, n+1 -> f(n) + 1."""
-    return Renaming(
-        (0,) + tuple(r + 1 for r in f.prefix), f.tail_shift + 1
-    )
+    return lift_n_renaming(f, 1)
 
 
-def lift_n_renaming(f: Renaming, n: int) -> Renaming:
-    for _ in range(n):
-        f = lift_renaming(f)
-    return f
+def lift_n_renaming(f: Assignment, n: int) -> Assignment:
+    return lift_with(f, n, NAT, lambda r: r + n)
 
 
-def rename(t: Term, f: Renaming, sig: BindingSignature) -> Term:
+def rename(t: Term, f: Assignment, sig: BindingSignature) -> Term:
     """Apply ``f`` to the free variables of ``t``, lifting under binders."""
     # lift^d(f)(n) = n for n < d, f(n - d) + d otherwise
     if not f.prefix:  # a pure shift, or the identity
         k = f.tail_shift
         return map_free_vars(t, sig, lambda d, n: Var(n + k)) if k else t
-    return map_free_vars(
-        t, sig, lambda d, n: Var(apply_renaming(f, n - d) + d)
-    )
+    return map_free_vars(t, sig, lambda d, n: Var(at(f, n - d, NAT) + d))
 
 
 def _shift_term(t: Term, by: int, sig: BindingSignature) -> Term:
-    return t if by == 0 else rename(t, Renaming(tail_shift=by), sig)
+    return t if by == 0 else rename(t, shift_renaming(by), sig)
 
 
 def lift(sigma: Assignment, sig: BindingSignature) -> Assignment:
     """0 -> Var(0), n+1 -> sigma(n) shifted by one."""
-    return Assignment(
-        (Var(0),) + tuple(_shift_term(t, 1, sig) for t in sigma.prefix),
-        sigma.tail_shift + 1,
-    )
+    return lift_n(sigma, 1, sig)
 
 
 def lift_n(sigma: Assignment, n: int, sig: BindingSignature) -> Assignment:
-    for _ in range(n):
-        sigma = lift(sigma, sig)
-    return sigma
+    """The n-fold lift; images shift by n through rename's pure-shift path."""
+    return lift_with(sigma, n, Var, lambda t: _shift_term(t, n, sig))
 
 
 def subst(t: Term, sigma: Assignment, sig: BindingSignature) -> Term:
@@ -139,22 +152,12 @@ def subst(t: Term, sigma: Assignment, sig: BindingSignature) -> Term:
     return map_free_vars(t, sig, on_free)
 
 
-def drop(sigma: Assignment, k: int) -> Assignment:
-    """The assignment n -> sigma(k + n)."""
-    q = len(sigma.prefix)
-    if k < q:
-        return Assignment(sigma.prefix[k:], sigma.tail_shift)
-    return Assignment((), sigma.tail_shift + (k - q))
-
-
 def compose(sigma: Assignment, tau: Assignment, sig: BindingSignature) -> Assignment:
     """Canonical representation of n -> subst(sigma(n), tau)."""
-    head = tuple(subst(t, tau, sig) for t in sigma.prefix)
-    tail = drop(tau, sigma.tail_shift)
-    return Assignment(head + tail.prefix, tail.tail_shift)
+    return compose_with(sigma, tau, Var, lambda t: subst(t, tau, sig))
 
 
-def renaming_assignment(f: Renaming) -> Assignment:
+def renaming_assignment(f: Assignment) -> Assignment:
     """View a renaming as the assignment n -> Var(f(n))."""
     return Assignment(tuple(Var(r) for r in f.prefix), f.tail_shift)
 

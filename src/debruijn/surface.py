@@ -9,16 +9,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Optional
+from functools import partial
+from typing import Callable, Optional
 
-from .equational import (
-    EquationalTheory,
-    ExplicitSubst,
-    MetaAssignment,
-    MetaVar,
-    Rule,
-    validate_theory,
-)
+from .equational import EquationalTheory, ExplicitSubst, MetaVar, Rule, validate_theory
 from .model import NOp, NVar, NamedTerm, to_named
 from .signature import (
     BindingArity,
@@ -30,7 +24,7 @@ from .signature import (
     TypedSignatureSchema,
     validate_signature,
 )
-from .subst import Assignment, Renaming
+from .subst import NAT, Assignment
 from .term import Term, Var, Op, wellformed
 from .typed import TOp, TVar, TypedTerm
 
@@ -207,7 +201,7 @@ class _Parser:
     def typed(self) -> TypedTerm:
         self.expect("(")
         if self.accept("#"):
-            index = int(self.expect("nat").text)
+            index = self.nat()
             self.expect(":")
             ty = self.type_expr()
             self.expect(")")
@@ -232,31 +226,23 @@ class _Parser:
 
     # -- literals -------------------------------------------------------
 
-    def renaming_literal(self) -> Renaming:
-        self.expect("[")
-        entries: list[int] = []
-        if not self.at(";"):
-            entries.append(int(self.expect("nat").text))
-            while self.accept(","):
-                entries.append(int(self.expect("nat").text))
-        self.expect(";")
-        self.expect("^")
-        shift = int(self.expect("nat").text)
-        self.expect("]")
-        return Renaming(tuple(entries), shift)
+    def nat(self) -> int:
+        return int(self.expect("nat").text)
 
-    def assignment_literal(self) -> Assignment:
+    def literal(self, entry: Callable[[], object], var: Callable = Var) -> Assignment:
+        """``[e, ...; ^k]``, each ``e`` read by ``entry``; the carrier's
+        ``var`` makes it canonical."""
         self.expect("[")
-        entries: list[Term] = []
+        entries = []
         if not self.at(";"):
-            entries.append(self.nameless())
+            entries.append(entry())
             while self.accept(","):
-                entries.append(self.nameless())
+                entries.append(entry())
         self.expect(";")
         self.expect("^")
-        shift = int(self.expect("nat").text)
+        shift = self.nat()
         self.expect("]")
-        return Assignment(tuple(entries), shift)
+        return Assignment(tuple(entries), shift, var)
 
     # -- metaterms ------------------------------------------------------
 
@@ -267,22 +253,13 @@ class _Parser:
             return Var(int(tok.text))
         if tok.kind == "?":
             self.next()
-            return MetaVar(int(self.expect("nat").text))
+            return MetaVar(self.nat())
         if tok.kind == "{":
             self.next()
             body = self.metaterm()
-            self.expect("[")
-            entries = []
-            if not self.at(";"):
-                entries.append(self.metaterm())
-                while self.accept(","):
-                    entries.append(self.metaterm())
-            self.expect(";")
-            self.expect("^")
-            shift = int(self.expect("nat").text)
-            self.expect("]")
+            assign = self.literal(self.metaterm)
             self.expect("}")
-            return ExplicitSubst(body, MetaAssignment(tuple(entries), shift))
+            return ExplicitSubst(body, assign)
         self.expect("(")
         name = self.expect("ident").text
         args = []
@@ -324,16 +301,16 @@ def parse_term(text: str, mode: str = "nameless", sig: Optional[BindingSignature
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def parse_renaming(text: str) -> Renaming:
+def parse_renaming(text: str) -> Assignment:
     p = _Parser(text)
-    r = p.renaming_literal()
+    r = p.literal(p.nat, NAT)
     p.done()
     return r
 
 
 def parse_assignment(text: str, sig: Optional[BindingSignature] = None) -> Assignment:
     p = _Parser(text)
-    a = p.assignment_literal()
+    a = p.literal(p.nameless)
     p.done()
     if sig is not None:
         for t in a.prefix:
@@ -373,12 +350,11 @@ def print_term(t, mode: str = "nameless", sig: Optional[BindingSignature] = None
     raise TypeError(t)
 
 
-def print_assignment(a: Assignment) -> str:
-    return "[" + ", ".join(print_term(t) for t in a.prefix) + f"; ^{a.tail_shift}]"
+def print_assignment(a: Assignment, entry: Callable[[object], str] = print_term) -> str:
+    return "[" + ", ".join(map(entry, a.prefix)) + f"; ^{a.tail_shift}]"
 
 
-def print_renaming(r: Renaming) -> str:
-    return "[" + ", ".join(str(n) for n in r.prefix) + f"; ^{r.tail_shift}]"
+print_renaming = partial(print_assignment, entry=str)
 
 
 def term_to_json(t: Term):
@@ -413,7 +389,7 @@ def _parse_typedecl(p: _Parser) -> dict[str, int]:
         name = p.expect("ident").text
         n = 0
         if p.accept("("):
-            n = int(p.expect("nat").text)
+            n = p.nat()
             p.expect(")")
         if name in ctors:
             _fail(f"duplicate type constructor '{name}'")
@@ -457,9 +433,9 @@ def _parse_opdecl(p: _Parser):
     p.expect("(")
     binders: list[int] = []
     if not p.at(")"):
-        binders.append(int(p.expect("nat").text))
+        binders.append(p.nat())
         while p.accept(","):
-            binders.append(int(p.expect("nat").text))
+            binders.append(p.nat())
     p.expect(")")
     p.expect(";")
     return name, BindingArity(tuple(binders))
@@ -548,9 +524,9 @@ def parse_theory_file(text: str) -> EquationalTheory:
         closer = ")" if parens else "]"
         binders: list[int] = []
         if not p.at(closer):
-            binders.append(int(p.expect("nat").text))
+            binders.append(p.nat())
             while p.accept(","):
-                binders.append(int(p.expect("nat").text))
+                binders.append(p.nat())
         if parens:
             p.expect(")")
         p.expect("]")

@@ -4,12 +4,15 @@ application-binary-tree signature generator for call-by-value languages.
 
 Variables of each type have their own index space; lifting at a type
 shifts only that type's indices and leaves every other type untouched.
+A typed assignment is one :class:`~debruijn.subst.Assignment` per type,
+whose carrier's ``var`` is ``TVar(·, ty)``.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import zip_longest
 from operator import is_not
 from typing import Any, Callable, Optional
@@ -22,6 +25,7 @@ from .signature import (
     arrow,
     instantiate_schema,
 )
+from .subst import IDENTITY, Assignment, at, compose_with, lift_with
 
 
 @dataclass(frozen=True)
@@ -46,34 +50,35 @@ class TOp(TypedTerm):
         object.__setattr__(self, "args", tuple(self.args))
 
 
+def _tvar(ty: TypeExpr) -> Callable[[int], TVar]:
+    """The variables map of the terms of type ``ty``."""
+    return partial(TVar, ty=ty)
+
+
 @dataclass(frozen=True)
 class TypedAssignment:
     """Family of finite assignments indexed by type; types not present
     are the identity."""
 
-    components: dict[TypeExpr, tuple[tuple, int]] = field(default_factory=dict)
+    components: dict[TypeExpr, Assignment] = field(default_factory=dict)
 
     def __post_init__(self):
         norm = {}
         for ty, (prefix, k) in self.components.items():
-            prefix = list(prefix)
-            while prefix and k > 0 and prefix[-1] == TVar(k - 1, ty):
-                prefix.pop()
-                k -= 1
-            if prefix or k != 0:
-                norm[ty] = (tuple(prefix), k)
+            a = Assignment(prefix, k, _tvar(ty))
+            if a != IDENTITY:
+                norm[ty] = a
         object.__setattr__(self, "components", norm)
 
-    def component(self, ty: TypeExpr) -> tuple[tuple, int]:
-        return self.components.get(ty, ((), 0))
+    def component(self, ty: TypeExpr) -> Assignment:
+        return self.components.get(ty, IDENTITY)
 
 
 TYPED_IDENTITY = TypedAssignment()
 
 
 def typed_assignment_at(sigma: TypedAssignment, ty: TypeExpr, n: int) -> TypedTerm:
-    prefix, k = sigma.component(ty)
-    return prefix[n] if n < len(prefix) else TVar(k + (n - len(prefix)), ty)
+    return at(sigma.component(ty), n, _tvar(ty))
 
 
 # --- typing -------------------------------------------------------------
@@ -196,21 +201,25 @@ def tlift(
 ) -> TypedAssignment:
     """Lift at one type: fixes the new index 0 of that type and shifts that
     type's indices in every image (which leaves other types alone)."""
-    out = {
-        ty2: (tuple(multi_shift(t, {ty: 1}, schema) for t in prefix), k)
-        for ty2, (prefix, k) in sigma.components.items()
-    }
-    prefix, k = out.get(ty, ((), 0))
-    out[ty] = ((TVar(0, ty),) + prefix, k + 1)
-    return TypedAssignment(out)
+    return tlift_gamma(sigma, (ty,), schema)
 
 
 def tlift_gamma(
     sigma: TypedAssignment, gamma: tuple[TypeExpr, ...], schema: TypedSignatureSchema
 ) -> TypedAssignment:
-    for ty in gamma:
-        sigma = tlift(sigma, ty, schema)
-    return sigma
+    """Lift along a context: each type's component is lifted by the count
+    of that type in ``gamma``, and every image is shifted once by the
+    count vector of ``gamma``."""
+    counts = Counter(gamma)
+    by, slot, shifts = tuple(counts.values()), {ty: i for i, ty in enumerate(counts)}, {}
+
+    def shift(t: TypedTerm) -> TypedTerm:
+        return _shift(t, by, schema, slot, shifts)
+
+    return TypedAssignment({
+        ty: lift_with(sigma.component(ty), counts[ty], _tvar(ty), shift)
+        for ty in {**sigma.components, **counts}
+    })
 
 
 def tsubst(
@@ -242,16 +251,14 @@ def tcompose(
     sigma: TypedAssignment, nu: TypedAssignment, schema: TypedSignatureSchema
 ) -> TypedAssignment:
     """Pointwise n -> tsubst(sigma(n), nu) at every type."""
-    out = {}
-    for ty in set(sigma.components) | set(nu.components):
-        prefix, k = sigma.component(ty)
-        head = tuple(tsubst(t, nu, schema) for t in prefix)
-        nprefix, nk = nu.component(ty)
-        if k < len(nprefix):
-            out[ty] = (head + nprefix[k:], nk)
-        else:
-            out[ty] = (head, nk + (k - len(nprefix)))
-    return TypedAssignment(out)
+
+    def image(t: TypedTerm) -> TypedTerm:
+        return tsubst(t, nu, schema)
+
+    return TypedAssignment({
+        ty: compose_with(sigma.component(ty), nu.component(ty), _tvar(ty), image)
+        for ty in {**sigma.components, **nu.components}
+    })
 
 
 def tsubst1(t: TypedTerm, u: TypedTerm, ty: TypeExpr, schema: TypedSignatureSchema) -> TypedTerm:
@@ -424,16 +431,12 @@ def typed_named_model(schema: TypedSignatureSchema) -> TypedAlgebra:
     def variables(n: int, ty: TypeExpr) -> TypedNamedTerm:
         return TNVar(default_supply(n), ty)
 
-    def value_at(sigma: TypedAssignment, ty: TypeExpr, n: int) -> TypedNamedTerm:
-        prefix, k = sigma.component(ty)
-        return prefix[n] if n < len(prefix) else variables(k + (n - len(prefix)), ty)
-
     def substitution(t: TypedNamedTerm, sigma: TypedAssignment) -> TypedNamedTerm:
         mapping = {}
         for name, ty in t.free:
             idx = default_supply_index(name)
             if idx is not None:
-                mapping[(name, ty)] = value_at(sigma, ty, idx)
+                mapping[(name, ty)] = at(sigma.component(ty), idx, partial(variables, ty=ty))
         return tn_subst(t, mapping)
 
     def interpretation(name: str, targs, args: list) -> TypedNamedTerm:

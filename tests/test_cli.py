@@ -191,3 +191,17 @@ def test_fuzz_deterministic(lam_sig, capsys):
     first = capsys.readouterr().out
     main(["fuzz", "--sig", lam_sig, "--cases", "30", "--seed", "5"])
     assert capsys.readouterr().out == first
+
+
+def test_unexpected_exception_is_an_internal_error(lam_sig, capsys, monkeypatch):
+    # a crash must not read as a verdict: exit 4, not EXIT_FAIL (1)
+    import debruijn.cli as cli
+
+    def boom(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_sig_check", boom)
+    code = main(["sig", "check", lam_sig])
+    assert code == cli.EXIT_INTERNAL == 4
+    err = capsys.readouterr().err
+    assert err == "internal error: RuntimeError: boom\n"

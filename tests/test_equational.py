@@ -20,7 +20,9 @@ from debruijn import (
     equiv,
     eval_metaterm,
     lambda_signature,
+    match_pattern,
     normalize,
+    parse_theory_file,
     rename,
     rewrite_step,
     shift_renaming,
@@ -88,6 +90,20 @@ def test_general_explicit_subst_pattern_rejected():
     )
     errs = validate_theory(EquationalTheory(SIG, (rule,)))
     assert any("shift" in e for e in errs)
+
+
+def test_identity_explicit_subst_is_a_shift_pattern():
+    # [0; ^1] trims to the identity [; ^0], the shift by zero, so it is a
+    # valid pattern that matches any term and binds it unchanged
+    theory = parse_theory_file(
+        "signature lambda { op lam : (1); op app : (0, 0); }\n"
+        "eq idsub [0] : (lam {?0 [0; ^1]}) = (lam ?0);\n"
+    )
+    left = theory.rules[0].left
+    assert left == lam(ExplicitSubst(MetaVar(0), MetaAssignment((), 0)))
+    assert validate_theory(theory) == []
+    t = app(Var(0), Var(3))
+    assert match_pattern(left, lam(t), SIG) == {0: t}
 
 
 def test_meta_signature():
