@@ -150,7 +150,11 @@ def cmd_term_from_named(args) -> int:
 def cmd_norm(args) -> int:
     theory = _load_theory(args.theory)
     t = _input_term(args.term, args.format, theory.signature)
-    result = normalize(theory, t, args.fuel)
+    on_step = None
+    if args.trace:
+        def on_step(n: int, rule: str, at: list[int]) -> None:
+            print(f"step {n} rule={rule} at={at}", file=sys.stderr)
+    result = normalize(theory, t, args.fuel, on_step)
     print(_output_term(result.term, args.format))
     if result.exhausted:
         print("fuel exhausted", file=sys.stderr)
@@ -272,6 +276,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theory", required=True, help="theory file, 'beta', or 'betaeta'")
     p.add_argument("--term", required=True)
     p.add_argument("--fuel", type=int, default=1000)
+    p.add_argument(
+        "--trace", action="store_true",
+        help="print 'step N rule=<name> at=[path]' to stderr before each contraction",
+    )
     fmt_arg(p)
     p.set_defaults(fn=cmd_norm)
 

@@ -12,14 +12,15 @@ orientations.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from .signature import BindingArity, BindingSignature, lambda_signature
 from .model import DBAlgebra, Report, _run_law, named_model, term_model
 from .subst import Assignment, lift_n, rename, shift_renaming
-from .term import Term, Var, Op, free_indices
+from .term import Term, Var, Op, free_indices, support
 
 
 @dataclass(frozen=True)
@@ -239,19 +240,105 @@ def rewrite_step(theory: EquationalTheory, t: Term) -> list[Term]:
 class NormalizeResult:
     term: Term
     exhausted: bool
+    steps: int = 0  # contractions made
 
 
-def normalize(theory: EquationalTheory, t: Term, fuel: int) -> NormalizeResult:
+def _reach(mt: MetaTerm) -> float:
+    """Levels of a left side that look at the term (its Op and Var
+    nodes), or every level when it holds a shift pattern ``?i[^k]`` with
+    k > 0, which looks at every free variable of the subterm it matches."""
+    match mt:
+        case Op(_, args):
+            return 1 + max(map(_reach, args), default=0)
+        case Var(_):
+            return 1
+        case ExplicitSubst(MetaVar(_), Assignment((), k)) if k > 0:
+            return math.inf
+    return 0
+
+
+def _plug(parent: Op, i: int, child: Term) -> Op:
+    """``parent`` with ``child`` as argument i, shared when unchanged."""
+    args = parent.args
+    if args[i] is child:
+        return parent
+    return Op(parent.name, args[:i] + (child,) + args[i + 1 :])
+
+
+def normalize(
+    theory: EquationalTheory,
+    t: Term,
+    fuel: int,
+    on_step: Optional[Callable[[int, str, list[int]], None]] = None,
+) -> NormalizeResult:
     """Repeatedly contract the leftmost-outermost redex until none is
-    left or fuel runs out."""
-    for _ in range(fuel):
-        step = next(_redexes(theory, t), None)
-        if step is None:
-            return NormalizeResult(t, exhausted=False)
-        t = step
-    if next(_redexes(theory, t), None) is None:
-        return NormalizeResult(t, exhausted=False)
-    return NormalizeResult(t, exhausted=True)
+    left or fuel runs out.
+
+    The steps are those of iterating ``rewrite_step(theory, t)[0]``, found
+    without restarting from the root.  The focus moves over the term as a
+    zipper (Huet 1997): ``frames`` holds (parent, argument index) from the
+    root down.  Nodes before the focus in preorder hold no redex.  A
+    contraction at p creates redexes only inside the contractum and at
+    ancestors of p that the tallest left side reaches from p (Lévy 1978),
+    so the search resumes at that ancestor, checks the nodes on the way
+    back down to p, then goes on in preorder from the contractum.  A shift
+    pattern ``?i[^k]`` (k > 0) looks at every free variable below it, so
+    a theory holding one checks every ancestor.  Each contractum's
+    :func:`support` is memoized, which lets substitution skip the closed
+    subterms that later steps move around.
+
+    ``on_step(n, rule name, position)`` is called before the n-th
+    contraction, with the position as argument indices from the root.
+    """
+    sig = theory.signature
+    tm = term_model(sig)
+    loose = tuple(r for r in theory.rules if type(r.left) is not Op)
+    heads = {r.left.name for r in theory.rules if type(r.left) is Op}
+    by_head = {
+        h: tuple(r for r in theory.rules if type(r.left) is not Op or r.left.name == h)
+        for h in heads
+    }
+    reach = max((_reach(r.left) for r in theory.rules), default=0) - 1
+    support(t, sig)
+    frames: list[tuple[Op, int]] = []
+    route: list[int] = []  # argument indices back down to the last contraction, innermost first
+    node, steps = t, 0
+    while True:
+        for rule in by_head.get(node.name, loose) if type(node) is Op else loose:
+            env = match_pattern(rule.left, node, sig)
+            if env is not None:
+                if steps >= fuel:
+                    while frames:
+                        node = _plug(*frames.pop(), node)
+                    return NormalizeResult(node, True, steps)
+                steps += 1
+                if on_step is not None:
+                    on_step(steps, rule.name, [i for _, i in frames])
+                args = [env.get(i, Var(0)) for i in range(len(rule.arity.binders))]
+                node = eval_metaterm(tm, args, rule.right)
+                support(node, sig)
+                route.clear()
+                for _ in range(min(reach, len(frames))):
+                    parent, i = frames.pop()
+                    node = _plug(parent, i, node)
+                    route.append(i)
+                break
+        else:
+            if route:
+                i = route.pop()
+            elif type(node) is Op and node.args:
+                i = 0
+            else:  # no redex in this subtree: on to the next one in preorder
+                while frames:
+                    parent, i = frames.pop()
+                    node = _plug(parent, i, node)
+                    if i + 1 < len(node.args):
+                        i += 1
+                        break
+                else:
+                    return NormalizeResult(node, False, steps)
+            frames.append((node, i))
+            node = node.args[i]
 
 
 def equiv(theory: EquationalTheory, t1: Term, t2: Term, fuel: int = 1000) -> str:

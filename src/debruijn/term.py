@@ -8,30 +8,76 @@ recursion limit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from operator import is_not
 from typing import Callable, Iterator, Optional
 
 from .signature import BindingSignature, first_order_arity
 
+_set = object.__setattr__
 
-@dataclass(frozen=True)
+
 class Term:
-    pass
+    """Base of the two node classes.  Nodes are immutable, with the
+    ``==``, ``hash`` and ``repr`` of frozen dataclasses, but slotted: no
+    per-node ``__dict__``, and room on each ``Op`` for the support memo."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field '{name}'")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field '{name}'")
 
 
-@dataclass(frozen=True)
 class Var(Term):
-    index: int
+    __slots__ = ("index",)
+    __match_args__ = ("index",)
+
+    def __init__(self, index: int):
+        _set(self, "index", index)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.index == other.index
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.index,))
+
+    def __repr__(self):
+        return f"Var(index={self.index!r})"
+
+    def __reduce__(self):
+        return Var, (self.index,)
 
 
-@dataclass(frozen=True)
 class Op(Term):
-    name: str
-    args: tuple[Term, ...]
+    """An operation node.  ``_sig`` and ``_sup`` memoize :func:`support`
+    under the signature object ``_sig``; only :func:`support` writes them."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "args", tuple(self.args))
+    __slots__ = ("name", "args", "_sig", "_sup")
+    __match_args__ = ("name", "args")
+
+    def __init__(self, name: str, args: tuple[Term, ...]):
+        _set(self, "name", name)
+        _set(self, "args", tuple(args))
+        _set(self, "_sig", None)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.name, self.args) == (other.name, other.args)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.name, self.args))
+
+    def __repr__(self):
+        return f"Op(name={self.name!r}, args={self.args!r})"
+
+    def __reduce__(self):
+        return Op, (self.name, self.args)
 
 
 def wellformed(sig: BindingSignature, t: Term) -> list[str]:
@@ -105,8 +151,10 @@ def map_free_vars(t: Term, sig: BindingSignature, on_free: Callable[[int, int], 
     occurrences are kept as is.
 
     Sharing: a subterm (``t`` too) in which no free variable changed index
-    is returned itself, not a copy.  A node that is not a term raises
-    ``TypeError``.
+    is returned itself, not a copy.  A subterm whose :func:`support`
+    under ``sig`` is memoized and at most its depth has no free variable,
+    so it is returned without being walked.  A node that is not a term
+    raises ``TypeError``.
     """
     binders = {name: a.binders for name, a in sig.ops.items()}
     stack: list[tuple[Term, int, bool]] = [(t, 0, False)]
@@ -127,6 +175,8 @@ def map_free_vars(t: Term, sig: BindingSignature, on_free: Callable[[int, int], 
             rebuilt = tuple(values[k:])
             del values[k:]
             emit(Op(node.name, rebuilt) if any(map(is_not, rebuilt, node.args)) else node)
+        elif node._sig is sig and node._sup <= depth:
+            emit(node)
         else:
             push((node, depth, True))
             for a, n in zip(reversed(node.args), reversed(binders[node.name]), strict=True):
@@ -151,10 +201,42 @@ def free_indices(t: Term, sig: BindingSignature) -> Iterator[int]:
 
 def max_free_var(t: Term, sig: BindingSignature) -> Optional[int]:
     """Greatest free index of ``t``, or None when the term is closed."""
-    return max(free_indices(t, sig), default=None)
+    s = support(t, sig)
+    return s - 1 if s else None
 
 
 def support(t: Term, sig: BindingSignature) -> int:
-    """Least N such that substitution only depends on the first N indices."""
-    m = max_free_var(t, sig)
-    return 0 if m is None else m + 1
+    """Least N such that substitution only depends on the first N indices.
+
+    The support of each operation node is memoized on the node under the
+    identity of ``sig``; a node memoized under ``sig`` is not walked again,
+    so a term built around memoized subterms costs only its new nodes.
+    A node memoized under another signature is recomputed and overwritten.
+    """
+    binders = {name: a.binders for name, a in sig.ops.items()}
+    stack: list[tuple[Term, bool]] = [(t, False)]
+    values: list[int] = []
+    push, pop, emit = stack.append, stack.pop, values.append
+    while stack:
+        node, ready = pop()
+        if type(node) is Var:
+            emit(node.index + 1)
+        elif type(node) is not Op:
+            raise TypeError(f"not a term: {node!r}")
+        elif ready:
+            k = len(values) - len(node.args)
+            s = 0
+            for v, n in zip(values[k:], binders[node.name], strict=True):
+                if v - n > s:
+                    s = v - n
+            del values[k:]
+            _set(node, "_sup", s)
+            _set(node, "_sig", sig)
+            emit(s)
+        elif node._sig is sig:
+            emit(node._sup)
+        else:
+            push((node, True))
+            for a in reversed(node.args):
+                push((a, False))
+    return max(values[0], 0)  # a root Var(i) with i < 0 is not free

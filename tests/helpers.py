@@ -9,6 +9,7 @@ from debruijn import (
     Assignment,
     NOp,
     NVar,
+    NormalizeResult,
     Op,
     TNOp,
     TNVar,
@@ -17,10 +18,7 @@ from debruijn import (
     Term,
     TypedAssignment,
     Var,
-    apply_assignment,
-    apply_renaming,
-    lift_n_renaming,
-    shift_renaming,
+    rewrite_step,
 )
 from debruijn.model import _letter_supply
 from debruijn.typed import op_arity, typed_assignment_at
@@ -66,25 +64,37 @@ OMEGA = app(lam(app(Var(0), Var(0))), lam(app(Var(0), Var(0))))
 # the library's traversal kernel and serve as the oracle for it.
 
 
+def ref_lookup(a, n, var):
+    """Image of ``n`` under the pair ``(prefix, tail_shift)``."""
+    prefix, k = a
+    return prefix[n] if n < len(prefix) else var(k + n - len(prefix))
+
+
+def ref_lift_n_renaming(f, n):
+    """Fix 0 .. n-1 and send m + n to f(m) + n, as a plain pair."""
+    prefix, k = f
+    return tuple(range(n)) + tuple(r + n for r in prefix), k + n
+
+
 def ref_rename(t, f, sig):
     if isinstance(t, Var):
-        return Var(apply_renaming(f, t.index))
+        return Var(ref_lookup(f, t.index, int))
     binders = sig.ops[t.name].binders
     return Op(t.name, tuple(
-        ref_rename(a, lift_n_renaming(f, n), sig) for a, n in zip(t.args, binders)
+        ref_rename(a, ref_lift_n_renaming(f, n), sig) for a, n in zip(t.args, binders)
     ))
 
 
 def ref_lift_n(sigma, n, sig):
     for _ in range(n):
-        shifted = tuple(ref_rename(u, shift_renaming(1), sig) for u in sigma.prefix)
+        shifted = tuple(ref_rename(u, ((), 1), sig) for u in sigma.prefix)
         sigma = Assignment((Var(0),) + shifted, sigma.tail_shift + 1)
     return sigma
 
 
 def ref_subst(t, sigma, sig):
     if isinstance(t, Var):
-        return apply_assignment(sigma, t.index)
+        return ref_lookup(sigma, t.index, Var)
     binders = sig.ops[t.name].binders
     return Op(t.name, tuple(
         ref_subst(a, ref_lift_n(sigma, n, sig), sig) for a, n in zip(t.args, binders)
@@ -122,6 +132,48 @@ def ref_tsubst(t, sigma, schema):
         ref_tsubst(a, ref_tlift_gamma(sigma, gamma, schema), schema)
         for a, (gamma, _) in zip(t.args, premises)
     ))
+
+
+def same_term(a, b) -> bool:
+    """Structural equality of nameless terms, with an explicit stack:
+    ``==`` recurses once per nesting level."""
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        if x is y:
+            continue
+        if type(x) is not type(y):
+            return False
+        if type(x) is Var:
+            if x.index != y.index:
+                return False
+        elif x.name != y.name or len(x.args) != len(y.args):
+            return False
+        else:
+            stack.extend(zip(x.args, y.args))
+    return True
+
+
+# --- rewriting reference ---------------------------------------------------
+
+
+def ref_normalize_all(theory, t, limit):
+    """``normalize(theory, t, fuel)`` for every fuel from 0 to ``limit``,
+    by iterating the spec: the first of ``rewrite_step``'s one-step
+    rewrites, which it lists leftmost-outermost."""
+    seq = [t]
+    while len(seq) <= limit:
+        after = rewrite_step(theory, seq[-1])
+        if not after:
+            break
+        seq.append(after[0])
+    normal = len(seq) <= limit or not rewrite_step(theory, seq[-1])
+    return [
+        NormalizeResult(seq[-1], False, len(seq) - 1)
+        if normal and fuel >= len(seq) - 1
+        else NormalizeResult(seq[fuel], True, fuel)
+        for fuel in range(limit + 1)
+    ]
 
 
 # --- named-term references -----------------------------------------------

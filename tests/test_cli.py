@@ -132,6 +132,21 @@ def test_norm_fuel_exhaustion(capsys):
     assert code == 3
 
 
+def test_norm_trace_prints_each_step(capsys):
+    # the beta step five levels down creates the eta redex at the root
+    term = "(lam (app (app 3 (lam (lam (app (lam 4) 2)))) 0))"
+    code = main(["norm", "--theory", "betaeta", "--term", term, "--trace"])
+    out = capsys.readouterr()
+    assert code == 0
+    assert out.out.strip() == "(app 2 (lam (lam 2)))"
+    assert out.err.splitlines() == [
+        "step 1 rule=beta at=[0, 0, 1, 0, 0]",
+        "step 2 rule=eta at=[]",
+    ]
+    assert main(["norm", "--theory", "betaeta", "--term", term]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_equiv_yes(capsys):
     code = main(["equiv", "--theory", "beta", "--left", "(app (lam 0) 3)",
                  "--right", "3"])

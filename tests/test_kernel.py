@@ -28,6 +28,7 @@ from debruijn import (
     shift_renaming,
     stlc_schema,
     subst,
+    support,
     tsubst,
     wellformed,
 )
@@ -48,6 +49,7 @@ from helpers import (
     ref_rename,
     ref_subst,
     ref_tsubst,
+    same_term,
 )
 
 SIG = lambda_signature()
@@ -116,6 +118,68 @@ def test_substitution_images_are_shared_across_occurrences():
     inner = out.args[0].args[0]
     assert inner.args[0] is inner.args[1]
     assert out == ref_subst(t, Assignment((image,), 0), SIG)
+
+
+def test_support_memo_is_kept_per_signature():
+    # lam binds one variable under SIG and two under TWO
+    two = make_signature({"lam": (2,), "app": (0, 0)})
+    node = lam(app(Var(1), Var(0)))
+    sigma = Assignment((Var(7),), 0)
+    for _ in range(2):
+        assert support(node, SIG) == 1
+        assert subst(node, sigma, two) is node
+        assert support(node, two) == 0
+        assert subst(node, sigma, SIG) == lam(app(Var(8), Var(0)))
+        assert max_free_var(node, SIG) == 0
+
+
+def _dag_term(rng, closed, depth):
+    """A lambda term whose leaves are often one of the shared ``closed``
+    subterms, so the same object sits at many positions and depths."""
+    r = rng.random()
+    if depth == 0 or r < 0.3:
+        return rng.choice(closed) if rng.random() < 0.5 else Var(rng.randrange(4))
+    if r < 0.6:
+        return lam(_dag_term(rng, closed, depth - 1))
+    return app(_dag_term(rng, closed, depth - 1), _dag_term(rng, closed, depth - 1))
+
+
+def _shared_positions(t, out, closed):
+    """Whether each occurrence of a ``closed`` subterm of ``t`` is the
+    very same object at the same position of ``out``."""
+    ids = set(map(id, closed))
+    stack = [(t, out)]
+    while stack:
+        x, y = stack.pop()
+        if id(x) in ids:
+            if x is not y:
+                return False
+        elif type(x) is Op:
+            stack.extend(zip(x.args, y.args))
+    return True
+
+
+def test_kernel_skips_shared_closed_subterms():
+    rng = random.Random(61)
+    for _ in range(200):
+        closed = []
+        for _ in range(3):
+            c = random_term(SIG, rng, max_depth=4, max_index=3)
+            for _ in range(support(c, SIG)):
+                c = lam(c)
+            closed.append(c)
+        t = _dag_term(rng, closed, 6)
+        if rng.random() < 0.5:
+            support(t, SIG)  # open subterms memoized too
+        sigma = random_assignment(SIG, rng, max_depth=3)
+        f = random_renaming(rng)
+        out = subst(t, sigma, SIG)
+        assert same_term(out, ref_subst(t, sigma, SIG))
+        assert _shared_positions(t, out, closed)
+        out = rename(t, f, SIG)
+        assert same_term(out, ref_rename(t, f, SIG))
+        assert _shared_positions(t, out, closed)
+        assert all(subst(c, sigma, SIG) is c for c in closed)
 
 
 def test_non_term_nodes_raise_type_error():

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import pickle
 import random
+
+import pytest
 
 from debruijn import (
     Op,
@@ -100,3 +103,28 @@ def test_deep_term_operations():
     assert support(t, SIG) == 0
     nodes = fold(SIG, lambda n: 1, lambda name, args: 1 + sum(args), t)
     assert nodes == 100_001
+
+
+def test_nodes_are_immutable():
+    v = Var(3)
+    o = app(lam(Var(0)), v)
+    for node, field in ((v, "index"), (o, "name"), (o, "args"), (o, "_sup")):
+        with pytest.raises(AttributeError):
+            setattr(node, field, 0)
+        with pytest.raises(AttributeError):
+            delattr(node, field)
+    with pytest.raises(AttributeError):
+        v.extra = 1
+    assert v == Var(3) and o.args[1] is v
+
+
+def test_node_repr_eq_and_hash_are_the_dataclass_ones():
+    o = Op("app", [lam(Var(0)), Var(3)])
+    assert type(o.args) is tuple
+    assert repr(Var(3)) == "Var(index=3)"
+    assert repr(o) == "Op(name='app', args=(Op(name='lam', args=(Var(index=0),)), Var(index=3)))"
+    assert hash(Var(3)) == hash((3,))
+    assert hash(o) == hash(("app", o.args))
+    assert o == app(lam(Var(0)), Var(3)) and o != app(lam(Var(0)), Var(4))
+    assert Var(0) != lam(Var(0)) and Var(0) != 0
+    assert pickle.loads(pickle.dumps(o)) == o
