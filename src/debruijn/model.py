@@ -11,16 +11,20 @@ The named-term model is an independent implementation of substitution
 (classical simultaneous capture-avoiding substitution on terms with
 explicit binder names, compared up to alpha-equivalence).  Folding the
 nameless term model into it yields the nameless-to-named conversion.
+One named layer serves typed named terms (``TNVar``/``TNOp``) and the
+untyped ones, its one-sort case.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import repeat
 from operator import attrgetter
 from typing import Any, Callable, Optional
 
-from .signature import BindingSignature
+from .signature import BindingSignature, TypeExpr
 from .subst import IDENTITY, NAT, Assignment, at, compose_with, lift_with, subst
 from .term import Term, Var, Op
 
@@ -94,11 +98,16 @@ def nat_monad() -> DeBruijnMonad:
 
 @dataclass(frozen=True)
 class NamedTerm:
-    pass
+    clash = False
 
 
-# Each named node caches its set of free names in ``free``, computed once
-# from its children's sets; the field takes no part in ==, hash or repr.
+# A variable's key is its name, or its (name, type) pair when typed; a
+# binder declaration is a key.  Each node caches the keys free in it in
+# ``free``, computed once from its children's sets; a typed node also
+# caches in ``clash`` whether a binder in it shares its name with a free
+# variable of another type in its scope, which cannot happen at one sort.
+# Neither takes part in ==, hash or repr.  The hooks on the operation
+# classes are all that tells sorts apart.
 
 
 @dataclass(frozen=True)
@@ -117,9 +126,53 @@ class NOp(NamedTerm):
     # outermost-first, so the last binder is nameless index 0
     args: tuple[tuple[tuple[str, ...], NamedTerm], ...]
     free: frozenset[str] = field(init=False, repr=False, compare=False)
+    type_args = ()
 
     def __post_init__(self):
         object.__setattr__(self, "free", _free_of_args(self.args))
+
+    # one sort, None, and a key is its name; split yields (key, name, sort)
+    names = staticmethod(frozenset)
+    apart = staticmethod(frozenset.isdisjoint)
+    sorts = len
+    split = staticmethod(lambda keys: zip(keys, keys, repeat(None)))
+    var = staticmethod(lambda name, sort: NVar(name))
+    decls = staticmethod(lambda names, sorts: tuple(names))
+
+
+@dataclass(frozen=True)
+class TNVar(NamedTerm):
+    name: str
+    ty: TypeExpr
+    free: frozenset = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "free", frozenset(((self.name, self.ty),)))
+
+
+@dataclass(frozen=True)
+class TNOp(NamedTerm):
+    name: str
+    type_args: tuple[TypeExpr, ...]
+    # per argument: (binder declarations ordered along the premise
+    # context, body); a binder declaration is a (name, type) pair
+    args: tuple[tuple[tuple[tuple[str, TypeExpr], ...], NamedTerm], ...]
+    free: frozenset = field(init=False, repr=False, compare=False)
+    clash: bool = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "free", _free_of_args(self.args))
+        object.__setattr__(self, "clash", any(
+            body.clash or not TNOp.apart(body.free.difference(binders), binders)
+            for binders, body in self.args
+        ))
+
+    names = staticmethod(lambda keys: {n for n, _ in keys})
+    apart = staticmethod(lambda keys, decls: TNOp.names(keys).isdisjoint(TNOp.names(decls)))
+    sorts = staticmethod(lambda decls: [ty for _, ty in decls])
+    split = staticmethod(lambda keys: ((key, *key) for key in keys))
+    var = TNVar
+    decls = staticmethod(lambda names, sorts: tuple(zip(names, sorts)))
 
 
 def _free_of_args(args) -> frozenset:
@@ -138,27 +191,28 @@ def _free_of_args(args) -> frozenset:
     return frozenset().union(*sets)
 
 
-def free_names(t: NamedTerm) -> frozenset[str]:
+def free_names(t: NamedTerm) -> frozenset:
     if not isinstance(t, NamedTerm):
         raise TypeError(t)
     return t.free
 
 
 def alpha_eq(a: NamedTerm, b: NamedTerm) -> bool:
-    """Equality of named terms up to consistent renaming of binders."""
-    # name -> binder depth on each side, updated in place and restored
+    """Equality of named terms up to consistent renaming of binders; typed
+    terms must also agree on every type."""
+    # key -> binder depth on each side, updated in place and restored
     # after each body; a mismatch ends the whole comparison unrestored
-    env_a: dict[str, int] = {}
-    env_b: dict[str, int] = {}
+    env_a: dict = {}
+    env_b: dict = {}
 
-    def bind(env: dict[str, int], names, depth: int) -> list:
+    def bind(env: dict, keys, depth: int) -> list:
         saved = []
-        for i, x in enumerate(names):
+        for i, x in enumerate(keys):
             saved.append((x, env.get(x)))
             env[x] = depth + i
         return saved
 
-    def restore(env: dict[str, int], saved: list) -> None:
+    def restore(env: dict, saved: list) -> None:
         for x, old in reversed(saved):
             if old is None:
                 del env[x]
@@ -166,22 +220,27 @@ def alpha_eq(a: NamedTerm, b: NamedTerm) -> bool:
                 env[x] = old
 
     def go(a, b, depth: int) -> bool:
-        match a, b:
-            case (NVar(x), NVar(y)):
-                ia, ib = env_a.get(x), env_b.get(y)
-                return ia == ib and (ia is not None or x == y)
-            case (NOp(na, xs), NOp(nb, ys)) if na == nb and len(xs) == len(ys):
-                for (bx, tx), (by, ty) in zip(xs, ys):
-                    if len(bx) != len(by):
-                        return False
-                    saved_a = bind(env_a, bx, depth)
-                    saved_b = bind(env_b, by, depth)
-                    if not go(tx, ty, depth + len(bx)):
-                        return False
-                    restore(env_a, saved_a)
-                    restore(env_b, saved_b)
-                return True
-        return False
+        kind = type(a)
+        if kind is not type(b):
+            return False
+        if kind is NVar or kind is TNVar:
+            # a bound key's type is its binder's, which the sides share
+            (x,), (y,) = a.free, b.free
+            ia, ib = env_a.get(x), env_b.get(y)
+            return ia == ib and (ia is not None or x == y)
+        xs, ys = a.args, b.args
+        if a.name != b.name or a.type_args != b.type_args or len(xs) != len(ys):
+            return False
+        for (bx, tx), (by, ty) in zip(xs, ys):
+            if a.sorts(bx) != a.sorts(by):
+                return False
+            saved_a = bind(env_a, bx, depth)
+            saved_b = bind(env_b, by, depth)
+            if not go(tx, ty, depth + len(bx)):
+                return False
+            restore(env_a, saved_a)
+            restore(env_b, saved_b)
+        return True
 
     return go(a, b, 0)
 
@@ -221,43 +280,52 @@ def _relevant(mapping: dict, fv: frozenset, bound) -> dict:
     return {x: mapping[x] for x in fv if x in mapping and x not in bound}
 
 
-def named_subst(t: NamedTerm, mapping: dict[str, NamedTerm]) -> NamedTerm:
+def named_subst(t: NamedTerm, mapping: dict) -> NamedTerm:
     """Simultaneous capture-avoiding substitution with deterministic
-    fresh binder names.
+    fresh binder names; ``mapping`` sends keys to terms.
+
+    A binder is renamed when its name is that of a variable free in its
+    body and not bound by it, or free in an image entering its scope.  In
+    typed syntax names are compared without types, so a binder whose name
+    is free in its body at another type is renamed though nothing could be
+    captured: spurious, but ``typed_to_named``'s printed names depend on it.
 
     Sharing: a subterm (``t`` too) in which no key of ``mapping`` is free
-    is returned itself, and only the entries free in a body are passed
-    down into it.
+    and no binder clashes is returned itself, and only the entries free in
+    a body are passed down into it.
     """
-    if mapping.keys().isdisjoint(t.free):
+    if mapping.keys().isdisjoint(t.free) and not t.clash:
         return t
-    if type(t) is NVar:
-        return mapping[t.name]
+    kind = type(t)
+    if kind is not NOp and kind is not TNOp:  # a variable
+        (key,) = t.free
+        return mapping[key]
     new_args = []
     for binders, body in t.args:
         if not binders and type(body) is NVar:
             new_args.append(((), mapping.get(body.name, body)))
             continue
         relevant = _relevant(mapping, body.free, binders)
-        if binders and relevant:
+        if binders and (relevant or t.clash):
             captured = frozenset().union(*map(_free, relevant.values()))
-            if not captured.isdisjoint(binders):
-                # a binder would capture a free name of an image: rename
-                # it, fresh for the body and every image, as binders go
-                avoid = body.free.difference(binders) | captured
+            if t.clash or not kind.apart(captured, binders):
+                # rename, fresh for the body and every image, as binders go
+                avoid = t.names(body.free.difference(binders) | captured)
                 taken = set(avoid)
                 relevant = dict(relevant)
-                new_binders = []
-                for b in binders:
-                    z = b
-                    if b in avoid:
+                new_names, sorts = [], []
+                for b, z, sort in t.split(binders):
+                    if z in avoid:
                         (z,) = fresh_names(1, taken)
-                        relevant[b] = NVar(z)
-                    new_binders.append(z)
+                        relevant[b] = t.var(z, sort)
+                    new_names.append(z)
+                    sorts.append(sort)
                     taken.add(z)
-                binders = tuple(new_binders)
+                binders = t.decls(new_names, sorts)
         new_args.append((binders, named_subst(body, relevant)))
-    return NOp(t.name, tuple(new_args))
+    if kind is NOp:
+        return NOp(t.name, tuple(new_args))
+    return TNOp(t.name, t.type_args, tuple(new_args))
 
 
 _SUPPLY_RE = re.compile(r"^x(0|[1-9][0-9]*)$")
@@ -272,56 +340,51 @@ def default_supply_index(name: str) -> Optional[int]:
     return int(m.group(1)) if m else None
 
 
-def named_model(
-    sig: BindingSignature,
-    name_supply: Callable[[int], str] = default_supply,
-    supply_index: Callable[[str], Optional[int]] = default_supply_index,
-) -> DBAlgebra:
+def supply_subst(op: type, t: NamedTerm, component) -> NamedTerm:
+    """``t`` with each free supply name of index i at sort s replaced by
+    the image of i under the assignment ``component(s)``."""
+    mapping = {}
+    for key, name, s in op.split(t.free):
+        idx = default_supply_index(name)
+        if idx is not None:
+            mapping[key] = at(component(s), idx, lambda n, s=s: op.var(default_supply(n), s))
+    return named_subst(t, mapping)
+
+
+def bind_fresh(op: type, head: tuple, arg_sorts, args) -> NamedTerm:
+    """The ``op`` node with fields ``head`` over ``args``, each under fresh
+    binders of its ``arg_sorts`` (outermost first): binder j of sort s binds
+    the index equal to the number of later binders of sort s."""
+    pieces = []
+    for sorts, e in zip(arg_sorts, args):
+        if not sorts:
+            pieces.append(((), e))
+            continue
+        zs = fresh_names(len(sorts), op.names(e.free))
+        mapping = {}
+        for key, name, s in op.split(e.free):
+            idx = default_supply_index(name)
+            if idx is not None:
+                c, j = sorts.count(s), -1
+                for _ in range(c - idx):  # the (c - idx)-th of sort s has idx after it
+                    j = sorts.index(s, j + 1)
+                z = zs[j] if idx < c else default_supply(idx - c)
+                mapping[key] = op.var(z, s)
+        pieces.append((op.decls(zs, sorts), named_subst(e, mapping)))
+    return op(*head, tuple(pieces))
+
+
+def named_model(sig: BindingSignature) -> DBAlgebra:
     """Named-term model: variables are supply names, substitution is the
     classical capture-avoiding one, interpretations attach fresh binders."""
-
-    def variables(n: int) -> NamedTerm:
-        return NVar(name_supply(n))
-
-    def substitution(t: NamedTerm, a: Assignment) -> NamedTerm:
-        mapping = {}
-        for name in t.free:
-            idx = supply_index(name)
-            if idx is not None:
-                mapping[name] = at(a, idx, variables)
-        return named_subst(t, mapping)
-
-    def interp(name: str):
-        binders = sig.ops[name].binders
-
-        def apply(args: list) -> NamedTerm:
-            pieces = []
-            for k, e in zip(binders, args):
-                if k == 0:
-                    pieces.append(((), e))
-                    continue
-                fv = e.free
-                zs = fresh_names(k, fv)
-                mapping: dict[str, NamedTerm] = {}
-                for name_ in fv:
-                    idx = supply_index(name_)
-                    if idx is None:
-                        continue
-                    if idx < k:
-                        # index j becomes the j-th innermost binder
-                        mapping[name_] = NVar(zs[k - 1 - idx])
-                    else:
-                        mapping[name_] = NVar(name_supply(idx - k))
-                pieces.append((tuple(zs), named_subst(e, mapping)))
-            return NOp(name, tuple(pieces))
-
-        return apply
-
     return DBAlgebra(
-        variables=variables,
-        substitution=substitution,
+        variables=lambda n: NVar(default_supply(n)),
+        substitution=lambda t, a: supply_subst(NOp, t, lambda s: a),
         equal=alpha_eq,
-        interpretations={name: interp(name) for name in sig.ops},
+        interpretations={
+            name: partial(bind_fresh, NOp, (name,), [(None,) * k for k in a.binders])
+            for name, a in sig.ops.items()
+        },
     )
 
 
@@ -358,7 +421,13 @@ def from_named(sig: BindingSignature, t: NamedTerm) -> Term:
                     raise ValueError(f"unbound name '{name}' is not of supply form")
                 return Var(idx + len(env))
             case NOp(op, args):
+                if op not in sig.ops:
+                    raise ValueError(f"unknown operation '{op}'")
                 binders = sig.ops[op].binders
+                if len(args) != len(binders):
+                    raise ValueError(
+                        f"operation '{op}' expects {len(binders)} arguments, got {len(args)}"
+                    )
                 parts = []
                 for k, (bs, body) in zip(binders, args):
                     if len(bs) != k:

@@ -5,7 +5,9 @@ application-binary-tree signature generator for call-by-value languages.
 Variables of each type have their own index space; lifting at a type
 shifts only that type's indices and leaves every other type untouched.
 A typed assignment is one :class:`~debruijn.subst.Assignment` per type,
-whose carrier's ``var`` is ``TVar(·, ty)``.
+whose carrier's ``var`` is ``TVar(·, ty)``.  The typed named oracle is the
+named layer of :mod:`debruijn.model`, whose untyped terms are its
+one-sort case; this module adds its model, ``typed_named_model``.
 """
 
 from __future__ import annotations
@@ -17,6 +19,17 @@ from itertools import zip_longest
 from operator import is_not
 from typing import Any, Callable, Optional
 
+from .model import (
+    NamedTerm as TypedNamedTerm,
+    TNOp,
+    TNVar,
+    alpha_eq as tn_alpha_eq,
+    bind_fresh,
+    default_supply,
+    free_names as tn_free,
+    named_subst as tn_subst,
+    supply_subst,
+)
 from .signature import (
     TypeExpr,
     TypeGrammar,
@@ -302,177 +315,14 @@ def t_initial_fold(schema: TypedSignatureSchema, algebra: TypedAlgebra, t: Typed
 # --- typed named oracle -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TypedNamedTerm:
-    pass
-
-
-# Each node caches its set of free (name, type) pairs in ``free``, and in
-# ``clash`` whether some binder in it shares its name with a free variable
-# of another type in its scope (``tn_subst`` renames such a binder even when
-# it substitutes nothing).  Neither field takes part in ==, hash or repr.
-
-
-@dataclass(frozen=True)
-class TNVar(TypedNamedTerm):
-    name: str
-    ty: TypeExpr
-    free: frozenset = field(init=False, repr=False, compare=False)
-    clash: bool = field(init=False, repr=False, compare=False, default=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "free", frozenset(((self.name, self.ty),)))
-
-
-@dataclass(frozen=True)
-class TNOp(TypedNamedTerm):
-    name: str
-    type_args: tuple[TypeExpr, ...]
-    # per argument: (binder declarations ordered along the premise
-    # context, body); a binder declaration is a (name, type) pair
-    args: tuple[tuple[tuple[tuple[str, TypeExpr], ...], TypedNamedTerm], ...]
-    free: frozenset = field(init=False, repr=False, compare=False)
-    clash: bool = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        sets = []
-        clash = False
-        for binders, body in self.args:
-            if not isinstance(body, TypedNamedTerm):
-                raise TypeError(body)
-            fv = body.free
-            if not fv.isdisjoint(binders):
-                fv = fv.difference(binders)
-            sets.append(fv)
-            clash = clash or body.clash
-            if binders and not clash:
-                names = {n for n, _ in binders}
-                clash = any(n in names for n, _ in fv)
-        object.__setattr__(
-            self, "free", sets[0] if len(sets) == 1 else frozenset().union(*sets)
-        )
-        object.__setattr__(self, "clash", clash)
-
-
-def tn_free(t: TypedNamedTerm) -> frozenset[tuple[str, TypeExpr]]:
-    if not isinstance(t, TypedNamedTerm):
-        raise TypeError(t)
-    return t.free
-
-
-def tn_alpha_eq(a: TypedNamedTerm, b: TypedNamedTerm) -> bool:
-    def go(a, b, ea, eb, depth) -> bool:
-        match a, b:
-            case (TNVar(_, ta), TNVar(_, tb)):
-                if ta != tb:
-                    return False
-                ka, kb = (a.name, ta), (b.name, tb)
-                ia, ib = ea.get(ka), eb.get(kb)
-                return ia == ib and (ia is not None or a.name == b.name)
-            case (TNOp(na, ga, xs), TNOp(nb, gb, ys)) if (
-                na == nb and ga == gb and len(xs) == len(ys)
-            ):
-                for (bx, tx), (by, ty_) in zip(xs, ys):
-                    if len(bx) != len(by):
-                        return False
-                    if tuple(t for _, t in bx) != tuple(t for _, t in by):
-                        return False
-                    na_ = ea | {d: depth + i for i, d in enumerate(bx)}
-                    nb_ = eb | {d: depth + i for i, d in enumerate(by)}
-                    if not go(tx, ty_, na_, nb_, depth + len(bx)):
-                        return False
-                return True
-        return False
-
-    return go(a, b, {}, {}, 0)
-
-
-def tn_subst(
-    t: TypedNamedTerm, mapping: dict[tuple[str, TypeExpr], TypedNamedTerm]
-) -> TypedNamedTerm:
-    """Simultaneous capture-avoiding substitution on typed named terms.
-
-    Sharing: a subterm (``t`` too) in which no key of ``mapping`` is free
-    and no binder clashes (see ``TNOp.clash``) is returned itself, and only
-    the entries free in a body are passed down into it.
-    """
-    from .model import _relevant, fresh_names
-
-    if not t.clash and mapping.keys().isdisjoint(t.free):
-        return t
-    if type(t) is TNVar:
-        return mapping.get((t.name, t.ty), t)
-    new_args = []
-    for binders, body in t.args:
-        inner = _relevant(mapping, body.free, binders)
-        if binders:
-            avoid = {n for n, _ in body.free.difference(binders)}
-            for v in inner.values():
-                avoid.update(n for n, _ in v.free)
-            if any(n in avoid for n, _ in binders):
-                taken = set(avoid)
-                inner = dict(inner)
-                new_binders = []
-                for bname, bty in binders:
-                    z = bname
-                    if bname in avoid:
-                        (z,) = fresh_names(1, taken)
-                        inner[(bname, bty)] = TNVar(z, bty)
-                    new_binders.append((z, bty))
-                    taken.add(z)
-                binders = tuple(new_binders)
-        new_args.append((binders, tn_subst(body, inner)))
-    return TNOp(t.name, t.type_args, tuple(new_args))
-
-
 def typed_named_model(schema: TypedSignatureSchema) -> TypedAlgebra:
-    from .model import default_supply, default_supply_index, fresh_names
-
-    def variables(n: int, ty: TypeExpr) -> TypedNamedTerm:
-        return TNVar(default_supply(n), ty)
-
-    def substitution(t: TypedNamedTerm, sigma: TypedAssignment) -> TypedNamedTerm:
-        mapping = {}
-        for name, ty in t.free:
-            idx = default_supply_index(name)
-            if idx is not None:
-                mapping[(name, ty)] = at(sigma.component(ty), idx, partial(variables, ty=ty))
-        return tn_subst(t, mapping)
-
     def interpretation(name: str, targs, args: list) -> TypedNamedTerm:
         ar = instantiate_schema(schema.schemas[name], tuple(targs), schema.grammar)
-        pieces = []
-        for (gamma, _), e in zip(ar.premises, args):
-            if not gamma:
-                pieces.append(((), e))
-                continue
-            counts = Counter(gamma)
-            fv = e.free
-            zs = fresh_names(len(gamma), {n for n, _ in fv})
-            binders = tuple((z, ty) for z, ty in zip(zs, gamma))
-            # position j of type ty binds the index equal to the number
-            # of later occurrences of ty in gamma (rightmost binds 0)
-            index_of: dict[tuple[TypeExpr, int], tuple[str, TypeExpr]] = {}
-            for j, (z, ty) in enumerate(binders):
-                later = sum(1 for ty2 in gamma[j + 1 :] if ty2 == ty)
-                index_of[(ty, later)] = (z, ty)
-            mapping = {}
-            for vname, vty in fv:
-                idx = default_supply_index(vname)
-                if idx is None:
-                    continue
-                c = counts[vty]
-                if idx < c:
-                    z, _ = index_of[(vty, idx)]
-                    mapping[(vname, vty)] = TNVar(z, vty)
-                else:
-                    mapping[(vname, vty)] = variables(idx - c, vty)
-            pieces.append((binders, tn_subst(e, mapping)))
-        return TNOp(name, tuple(targs), tuple(pieces))
+        return bind_fresh(TNOp, (name, tuple(targs)), [g for g, _ in ar.premises], args)
 
     return TypedAlgebra(
-        variables=variables,
-        substitution=substitution,
+        variables=lambda n, ty: TNVar(default_supply(n), ty),
+        substitution=lambda t, sigma: supply_subst(TNOp, t, sigma.component),
         interpretation=interpretation,
         equal=tn_alpha_eq,
     )

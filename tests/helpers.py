@@ -284,6 +284,36 @@ def ref_tn_subst(t, mapping):
     return TNOp(t.name, t.type_args, tuple(new_args))
 
 
+def ref_tn_alpha_eq(a, b):
+    """Typed alpha-equivalence with a fresh copy of each environment per
+    binder: types of variables, of binders and of operations must agree."""
+
+    def go(a, b, ea, eb, depth) -> bool:
+        match a, b:
+            case (TNVar(_, ta), TNVar(_, tb)):
+                if ta != tb:
+                    return False
+                ka, kb = (a.name, ta), (b.name, tb)
+                ia, ib = ea.get(ka), eb.get(kb)
+                return ia == ib and (ia is not None or a.name == b.name)
+            case (TNOp(na, ga, xs), TNOp(nb, gb, ys)) if (
+                na == nb and ga == gb and len(xs) == len(ys)
+            ):
+                for (bx, tx), (by, ty_) in zip(xs, ys):
+                    if len(bx) != len(by):
+                        return False
+                    if tuple(t for _, t in bx) != tuple(t for _, t in by):
+                        return False
+                    na_ = ea | {d: depth + i for i, d in enumerate(bx)}
+                    nb_ = eb | {d: depth + i for i, d in enumerate(by)}
+                    if not go(tx, ty_, na_, nb_, depth + len(bx)):
+                        return False
+                return True
+        return False
+
+    return go(a, b, {}, {}, 0)
+
+
 # --- generator reference -------------------------------------------------
 
 

@@ -108,6 +108,18 @@ def test_term_from_named(lam_sig, capsys):
     assert capsys.readouterr().out.strip() == "(lam (app 1 0))"
 
 
+@pytest.mark.parametrize("term, message", [
+    ("(app x0 x1 x2)", "operation 'app' expects 2 arguments, got 3"),
+    ("(app x0)", "operation 'app' expects 2 arguments, got 1"),
+    ("(foo x0)", "unknown operation 'foo'"),
+], ids=["too-many", "too-few", "unknown"])
+def test_term_from_named_rejects_bad_operations(lam_sig, capsys, term, message):
+    assert main(["term", "from-named", "--sig", lam_sig, "--term", term]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.strip() == message
+
+
 def test_term_parse_error_exit_code(lam_sig, capsys):
     assert main(["term", "subst", "--sig", lam_sig, "--term", "(app 0)",
                  "--assign", "[; ^0]"]) == 2

@@ -247,6 +247,16 @@ def test_from_named_rejects_foreign_free_names():
         from_named(SIG, a_("hello"))
 
 
+def test_from_named_rejects_arity_mismatch_and_unknown_operations():
+    x0 = a_("x0")
+    with pytest.raises(ValueError, match=r"^operation 'app' expects 2 arguments, got 3$"):
+        from_named(SIG, NOp("app", (((), x0), ((), x0), ((), x0))))
+    with pytest.raises(ValueError, match=r"^operation 'app' expects 2 arguments, got 1$"):
+        from_named(SIG, NOp("app", (((), x0),)))
+    with pytest.raises(ValueError, match=r"^unknown operation 'foo'$"):
+        from_named(SIG, NOp("foo", (((), x0),)))
+
+
 def test_round_trips():
     rng = random.Random(9)
     for _ in range(500):

@@ -37,7 +37,13 @@ from debruijn.gen import (
     random_typed_term,
 )
 from debruijn.model import fresh_names
-from debruijn.typed import tn_free, tn_subst, typed_to_named
+from debruijn.typed import (
+    degenerate_schema,
+    tn_free,
+    tn_subst,
+    to_degenerate,
+    typed_to_named,
+)
 
 from helpers import (
     app,
@@ -47,6 +53,7 @@ from helpers import (
     ref_named_subst,
     ref_random_assignment,
     ref_random_term,
+    ref_tn_alpha_eq,
     ref_tn_free,
     ref_tn_subst,
 )
@@ -246,6 +253,76 @@ def test_alpha_eq_matches_reference():
             assert alpha_eq(y, x) == ref_alpha_eq(y, x)
 
 
+def test_alpha_eq_matches_typed_reference():
+    rng = random.Random(63)
+
+    def alpha_variant(t, counter):
+        # rename every binder group to names used nowhere else
+        if isinstance(t, TNVar):
+            return t
+        args = []
+        for binders, body in t.args:
+            body = alpha_variant(body, counter)
+            if len(set(binders)) == len(binders):
+                new = tuple((f"r{next(counter)}", ty) for _, ty in binders)
+                body = ref_tn_subst(body, {b: TNVar(*n) for b, n in zip(binders, new)})
+                binders = new
+            args.append((binders, body))
+        return TNOp(t.name, t.type_args, tuple(args))
+
+    def perturb(t, rng):
+        # change one node: a variable's name or type, a binder's name or
+        # type, or an operation's type arguments
+        target = rng.choice(list(subterms(t)))
+        change = rng.randrange(2)
+
+        def go(x):
+            if x is target:
+                if isinstance(x, TNVar):
+                    if change:
+                        return TNVar(x.name, rng.choice(TYPES))
+                    return TNVar(rng.choice(NAMES), x.ty)
+                i = rng.randrange(len(x.args))
+                binders, body = x.args[i]
+                if binders and change:
+                    binders = ((binders[0][0], rng.choice(TYPES)),) + binders[1:]
+                elif binders:
+                    binders = ((rng.choice(NAMES), binders[0][1]),) + binders[1:]
+                else:
+                    return TNOp(x.name, (rng.choice(TYPES),) + x.type_args[1:], x.args)
+                args = x.args[:i] + ((binders, body),) + x.args[i + 1 :]
+                return TNOp(x.name, x.type_args, args)
+            if isinstance(x, TNVar):
+                return x
+            return TNOp(x.name, x.type_args, tuple((bs, go(b)) for bs, b in x.args))
+
+        return go(t)
+
+    lam_a = TNOp("lam", (A,), (((("a", A),), TNVar("a", A)),))
+    fixed = [
+        (TNVar("x0", A), TNVar("x0", B)),
+        (lam_a, TNOp("lam", (A,), (((("a", B),), TNVar("a", B)),))),
+        (lam_a, TNOp("lam", (B,), (((("a", A),), TNVar("a", A)),))),
+        (lam_a, TNOp("lam", (A,), (((("b", A),), TNVar("b", A)),))),
+    ]
+    for x, y in fixed:
+        assert alpha_eq(x, y) == ref_tn_alpha_eq(x, y)
+    assert [alpha_eq(x, y) for x, y in fixed] == [False, False, False, True]
+
+    for _ in range(600):
+        a = random_tnamed(rng, 5)
+        pairs = [
+            (a, a),
+            (a, alpha_variant(a, itertools.count())),
+            (a, perturb(a, rng)),
+            (alpha_variant(a, itertools.count()), perturb(a, rng)),
+            (a, random_tnamed(rng, 5)),
+        ]
+        for x, y in pairs:
+            assert alpha_eq(x, y) == ref_tn_alpha_eq(x, y)
+            assert alpha_eq(y, x) == ref_tn_alpha_eq(y, x)
+
+
 def test_alpha_eq_shadowed_and_repeated_binders():
     inner = NOp("app", (((), NVar("x")), ((), NVar("y"))))
     t1 = NOp("m", (
@@ -268,6 +345,26 @@ def test_random_term_stream_is_unchanged(sig):
         assert random_term(sig, rng, max_depth=6) == ref_random_term(sig, ref, max_depth=6)
         assert random_assignment(sig, rng) == ref_random_assignment(sig, ref)
         assert rng.random() == ref.random()
+
+
+def erase_types(t):
+    """The untyped named term with the names of a typed one."""
+    if isinstance(t, TNVar):
+        return NVar(t.name)
+    return NOp(t.name, tuple(
+        (tuple(n for n, _ in binders), erase_types(body)) for binders, body in t.args
+    ))
+
+
+@pytest.mark.parametrize("sig", [SIG, FO_SIG, MIXED_SIG], ids=["lambda", "FO", "MIXED"])
+def test_untyped_to_named_is_the_one_sort_case(sig):
+    schema = degenerate_schema(sig)
+    rng = random.Random(71)
+    for _ in range(500):
+        t = random_term(sig, rng, max_depth=5, max_index=6)
+        typed = erase_types(typed_to_named(schema, to_degenerate(t)))
+        # == on the frozen dataclasses compares every name, binders included
+        assert to_named(sig, t) == typed
 
 
 # --- pinned output ------------------------------------------------------
