@@ -132,9 +132,9 @@ class NOp(NamedTerm):
         object.__setattr__(self, "free", _free_of_args(self.args))
 
     # one sort, None, and a key is its name; split yields (key, name, sort)
-    names = staticmethod(frozenset)
+    key_names = staticmethod(frozenset)
     apart = staticmethod(frozenset.isdisjoint)
-    sorts = len
+    group_sorts = len
     split = staticmethod(lambda keys: zip(keys, keys, repeat(None)))
     var = staticmethod(lambda name, sort: NVar(name))
     decls = staticmethod(lambda names, sorts: tuple(names))
@@ -167,9 +167,9 @@ class TNOp(NamedTerm):
             for binders, body in self.args
         ))
 
-    names = staticmethod(lambda keys: {n for n, _ in keys})
-    apart = staticmethod(lambda keys, decls: TNOp.names(keys).isdisjoint(TNOp.names(decls)))
-    sorts = staticmethod(lambda decls: [ty for _, ty in decls])
+    key_names = staticmethod(lambda keys: {n for n, _ in keys})
+    apart = staticmethod(lambda keys, decls: TNOp.key_names(keys).isdisjoint(n for n, _ in decls))
+    group_sorts = staticmethod(lambda decls: [ty for _, ty in decls])
     split = staticmethod(lambda keys: ((key, *key) for key in keys))
     var = TNVar
     decls = staticmethod(lambda names, sorts: tuple(zip(names, sorts)))
@@ -232,7 +232,7 @@ def alpha_eq(a: NamedTerm, b: NamedTerm) -> bool:
         if a.name != b.name or a.type_args != b.type_args or len(xs) != len(ys):
             return False
         for (bx, tx), (by, ty) in zip(xs, ys):
-            if a.sorts(bx) != a.sorts(by):
+            if a.group_sorts(bx) != a.group_sorts(by):
                 return False
             saved_a = bind(env_a, bx, depth)
             saved_b = bind(env_b, by, depth)
@@ -310,7 +310,7 @@ def named_subst(t: NamedTerm, mapping: dict) -> NamedTerm:
             captured = frozenset().union(*map(_free, relevant.values()))
             if t.clash or not kind.apart(captured, binders):
                 # rename, fresh for the body and every image, as binders go
-                avoid = t.names(body.free.difference(binders) | captured)
+                avoid = t.key_names(body.free.difference(binders) | captured)
                 taken = set(avoid)
                 relevant = dict(relevant)
                 new_names, sorts = [], []
@@ -360,7 +360,7 @@ def bind_fresh(op: type, head: tuple, arg_sorts, args) -> NamedTerm:
         if not sorts:
             pieces.append(((), e))
             continue
-        zs = fresh_names(len(sorts), op.names(e.free))
+        zs = fresh_names(len(sorts), op.key_names(e.free))
         mapping = {}
         for key, name, s in op.split(e.free):
             idx = default_supply_index(name)
