@@ -18,6 +18,7 @@ from .model import (
     check_binding_conditions,
     check_monad_laws,
     check_morphism,
+    from_named,
     named_model,
     term_model,
     to_named,
@@ -138,8 +139,6 @@ def cmd_term_from_named(args) -> int:
     sig = _load_signature(args.sig)
     t = parse_term(args.term, "named")
     try:
-        from .model import from_named
-
         nameless = from_named(sig, t)
     except (ValueError, KeyError) as e:
         raise CliError(str(e), EXIT_PARSE) from None

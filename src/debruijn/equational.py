@@ -13,14 +13,16 @@ orientations.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterator, Optional
 
 from .signature import BindingArity, BindingSignature, lambda_signature
-from .model import DBAlgebra, Report, _run_law, named_model, term_model
-from .subst import Assignment, lift_n, rename, shift_renaming
-from .term import Term, Var, Op, free_indices, support
+from .gen import random_assignment, random_term
+from .model import DBAlgebra, Report, named_model, term_model, to_named
+from .model import _binding_law, _binding_sampler, _naturality_law, _run_law
+from .subst import Assignment
+from .term import Term, Var, Op, map_free_vars, support
 
 
 @dataclass(frozen=True)
@@ -61,22 +63,6 @@ class EquationalTheory:
 
     def meta_signature(self) -> BindingSignature:
         return BindingSignature({r.name: r.arity for r in self.rules})
-
-
-def metavar_count(mt: MetaTerm) -> int:
-    match mt:
-        case MetaVar(index):
-            return index + 1
-        case Var(_):
-            return 0
-        case Op(_, args):
-            return max((metavar_count(a) for a in args), default=0)
-        case ExplicitSubst(body, assign):
-            return max(
-                metavar_count(body),
-                max((metavar_count(p) for p in assign.prefix), default=0),
-            )
-    raise TypeError(mt)
 
 
 def validate_theory(theory: EquationalTheory) -> list[str]:
@@ -178,6 +164,17 @@ def eval_metaterm(algebra: DBAlgebra, env: list, mt: MetaTerm):
 # --- matching and rewriting ---------------------------------------------
 
 
+class _NotAShift(Exception):
+    pass
+
+
+def _unshift(k: int, depth: int, n: int) -> Var:
+    """Free index ``n`` under ``depth`` binders renamed by the shift -k."""
+    if n - depth < k:
+        raise _NotAShift
+    return Var(n - k)
+
+
 def match_pattern(pat: MetaTerm, t: Term, sig: BindingSignature) -> Optional[dict[int, Term]]:
     env: dict[int, Term] = {}
 
@@ -187,12 +184,12 @@ def match_pattern(pat: MetaTerm, t: Term, sig: BindingSignature) -> Optional[dic
                 env[index] = t
                 return True
             case ExplicitSubst(MetaVar(index), Assignment((), k)):
-                # t must be a k-shift of some term: no free index below k,
-                # which is all that renaming by the pure shift -k needs
-                low = min(free_indices(t, sig), default=None)
-                if low is not None and low < k:
+                # t must be a k-shift of some term: renaming it by the pure
+                # shift -k, in one walk, meets no free index below k
+                try:
+                    env[index] = map_free_vars(t, sig, partial(_unshift, k))
+                except _NotAShift:
                     return False
-                env[index] = rename(t, shift_renaming(-k), sig)
                 return True
             case Var(index):
                 return t == Var(index)
@@ -366,40 +363,21 @@ def check_half_equation(
     """Fuzz the induced operation in the term model: the binding condition
     for the declared arity, and naturality along nameless-to-named
     conversion."""
-    from .gen import random_assignment, random_term
-    from .model import to_named
-
     tm = term_model(sig)
     nm = named_model(sig)
     binders = arity.binders
     report = Report()
 
-    def samples():
-        rng = random.Random(seed)
-        for _ in range(cases):
-            yield (
-                [random_term(sig, rng, max_depth=4) for _ in binders],
-                random_assignment(sig, rng),
-            )
+    gen = _binding_sampler(
+        partial(random_term, sig, max_depth=4), partial(random_assignment, sig), binders
+    )
 
-    def binding_ok(s) -> bool:
-        args, sigma = s
-        lhs = tm.substitution(eval_metaterm(tm, args, side), sigma)
-        rhs = eval_metaterm(
-            tm,
-            [tm.substitution(x, lift_n(sigma, n, sig)) for x, n in zip(args, binders)],
-            side,
-        )
-        return lhs == rhs
-
-    def natural_ok(s) -> bool:
-        args, _ = s
-        lhs = to_named(sig, eval_metaterm(tm, args, side))
-        rhs = eval_metaterm(nm, [to_named(sig, x) for x in args], side)
-        return nm.equal(lhs, rhs)
-
-    _run_law(report, "half-equation:binding", seed, samples(), binding_ok)
-    _run_law(report, "half-equation:naturality", seed, samples(), natural_ok)
+    in_tm, in_nm = (partial(eval_metaterm, m, mt=side) for m in (tm, nm))
+    binding_ok = _binding_law(tm, in_tm, binders)
+    natural = _naturality_law(partial(to_named, sig), in_tm, in_nm, nm.equal)
+    _run_law(report, "half-equation:binding", seed, cases, gen, binding_ok)
+    # naturality ignores the assignment, but draws it to keep the stream
+    _run_law(report, "half-equation:naturality", seed, cases, gen, lambda s: natural(s[0]))
     return report
 
 

@@ -7,9 +7,10 @@ import itertools
 import random
 from typing import Iterator, Sequence
 
-from .signature import BindingSignature
+from .signature import BindingSignature, TypeExpr, instantiate_schema
 from .subst import Assignment, Renaming
 from .term import Term, Var, Op
+from .typed import TOp, TVar, TypedAssignment
 
 
 def random_term(
@@ -145,8 +146,6 @@ def shrink_law_sample(sample) -> list:
 def ground_types(grammar, max_depth: int = 2) -> list:
     """Ground types over the grammar's nullary constructors, closed under
     constructor application up to ``max_depth``."""
-    from .signature import TypeExpr
-
     levels = [[TypeExpr(c) for c, n in sorted(grammar.ctors.items()) if n == 0]]
     for _ in range(max_depth - 1):
         pool = [t for level in levels for t in level]
@@ -186,9 +185,6 @@ def random_typed_term(
 ):
     """Random well-typed (open) term of the requested type, built by
     matching operation conclusions against the goal type."""
-    from .signature import instantiate_schema
-    from .typed import TOp, TVar
-
     if type_pool is None:
         type_pool = ground_types(schema.grammar)
     if max_depth <= 0 or rng.random() < 0.3:
@@ -221,8 +217,6 @@ def random_typed_assignment(
     max_depth: int = 3,
 ):
     """Type-respecting assignment with a few random non-identity components."""
-    from .typed import TypedAssignment
-
     if type_pool is None:
         type_pool = ground_types(schema.grammar)
     components = {}

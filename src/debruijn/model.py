@@ -17,6 +17,7 @@ untyped ones, its one-sort case.
 
 from __future__ import annotations
 
+import random
 import re
 from dataclasses import dataclass, field
 from functools import partial
@@ -26,7 +27,7 @@ from typing import Any, Callable, Optional
 
 from .signature import BindingSignature, TypeExpr
 from .subst import IDENTITY, NAT, Assignment, at, compose_with, lift_with, subst
-from .term import Term, Var, Op
+from .term import Term, Var, Op, fold
 
 
 # --- assignments over an arbitrary carrier ------------------------------
@@ -255,6 +256,8 @@ def _letter_supply():
 
 def fresh_names(count: int, avoid) -> list[str]:
     """First ``count`` binder names (a, b, c, ...) not in ``avoid``."""
+    if not count:
+        return []
     out: list[str] = []
     # the supply never repeats a name, so ``avoid`` needs no additions
     for name in _letter_supply():
@@ -394,8 +397,6 @@ def named_model(sig: BindingSignature) -> DBAlgebra:
 def initial_fold(sig: BindingSignature, algebra: DBAlgebra, t: Term):
     """Evaluate a term in a model: the unique structure map out of the
     term model, restricted to ``t``."""
-    from .term import fold
-
     return fold(
         sig,
         algebra.variables,
@@ -510,14 +511,18 @@ def _run_law(
     report: Report,
     law: str,
     seed: int,
-    cases,
+    cases: int,
+    gen: Callable[[random.Random], Any],
     check: Callable[[Any], bool],
     shrink: Optional[Callable[[Any], list]] = None,
     show: Callable[[Any], str] = repr,
 ) -> None:
-    """Run ``check`` over enumerated cases, greedily shrinking the first
-    failure if a shrinker is available."""
-    for i, sample in enumerate(cases):
+    """Run ``check`` on ``cases`` samples, greedily shrinking the first
+    failure if a shrinker is available.  Each law draws from a fresh
+    ``random.Random(seed)`` stream: sample i is the i-th ``gen(rng)``."""
+    rng = random.Random(seed)
+    for i in range(cases):
+        sample = gen(rng)
         if check(sample):
             continue
         if shrink is not None:
@@ -536,6 +541,36 @@ def _run_law(
     report.results.append(LawResult(law, True, seed))
 
 
+def _binding_law(m: DeBruijnMonad, op: Callable[[list], Any], binders) -> Callable[[Any], bool]:
+    """The binding condition of ``op`` on a sample (args, assignment):
+    substitution commutes with ``op`` once the assignment is lifted by
+    each argument's binder count."""
+
+    def check(s) -> bool:
+        args, sigma = s
+        lhs = m.substitution(op(list(args)), sigma)
+        rhs = op(
+            [
+                m.substitution(x, model_lift_n(m, sigma, n))
+                for x, n in zip(args, binders)
+            ]
+        )
+        return m.equal(lhs, rhs)
+
+    return check
+
+
+def _naturality_law(h: Callable, op_a: Callable, op_b: Callable, equal: Callable) -> Callable:
+    """Naturality of ``h`` on a sample of arguments: ``h`` after ``op_a``
+    equals ``op_b`` after ``h`` on each argument."""
+    return lambda args: equal(h(op_a(list(args))), op_b([h(x) for x in args]))
+
+
+def _binding_sampler(gen_element: Callable, gen_assignment: Callable, binders) -> Callable:
+    """Sampler of (one element per argument, one assignment)."""
+    return lambda rng: ([gen_element(rng) for _ in binders], gen_assignment(rng))
+
+
 def check_monad_laws(
     m: DeBruijnMonad,
     gen_element: Callable[[Any], Any],
@@ -549,14 +584,10 @@ def check_monad_laws(
 
     ``gen_element`` and ``gen_assignment`` take a ``random.Random``.
     """
-    import random
-
     report = Report()
 
-    def samples():
-        rng = random.Random(seed)
-        for _ in range(cases):
-            yield gen_element(rng), gen_assignment(rng), gen_assignment(rng), rng.randrange(8)
+    def gen(rng):
+        return gen_element(rng), gen_assignment(rng), gen_assignment(rng), rng.randrange(8)
 
     def assoc(s) -> bool:
         x, f, g, _ = s
@@ -572,9 +603,9 @@ def check_monad_laws(
         x, _, _, _ = s
         return m.equal(m.substitution(x, IDENTITY), x)
 
-    _run_law(report, "associativity", seed, samples(), assoc, shrink, show)
-    _run_law(report, "left-unitality", seed, samples(), left_unit, shrink, show)
-    _run_law(report, "right-unitality", seed, samples(), right_unit, shrink, show)
+    _run_law(report, "associativity", seed, cases, gen, assoc, shrink, show)
+    _run_law(report, "left-unitality", seed, cases, gen, left_unit, shrink, show)
+    _run_law(report, "right-unitality", seed, cases, gen, right_unit, shrink, show)
     return report
 
 
@@ -585,38 +616,14 @@ def check_binding_conditions(
     gen_assignment: Callable,
     cases: int = 1000,
     seed: int = 0,
-    shrink: Optional[Callable] = None,
-    show: Callable[[Any], str] = repr,
 ) -> Report:
     """Per operation: substitution commutes with the interpretation once
     the assignment is lifted by each argument's binder count."""
-    import random
-
     report = Report()
     for name, a in sig.ops.items():
-        binders = a.binders
-
-        def samples():
-            rng = random.Random(seed)
-            for _ in range(cases):
-                yield (
-                    [gen_element(rng) for _ in binders],
-                    gen_assignment(rng),
-                )
-
-        def check(s, name=name, binders=binders) -> bool:
-            args, sigma = s
-            interp = algebra.interpretations[name]
-            lhs = algebra.substitution(interp(list(args)), sigma)
-            rhs = interp(
-                [
-                    algebra.substitution(x, model_lift_n(algebra, sigma, n))
-                    for x, n in zip(args, binders)
-                ]
-            )
-            return algebra.equal(lhs, rhs)
-
-        _run_law(report, f"binding:{name}", seed, samples(), check, shrink, show)
+        gen = _binding_sampler(gen_element, gen_assignment, a.binders)
+        check = _binding_law(algebra, algebra.interpretations[name], a.binders)
+        _run_law(report, f"binding:{name}", seed, cases, gen, check)
     return report
 
 
@@ -629,50 +636,33 @@ def check_morphism(
     gen_assignment: Callable,
     cases: int = 1000,
     seed: int = 0,
-    show: Callable[[Any], str] = repr,
 ) -> Report:
     """Check that ``h`` commutes with variables, substitution, and every
     operation, on sampled elements of ``a``."""
-    import random
-
     report = Report()
-
-    def var_samples():
-        rng = random.Random(seed)
-        for _ in range(cases):
-            yield rng.randrange(16)
-
     _run_law(
         report,
         "morphism:variables",
         seed,
-        var_samples(),
+        cases,
+        lambda rng: rng.randrange(16),
         lambda n: b.equal(h(a.variables(n)), b.variables(n)),
-        show=show,
     )
-
-    def subst_samples():
-        rng = random.Random(seed)
-        for _ in range(cases):
-            yield gen_element(rng), gen_assignment(rng)
 
     def subst_ok(s) -> bool:
         x, f = s
         mapped = Assignment(tuple(map(h, f.prefix)), f.tail_shift, b.variables)
         return b.equal(h(a.substitution(x, f)), b.substitution(h(x), mapped))
 
-    _run_law(report, "morphism:substitution", seed, subst_samples(), subst_ok, show=show)
+    def subst_sample(rng):
+        return gen_element(rng), gen_assignment(rng)
+
+    _run_law(report, "morphism:substitution", seed, cases, subst_sample, subst_ok)
 
     for name, ar in sig.ops.items():
-        def op_samples(p=len(ar.binders)):
-            rng = random.Random(seed)
-            for _ in range(cases):
-                yield [gen_element(rng) for _ in range(p)]
+        def gen(rng, p=len(ar.binders)):
+            return [gen_element(rng) for _ in range(p)]
 
-        def op_ok(args, name=name) -> bool:
-            lhs = h(a.interpretations[name](list(args)))
-            rhs = b.interpretations[name]([h(x) for x in args])
-            return b.equal(lhs, rhs)
-
-        _run_law(report, f"morphism:op:{name}", seed, op_samples(), op_ok, show=show)
+        check = _naturality_law(h, a.interpretations[name], b.interpretations[name], b.equal)
+        _run_law(report, f"morphism:op:{name}", seed, cases, gen, check)
     return report

@@ -122,9 +122,6 @@ class TypedArity:
             tuple((tuple(g), t) for g, t in self.premises),
         )
 
-    def first_order(self) -> tuple[tuple[TypeExpr, ...], TypeExpr]:
-        return tuple(t for _, t in self.premises), self.conclusion
-
 
 @dataclass(frozen=True)
 class OpSchema:
@@ -149,10 +146,6 @@ def _subst_type(ty: TypeExpr, env: dict[str, TypeExpr]) -> TypeExpr:
     if ty.ctor in env and not ty.args:
         return env[ty.ctor]
     return TypeExpr(ty.ctor, tuple(_subst_type(a, env) for a in ty.args))
-
-
-def is_ground(ty: TypeExpr, grammar: TypeGrammar) -> bool:
-    return not grammar.wellformed(ty)
 
 
 def instantiate_schema(

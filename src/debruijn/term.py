@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import FrozenInstanceError
 from operator import is_not
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 from .signature import BindingSignature, first_order_arity
 
@@ -182,21 +182,6 @@ def map_free_vars(t: Term, sig: BindingSignature, on_free: Callable[[int, int], 
             for a, n in zip(reversed(node.args), reversed(binders[node.name]), strict=True):
                 push((a, depth + n, False))
     return values[0]
-
-
-def free_indices(t: Term, sig: BindingSignature) -> Iterator[int]:
-    """Each free variable occurrence of ``t``, as an index into its context."""
-    stack: list[tuple[Term, int]] = [(t, 0)]
-    while stack:
-        node, depth = stack.pop()
-        if type(node) is Var:
-            if node.index >= depth:
-                yield node.index - depth
-        elif type(node) is Op:
-            for a, n in zip(node.args, sig.ops[node.name].binders, strict=True):
-                stack.append((a, depth + n))
-        else:
-            raise TypeError(f"not a term: {node!r}")
 
 
 def max_free_var(t: Term, sig: BindingSignature) -> Optional[int]:

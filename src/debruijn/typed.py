@@ -20,7 +20,7 @@ from operator import is_not
 from typing import Any, Callable, Optional
 
 from .model import (
-    NamedTerm as TypedNamedTerm,
+    NamedTerm,
     TNOp,
     TNVar,
     alpha_eq as tn_alpha_eq,
@@ -31,14 +31,17 @@ from .model import (
     supply_subst,
 )
 from .signature import (
+    OpSchema,
     TypeExpr,
     TypeGrammar,
     TypedArity,
     TypedSignatureSchema,
     arrow,
+    base,
     instantiate_schema,
 )
 from .subst import IDENTITY, Assignment, at, compose_with, lift_with
+from .term import Var, Op
 
 
 @dataclass(frozen=True)
@@ -316,7 +319,7 @@ def t_initial_fold(schema: TypedSignatureSchema, algebra: TypedAlgebra, t: Typed
 
 
 def typed_named_model(schema: TypedSignatureSchema) -> TypedAlgebra:
-    def interpretation(name: str, targs, args: list) -> TypedNamedTerm:
+    def interpretation(name: str, targs, args: list) -> NamedTerm:
         ar = instantiate_schema(schema.schemas[name], tuple(targs), schema.grammar)
         return bind_fresh(TNOp, (name, tuple(targs)), [g for g, _ in ar.premises], args)
 
@@ -328,7 +331,7 @@ def typed_named_model(schema: TypedSignatureSchema) -> TypedAlgebra:
     )
 
 
-def typed_to_named(schema: TypedSignatureSchema, t: TypedTerm) -> TypedNamedTerm:
+def typed_to_named(schema: TypedSignatureSchema, t: TypedTerm) -> NamedTerm:
     return t_initial_fold(schema, typed_named_model(schema), t)
 
 
@@ -337,8 +340,6 @@ def typed_to_named(schema: TypedSignatureSchema, t: TypedTerm) -> TypedNamedTerm
 
 def degenerate_schema(sig, base_name: str = "o") -> TypedSignatureSchema:
     """Mirror an untyped signature as a typed one over a single type."""
-    from .signature import OpSchema, TypeGrammar, base
-
     o = base(base_name)
     schemas = {}
     for name, a in sig.ops.items():
@@ -348,9 +349,6 @@ def degenerate_schema(sig, base_name: str = "o") -> TypedSignatureSchema:
 
 
 def to_degenerate(t, base_name: str = "o") -> TypedTerm:
-    from .signature import base
-    from .term import Var, Op
-
     o = base(base_name)
     match t:
         case Var(index):
@@ -361,8 +359,6 @@ def to_degenerate(t, base_name: str = "o") -> TypedTerm:
 
 
 def from_degenerate(t: TypedTerm):
-    from .term import Var, Op
-
     match t:
         case TVar(index, _):
             return Var(index)

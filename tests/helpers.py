@@ -85,6 +85,24 @@ def ref_rename(t, f, sig):
     ))
 
 
+def ref_unshift(t, k, sig):
+    """What the shift pattern ``?i[^k]`` binds when it matches ``t``: ``t``
+    renamed by the pure shift -k, or None when a free index of ``t`` (an
+    index into its context) is below k."""
+
+    def low(t, depth):
+        if isinstance(t, Var):
+            return t.index - depth if t.index >= depth else None
+        binders = sig.ops[t.name].binders
+        found = [low(a, depth + n) for a, n in zip(t.args, binders)]
+        return min((i for i in found if i is not None), default=None)
+
+    least = low(t, 0)
+    if least is not None and least < k:
+        return None
+    return ref_rename(t, ((), -k), sig)
+
+
 def ref_lift_n(sigma, n, sig):
     for _ in range(n):
         shifted = tuple(ref_rename(u, ((), 1), sig) for u in sigma.prefix)

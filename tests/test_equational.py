@@ -20,6 +20,7 @@ from debruijn import (
     equiv,
     eval_metaterm,
     lambda_signature,
+    make_signature,
     match_pattern,
     normalize,
     parse_theory_file,
@@ -27,13 +28,14 @@ from debruijn import (
     rewrite_step,
     shift_renaming,
     subst,
+    support,
     term_model,
     validate_theory,
 )
 from debruijn.equational import check_half_equation
 from debruijn.gen import random_assignment, random_term
 
-from helpers import CHURCH_PLUS, OMEGA, app, church, lam
+from helpers import CHURCH_PLUS, OMEGA, app, church, lam, ref_unshift
 
 SIG = lambda_signature()
 TM = term_model(SIG)
@@ -104,6 +106,33 @@ def test_identity_explicit_subst_is_a_shift_pattern():
     assert validate_theory(theory) == []
     t = app(Var(0), Var(3))
     assert match_pattern(left, lam(t), SIG) == {0: t}
+
+
+def test_shift_pattern_matches_reference():
+    # ?0[^k] binds t renamed by -k, or fails on a free index below k; half
+    # the subterms have their support memoized, so the kernel skips closed
+    # ones and must still see every free index
+    rng = random.Random(41)
+    sigs = (SIG, make_signature({"f": (0, 0), "c": ()}), make_signature({"m": (2, 0, 1)}))
+    matched = failed = 0
+    for sig in sigs:
+        for _ in range(300):
+            t = random_term(sig, rng, max_depth=6, max_index=6)
+            stack = [t]
+            while stack:
+                node = stack.pop()
+                if isinstance(node, Op):
+                    if rng.random() < 0.5:
+                        support(node, sig)
+                    stack.extend(node.args)
+            for k in range(4):
+                pattern = ExplicitSubst(MetaVar(0), MetaAssignment((), k))
+                want = ref_unshift(t, k, sig)
+                got = match_pattern(pattern, t, sig)
+                assert got == (None if want is None else {0: want})
+                matched += want is not None
+                failed += want is None
+    assert matched > 300 and failed > 300
 
 
 def test_meta_signature():

@@ -2,34 +2,41 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
 
 from debruijn import (
     Assignment,
+    BindingArity,
     DBAlgebra,
     ModelAssignment,
     NOp,
     NVar,
     Var,
     alpha_eq,
+    beta_eta_theory,
     check_binding_conditions,
     check_monad_laws,
     check_morphism,
+    check_theory,
     free_names,
     from_named,
     initial_fold,
     lambda_signature,
+    make_signature,
     model_compose,
     model_lift,
     named_model,
     named_subst,
     nat_monad,
+    print_term,
     subst,
     term_model,
     to_named,
 )
+from debruijn.equational import check_half_equation
 from debruijn.model import debruijn_to_named_direct
 from debruijn.gen import random_assignment, random_term, shrink_law_sample
 
@@ -312,3 +319,80 @@ def test_morphism_check_rejects_constant_map():
         lambda t: NVar("x0"), TM, NM, SIG, gen_elem, gen_assign, cases=100, seed=0
     )
     assert not report.ok
+
+
+# --- pinned law reports -------------------------------------------------
+
+
+def law_report_digest() -> str:
+    """SHA-256 over the LAW lines of every law checker, on models that pass
+    and on models that fail some laws (so case indices, counterexamples and
+    shrunk samples are covered), over three signatures."""
+    fo_sig = make_signature({"f": (0, 0), "c": ()})
+    mixed_sig = make_signature({"m": (2, 0, 1)})
+    h = hashlib.sha256()
+
+    def add(report):
+        for line in report.lines():
+            h.update(line.encode() + b"\n")
+
+    for k, sig in enumerate((SIG, fo_sig, mixed_sig)):
+        seed = 20 + k
+        tm, nm = term_model(sig), named_model(sig)
+        ignoring = DBAlgebra(
+            variables=Var, substitution=lambda t, a: t, interpretations=tm.interpretations
+        )
+        constant = DBAlgebra(
+            variables=Var,
+            substitution=tm.substitution,
+            interpretations={name: lambda args: Var(0) for name in sig.ops},
+        )
+
+        def gen_t(rng, sig=sig):
+            return random_term(sig, rng, max_depth=4)
+
+        def gen_a(rng, sig=sig):
+            return random_assignment(sig, rng, max_depth=3)
+
+        def gen_n(rng, sig=sig):
+            return to_named(sig, gen_t(rng))
+
+        def gen_na(rng, sig=sig):
+            a = gen_a(rng)
+            return Assignment(tuple(to_named(sig, t) for t in a.prefix), a.tail_shift, nm.variables)
+
+        def show(s, sig=sig):
+            x, f, g, n = s
+            return f"{print_term(x)} {f!r} {g!r} {n}"
+
+        def shifted(t, sig=sig):
+            return to_named(sig, subst(t, Assignment((), 1), sig))
+
+        for m in (tm, ignoring):
+            add(check_monad_laws(m, gen_t, gen_a, cases=80, seed=seed, shrink=shrink_law_sample))
+        add(check_monad_laws(ignoring, gen_t, gen_a, cases=80, seed=seed, show=show))
+        add(check_monad_laws(nm, gen_n, gen_na, cases=40, seed=seed))
+        for m in (tm, ignoring, constant):
+            add(check_binding_conditions(m, sig, gen_t, gen_a, cases=80, seed=seed))
+        add(check_binding_conditions(nm, sig, gen_n, gen_na, cases=40, seed=seed))
+        for fn, target in (
+            (lambda t, sig=sig: to_named(sig, t), nm),
+            (lambda t: NVar("x0"), nm),
+            (shifted, nm),
+            (lambda t: t, constant),
+        ):
+            add(check_morphism(fn, tm, target, sig, gen_t, gen_a, cases=60, seed=seed))
+    theory = beta_eta_theory()
+    add(check_theory(theory, cases=60, seed=3))
+    # beta's right side under a wrong arity breaks its binding condition
+    beta = theory.rules[0]
+    add(check_half_equation(SIG, BindingArity((0, 0)), beta.right, cases=60, seed=3))
+    return h.hexdigest()
+
+
+def test_law_reports_are_pinned():
+    # recorded before the law checkers shared one sample stream: any change
+    # of a verdict, case index or counterexample changes the digest
+    assert law_report_digest() == (
+        "ebbc2a01bc30428bc41cae22e318d6ca74e3c2f4304f53ce9fb25abaeb804106"
+    )

@@ -126,6 +126,8 @@ def test_free_sets_match_reference():
 def test_fresh_names():
     assert fresh_names(3, {"a", "c"}) == ["b", "d", "e"]
     assert fresh_names(2, frozenset("abcdefghijklmnopqrstuvwxyz")) == ["a1", "b1"]
+    assert fresh_names(0, set()) == []
+    assert fresh_names(0, {"a"}) == []
 
 
 def test_free_set_is_not_part_of_equality_hash_or_repr():
