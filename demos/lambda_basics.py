@@ -21,7 +21,7 @@ sig = lambda_signature()
 # lam x. lam y. x y, namelessly: the inner variable 0 is y, 1 is x.
 t = parse_term("(lam (lam (app 1 0)))")
 print("term:           ", print_term(t))
-print("named:          ", print_term(to_named(sig, t), "named"))
+print("named:          ", print_term(to_named(sig, t)))
 print("support:        ", support(t, sig))
 
 # Parallel substitution: send free variable 0 to (lam 0) and shift the rest.

@@ -24,18 +24,18 @@ sch = stlc_schema({"a"})
 A = base("a")
 
 ident = TOp("lam", (A, A), (TVar(0, A),))
-print("identity:", print_term(ident, "typed"))
+print("identity:", print_term(ident))
 print("type:    ", typecheck(sch, ident))
 
 # Apply it to the free a-variable #0; then substitute a value for that
 # variable.  Indices are per type: the a-space and the (a -> a)-space do
 # not interfere.
 applied = TOp("app", (A, A), (ident, TVar(0, A)))
-print("\napplied: ", print_term(applied, "typed"))
+print("\napplied: ", print_term(applied))
 print("type:    ", typecheck(sch, applied))
 
 sigma = TypedAssignment({A: ((TOp("app", (A, A), (ident, TVar(3, A))),), 0)})
-print("substituted:", print_term(tsubst(applied, sigma, sch), "typed"))
+print("substituted:", print_term(tsubst(applied, sigma, sch)))
 
 # The values signature: every application binary tree yields one packed
 # operation.  A bare leaf recovers lambda-abstraction's arity; the

@@ -79,7 +79,7 @@ def _input_term(text: str, fmt: str, sig: BindingSignature):
     if fmt == "json":
         try:
             t = term_from_json(json.loads(text))
-        except (json.JSONDecodeError, KeyError, TypeError) as e:
+        except ValueError as e:  # json.JSONDecodeError is one
             raise CliError(f"bad JSON term: {e}", EXIT_PARSE) from None
         errs = wellformed(sig, t)
         if errs:
@@ -131,7 +131,7 @@ def cmd_term_rename(args) -> int:
 def cmd_term_to_named(args) -> int:
     sig = _load_signature(args.sig)
     t = _input_term(args.term, args.format, sig)
-    print(print_term(to_named(sig, t), "named"))
+    print(print_term(to_named(sig, t)))
     return EXIT_OK
 
 
@@ -192,6 +192,8 @@ def cmd_fuzz(args) -> int:
     unknown = [w for w in laws if w not in {"monad", "binding", "morphism"}]
     if unknown:
         raise CliError(f"unknown law group(s): {', '.join(unknown)}", EXIT_PARSE)
+    if args.cases < 1:
+        raise CliError(f"--cases must be at least 1, got {args.cases}", EXIT_PARSE)
     tm = term_model(sig)
     gen_elem = lambda rng: random_term(sig, rng, max_depth=5)
     gen_assign = lambda rng: random_assignment(sig, rng)
@@ -245,31 +247,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_term = sub.add_parser("term", help="term operations")
     term_sub = p_term.add_subparsers(dest="term_command", required=True)
 
-    p = term_sub.add_parser("subst", help="apply an assignment to a term")
-    p.add_argument("--sig", required=True)
-    p.add_argument("--term", required=True)
-    p.add_argument("--assign", required=True)
-    fmt_arg(p)
-    p.set_defaults(fn=cmd_term_subst)
-
-    p = term_sub.add_parser("rename", help="apply a renaming to a term")
-    p.add_argument("--sig", required=True)
-    p.add_argument("--term", required=True)
-    p.add_argument("--renaming", required=True)
-    fmt_arg(p)
-    p.set_defaults(fn=cmd_term_rename)
-
-    p = term_sub.add_parser("to-named", help="convert a nameless term to named form")
-    p.add_argument("--sig", required=True)
-    p.add_argument("--term", required=True)
-    fmt_arg(p)
-    p.set_defaults(fn=cmd_term_to_named)
-
-    p = term_sub.add_parser("from-named", help="convert a named term to nameless form")
-    p.add_argument("--sig", required=True)
-    p.add_argument("--term", required=True)
-    fmt_arg(p)
-    p.set_defaults(fn=cmd_term_from_named)
+    for name, fn, summary, extra in (
+        ("subst", cmd_term_subst, "apply an assignment to a term", ("--assign",)),
+        ("rename", cmd_term_rename, "apply a renaming to a term", ("--renaming",)),
+        ("to-named", cmd_term_to_named, "convert a nameless term to named form", ()),
+        ("from-named", cmd_term_from_named, "convert a named term to nameless form", ()),
+    ):
+        p = term_sub.add_parser(name, help=summary)
+        for flag in ("--sig", "--term", *extra):
+            p.add_argument(flag, required=True)
+        fmt_arg(p)
+        p.set_defaults(fn=fn)
 
     p = sub.add_parser("norm", help="normalize a term under a theory")
     p.add_argument("--theory", required=True, help="theory file, 'beta', or 'betaeta'")

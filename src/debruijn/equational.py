@@ -34,9 +34,6 @@ class MetaVar:
 
 # the explicit substitution of a metaterm is an ``Assignment`` whose
 # prefix holds metaterms; its tail variables are object variables
-MetaAssignment = Assignment
-
-
 @dataclass(frozen=True)
 class ExplicitSubst:
     body: object

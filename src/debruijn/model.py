@@ -30,13 +30,8 @@ from .subst import IDENTITY, NAT, Assignment, at, compose_with, lift_with, subst
 from .term import Term, Var, Op, fold
 
 
-# --- assignments over an arbitrary carrier ------------------------------
-
 # A model's assignments are the one finite ``Assignment``, with the model's
 # variables map as the carrier's ``var``.
-ModelAssignment = Assignment
-
-
 @dataclass
 class DeBruijnMonad:
     """Carrier with variables and substitution maps plus decidable equality."""

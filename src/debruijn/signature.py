@@ -34,9 +34,6 @@ class BindingSignature:
 
     ops: dict[str, BindingArity]
 
-    def arity(self, name: str) -> BindingArity:
-        return self.ops[name]
-
 
 def arity(*binders: int) -> BindingArity:
     return BindingArity(tuple(binders))
@@ -149,7 +146,7 @@ def _subst_type(ty: TypeExpr, env: dict[str, TypeExpr]) -> TypeExpr:
 
 
 def instantiate_schema(
-    schema: OpSchema, type_args: tuple[TypeExpr, ...], grammar: TypeGrammar | None = None
+    schema: OpSchema, type_args: tuple[TypeExpr, ...], grammar: TypeGrammar
 ) -> TypedArity:
     """Replace a schema's type metavariables by concrete type expressions."""
     if len(type_args) != len(schema.metavars):
@@ -157,11 +154,10 @@ def instantiate_schema(
             f"schema '{schema.name}' expects {len(schema.metavars)} type "
             f"arguments, got {len(type_args)}"
         )
-    if grammar is not None:
-        for ta in type_args:
-            errs = grammar.wellformed(ta)
-            if errs:
-                raise ValueError(f"non-ground type argument {ta}: {errs[0]}")
+    for ta in type_args:
+        errs = grammar.wellformed(ta)
+        if errs:
+            raise ValueError(f"non-ground type argument {ta}: {errs[0]}")
     env = dict(zip(schema.metavars, type_args))
     tmpl = schema.template
     return TypedArity(
@@ -193,19 +189,9 @@ def _valid_name(name: str) -> bool:
 def validate_signature(sig) -> list[str]:
     """Check well-formedness; returns a list of diagnostics (empty = ok).
 
-    Accepts a ``BindingSignature``, a ``TypedSignatureSchema``, or a raw
-    list of ``(name, arity)`` pairs (as produced by the parser, where
-    duplicate names are still observable).
+    Accepts a ``BindingSignature`` or a ``TypedSignatureSchema``.
     """
     errs: list[str] = []
-    if isinstance(sig, list):
-        seen = set()
-        for name, a in sig:
-            if name in seen:
-                errs.append(f"duplicate operation name '{name}'")
-            seen.add(name)
-        errs.extend(validate_signature(BindingSignature(dict(sig))))
-        return errs
     if isinstance(sig, BindingSignature):
         for name, a in sig.ops.items():
             if not _valid_name(name):

@@ -52,7 +52,7 @@ def Renaming(prefix=(), tail_shift: int = 0) -> Assignment:
     return Assignment(prefix, tail_shift, NAT)
 
 
-IDENTITY = IDENTITY_RENAMING = Assignment()
+IDENTITY = Assignment()
 SHIFT = Assignment((), 1)
 
 

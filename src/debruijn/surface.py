@@ -9,11 +9,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Optional
 
 from .equational import EquationalTheory, ExplicitSubst, MetaVar, Rule, validate_theory
-from .model import NOp, NVar, NamedTerm, to_named
+from .model import NOp, NVar, NamedTerm
 from .signature import (
     BindingArity,
     BindingSignature,
@@ -57,6 +56,11 @@ class ParseError(Exception):
 
 def _fail(message: str, span: Optional[SourceSpan] = None):
     raise ParseError([Diagnostic("error", message, span)])
+
+
+def _reject(errs: list[str]) -> None:
+    if errs:
+        raise ParseError([Diagnostic("error", e) for e in errs])
 
 
 _TOKEN_RE = re.compile(
@@ -137,6 +141,16 @@ class _Parser:
         if tok.kind != "eof":
             _fail(f"unexpected trailing input {tok.text!r}", tok.span)
 
+    def items(self, item: Callable[[], object], stop: str) -> list:
+        """``item, item, ...`` up to ``stop``, which is left unread; empty
+        when ``stop`` comes first."""
+        if self.at(stop):
+            return []
+        out = [item()]
+        while self.accept(","):
+            out.append(item())
+        return out
+
     # -- types ----------------------------------------------------------
 
     def type_expr(self) -> TypeExpr:
@@ -211,12 +225,7 @@ class _Parser:
             _fail("expected 'op' or '#' in typed term", head.span)
         self.expect("[")
         name = self.expect("ident").text
-        targs: list[TypeExpr] = []
-        if self.accept(";"):
-            if not self.at("]"):
-                targs.append(self.type_expr())
-                while self.accept(","):
-                    targs.append(self.type_expr())
+        targs = self.items(self.type_expr, "]") if self.accept(";") else []
         self.expect("]")
         args = []
         while not self.at(")"):
@@ -233,11 +242,7 @@ class _Parser:
         """``[e, ...; ^k]``, each ``e`` read by ``entry``; the carrier's
         ``var`` makes it canonical."""
         self.expect("[")
-        entries = []
-        if not self.at(";"):
-            entries.append(entry())
-            while self.accept(","):
-                entries.append(entry())
+        entries = self.items(entry, ";")
         self.expect(";")
         self.expect("^")
         shift = self.nat()
@@ -279,26 +284,19 @@ def parse_type(text: str) -> TypeExpr:
     return ty
 
 
+_TERM_READERS = {"nameless": _Parser.nameless, "named": _Parser.named, "typed": _Parser.typed}
+
+
 def parse_term(text: str, mode: str = "nameless", sig: Optional[BindingSignature] = None):
     """Parse a term; with a signature, nameless terms are arity-checked."""
     p = _Parser(text)
-    if mode == "nameless":
-        t = p.nameless()
-        p.done()
-        if sig is not None:
-            errs = wellformed(sig, t)
-            if errs:
-                raise ParseError([Diagnostic("error", e) for e in errs])
-        return t
-    if mode == "named":
-        t = p.named()
-        p.done()
-        return t
-    if mode == "typed":
-        t = p.typed()
-        p.done()
-        return t
-    raise ValueError(f"unknown mode {mode!r}")
+    if mode not in _TERM_READERS:
+        raise ValueError(f"unknown mode {mode!r}")
+    t = _TERM_READERS[mode](p)
+    p.done()
+    if sig is not None and mode == "nameless":
+        _reject(wellformed(sig, t))
+    return t
 
 
 def parse_renaming(text: str) -> Assignment:
@@ -314,20 +312,16 @@ def parse_assignment(text: str, sig: Optional[BindingSignature] = None) -> Assig
     p.done()
     if sig is not None:
         for t in a.prefix:
-            errs = wellformed(sig, t)
-            if errs:
-                raise ParseError([Diagnostic("error", e) for e in errs])
+            _reject(wellformed(sig, t))
     return a
 
 
 # --- printers ------------------------------------------------------------
 
 
-def print_term(t, mode: str = "nameless", sig: Optional[BindingSignature] = None) -> str:
-    if isinstance(t, Term) and mode == "named":
-        if sig is None:
-            raise ValueError("printing a nameless term as named requires a signature")
-        t = to_named(sig, t)
+def print_term(t) -> str:
+    """Canonical text of a nameless, named or typed term, or of a natural
+    (an entry of a renaming); ``print_term(to_named(sig, t))`` names ``t``."""
     match t:
         case Var(index):
             return str(index)
@@ -340,21 +334,21 @@ def print_term(t, mode: str = "nameless", sig: Optional[BindingSignature] = None
             for binders, body in args:
                 if binders:
                     parts.append("[" + " ".join(binders) + "]")
-                parts.append(print_term(body, "named"))
+                parts.append(print_term(body))
             return "(" + " ".join(parts) + ")"
         case TVar(index, ty):
             return f"(#{index} : {ty})"
         case TOp(name, targs, args):
             head = f"op[{name}; {', '.join(str(ty) for ty in targs)}]"
-            return "(" + " ".join([head, *(print_term(a, "typed") for a in args)]) + ")"
+            return "(" + " ".join([head, *(print_term(a) for a in args)]) + ")"
+        case int():
+            return str(t)
     raise TypeError(t)
 
 
-def print_assignment(a: Assignment, entry: Callable[[object], str] = print_term) -> str:
-    return "[" + ", ".join(map(entry, a.prefix)) + f"; ^{a.tail_shift}]"
-
-
-print_renaming = partial(print_assignment, entry=str)
+def print_assignment(a: Assignment) -> str:
+    """``[e, ...; ^k]``, renamings included: their entries are naturals."""
+    return "[" + ", ".join(map(print_term, a.prefix)) + f"; ^{a.tail_shift}]"
 
 
 def term_to_json(t: Term):
@@ -367,9 +361,16 @@ def term_to_json(t: Term):
 
 
 def term_from_json(data) -> Term:
-    if "var" in data:
-        return Var(data["var"])
-    return Op(data["op"], tuple(term_from_json(a) for a in data["args"]))
+    """``{"var": n}`` or ``{"op": name, "args": [...]}``, with exactly
+    these keys; any other shape raises ``ValueError``."""
+    # exact type tests: a bool is not an index, and a match statement's
+    # mapping patterns cost three times as much per node
+    if type(data) is dict:
+        if len(data) == 1 and type(data.get("var")) is int:
+            return Var(data["var"])
+        if len(data) == 2 and type(data.get("op")) is str and type(data.get("args")) is list:
+            return Op(data["op"], tuple(term_from_json(a) for a in data["args"]))
+    raise ValueError(f"not a JSON term: {data!r}")
 
 
 # --- signature and theory files ------------------------------------------
@@ -377,7 +378,6 @@ def term_from_json(data) -> Term:
 
 @dataclass
 class SignatureFile:
-    grammar: Optional[TypeGrammar]
     signatures: dict[str, BindingSignature]
     schemas: dict[str, TypedSignatureSchema]
 
@@ -399,26 +399,18 @@ def _parse_typedecl(p: _Parser) -> dict[str, int]:
     return ctors
 
 
-def _parse_opdecl(p: _Parser):
-    """Returns (name, BindingArity) or (name, metavars, TypedArity)."""
-    p.expect("ident")  # 'op' keyword, checked by caller
+def _parse_opdecl(p: _Parser) -> tuple[str, BindingArity | OpSchema]:
+    """``name : (n, ...);`` or ``name [metavars] : premises -> type;``,
+    after the ``op`` keyword."""
     name = p.expect("ident").text
     if p.accept("["):
-        metavars: list[str] = []
-        if not p.at("]"):
-            metavars.append(p.expect("ident").text)
-            while p.accept(","):
-                metavars.append(p.expect("ident").text)
+        metavars = p.items(lambda: p.expect("ident").text, "]")
         p.expect("]")
         p.expect(":")
         premises = []
         while p.at("("):
             p.expect("(")
-            gamma: list[TypeExpr] = []
-            if not p.at("turnstile"):
-                gamma.append(p.type_expr())
-                while p.accept(","):
-                    gamma.append(p.type_expr())
+            gamma = p.items(p.type_expr, "turnstile")
             p.expect("turnstile")
             tau = p.type_expr()
             p.expect(")")
@@ -428,24 +420,46 @@ def _parse_opdecl(p: _Parser):
         p.expect("arrow")
         conclusion = p.type_expr()
         p.expect(";")
-        return name, tuple(metavars), TypedArity(tuple(premises), conclusion)
+        return name, OpSchema(name, tuple(metavars), TypedArity(tuple(premises), conclusion))
     p.expect(":")
     p.expect("(")
-    binders: list[int] = []
-    if not p.at(")"):
-        binders.append(p.nat())
-        while p.accept(","):
-            binders.append(p.nat())
+    binders = p.items(p.nat, ")")
     p.expect(")")
     p.expect(";")
     return name, BindingArity(tuple(binders))
 
 
+def _signature_block(p: _Parser, grammar: Optional[TypeGrammar]):
+    """``name { op ...; }`` after the ``signature`` keyword: returns the
+    name and a ``BindingSignature``, or a ``TypedSignatureSchema`` over
+    ``grammar``.  Without a grammar (a theory file) a typed operation is
+    an error."""
+    name = p.expect("ident").text
+    p.expect("{")
+    ops: dict[str, BindingArity | OpSchema] = {}
+    while not p.at("}"):
+        kw = p.next()
+        if kw.text != "op":
+            _fail(f"expected 'op', found '{kw.text}'", kw.span)
+        op, decl = _parse_opdecl(p)
+        if grammar is None and isinstance(decl, OpSchema):
+            _fail("theory signatures must be untyped")
+        if op in ops:
+            _fail(f"duplicate operation name '{op}'")
+        ops[op] = decl
+    p.expect("}")
+    typed = sum(isinstance(d, OpSchema) for d in ops.values())
+    if 0 < typed < len(ops):
+        _fail(f"signature '{name}' mixes typed and untyped operations")
+    sig = TypedSignatureSchema(grammar, ops) if typed else BindingSignature(ops)
+    _reject(validate_signature(sig))
+    return name, sig
+
+
 def parse_signature_file(text: str) -> SignatureFile:
     p = _Parser(text)
     ctors: dict[str, int] = {}
-    signatures: dict[str, BindingSignature] = {}
-    schemas: dict[str, TypedSignatureSchema] = {}
+    f = SignatureFile({}, {})
     while not p.at("eof"):
         tok = p.expect("ident")
         if tok.text == "types":
@@ -453,39 +467,12 @@ def parse_signature_file(text: str) -> SignatureFile:
             continue
         if tok.text != "signature":
             _fail(f"expected 'types' or 'signature', found '{tok.text}'", tok.span)
-        sig_name = p.expect("ident").text
-        p.expect("{")
-        untyped: list[tuple[str, BindingArity]] = []
-        typed_ops: dict[str, OpSchema] = {}
-        while not p.at("}"):
-            kw = p.peek()
-            if kw.text != "op":
-                _fail(f"expected 'op', found '{kw.text}'", kw.span)
-            decl = _parse_opdecl(p)
-            if len(decl) == 2:
-                untyped.append(decl)
-            else:
-                name, metavars, ar = decl
-                if name in typed_ops:
-                    _fail(f"duplicate operation name '{name}'")
-                typed_ops[name] = OpSchema(name, metavars, ar)
-        p.expect("}")
-        if untyped and typed_ops:
-            _fail(f"signature '{sig_name}' mixes typed and untyped operations")
-        if typed_ops:
-            grammar = TypeGrammar(dict(ctors) | {"->": 2})
-            schema = TypedSignatureSchema(grammar, typed_ops)
-            errs = validate_signature(schema)
-            if errs:
-                raise ParseError([Diagnostic("error", e) for e in errs])
-            schemas[sig_name] = schema
+        name, sig = _signature_block(p, TypeGrammar(ctors | {"->": 2}))
+        if isinstance(sig, BindingSignature):
+            f.signatures[name] = sig
         else:
-            errs = validate_signature(untyped)
-            if errs:
-                raise ParseError([Diagnostic("error", e) for e in errs])
-            signatures[sig_name] = BindingSignature(dict(untyped))
-    grammar = TypeGrammar(dict(ctors) | {"->": 2}) if ctors else None
-    return SignatureFile(grammar, signatures, schemas)
+            f.schemas[name] = sig
+    return f
 
 
 def parse_theory_file(text: str) -> EquationalTheory:
@@ -499,34 +486,14 @@ def parse_theory_file(text: str) -> EquationalTheory:
         if tok.text == "signature":
             if signature is not None:
                 _fail("theory file declares more than one signature", tok.span)
-            p.expect("ident")  # signature name, unused here
-            p.expect("{")
-            untyped: list[tuple[str, BindingArity]] = []
-            while not p.at("}"):
-                kw = p.peek()
-                if kw.text != "op":
-                    _fail(f"expected 'op', found '{kw.text}'", kw.span)
-                decl = _parse_opdecl(p)
-                if len(decl) != 2:
-                    _fail("theory signatures must be untyped")
-                untyped.append(decl)
-            p.expect("}")
-            errs = validate_signature(untyped)
-            if errs:
-                raise ParseError([Diagnostic("error", e) for e in errs])
-            signature = BindingSignature(dict(untyped))
+            _, signature = _signature_block(p, None)
             continue
         if tok.text != "eq":
             _fail(f"expected 'signature' or 'eq', found '{tok.text}'", tok.span)
         name = p.expect("ident").text
         p.expect("[")
         parens = p.accept("(") is not None
-        closer = ")" if parens else "]"
-        binders: list[int] = []
-        if not p.at(closer):
-            binders.append(p.nat())
-            while p.accept(","):
-                binders.append(p.nat())
+        binders = p.items(p.nat, ")" if parens else "]")
         if parens:
             p.expect(")")
         p.expect("]")
@@ -539,9 +506,7 @@ def parse_theory_file(text: str) -> EquationalTheory:
     if signature is None:
         _fail("theory file declares no signature")
     theory = EquationalTheory(signature, tuple(rules))
-    errs = validate_theory(theory)
-    if errs:
-        raise ParseError([Diagnostic("error", e) for e in errs])
+    _reject(validate_theory(theory))
     return theory
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from itertools import zip_longest
 from operator import is_not
-from typing import Any, Callable, Optional
+from typing import Any, Callable
 
 from .model import (
     NamedTerm,
@@ -88,9 +88,6 @@ class TypedAssignment:
 
     def component(self, ty: TypeExpr) -> Assignment:
         return self.components.get(ty, IDENTITY)
-
-
-TYPED_IDENTITY = TypedAssignment()
 
 
 def typed_assignment_at(sigma: TypedAssignment, ty: TypeExpr, n: int) -> TypedTerm:
@@ -338,23 +335,22 @@ def typed_to_named(schema: TypedSignatureSchema, t: TypedTerm) -> NamedTerm:
 # --- degenerate single-type reduction -----------------------------------
 
 
-def degenerate_schema(sig, base_name: str = "o") -> TypedSignatureSchema:
-    """Mirror an untyped signature as a typed one over a single type."""
-    o = base(base_name)
+def degenerate_schema(sig) -> TypedSignatureSchema:
+    """Mirror an untyped signature as a typed one over the single type ``o``."""
+    o = base("o")
     schemas = {}
     for name, a in sig.ops.items():
         premises = tuple(((o,) * n, o) for n in a.binders)
         schemas[name] = OpSchema(name, (), TypedArity(premises, o))
-    return TypedSignatureSchema(TypeGrammar({base_name: 0}), schemas)
+    return TypedSignatureSchema(TypeGrammar({"o": 0}), schemas)
 
 
-def to_degenerate(t, base_name: str = "o") -> TypedTerm:
-    o = base(base_name)
+def to_degenerate(t) -> TypedTerm:
     match t:
         case Var(index):
-            return TVar(index, o)
+            return TVar(index, base("o"))
         case Op(name, args):
-            return TOp(name, (), tuple(to_degenerate(a, base_name) for a in args))
+            return TOp(name, (), tuple(to_degenerate(a) for a in args))
     raise TypeError(t)
 
 
@@ -417,7 +413,7 @@ def _subexprs(ty: TypeExpr) -> list[TypeExpr]:
 
 
 def bt_enumerate(
-    grammar: Optional[TypeGrammar],
+    grammar: TypeGrammar,
     conclusion: TypeExpr,
     max_leaves: int,
     context_types: tuple[TypeExpr, ...] = (),
@@ -426,11 +422,10 @@ def bt_enumerate(
     ``max_leaves`` leaves, with leaf types restricted to subexpressions of
     the conclusion and the supplied context types.  Ordered by leaf count,
     then construction order."""
-    if grammar is not None:
-        for ty in (conclusion, *context_types):
-            errs = grammar.wellformed(ty)
-            if errs:
-                raise ValueError("; ".join(errs))
+    for ty in (conclusion, *context_types):
+        errs = grammar.wellformed(ty)
+        if errs:
+            raise ValueError("; ".join(errs))
     universe: list[TypeExpr] = []
     for ty in (conclusion, *context_types):
         for sub in _subexprs(ty):

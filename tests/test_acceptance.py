@@ -15,7 +15,6 @@ import time
 from debruijn import (
     IDENTITY,
     Assignment,
-    ModelAssignment,
     Op,
     TOp,
     TVar,
@@ -156,7 +155,7 @@ def test_criterion_3_unique_substitution():
         lhs = to_named(SIG, subst(t, a, SIG))
         rhs = nm.substitution(
             to_named(SIG, t),
-            ModelAssignment(tuple(to_named(SIG, u) for u in a.prefix), a.tail_shift),
+            Assignment(tuple(to_named(SIG, u) for u in a.prefix), a.tail_shift),
         )
         if not alpha_eq(lhs, rhs):
             ok = False
@@ -172,7 +171,7 @@ def test_criterion_4_initiality():
 
     def gen_assign(rng):
         a = random_assignment(SIG, rng, max_depth=3)
-        return ModelAssignment(a.prefix, a.tail_shift)
+        return Assignment(a.prefix, a.tail_shift)
 
     report = check_morphism(
         lambda t: to_named(SIG, t), tm, nm, SIG, gen_elem, gen_assign,

@@ -232,3 +232,35 @@ def test_unexpected_exception_is_an_internal_error(lam_sig, capsys, monkeypatch)
     assert code == cli.EXIT_INTERNAL == 4
     err = capsys.readouterr().err
     assert err == "internal error: RuntimeError: boom\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--term", '{"var": "x"}'],
+    ["--term", '{"var": true}'],
+    ["--term", '{"var": 1.5}'],
+    ["--term", '{"var": 0, "op": "lam"}'],
+    ["--term", '{"op": "lam"}'],
+    ["--term", '{"op": "lam", "args": [{"var": 0}], "note": 1}'],
+    ["--term", '{"op": 3, "args": []}'],
+    ["--term", '{"op": "lam", "args": {"var": 0}}'],
+    ["--term", '{"op": "lam", "args": [[0]]}'],
+    ["--term", "[0]"],
+    ["--term", "0"],
+    ["--term", "{"],
+    ["fuzz", "--cases", "0"],
+    ["fuzz", "--cases", "-3"],
+], ids=[
+    "var-str", "var-bool", "var-float", "var-extra-key", "op-no-args", "op-extra-key",
+    "op-not-str", "args-not-list", "arg-not-object", "list", "number", "not-json",
+    "cases-zero", "cases-negative",
+])
+def test_malformed_request_exits_2_with_empty_stdout(lam_sig, capsys, argv):
+    if argv[0] == "fuzz":
+        argv = ["fuzz", "--sig", lam_sig, *argv[1:]]
+    else:
+        argv = ["term", "subst", "--sig", lam_sig, "--assign", "[; ^0]",
+                "--format", "json", *argv]
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err != ""

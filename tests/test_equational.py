@@ -6,10 +6,10 @@ from __future__ import annotations
 import random
 
 from debruijn import (
+    Assignment,
     BindingArity,
     EquationalTheory,
     ExplicitSubst,
-    MetaAssignment,
     MetaVar,
     Op,
     Rule,
@@ -87,7 +87,7 @@ def test_general_explicit_subst_pattern_rejected():
     rule = Rule(
         "bad",
         BindingArity((0, 0)),
-        ExplicitSubst(MetaVar(0), MetaAssignment((MetaVar(1),), 0)),
+        ExplicitSubst(MetaVar(0), Assignment((MetaVar(1),), 0)),
         MetaVar(0),
     )
     errs = validate_theory(EquationalTheory(SIG, (rule,)))
@@ -102,7 +102,7 @@ def test_identity_explicit_subst_is_a_shift_pattern():
         "eq idsub [0] : (lam {?0 [0; ^1]}) = (lam ?0);\n"
     )
     left = theory.rules[0].left
-    assert left == lam(ExplicitSubst(MetaVar(0), MetaAssignment((), 0)))
+    assert left == lam(ExplicitSubst(MetaVar(0), Assignment((), 0)))
     assert validate_theory(theory) == []
     t = app(Var(0), Var(3))
     assert match_pattern(left, lam(t), SIG) == {0: t}
@@ -126,7 +126,7 @@ def test_shift_pattern_matches_reference():
                         support(node, sig)
                     stack.extend(node.args)
             for k in range(4):
-                pattern = ExplicitSubst(MetaVar(0), MetaAssignment((), k))
+                pattern = ExplicitSubst(MetaVar(0), Assignment((), k))
                 want = ref_unshift(t, k, sig)
                 got = match_pattern(pattern, t, sig)
                 assert got == (None if want is None else {0: want})

@@ -10,7 +10,6 @@ import pytest
 
 from debruijn import (
     IDENTITY,
-    TYPED_IDENTITY,
     Assignment,
     Op,
     Renaming,
@@ -88,7 +87,7 @@ def test_identity_returns_the_input():
         assert subst(t, IDENTITY, sig) is t
         assert rename(t, shift_renaming(0), sig) is t
     t = random_typed_term(SCH, rng, arrow(A, A), max_depth=4)
-    assert tsubst(t, TYPED_IDENTITY, SCH) is t
+    assert tsubst(t, TypedAssignment(), SCH) is t
     assert multi_shift(t, {A: 0}, SCH) is t
 
 

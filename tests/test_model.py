@@ -11,7 +11,6 @@ from debruijn import (
     Assignment,
     BindingArity,
     DBAlgebra,
-    ModelAssignment,
     NOp,
     NVar,
     Var,
@@ -53,7 +52,7 @@ def gen_elem(rng):
 
 def gen_assign(rng):
     a = random_assignment(SIG, rng)
-    return ModelAssignment(a.prefix, a.tail_shift)
+    return Assignment(a.prefix, a.tail_shift)
 
 
 # --- term model ---------------------------------------------------------
@@ -66,7 +65,7 @@ def test_term_model_shape():
 
 def test_term_model_substitution_under_binder():
     # lam(Var 1)[Var 0 . id]: the lifted assignment sends 1 to Var 1
-    got = TM.substitution(lam(Var(1)), ModelAssignment((Var(0),), 0))
+    got = TM.substitution(lam(Var(1)), Assignment((Var(0),), 0))
     assert got == lam(Var(1))
 
 
@@ -83,7 +82,7 @@ def test_nat_monad_laws():
     report = check_monad_laws(
         m,
         lambda rng: rng.randrange(8),
-        lambda rng: ModelAssignment(
+        lambda rng: Assignment(
             tuple(rng.randrange(20) for _ in range(rng.randint(0, 4))),
             rng.randint(0, 3),
         ),
@@ -142,7 +141,7 @@ def test_model_lift_matches_term_lift():
     rng = random.Random(3)
     for _ in range(100):
         a = random_assignment(SIG, rng)
-        got = model_lift(TM, ModelAssignment(a.prefix, a.tail_shift))
+        got = model_lift(TM, Assignment(a.prefix, a.tail_shift))
         want = lift(a, SIG)
         assert Assignment(tuple(got.prefix), got.tail_shift) == want
 
@@ -155,7 +154,7 @@ def test_model_compose_matches_term_compose():
         a = random_assignment(SIG, rng)
         b = random_assignment(SIG, rng)
         got = model_compose(
-            TM, ModelAssignment(a.prefix, a.tail_shift), ModelAssignment(b.prefix, b.tail_shift)
+            TM, Assignment(a.prefix, a.tail_shift), Assignment(b.prefix, b.tail_shift)
         )
         want = compose(a, b, SIG)
         assert Assignment(tuple(got.prefix), got.tail_shift) == want
@@ -216,7 +215,7 @@ def test_named_model_laws():
 
     def gen_named_assign(rng):
         a = random_assignment(SIG, rng, max_depth=3)
-        return ModelAssignment(tuple(to_named(SIG, t) for t in a.prefix), a.tail_shift)
+        return Assignment(tuple(to_named(SIG, t) for t in a.prefix), a.tail_shift)
 
     report = check_monad_laws(NM, gen_named, gen_named_assign, cases=500, seed=0)
     assert report.ok, str(report)
@@ -281,7 +280,7 @@ def test_fold_commutes_with_subst():
         lhs = to_named(SIG, subst(t, a, SIG))
         rhs = NM.substitution(
             to_named(SIG, t),
-            ModelAssignment(tuple(to_named(SIG, u) for u in a.prefix), a.tail_shift),
+            Assignment(tuple(to_named(SIG, u) for u in a.prefix), a.tail_shift),
         )
         assert alpha_eq(lhs, rhs)
 

@@ -392,10 +392,10 @@ def named_output_digest() -> str:
         rng = random.Random(100 + k)
         for _ in range(300):
             t = random_term(sig, rng, max_depth=7, max_index=6)
-            h.update(print_term(to_named(sig, t), "named").encode() + b"\n")
+            h.update(print_term(to_named(sig, t)).encode() + b"\n")
     for depth in (30, 60, 90):
         t = deep_lambda(random.Random(depth), depth)
-        h.update(print_term(to_named(SIG, t), "named").encode() + b"\n")
+        h.update(print_term(to_named(SIG, t)).encode() + b"\n")
     rng = random.Random(104)
     pool = ground_types(SCH.grammar)
     for _ in range(200):

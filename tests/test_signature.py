@@ -17,9 +17,11 @@ from debruijn import (
     instantiate_schema,
     lambda_signature,
     make_signature,
+    parse_theory_file,
     stlc_schema,
     validate_signature,
 )
+from debruijn.surface import ParseError
 
 
 def test_first_order_arity():
@@ -100,9 +102,10 @@ def test_instantiate_injective_on_stlc():
 
 
 def test_validate_duplicate_names():
-    pairs = [("f", BindingArity((0,))), ("f", BindingArity((1,)))]
-    errs = validate_signature(pairs)
-    assert any("duplicate" in e for e in errs)
+    # a signature value cannot repeat a name: the reader rejects it
+    with pytest.raises(ParseError) as e:
+        parse_theory_file("signature s { op f : (0); op f : (1); }")
+    assert [d.message for d in e.value.diagnostics] == ["duplicate operation name 'f'"]
 
 
 def test_validate_unknown_constructor_in_schema():

@@ -7,7 +7,6 @@ import random
 
 from debruijn import (
     IDENTITY,
-    IDENTITY_RENAMING,
     SHIFT,
     Assignment,
     Renaming,
@@ -53,7 +52,7 @@ def test_apply_renaming_shift():
 def test_canonical_form_drops_redundant_prefix():
     # prefix entries the tail already produces are popped on construction
     assert Assignment((Var(5),), 6) == Assignment((), 5)
-    assert Renaming((0, 1, 2), 3) == IDENTITY_RENAMING
+    assert Renaming((0, 1, 2), 3) == IDENTITY
     # pointwise-equal representations collapse to the same canonical form
     assert Assignment((lam(Var(0)), Var(1)), 2) == Assignment((lam(Var(0)),), 1)
     # a genuinely different entry is kept
@@ -87,7 +86,7 @@ def test_lift_renaming_shift():
 
 
 def test_lift_renaming_identity():
-    assert lift_renaming(IDENTITY_RENAMING) == IDENTITY_RENAMING
+    assert lift_renaming(IDENTITY) == IDENTITY
 
 
 def test_lift_renaming_prefix():
