@@ -8,6 +8,7 @@ undecided, 4 internal error (an unexpected exception).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -228,7 +229,10 @@ def _show_sample(sample) -> str:
 # --- parser --------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: ``main`` only reads
+    it, and each parse returns a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="debruijn",
         description="signature-generic nameless syntax toolkit",

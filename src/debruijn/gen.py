@@ -9,7 +9,7 @@ from typing import Iterator, Sequence
 
 from .signature import BindingSignature, TypeExpr, instantiate_schema
 from .subst import Assignment, Renaming
-from .term import Term, Var, Op
+from .term import Term, Var, Op, fold_nodes
 from .typed import TOp, TVar, TypedAssignment
 
 
@@ -70,19 +70,14 @@ def enumerate_terms(
             p = len(a.binders)
             for args in itertools.product(pool, repeat=p):
                 candidate = Op(name, args)
-                if _depth(candidate, sig) == d:
+                if _depth(candidate) == d:
                     level.append(candidate)
         by_depth.append(level)
     return [t for level in by_depth[1:] for t in level]
 
 
-def _depth(t: Term, sig: BindingSignature) -> int:
-    match t:
-        case Var(_):
-            return 1
-        case Op(_, args):
-            return 1 + max((_depth(a, sig) for a in args), default=0)
-    raise TypeError(t)
+def _depth(t: Term) -> int:
+    return fold_nodes(t, lambda v: 1, lambda o, depths: 1 + max(depths, default=0))
 
 
 def enumerate_assignments(

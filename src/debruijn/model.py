@@ -94,16 +94,14 @@ def nat_monad() -> DeBruijnMonad:
 
 @dataclass(frozen=True)
 class NamedTerm:
-    clash = False
+    pass
 
 
 # A variable's key is its name, or its (name, type) pair when typed; a
-# binder declaration is a key.  Each node caches the keys free in it in
-# ``free``, computed once from its children's sets; a typed node also
-# caches in ``clash`` whether a binder in it shares its name with a free
-# variable of another type in its scope, which cannot happen at one sort.
-# Neither takes part in ==, hash or repr.  The hooks on the operation
-# classes are all that tells sorts apart.
+# binder declaration is a key, and it binds exactly the variables of its
+# key.  Each node caches the keys free in it in ``free``, computed once
+# from its children's sets; it takes no part in ==, hash or repr.  The
+# hooks on the operation classes are all that tells sorts apart.
 
 
 @dataclass(frozen=True)
@@ -129,7 +127,6 @@ class NOp(NamedTerm):
 
     # one sort, None, and a key is its name; split yields (key, name, sort)
     key_names = staticmethod(frozenset)
-    apart = staticmethod(frozenset.isdisjoint)
     group_sorts = len
     split = staticmethod(lambda keys: zip(keys, keys, repeat(None)))
     var = staticmethod(lambda name, sort: NVar(name))
@@ -154,17 +151,11 @@ class TNOp(NamedTerm):
     # context, body); a binder declaration is a (name, type) pair
     args: tuple[tuple[tuple[tuple[str, TypeExpr], ...], NamedTerm], ...]
     free: frozenset = field(init=False, repr=False, compare=False)
-    clash: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "free", _free_of_args(self.args))
-        object.__setattr__(self, "clash", any(
-            body.clash or not TNOp.apart(body.free.difference(binders), binders)
-            for binders, body in self.args
-        ))
 
     key_names = staticmethod(lambda keys: {n for n, _ in keys})
-    apart = staticmethod(lambda keys, decls: TNOp.key_names(keys).isdisjoint(n for n, _ in decls))
     group_sorts = staticmethod(lambda decls: [ty for _, ty in decls])
     split = staticmethod(lambda keys: ((key, *key) for key in keys))
     var = TNVar
@@ -282,17 +273,14 @@ def named_subst(t: NamedTerm, mapping: dict) -> NamedTerm:
     """Simultaneous capture-avoiding substitution with deterministic
     fresh binder names; ``mapping`` sends keys to terms.
 
-    A binder is renamed when its name is that of a variable free in its
-    body and not bound by it, or free in an image entering its scope.  In
-    typed syntax names are compared without types, so a binder whose name
-    is free in its body at another type is renamed though nothing could be
-    captured: spurious, but ``typed_to_named``'s printed names depend on it.
+    A binder is renamed when its key is free in an image entering its
+    scope, to a name free neither in its body nor in any such image.
 
     Sharing: a subterm (``t`` too) in which no key of ``mapping`` is free
-    and no binder clashes is returned itself, and only the entries free in
-    a body are passed down into it.
+    is returned itself, and only the entries free in a body are passed
+    down into it.
     """
-    if mapping.keys().isdisjoint(t.free) and not t.clash:
+    if mapping.keys().isdisjoint(t.free):
         return t
     kind = type(t)
     if kind is not NOp and kind is not TNOp:  # a variable
@@ -304,16 +292,16 @@ def named_subst(t: NamedTerm, mapping: dict) -> NamedTerm:
             new_args.append(((), mapping.get(body.name, body)))
             continue
         relevant = _relevant(mapping, body.free, binders)
-        if binders and (relevant or t.clash):
+        if binders and relevant:
             captured = frozenset().union(*map(_free, relevant.values()))
-            if t.clash or not kind.apart(captured, binders):
+            if not captured.isdisjoint(binders):
                 # rename, fresh for the body and every image, as binders go
                 avoid = t.key_names(body.free.difference(binders) | captured)
                 taken = set(avoid)
                 relevant = dict(relevant)
                 new_names, sorts = [], []
                 for b, z, sort in t.split(binders):
-                    if z in avoid:
+                    if b in captured:
                         (z,) = fresh_names(1, taken)
                         relevant[b] = t.var(z, sort)
                     new_names.append(z)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .equational import EquationalTheory, ExplicitSubst, MetaVar, Rule, validate_theory
 from .model import NOp, NVar, NamedTerm
@@ -76,37 +76,38 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class Token:
+def _span(source: str, start: int, end: int) -> SourceSpan:
+    line_start = source.rfind("\n", 0, start)
+    return SourceSpan(start, end, source.count("\n", 0, start) + 1, start - line_start)
+
+
+class Token(NamedTuple):
+    """A token and its start offset in ``source``; its line and column
+    are worked out only when a diagnostic asks for its span."""
+
     kind: str
     text: str
-    span: SourceSpan
+    start: int
+    source: str
+
+    @property
+    def span(self) -> SourceSpan:
+        return _span(self.source, self.start, self.start + len(self.text))
 
 
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
     pos = 0
-    line, col = 1, 1
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
         if m is None:
-            _fail(f"unexpected character {text[pos]!r}", SourceSpan(pos, pos + 1, line, col))
-        span = SourceSpan(pos, m.end(), line, col)
-        chunk = m.group(0)
-        if m.lastgroup == "ws":
-            pass
-        elif m.lastgroup == "punct":
-            tokens.append(Token(chunk, chunk, span))
-        else:
-            tokens.append(Token(m.lastgroup, chunk, span))
-        for c in chunk:
-            if c == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
+            _fail(f"unexpected character {text[pos]!r}", _span(text, pos, pos + 1))
+        kind = m.lastgroup
+        if kind != "ws":
+            chunk = m.group()
+            tokens.append(Token(chunk if kind == "punct" else kind, chunk, pos, text))
         pos = m.end()
-    tokens.append(Token("eof", "", SourceSpan(pos, pos, line, col)))
+    tokens.append(Token("eof", "", pos, text))
     return tokens
 
 
@@ -382,8 +383,9 @@ class SignatureFile:
     schemas: dict[str, TypedSignatureSchema]
 
 
-def _parse_typedecl(p: _Parser) -> dict[str, int]:
-    ctors: dict[str, int] = {}
+def _parse_typedecl(p: _Parser, ctors: dict[str, int]) -> None:
+    """``{ name; name(n); ... }`` after the ``types`` keyword, added to
+    ``ctors``, the constructors of every block read so far."""
     p.expect("{")
     while not p.at("}"):
         name = p.expect("ident").text
@@ -396,7 +398,6 @@ def _parse_typedecl(p: _Parser) -> dict[str, int]:
         ctors[name] = n
         p.expect(";")
     p.expect("}")
-    return ctors
 
 
 def _parse_opdecl(p: _Parser) -> tuple[str, BindingArity | OpSchema]:
@@ -407,16 +408,16 @@ def _parse_opdecl(p: _Parser) -> tuple[str, BindingArity | OpSchema]:
         metavars = p.items(lambda: p.expect("ident").text, "]")
         p.expect("]")
         p.expect(":")
-        premises = []
-        while p.at("("):
+
+        def premise():
             p.expect("(")
             gamma = p.items(p.type_expr, "turnstile")
             p.expect("turnstile")
             tau = p.type_expr()
             p.expect(")")
-            premises.append((tuple(gamma), tau))
-            if not p.accept(","):
-                break
+            return tuple(gamma), tau
+
+        premises = p.items(premise, "arrow")
         p.expect("arrow")
         conclusion = p.type_expr()
         p.expect(";")
@@ -463,11 +464,13 @@ def parse_signature_file(text: str) -> SignatureFile:
     while not p.at("eof"):
         tok = p.expect("ident")
         if tok.text == "types":
-            ctors.update(_parse_typedecl(p))
+            _parse_typedecl(p, ctors)
             continue
         if tok.text != "signature":
             _fail(f"expected 'types' or 'signature', found '{tok.text}'", tok.span)
         name, sig = _signature_block(p, TypeGrammar(ctors | {"->": 2}))
+        if name in f.signatures or name in f.schemas:
+            _fail(f"duplicate signature name '{name}'")
         if isinstance(sig, BindingSignature):
             f.signatures[name] = sig
         else:

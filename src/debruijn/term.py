@@ -117,30 +117,40 @@ def wellformed(sig: BindingSignature, t: Term) -> list[str]:
     return errs
 
 
+def fold_nodes(t, on_var: Callable, on_op: Callable, var: type = Var, op: type = Op):
+    """Bottom-up structural recursion over the nodes of ``t``, untyped or
+    typed: ``var`` and ``op`` are its node classes, an ``op`` node holding
+    its subterms in ``args``.  ``on_var(node)`` handles leaves;
+    ``on_op(node, values)`` receives the already-folded argument values as
+    a list.  A node of neither class raises ``TypeError``."""
+    stack: list[tuple[object, bool]] = [(t, False)]
+    values: list = []
+    push, pop, emit = stack.append, stack.pop, values.append
+    while stack:
+        node, ready = pop()
+        if type(node) is var:
+            emit(on_var(node))
+        elif type(node) is not op:
+            raise TypeError(f"not a term: {node!r}")
+        elif ready:
+            k = len(values) - len(node.args)
+            folded = values[k:]
+            del values[k:]
+            emit(on_op(node, folded))
+        else:
+            push((node, True))
+            for a in reversed(node.args):
+                push((a, False))
+    return values[0]
+
+
 def fold(sig: BindingSignature, var_case: Callable, op_case: Callable, t: Term):
     """Bottom-up structural recursion.
 
     ``var_case(index)`` handles leaves; ``op_case(name, values)`` receives
     the already-folded argument values as a list.
     """
-    stack: list[tuple[Term, bool]] = [(t, False)]
-    values: list = []
-    while stack:
-        node, ready = stack.pop()
-        match node:
-            case Var(index):
-                values.append(var_case(index))
-            case Op(name, args):
-                if ready:
-                    k = len(args)
-                    folded = values[len(values) - k :]
-                    del values[len(values) - k :]
-                    values.append(op_case(name, folded))
-                else:
-                    stack.append((node, True))
-                    for a in reversed(args):
-                        stack.append((a, False))
-    return values[0]
+    return fold_nodes(t, lambda v: var_case(v.index), lambda o, vs: op_case(o.name, vs))
 
 
 def map_free_vars(t: Term, sig: BindingSignature, on_free: Callable[[int, int], Term]) -> Term:

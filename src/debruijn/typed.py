@@ -19,17 +19,7 @@ from itertools import zip_longest
 from operator import is_not
 from typing import Any, Callable
 
-from .model import (
-    NamedTerm,
-    TNOp,
-    TNVar,
-    alpha_eq as tn_alpha_eq,
-    bind_fresh,
-    default_supply,
-    free_names as tn_free,
-    named_subst as tn_subst,
-    supply_subst,
-)
+from .model import NamedTerm, TNOp, TNVar, alpha_eq, bind_fresh, default_supply, supply_subst
 from .signature import (
     OpSchema,
     TypeExpr,
@@ -41,7 +31,7 @@ from .signature import (
     instantiate_schema,
 )
 from .subst import IDENTITY, Assignment, at, compose_with, lift_with
-from .term import Var, Op
+from .term import Var, Op, fold_nodes
 
 
 @dataclass(frozen=True)
@@ -302,14 +292,13 @@ def typed_term_model(schema: TypedSignatureSchema) -> TypedAlgebra:
 
 
 def t_initial_fold(schema: TypedSignatureSchema, algebra: TypedAlgebra, t: TypedTerm):
-    match t:
-        case TVar(index, ty):
-            return algebra.variables(index, ty)
-        case TOp(name, targs, args):
-            return algebra.interpretation(
-                name, targs, [t_initial_fold(schema, algebra, a) for a in args]
-            )
-    raise TypeError(t)
+    return fold_nodes(
+        t,
+        lambda v: algebra.variables(v.index, v.ty),
+        lambda o, vs: algebra.interpretation(o.name, o.type_args, vs),
+        TVar,
+        TOp,
+    )
 
 
 # --- typed named oracle -------------------------------------------------
@@ -324,7 +313,7 @@ def typed_named_model(schema: TypedSignatureSchema) -> TypedAlgebra:
         variables=lambda n, ty: TNVar(default_supply(n), ty),
         substitution=lambda t, sigma: supply_subst(TNOp, t, sigma.component),
         interpretation=interpretation,
-        equal=tn_alpha_eq,
+        equal=alpha_eq,
     )
 
 
@@ -346,21 +335,12 @@ def degenerate_schema(sig) -> TypedSignatureSchema:
 
 
 def to_degenerate(t) -> TypedTerm:
-    match t:
-        case Var(index):
-            return TVar(index, base("o"))
-        case Op(name, args):
-            return TOp(name, (), tuple(to_degenerate(a) for a in args))
-    raise TypeError(t)
+    o = base("o")
+    return fold_nodes(t, lambda v: TVar(v.index, o), lambda n, vs: TOp(n.name, (), vs))
 
 
 def from_degenerate(t: TypedTerm):
-    match t:
-        case TVar(index, _):
-            return Var(index)
-        case TOp(name, _, args):
-            return Op(name, tuple(from_degenerate(a) for a in args))
-    raise TypeError(t)
+    return fold_nodes(t, lambda v: Var(v.index), lambda n, vs: Op(n.name, vs), TVar, TOp)
 
 
 # --- application binary trees (values signature) ------------------------

@@ -285,13 +285,12 @@ def ref_tn_subst(t, mapping):
         fv = ref_tn_free(body)
         bset = set(binders)
         relevant = {k: v for k, v in mapping.items() if k in fv and k not in bset}
-        avoid = {n for n, _ in fv - bset} | {
-            n for v in relevant.values() for n, _ in ref_tn_free(v)
-        }
+        captured = {key for v in relevant.values() for key in ref_tn_free(v)}
+        avoid = {n for n, _ in fv - bset} | {n for n, _ in captured}
         inner = dict(relevant)
         new_binders = []
         for bname, bty in binders:
-            if bname in avoid:
+            if (bname, bty) in captured:
                 (z,) = ref_fresh_names(1, avoid | {n for n, _ in new_binders})
                 inner[(bname, bty)] = TNVar(z, bty)
                 new_binders.append((z, bty))

@@ -224,14 +224,26 @@ def test_unexpected_exception_is_an_internal_error(lam_sig, capsys, monkeypatch)
     # a crash must not read as a verdict: exit 4, not EXIT_FAIL (1)
     import debruijn.cli as cli
 
-    def boom(args):
+    def boom(text):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr(cli, "cmd_sig_check", boom)
+    monkeypatch.setattr(cli, "parse_signature_file", boom)
     code = main(["sig", "check", lam_sig])
     assert code == cli.EXIT_INTERNAL == 4
     err = capsys.readouterr().err
     assert err == "internal error: RuntimeError: boom\n"
+
+
+def test_repeated_in_process_calls_give_the_same_output(lam_sig, capsys):
+    # the parser is built once per process and reused by every call
+    argv = ["term", "subst", "--sig", lam_sig, "--term", "(lam (app 1 0))",
+            "--assign", "[(lam 0); ^0]"]
+    outputs = []
+    for _ in range(2):
+        assert main(argv) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]
+    assert outputs[0].out == "(lam (app (lam 0) 0))\n"
 
 
 @pytest.mark.parametrize("argv", [

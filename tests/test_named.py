@@ -37,13 +37,7 @@ from debruijn.gen import (
     random_typed_term,
 )
 from debruijn.model import fresh_names
-from debruijn.typed import (
-    degenerate_schema,
-    tn_free,
-    tn_subst,
-    to_degenerate,
-    typed_to_named,
-)
+from debruijn.typed import degenerate_schema, to_degenerate, typed_to_named
 
 from helpers import (
     app,
@@ -120,7 +114,7 @@ def test_free_sets_match_reference():
         t = random_named(rng, 5)
         assert free_names(t) == ref_free_names(t)
         tt = random_tnamed(rng, 5)
-        assert tn_free(tt) == ref_tn_free(tt)
+        assert free_names(tt) == ref_tn_free(tt)
 
 
 def test_fresh_names():
@@ -169,7 +163,7 @@ def test_tn_subst_matches_reference():
     for _ in range(1500):
         t = random_tnamed(rng, 5)
         mapping = random_tmapping(rng)
-        assert tn_subst(t, mapping) == ref_tn_subst(t, mapping)
+        assert named_subst(t, mapping) == ref_tn_subst(t, mapping)
 
 
 def test_unmapped_subterms_are_shared():
@@ -185,7 +179,7 @@ def test_unmapped_subterms_are_shared():
         for s in subterms(tt):
             unmapped = tmapping.keys().isdisjoint(ref_tn_free(s))
             if unmapped and ref_tn_subst(s, {}) == s:
-                assert tn_subst(s, tmapping) is s
+                assert named_subst(s, tmapping) is s
     closed = NOp("lam", ((("y",), NVar("y")),))
     t = NOp("app", (((), closed), ((), NVar("x0"))))
     out = named_subst(t, {"x0": NVar("x1")})
@@ -193,14 +187,26 @@ def test_unmapped_subterms_are_shared():
     assert named_subst(t, {"x1": NVar("x0")}) is t
 
 
-def test_tn_subst_renames_a_clashing_binder_without_substituting():
-    # binder (a : A) over a free (a : B): the oracle renames the binder even
-    # for an empty mapping, and the fast path keeps that behaviour
+def test_named_subst_keeps_a_binder_whose_name_is_free_at_another_type():
+    # binder (a : A) over a free (a : B): two different variables, so an
+    # empty substitution returns the term itself
     t = TNOp("lam", (A,), (((("a", A),), TNOp("app", (A, B), (
         ((), TNVar("a", A)), ((), TNVar("a", B)),
     ))),))
-    assert tn_subst(t, {}) == ref_tn_subst(t, {})
-    assert tn_subst(t, {}).args[0][0] == (("b", A),)
+    assert named_subst(t, {}) is t
+
+
+def test_typed_binder_captures_only_its_own_key():
+    # lam (a : A). app(a : A, x0 : A), with x0 : A sent to a variable named a
+    t = TNOp("lam", (A,), (((("a", A),), TNOp("app", (A, A), (
+        ((), TNVar("a", A)), ((), TNVar("x0", A)),
+    ))),))
+    same = named_subst(t, {("x0", A): TNVar("a", A)})
+    assert same.args[0][0] == (("b", A),)
+    assert same.args[0][1].args[1][1] == TNVar("a", A)
+    other = named_subst(t, {("x0", A): TNVar("a", B)})
+    assert other.args[0][0] == (("a", A),)
+    assert other.args[0][1].args[1][1] == TNVar("a", B)
 
 
 def test_alpha_eq_matches_reference():
@@ -385,8 +391,8 @@ def deep_lambda(rng: random.Random, depth: int):
 
 
 def named_output_digest() -> str:
-    """SHA-256 over the printed named forms of seeded random terms,
-    deep-terms-style chains and typed terms."""
+    """SHA-256 over the printed named forms of seeded random terms and
+    deep-terms-style chains."""
     h = hashlib.sha256()
     for k, sig in enumerate((SIG, FO_SIG, MIXED_SIG)):
         rng = random.Random(100 + k)
@@ -396,6 +402,12 @@ def named_output_digest() -> str:
     for depth in (30, 60, 90):
         t = deep_lambda(random.Random(depth), depth)
         h.update(print_term(to_named(SIG, t)).encode() + b"\n")
+    return h.hexdigest()
+
+
+def typed_named_output_digest() -> str:
+    """SHA-256 over the named forms of seeded random typed terms."""
+    h = hashlib.sha256()
     rng = random.Random(104)
     pool = ground_types(SCH.grammar)
     for _ in range(200):
@@ -408,7 +420,14 @@ def test_to_named_output_is_pinned():
     # recorded before free sets were cached and named_subst shared subterms:
     # any change of a printed binder name changes the digest
     assert named_output_digest() == (
-        "42e18c2bdf7e49d6bab80efa50104229bce065e0529164e3ca0705df2ddb2dde"
+        "9ae839e1e334987199697a532008bcdeb40b3409a2001d2546fdc5521a2e9d42"
+    )
+
+
+def test_typed_to_named_output_is_pinned():
+    # recorded when typed capture was decided by key, not by name
+    assert typed_named_output_digest() == (
+        "3fae57b9435f3fe2fdfc8731536c5b4168645893ff0913e7be288cd101047989"
     )
 
 

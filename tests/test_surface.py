@@ -197,6 +197,20 @@ def test_parse_signature_duplicate_op():
     assert any("duplicate" in str(d) for d in e.value.diagnostics)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("signature a { op f : (0); } signature a { op g : (1); }",
+     "duplicate signature name 'a'"),
+    ("types { a; } signature a { op f [s] : -> s; } signature a { op f : (0); }",
+     "duplicate signature name 'a'"),
+    ("types { a; } types { a(1); }", "duplicate type constructor 'a'"),
+    ("signature s { op f [s] : (|- s), -> s; }", "expected '(', found '->'"),
+])
+def test_parse_signature_file_drops_no_input(text, message):
+    with pytest.raises(ParseError) as e:
+        parse_signature_file(text)
+    assert [d.message for d in e.value.diagnostics] == [message]
+
+
 def test_parse_typed_signature_file():
     text = """
     types { a; b; }

@@ -69,6 +69,11 @@ def test_fold_depth():
     assert depth == 3  # three nested Op layers
 
 
+def test_fold_rejects_a_non_term_node():
+    with pytest.raises(TypeError):
+        fold(SIG, lambda n: 0, lambda name, args: 1 + sum(args), app(Var(0), "x"))
+
+
 def test_fold_identity_is_identity():
     rng = random.Random(11)
     for _ in range(300):

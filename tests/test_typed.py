@@ -17,6 +17,7 @@ from debruijn import (
     TypedArity,
     TypedAssignment,
     Var,
+    alpha_eq,
     arrow,
     base,
     bt_conclusion,
@@ -31,7 +32,6 @@ from debruijn import (
     tcompose,
     tlift,
     tlift_gamma,
-    tn_alpha_eq,
     to_degenerate,
     tsubst,
     tsubst1,
@@ -50,7 +50,7 @@ from debruijn.gen import (
 )
 from debruijn.typed import typed_assignment_at
 
-from helpers import app, lam
+from helpers import app, lam, same_term
 
 SCH = stlc_schema({"a"})
 SCH2 = stlc_schema({"a", "b"})
@@ -271,7 +271,7 @@ def test_typed_named_oracle_agrees_with_tsubst():
             }
         )
         rhs = nm.substitution(typed_to_named(SCH, t), named_sigma)
-        assert tn_alpha_eq(lhs, rhs)
+        assert alpha_eq(lhs, rhs)
 
 
 # --- degenerate reduction -----------------------------------------------
@@ -298,6 +298,19 @@ def test_degenerate_round_trip():
     for _ in range(100):
         t = random_term(sig, rng)
         assert from_degenerate(to_degenerate(t)) == t
+
+
+def test_degenerate_maps_and_typed_fold_handle_deep_chains():
+    # lam (app t 0) chains 100 000 binders deep, at the default recursion limit
+    sig = lambda_signature()
+    t = Var(0)
+    for _ in range(100_000):
+        t = lam(app(t, Var(0)))
+    typed = to_degenerate(t)
+    assert same_term(from_degenerate(typed), t)
+    deg = degenerate_schema(sig)
+    folded = t_initial_fold(deg, typed_term_model(deg), typed)
+    assert same_term(from_degenerate(folded), t)
 
 
 def test_degenerate_typechecks():
