@@ -7,10 +7,10 @@ import itertools
 import random
 from typing import Iterator, Sequence
 
-from .signature import BindingSignature, TypeExpr, instantiate_schema
+from .signature import BindingSignature, TypeExpr
 from .subst import Assignment, Renaming
-from .term import Term, Var, Op, fold_nodes
-from .typed import TOp, TVar, TypedAssignment
+from .term import Term, Var, Op
+from .typed import TOp, TVar, TypedAssignment, op_arity
 
 
 def random_term(
@@ -35,49 +35,48 @@ def _random_term(ops: list, rng: random.Random, max_depth: int, max_index: int) 
 def random_assignment(
     sig: BindingSignature,
     rng: random.Random,
-    max_prefix: int = 4,
-    max_shift: int = 3,
     max_depth: int = 4,
-    max_index: int = 5,
 ) -> Assignment:
     prefix = tuple(
-        random_term(sig, rng, max_depth, max_index)
-        for _ in range(rng.randint(0, max_prefix))
+        random_term(sig, rng, max_depth)
+        for _ in range(rng.randint(0, 4))
     )
-    return Assignment(prefix, rng.randint(0, max_shift))
+    return Assignment(prefix, rng.randint(0, 3))
 
 
-def random_renaming(
-    rng: random.Random, max_prefix: int = 4, max_shift: int = 3, max_index: int = 6
-) -> Assignment:
+def random_renaming(rng: random.Random) -> Assignment:
     prefix = tuple(
-        rng.randrange(max_index) for _ in range(rng.randint(0, max_prefix))
+        rng.randrange(6) for _ in range(rng.randint(0, 4))
     )
-    return Renaming(prefix, rng.randint(0, max_shift))
+    return Renaming(prefix, rng.randint(0, 3))
+
+
+def _by_level(first: list, ctors: list, max_depth: int, build) -> list:
+    """``max_depth`` levels (at least one), concatenated: level 1 is ``first``;
+    level d holds ``build(c, args)`` for each ``(c, arity)`` of ``ctors`` and
+    ``args`` from the levels below d, one or more of them from level d - 1."""
+    levels = [first]
+    for _ in range(1, max_depth):
+        pool = [t for level in levels for t in level]
+        last = set(levels[-1])
+        level = []
+        for c, n in ctors:
+            for args in itertools.product(pool, repeat=n):
+                if not last.isdisjoint(args):
+                    level.append(build(c, args))
+        levels.append(level)
+    return [t for level in levels for t in level]
 
 
 def enumerate_terms(
     sig: BindingSignature, max_depth: int, indices: Sequence[int]
 ) -> list[Term]:
-    """All well-formed terms of depth <= max_depth (a variable has depth 1)
-    with variable indices drawn from ``indices``."""
-    by_depth: list[list[Term]] = [[]]
-    by_depth.append([Var(i) for i in indices])
-    for d in range(2, max_depth + 1):
-        pool = [t for level in by_depth[1:d] for t in level]
-        level: list[Term] = []
-        for name, a in sorted(sig.ops.items()):
-            p = len(a.binders)
-            for args in itertools.product(pool, repeat=p):
-                candidate = Op(name, args)
-                if _depth(candidate) == d:
-                    level.append(candidate)
-        by_depth.append(level)
-    return [t for level in by_depth[1:] for t in level]
-
-
-def _depth(t: Term) -> int:
-    return fold_nodes(t, lambda v: 1, lambda o, depths: 1 + max(depths, default=0))
+    """All well-formed terms of depth <= max_depth with variable indices
+    drawn from ``indices``: level 1 holds the variables and the constants,
+    and level d the operations with an argument at level d - 1."""
+    arities = [(name, len(a.binders)) for name, a in sorted(sig.ops.items())]
+    first = [Var(i) for i in indices] + [Op(name, ()) for name, n in arities if not n]
+    return _by_level(first, arities, max_depth, Op)
 
 
 def enumerate_assignments(
@@ -141,19 +140,8 @@ def shrink_law_sample(sample) -> list:
 def ground_types(grammar, max_depth: int = 2) -> list:
     """Ground types over the grammar's nullary constructors, closed under
     constructor application up to ``max_depth``."""
-    levels = [[TypeExpr(c) for c, n in sorted(grammar.ctors.items()) if n == 0]]
-    for _ in range(max_depth - 1):
-        pool = [t for level in levels for t in level]
-        nxt = []
-        for c, n in sorted(grammar.ctors.items()):
-            if n == 0:
-                continue
-            for args in itertools.product(pool, repeat=n):
-                ty = TypeExpr(c, args)
-                if all(ty not in level for level in levels) and ty not in nxt:
-                    nxt.append(ty)
-        levels.append(nxt)
-    return [t for level in levels for t in level]
+    ctors = sorted(grammar.ctors.items())
+    return _by_level([TypeExpr(c) for c, n in ctors if not n], ctors, max_depth, TypeExpr)
 
 
 def _match_type(template, target, metavars, env) -> bool:
@@ -176,28 +164,27 @@ def random_typed_term(
     ty,
     max_depth: int = 5,
     type_pool=None,
-    max_index: int = 3,
 ):
     """Random well-typed (open) term of the requested type, built by
     matching operation conclusions against the goal type."""
     if type_pool is None:
         type_pool = ground_types(schema.grammar)
     if max_depth <= 0 or rng.random() < 0.3:
-        return TVar(rng.randrange(max_index), ty)
+        return TVar(rng.randrange(3), ty)
     candidates = []
     for op in schema.schemas.values():
         env: dict = {}
         if _match_type(op.template.conclusion, ty, set(op.metavars), env):
             candidates.append((op, env))
     if not candidates:
-        return TVar(rng.randrange(max_index), ty)
+        return TVar(rng.randrange(3), ty)
     op, env = rng.choice(candidates)
     targs = tuple(
         env[m] if m in env else rng.choice(type_pool) for m in op.metavars
     )
-    ar = instantiate_schema(op, targs, schema.grammar)
+    ar = op_arity(schema, op.name, targs)
     args = tuple(
-        random_typed_term(schema, rng, tau, max_depth - 1, type_pool, max_index)
+        random_typed_term(schema, rng, tau, max_depth - 1, type_pool)
         for _, tau in ar.premises
     )
     return TOp(op.name, targs, args)
@@ -207,8 +194,6 @@ def random_typed_assignment(
     schema,
     rng: random.Random,
     type_pool=None,
-    max_prefix: int = 3,
-    max_shift: int = 2,
     max_depth: int = 3,
 ):
     """Type-respecting assignment with a few random non-identity components."""
@@ -218,7 +203,7 @@ def random_typed_assignment(
     for ty in rng.sample(type_pool, k=min(len(type_pool), rng.randint(0, 3))):
         prefix = tuple(
             random_typed_term(schema, rng, ty, max_depth, type_pool)
-            for _ in range(rng.randint(0, max_prefix))
+            for _ in range(rng.randint(0, 3))
         )
-        components[ty] = (prefix, rng.randint(0, max_shift))
+        components[ty] = (prefix, rng.randint(0, 2))
     return TypedAssignment(components)

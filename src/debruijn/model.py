@@ -295,18 +295,18 @@ def named_subst(t: NamedTerm, mapping: dict) -> NamedTerm:
         if binders and relevant:
             captured = frozenset().union(*map(_free, relevant.values()))
             if not captured.isdisjoint(binders):
-                # rename, fresh for the body and every image, as binders go
-                avoid = t.key_names(body.free.difference(binders) | captured)
-                taken = set(avoid)
+                # rename the captured binders at once, to names free in
+                # neither the body nor any image and bound nowhere in the group
+                avoid = t.key_names(captured.union(body.free, binders))
+                zs = iter(fresh_names(sum(map(captured.__contains__, binders)), avoid))
                 relevant = dict(relevant)
                 new_names, sorts = [], []
                 for b, z, sort in t.split(binders):
                     if b in captured:
-                        (z,) = fresh_names(1, taken)
+                        z = next(zs)
                         relevant[b] = t.var(z, sort)
                     new_names.append(z)
                     sorts.append(sort)
-                    taken.add(z)
                 binders = t.decls(new_names, sorts)
         new_args.append((binders, named_subst(body, relevant)))
     if kind is NOp:
@@ -339,22 +339,23 @@ def supply_subst(op: type, t: NamedTerm, component) -> NamedTerm:
 
 def bind_fresh(op: type, head: tuple, arg_sorts, args) -> NamedTerm:
     """The ``op`` node with fields ``head`` over ``args``, each under fresh
-    binders of its ``arg_sorts`` (outermost first): binder j of sort s binds
-    the index equal to the number of later binders of sort s."""
+    binders of its ``arg_sorts`` (outermost first): index i of sort s is
+    bound by the i-th binder of sort s counted from the innermost."""
     pieces = []
     for sorts, e in zip(arg_sorts, args):
         if not sorts:
             pieces.append(((), e))
             continue
         zs = fresh_names(len(sorts), op.key_names(e.free))
+        inner_first: dict = {}
+        for z, s in zip(reversed(zs), reversed(sorts)):
+            inner_first.setdefault(s, []).append(z)
         mapping = {}
         for key, name, s in op.split(e.free):
             idx = default_supply_index(name)
             if idx is not None:
-                c, j = sorts.count(s), -1
-                for _ in range(c - idx):  # the (c - idx)-th of sort s has idx after it
-                    j = sorts.index(s, j + 1)
-                z = zs[j] if idx < c else default_supply(idx - c)
+                bound = inner_first.get(s, ())
+                z = bound[idx] if idx < len(bound) else default_supply(idx - len(bound))
                 mapping[key] = op.var(z, s)
         pieces.append((op.decls(zs, sorts), named_subst(e, mapping)))
     return op(*head, tuple(pieces))

@@ -93,11 +93,15 @@ class TypecheckError(Exception):
         self.path = path
 
 
-def op_arity(schema: TypedSignatureSchema, t: TOp, path: tuple[int, ...] = ()) -> TypedArity:
-    if t.name not in schema.schemas:
-        raise TypecheckError(f"unknown operation schema '{t.name}'", path)
+def op_arity(
+    schema: TypedSignatureSchema, name: str, type_args: tuple, path: tuple[int, ...] = ()
+) -> TypedArity:
+    """The arity of ``name`` at ``type_args``, or a ``TypecheckError`` at
+    ``path`` for an unknown operation or ill-formed type arguments."""
+    if name not in schema.schemas:
+        raise TypecheckError(f"unknown operation schema '{name}'", path)
     try:
-        return instantiate_schema(schema.schemas[t.name], t.type_args, schema.grammar)
+        return instantiate_schema(schema.schemas[name], type_args, schema.grammar)
     except ValueError as e:
         raise TypecheckError(str(e), path) from None
 
@@ -116,7 +120,7 @@ def typecheck(schema: TypedSignatureSchema, t: TypedTerm) -> TypeExpr:
                     raise TypecheckError("negative variable index", path)
                 return ty
             case TOp(_, _, args):
-                ar = op_arity(schema, node, path)
+                ar = op_arity(schema, node.name, node.type_args, path)
                 if len(args) != len(ar.premises):
                     raise TypecheckError(
                         f"operation '{node.name}' expects {len(ar.premises)} "
@@ -173,7 +177,7 @@ def _map_free_tvars(
             vecs = shifts.get((node.name, node.type_args))
             if vecs is None:
                 vecs = shifts[node.name, node.type_args] = []
-                for gamma, _ in op_arity(schema, node).premises:
+                for gamma, _ in op_arity(schema, node.name, node.type_args).premises:
                     slots = [slot.setdefault(ty, len(slot)) for ty in gamma]
                     vecs.append(tuple(map(slots.count, range(max(slots, default=-1) + 1))))
             push((node, depth, True))
@@ -306,7 +310,7 @@ def t_initial_fold(schema: TypedSignatureSchema, algebra: TypedAlgebra, t: Typed
 
 def typed_named_model(schema: TypedSignatureSchema) -> TypedAlgebra:
     def interpretation(name: str, targs, args: list) -> NamedTerm:
-        ar = instantiate_schema(schema.schemas[name], tuple(targs), schema.grammar)
+        ar = op_arity(schema, name, tuple(targs))
         return bind_fresh(TNOp, (name, tuple(targs)), [g for g, _ in ar.premises], args)
 
     return TypedAlgebra(

@@ -123,7 +123,7 @@ def ref_multi_shift(t, by, schema, depth: Counter | None = None):
     depth = depth or Counter()
     if isinstance(t, TVar):
         return TVar(t.index + by.get(t.ty, 0), t.ty) if t.index >= depth[t.ty] else t
-    premises = op_arity(schema, t).premises
+    premises = op_arity(schema, t.name, t.type_args).premises
     return TOp(t.name, t.type_args, tuple(
         ref_multi_shift(a, by, schema, depth + Counter(gamma))
         for a, (gamma, _) in zip(t.args, premises)
@@ -145,7 +145,7 @@ def ref_tlift_gamma(sigma, gamma, schema):
 def ref_tsubst(t, sigma, schema):
     if isinstance(t, TVar):
         return typed_assignment_at(sigma, t.ty, t.index)
-    premises = op_arity(schema, t).premises
+    premises = op_arity(schema, t.name, t.type_args).premises
     return TOp(t.name, t.type_args, tuple(
         ref_tsubst(a, ref_tlift_gamma(sigma, gamma, schema), schema)
         for a, (gamma, _) in zip(t.args, premises)
@@ -235,7 +235,7 @@ def ref_named_subst(t, mapping):
         new_binders = []
         for b in binders:
             if b in avoid:
-                (z,) = ref_fresh_names(1, avoid | set(new_binders))
+                (z,) = ref_fresh_names(1, avoid | set(new_binders) | set(binders))
                 inner[b] = NVar(z)
                 new_binders.append(z)
             else:
@@ -291,7 +291,7 @@ def ref_tn_subst(t, mapping):
         new_binders = []
         for bname, bty in binders:
             if (bname, bty) in captured:
-                (z,) = ref_fresh_names(1, avoid | {n for n, _ in new_binders})
+                (z,) = ref_fresh_names(1, avoid | {n for n, _ in new_binders + list(binders)})
                 inner[(bname, bty)] = TNVar(z, bty)
                 new_binders.append((z, bty))
             else:

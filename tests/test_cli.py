@@ -100,6 +100,17 @@ def test_term_to_named(lam_sig, capsys):
     assert capsys.readouterr().out.strip() == "(lam [a] (app x0 a))"
 
 
+def test_term_to_named_names_each_binder_of_a_group_apart(tmp_path, capsys):
+    p = tmp_path / "mixed.sig"
+    p.write_text("signature mixed {\n  op m : (2, 0, 1);\n}\n")
+    code = main(["term", "to-named", "--sig", str(p), "--term", "(m 4 1 (m (m 3 3 3) 0 0))"])
+    assert code == 0
+    named = capsys.readouterr().out.strip()
+    assert named == "(m [a b] x2 x1 [a] (m [c b] (m [d b] c x0 [b] a) a [a] a))"
+    assert main(["term", "from-named", "--sig", str(p), "--term", named]) == 0
+    assert capsys.readouterr().out.strip() == "(m 4 1 (m (m 3 3 3) 0 0))"
+
+
 def test_term_from_named(lam_sig, capsys):
     code = main([
         "term", "from-named", "--sig", lam_sig, "--term", "(lam [a] (app x0 a))",

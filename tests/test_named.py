@@ -36,7 +36,7 @@ from debruijn.gen import (
     random_term,
     random_typed_term,
 )
-from debruijn.model import fresh_names
+from debruijn.model import debruijn_to_named_direct, fresh_names
 from debruijn.typed import degenerate_schema, to_degenerate, typed_to_named
 
 from helpers import (
@@ -375,6 +375,18 @@ def test_untyped_to_named_is_the_one_sort_case(sig):
         assert to_named(sig, t) == typed
 
 
+@pytest.mark.parametrize("sig", [SIG, FO_SIG, MIXED_SIG], ids=["lambda", "FO", "MIXED"])
+def test_to_named_round_trips_and_agrees_with_the_direct_converter(sig):
+    # neither property shares the oracle's naming rule: from_named reads
+    # binders by position, and the direct converter names by depth
+    rng = random.Random(73)
+    for _ in range(500):
+        t = random_term(sig, rng, max_depth=7, max_index=6)
+        named = to_named(sig, t)
+        assert from_named(sig, named) == t
+        assert alpha_eq(named, debruijn_to_named_direct(sig, t))
+
+
 # --- pinned output ------------------------------------------------------
 
 
@@ -390,16 +402,18 @@ def deep_lambda(rng: random.Random, depth: int):
     return t
 
 
-def named_output_digest() -> str:
-    """SHA-256 over the printed named forms of seeded random terms and
-    deep-terms-style chains."""
+def named_output_digest(sigs, depths=()) -> str:
+    """SHA-256 over the printed named forms of seeded random terms over each
+    signature of ``sigs`` (an index into SIG, FO_SIG, MIXED_SIG, which
+    picks the seed) and of deep-terms-style chains of each of ``depths``."""
     h = hashlib.sha256()
-    for k, sig in enumerate((SIG, FO_SIG, MIXED_SIG)):
+    for k in sigs:
+        sig = (SIG, FO_SIG, MIXED_SIG)[k]
         rng = random.Random(100 + k)
         for _ in range(300):
             t = random_term(sig, rng, max_depth=7, max_index=6)
             h.update(print_term(to_named(sig, t)).encode() + b"\n")
-    for depth in (30, 60, 90):
+    for depth in depths:
         t = deep_lambda(random.Random(depth), depth)
         h.update(print_term(to_named(SIG, t)).encode() + b"\n")
     return h.hexdigest()
@@ -417,10 +431,16 @@ def typed_named_output_digest() -> str:
 
 
 def test_to_named_output_is_pinned():
-    # recorded before free sets were cached and named_subst shared subterms:
-    # any change of a printed binder name changes the digest
-    assert named_output_digest() == (
-        "9ae839e1e334987199697a532008bcdeb40b3409a2001d2546fdc5521a2e9d42"
+    # any change of a printed binder name changes a digest.  Lambda, FO
+    # and the chains: their single-binder groups name as they did before
+    # free sets were cached and named_subst shared subterms
+    assert named_output_digest((0, 1), (30, 60, 90)) == (
+        "f4776aa78bc1a20f5df2a638946e9b9da241f9fb3da2d4bd1e091cf427de1d08"
+    )
+    # m : (2, 0, 1): recorded when named_subst first named a binder group
+    # at once, which stopped a group from binding one name twice
+    assert named_output_digest((2,)) == (
+        "1f4e6fa29a49bf30a07375e027385a0f4dad73af873dcb71d9efed290bb0759a"
     )
 
 

@@ -96,6 +96,17 @@ def test_typecheck_unknown_schema():
         typecheck(SCH, TOp("pair", (), ()))
 
 
+@pytest.mark.parametrize("t", [
+    TOp("pair", (), ()),
+    TOp("lam", (A,), (TVar(0, A),)),
+], ids=["unknown-schema", "missing-type-argument"])
+def test_typed_to_named_rejects_what_typecheck_rejects(t):
+    with pytest.raises(TypecheckError):
+        typecheck(SCH, t)
+    with pytest.raises(TypecheckError):
+        typed_to_named(SCH, t)
+
+
 # --- typed assignments and lifting --------------------------------------
 
 
