@@ -52,10 +52,10 @@ def random_renaming(rng: random.Random) -> Assignment:
 
 
 def _by_level(first: list, ctors: list, max_depth: int, build) -> list:
-    """``max_depth`` levels (at least one), concatenated: level 1 is ``first``;
+    """``max_depth`` levels (none below 1), concatenated: level 1 is ``first``;
     level d holds ``build(c, args)`` for each ``(c, arity)`` of ``ctors`` and
     ``args`` from the levels below d, one or more of them from level d - 1."""
-    levels = [first]
+    levels = [first] if max_depth >= 1 else []
     for _ in range(1, max_depth):
         pool = [t for level in levels for t in level]
         last = set(levels[-1])

@@ -11,6 +11,7 @@ stay finitely presented).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 
 @dataclass(frozen=True)
@@ -33,6 +34,11 @@ class BindingSignature:
     """Finite map from operation name to binding arity."""
 
     ops: dict[str, BindingArity]
+
+    @cached_property
+    def binders(self) -> dict[str, tuple[int, ...]]:
+        """Binder counts by operation name, built once per signature."""
+        return {name: a.binders for name, a in self.ops.items()}
 
 
 def arity(*binders: int) -> BindingArity:
@@ -63,6 +69,13 @@ class TypeExpr:
 
     def __post_init__(self):
         object.__setattr__(self, "args", tuple(self.args))
+        object.__setattr__(self, "_hash", hash((self.ctor, self.args)))
+
+    def __hash__(self):  # the dataclass hash, computed once
+        return self._hash
+
+    def __reduce__(self):  # a string's hash differs between processes
+        return TypeExpr, (self.ctor, self.args)
 
     def __str__(self) -> str:
         if self.ctor == "->" and len(self.args) == 2:
@@ -137,6 +150,11 @@ class OpSchema:
 class TypedSignatureSchema:
     grammar: TypeGrammar
     schemas: dict[str, OpSchema] = field(default_factory=dict)
+
+    @cached_property
+    def arities(self) -> dict:
+        """``typed.op_arity``'s memo: arities by (name, type arguments)."""
+        return {}
 
 
 def _subst_type(ty: TypeExpr, env: dict[str, TypeExpr]) -> TypeExpr:

@@ -9,18 +9,17 @@ recursion limit.
 from __future__ import annotations
 
 from dataclasses import FrozenInstanceError
+from math import inf
 from operator import is_not
 from typing import Callable, Optional
 
 from .signature import BindingSignature, first_order_arity
 
-_set = object.__setattr__
-
 
 class Term:
     """Base of the two node classes.  Nodes are immutable, with the
     ``==``, ``hash`` and ``repr`` of frozen dataclasses, but slotted: no
-    per-node ``__dict__``, and room on each ``Op`` for the support memo."""
+    per-node ``__dict__``, and room for the index bound and the memos."""
 
     __slots__ = ()
 
@@ -32,11 +31,12 @@ class Term:
 
 
 class Var(Term):
-    __slots__ = ("index",)
+    __slots__ = ("index", "_top")
     __match_args__ = ("index",)
 
     def __init__(self, index: int):
-        _set(self, "index", index)
+        _var_index(self, index)
+        _var_top(self, index + 1)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -54,21 +54,52 @@ class Var(Term):
 
 
 class Op(Term):
-    """An operation node.  ``_sig`` and ``_sup`` memoize :func:`support`
-    under the signature object ``_sig``; only :func:`support` writes them."""
+    """An operation node.  ``_top`` bounds its indices: 1 + the largest one
+    below it, bound or free; 0 for none; ``inf`` if an argument is not a term.
+    ``_sig`` and ``_sup`` memoize :func:`support` under the signature
+    object ``_sig``; only :func:`support` writes them."""
 
-    __slots__ = ("name", "args", "_sig", "_sup")
+    __slots__ = ("name", "args", "_sig", "_sup", "_top")
     __match_args__ = ("name", "args")
 
     def __init__(self, name: str, args: tuple[Term, ...]):
-        _set(self, "name", name)
-        _set(self, "args", tuple(args))
-        _set(self, "_sig", None)
+        args = tuple(args)
+        top = 0
+        try:
+            for a in args:
+                if a._top > top:
+                    top = a._top
+        except AttributeError:  # not a term: left to the walks to reject
+            top = inf
+        _op_name(self, name)
+        _op_args(self, args)
+        _op_sig(self, None)
+        _op_top(self, top)
 
     def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.name, self.args) == (other.name, other.args)
-        return NotImplemented
+        """Structural equality, with an explicit stack: deep terms compare
+        without recursion, and nodes of unequal bound differ at once."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        if self is other:
+            return True
+        stack = [(self, other)]
+        pop, push = stack.pop, stack.append
+        while stack:
+            x, y = pop()
+            if x._top != y._top or x.name != y.name or len(x.args) != len(y.args):
+                return False
+            for a, b in zip(x.args, y.args):
+                if a is b:
+                    pass
+                elif type(a) is Var and type(b) is Var:
+                    if a.index != b.index:
+                        return False
+                elif type(a) is Op and type(b) is Op:
+                    push((a, b))
+                elif a != b:  # a variable and an operation, or metavariables
+                    return False
+        return True
 
     def __hash__(self):
         return hash((self.name, self.args))
@@ -78,6 +109,11 @@ class Op(Term):
 
     def __reduce__(self):
         return Op, (self.name, self.args)
+
+
+# nodes are frozen: their slots are set through the slot descriptors
+_var_index, _var_top, _op_name, _op_args, _op_sig, _op_sup, _op_top = (
+    d.__set__ for d in (Var.index, Var._top, Op.name, Op.args, Op._sig, Op._sup, Op._top))
 
 
 def wellformed(sig: BindingSignature, t: Term) -> list[str]:
@@ -161,12 +197,13 @@ def map_free_vars(t: Term, sig: BindingSignature, on_free: Callable[[int, int], 
     occurrences are kept as is.
 
     Sharing: a subterm (``t`` too) in which no free variable changed index
-    is returned itself, not a copy.  A subterm whose :func:`support`
-    under ``sig`` is memoized and at most its depth has no free variable,
-    so it is returned without being walked.  A node that is not a term
-    raises ``TypeError``.
+    is returned itself, not a copy.  A subterm closed at its depth, by its
+    bound ``_top`` (binder counts are >= 0) or by a :func:`support` memo
+    under ``sig``, is returned unwalked: an unknown operation or arity in
+    it goes unreported (:func:`wellformed` checks those).  A walked node
+    that is not a term raises ``TypeError``.
     """
-    binders = {name: a.binders for name, a in sig.ops.items()}
+    binders = sig.binders
     stack: list[tuple[Term, int, bool]] = [(t, 0, False)]
     values: list[Term] = []
     push, pop, emit = stack.append, stack.pop, values.append
@@ -185,7 +222,7 @@ def map_free_vars(t: Term, sig: BindingSignature, on_free: Callable[[int, int], 
             rebuilt = tuple(values[k:])
             del values[k:]
             emit(Op(node.name, rebuilt) if any(map(is_not, rebuilt, node.args)) else node)
-        elif node._sig is sig and node._sup <= depth:
+        elif node._top <= depth or node._sig is sig and node._sup <= depth:
             emit(node)
         else:
             push((node, depth, True))
@@ -208,7 +245,7 @@ def support(t: Term, sig: BindingSignature) -> int:
     so a term built around memoized subterms costs only its new nodes.
     A node memoized under another signature is recomputed and overwritten.
     """
-    binders = {name: a.binders for name, a in sig.ops.items()}
+    binders = sig.binders
     stack: list[tuple[Term, bool]] = [(t, False)]
     values: list[int] = []
     push, pop, emit = stack.append, stack.pop, values.append
@@ -225,8 +262,8 @@ def support(t: Term, sig: BindingSignature) -> int:
                 if v - n > s:
                     s = v - n
             del values[k:]
-            _set(node, "_sup", s)
-            _set(node, "_sig", sig)
+            _op_sup(node, s)
+            _op_sig(node, sig)
             emit(s)
         elif node._sig is sig:
             emit(node._sup)

@@ -97,13 +97,18 @@ def op_arity(
     schema: TypedSignatureSchema, name: str, type_args: tuple, path: tuple[int, ...] = ()
 ) -> TypedArity:
     """The arity of ``name`` at ``type_args``, or a ``TypecheckError`` at
-    ``path`` for an unknown operation or ill-formed type arguments."""
-    if name not in schema.schemas:
-        raise TypecheckError(f"unknown operation schema '{name}'", path)
-    try:
-        return instantiate_schema(schema.schemas[name], type_args, schema.grammar)
-    except ValueError as e:
-        raise TypecheckError(str(e), path) from None
+    ``path`` for an unknown operation or ill-formed type arguments.  An
+    arity is instantiated once per schema; a failure is not memoized."""
+    ar = schema.arities.get((name, type_args))
+    if ar is None:
+        if name not in schema.schemas:
+            raise TypecheckError(f"unknown operation schema '{name}'", path)
+        try:
+            ar = instantiate_schema(schema.schemas[name], type_args, schema.grammar)
+        except ValueError as e:
+            raise TypecheckError(str(e), path) from None
+        schema.arities[name, type_args] = ar
+    return ar
 
 
 def typecheck(schema: TypedSignatureSchema, t: TypedTerm) -> TypeExpr:

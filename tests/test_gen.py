@@ -7,8 +7,8 @@ import hashlib
 
 import pytest
 
-from debruijn import Op, Var, lambda_signature, make_signature, print_term
-from debruijn.gen import enumerate_terms
+from debruijn import Op, Var, lambda_signature, make_signature, print_term, stlc_schema
+from debruijn.gen import enumerate_terms, ground_types
 
 FO_SIG = make_signature({"f": (0, 0), "c": ()})
 
@@ -36,3 +36,9 @@ def test_lambda_enumeration_is_pinned():
     assert len(terms) == 243
     digest = hashlib.sha256("\n".join(map(print_term, terms)).encode()).hexdigest()
     assert digest == "d9b6a5dd7b049128c3d7a382f4bd8dff920e6e09399648aafc04879e74cbfb51"
+
+
+def test_depth_zero_is_empty():
+    assert enumerate_terms(FO_SIG, 0, [0, 1]) == []
+    assert ground_types(stlc_schema({"a"}).grammar, 0) == []
+    assert len(ground_types(stlc_schema({"a"}).grammar, 1)) == 1

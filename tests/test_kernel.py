@@ -11,6 +11,8 @@ import pytest
 from debruijn import (
     IDENTITY,
     Assignment,
+    ExplicitSubst,
+    MetaVar,
     Op,
     Renaming,
     TOp,
@@ -22,6 +24,7 @@ from debruijn import (
     lambda_signature,
     make_signature,
     map_free_vars,
+    match_pattern,
     max_free_var,
     rename,
     shift_renaming,
@@ -48,6 +51,7 @@ from helpers import (
     ref_rename,
     ref_subst,
     ref_tsubst,
+    ref_unshift,
     same_term,
 )
 
@@ -181,6 +185,67 @@ def test_kernel_skips_shared_closed_subterms():
         assert all(subst(c, sigma, SIG) is c for c in closed)
 
 
+def _binder_heavy_term(sig, rng, size, depth=0):
+    """A random term of about ``size`` nodes whose indices at binder depth
+    ``depth`` are drawn below depth + 3, now and then far above: many of
+    its subterms are closed at their own depth and many are not, under
+    binder depths up to ``size`` (lambda) or ``2 * size`` (MIXED)."""
+    if size <= 1 or rng.random() < 0.1:
+        return Var(rng.randrange(depth + 3) if rng.random() < 0.95 else depth + 10_000)
+    name, a = rng.choice(sorted(sig.ops.items()))
+    cuts = sorted(rng.randrange(size) for _ in a.binders[1:])
+    sizes = [j - i for i, j in zip([0, *cuts], [*cuts, size - 1])]
+    return Op(name, tuple(
+        _binder_heavy_term(sig, rng, m, depth + n) for m, n in zip(sizes, a.binders)
+    ))
+
+
+def _skipped_are_shared(t, out, sig) -> bool:
+    """Whether each subterm of ``t`` closed at its depth by its bound
+    ``_top`` comes back as the very same object in ``out``."""
+    stack = [(t, out, 0)]
+    while stack:
+        x, y, depth = stack.pop()
+        if type(x) is not Op:
+            continue
+        if x._top <= depth:
+            if x is not y:
+                return False
+        else:
+            stack.extend(
+                (a, b, depth + n) for a, b, n in zip(x.args, y.args, sig.ops[x.name].binders)
+            )
+    return True
+
+
+@pytest.mark.parametrize("sig", [SIG, FO_SIG, MIXED_SIG], ids=["lambda", "FO", "MIXED"])
+def test_skip_by_bound_matches_reference(sig):
+    rng = random.Random(67)
+    closed = open_ = 0
+    for _ in range(150):
+        t = _binder_heavy_term(sig, rng, rng.randrange(2, 120))
+        sigma = random_assignment(sig, rng, max_depth=3)
+        f = random_renaming(rng)
+        for out, want in (
+            (subst(t, sigma, sig), ref_subst(t, sigma, sig)),
+            (rename(t, f, sig), ref_rename(t, f, sig)),
+        ):
+            assert same_term(out, want)
+            assert _skipped_are_shared(t, out, sig)
+        for k in range(3):
+            pattern = ExplicitSubst(MetaVar(0), Assignment((), k))
+            want = ref_unshift(t, k, sig)
+            assert match_pattern(pattern, t, sig) == (None if want is None else {0: want})
+        stack = [(t, 0)]
+        while stack:
+            x, depth = stack.pop()
+            if type(x) is Op:
+                closed += x._top <= depth
+                open_ += x._top > depth
+                stack.extend(zip(x.args, (depth + n for n in sig.ops[x.name].binders)))
+    assert closed > 100 and open_ > 100
+
+
 def test_non_term_nodes_raise_type_error():
     bad = app(Var(0), "not a term")
     with pytest.raises(TypeError):
@@ -206,6 +271,21 @@ def test_wrong_argument_count_raises():
     tbad = TOp("lam", (A, A), (TVar(0, A), TVar(1, A)))
     with pytest.raises(ValueError):
         tsubst(tbad, TypedAssignment({A: ((), 1)}), SCH)
+
+
+def test_closed_subterms_are_not_walked():
+    # an unknown operation inside a subterm closed at its depth is never
+    # looked up by the kernel; wellformed is what reports it
+    closed = lam(Op("foo", (Var(0), Op("c", ()))))
+    t = app(Var(0), closed)
+    out = subst(t, Assignment((Var(4),), 0), SIG)
+    assert out == app(Var(4), closed) and out.args[1] is closed
+    assert rename(closed, shift_renaming(2), SIG) is closed
+    assert wellformed(SIG, t) == [
+        "unknown operation 'foo' at [1, 0]",
+    ]
+    with pytest.raises(KeyError):
+        subst(app(Var(0), lam(Op("foo", (Var(1),)))), Assignment((Var(4),), 0), SIG)
 
 
 def test_wellformed_paths_and_order():

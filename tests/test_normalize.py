@@ -19,6 +19,7 @@ from debruijn import (
     Var,
     beta_eta_theory,
     beta_theory,
+    equiv,
     make_signature,
     match_pattern,
     normalize,
@@ -157,3 +158,11 @@ def test_church_1000_normalizes_within_budget():
     assert not r.exhausted and r.steps == 3002
     assert same_term(r.term, church(1000))
     assert elapsed < 10, elapsed
+
+
+def test_equiv_compares_deep_normal_forms():
+    # both normal forms are 1000 applications deep; == walks them without
+    # recursion
+    t = app(app(church(1000), SUCC), ZERO)
+    assert equiv(BETA, t, church(1000), 5000) == "yes"
+    assert equiv(BETA, t, church(999), 5000) == "no"

@@ -4,11 +4,17 @@ from __future__ import annotations
 
 import pytest
 
+import os
+import pickle
+import subprocess
+import sys
+
 from debruijn import (
     BindingArity,
     OpSchema,
     TypedArity,
     TypedSignatureSchema,
+    TypeExpr,
     TypeGrammar,
     arity,
     arrow,
@@ -36,6 +42,27 @@ def test_lambda_signature_shape():
     assert sig.ops["app"] == BindingArity((0, 0))
     assert first_order_arity(sig.ops["app"]) == 2
     assert validate_signature(sig) == []
+
+
+def test_binder_table_is_built_once_per_signature():
+    sig = make_signature({"m": (2, 0, 1), "c": ()})
+    assert sig.binders == {"m": (2, 0, 1), "c": ()}
+    assert sig.binders is sig.binders
+    assert make_signature({"m": (2, 0, 1), "c": ()}) == sig
+
+
+def test_type_hash_is_the_dataclass_hash_and_survives_pickling():
+    ty = arrow(base("a"), arrow(base("b"), base("a")))
+    assert hash(ty) == hash(("->", ty.args)) == hash(TypeExpr("->", list(ty.args)))
+    assert hash(base("a")) == hash(("a", ()))
+    # a string hashes differently in another process: the hash is not pickled
+    code = "import pickle, sys; from debruijn import arrow, base; " \
+        "sys.stdout.buffer.write(pickle.dumps(arrow(base('a'), base('b'))))"
+    env = dict(os.environ, PYTHONHASHSEED="1", PYTHONPATH=os.pathsep.join(sys.path))
+    data = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          check=True).stdout
+    loaded, ab = pickle.loads(data), arrow(base("a"), base("b"))
+    assert loaded == ab and hash(loaded) == hash(ab) and {ab: 1}[loaded] == 1
 
 
 def test_stlc_schema_lam():

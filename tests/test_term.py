@@ -7,21 +7,35 @@ import random
 
 import pytest
 
+from math import inf
+
 from debruijn import (
+    Assignment,
     Op,
     Var,
     fold,
+    from_named,
     lambda_signature,
     make_signature,
+    map_free_vars,
     max_free_var,
+    parse_term,
+    print_term,
+    rename,
+    subst,
     support,
+    term_from_json,
+    term_to_json,
+    to_named,
     wellformed,
 )
-from debruijn.gen import random_term
+from debruijn.gen import random_assignment, random_renaming, random_term
 
 from helpers import app, lam
 
 SIG = lambda_signature()
+FO_SIG = make_signature({"f": (0, 0), "c": ()})
+MIXED_SIG = make_signature({"m": (2, 0, 1)})
 
 
 def test_wellformed_ok():
@@ -133,3 +147,72 @@ def test_node_repr_eq_and_hash_are_the_dataclass_ones():
     assert o == app(lam(Var(0)), Var(3)) and o != app(lam(Var(0)), Var(4))
     assert Var(0) != lam(Var(0)) and Var(0) != 0
     assert pickle.loads(pickle.dumps(o)) == o
+
+
+def _bounds_hold(t) -> bool:
+    """Whether every node's ``_top`` is 1 + the largest index below it
+    (0 without variables), computed here by an explicit-stack fold."""
+    stack, values = [(t, False)], []
+    while stack:
+        node, ready = stack.pop()
+        if type(node) is Var:
+            values.append(node.index + 1)
+        elif ready:
+            k = len(values) - len(node.args)
+            top = max(values[k:], default=0)
+            del values[k:]
+            if node._top != top:
+                return False
+            values.append(top)
+        else:
+            stack.append((node, True))
+            stack.extend((a, False) for a in node.args)
+    return t._top == values[0]
+
+
+@pytest.mark.parametrize("sig", [SIG, FO_SIG, MIXED_SIG], ids=["lambda", "FO", "MIXED"])
+def test_index_bound_on_every_node(sig):
+    rng = random.Random(71)
+    for _ in range(200):
+        t = random_term(sig, rng, max_depth=6, max_index=rng.choice((1, 5, 40)))
+        built = (
+            t,
+            subst(t, random_assignment(sig, rng, max_depth=3), sig),
+            rename(t, random_renaming(rng), sig),
+            parse_term(print_term(t)),
+            from_named(sig, to_named(sig, t)),
+            term_from_json(term_to_json(t)),
+            pickle.loads(pickle.dumps(t)),
+        )
+        for u in built:
+            assert _bounds_hold(u)
+        assert built[3:] == (t,) * 4
+    assert Op("c", ())._top == 0 and Var(0)._top == 1 and Var(-3)._top == -2
+    assert lam(lam(app(Var(1), Var(9))))._top == 10
+
+
+def test_non_term_argument_gets_an_infinite_bound_and_is_walked():
+    bad = lam("not a term")
+    assert bad._top == inf and app(Var(0), bad)._top == inf
+    for t in (bad, lam(lam(bad))):
+        with pytest.raises(TypeError):
+            map_free_vars(t, SIG, lambda d, n: Var(n))
+        with pytest.raises(TypeError):
+            subst(t, Assignment((Var(3),), 0), SIG)
+
+
+def test_eq_is_iterative_and_rejects_by_bound():
+    def chain(n):
+        t = Var(n)
+        for _ in range(n):
+            t = lam(app(t, Var(0)))
+        return t
+
+    a, b = chain(100_000), chain(100_000)
+    assert a is not b and a.args[0] is not b.args[0]
+    assert a == b and not a != b
+    assert a != chain(99_999)
+    assert lam(app(Var(0), Var(1))) != lam(app(Var(0), Var(2)))  # by bound
+    assert app(Var(0), Var(2)) != app(Var(1), Var(2)) == app(Var(1), Var(2))
+    assert app(Var(0), lam(Var(0))) != app(Var(0), Var(0))
+    assert Op("c", ()) == Op("c", ()) and Op("c", ()) != Op("d", ())

@@ -24,6 +24,7 @@ from debruijn import (
     bt_context,
     bt_enumerate,
     degenerate_schema,
+    instantiate_schema,
     from_degenerate,
     lambda_signature,
     stlc_schema,
@@ -48,7 +49,7 @@ from debruijn.gen import (
     random_typed_assignment,
     random_typed_term,
 )
-from debruijn.typed import typed_assignment_at
+from debruijn.typed import op_arity, typed_assignment_at
 
 from helpers import app, lam, same_term
 
@@ -401,3 +402,17 @@ def test_bt_enumerate_conclusions():
     goal = arrow(A, B)
     for d in bt_enumerate(grammar, goal, 3, context_types=(arrow(A, arrow(A, B)),)):
         assert bt_conclusion(d) == goal
+
+
+def test_op_arity_is_memoized_per_schema_and_failures_are_not():
+    sch = stlc_schema({"a", "b"})
+    ar = op_arity(sch, "lam", (A, B))
+    assert ar == instantiate_schema(sch.schemas["lam"], (A, B), sch.grammar)
+    assert op_arity(sch, "lam", (A, B)) is ar
+    assert sch.arities == {("lam", (A, B)): ar}
+    assert op_arity(stlc_schema({"a", "b"}), "lam", (A, B)) is not ar
+    for name, targs in (("pair", (A, B)), ("lam", (A,)), ("lam", (A, base("c")))):
+        for _ in range(2):
+            with pytest.raises(TypecheckError):
+                op_arity(sch, name, targs, (0, 1))
+    assert list(sch.arities) == [("lam", (A, B))]
