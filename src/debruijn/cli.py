@@ -141,7 +141,7 @@ def cmd_term_from_named(args) -> int:
     t = parse_term(args.term, "named")
     try:
         nameless = from_named(sig, t)
-    except (ValueError, KeyError) as e:
+    except ValueError as e:
         raise CliError(str(e), EXIT_PARSE) from None
     print(_output_term(nameless, args.format))
     return EXIT_OK

@@ -51,12 +51,9 @@ class DBAlgebra(DeBruijnMonad):
     interpretations: dict[str, Callable[[list], Any]] = field(default_factory=dict)
 
 
-def model_lift(m: DeBruijnMonad, a: Assignment) -> Assignment:
-    """0 -> v(0), n+1 -> a(n)[shift], in the model's own substitution."""
-    return model_lift_n(m, a, 1)
-
-
 def model_lift_n(m: DeBruijnMonad, a: Assignment, n: int) -> Assignment:
+    """The n-fold lift: i -> v(i) for i < n, n + j -> a(j)[shift by n], in
+    the model's own substitution."""
     return lift_with(a, n, m.variables, lambda x: m.substitution(x, Assignment((), n)))
 
 
@@ -288,8 +285,9 @@ def named_subst(t: NamedTerm, mapping: dict) -> NamedTerm:
         return mapping[key]
     new_args = []
     for binders, body in t.args:
-        if not binders and type(body) is NVar:
-            new_args.append(((), mapping.get(body.name, body)))
+        if not binders and (type(body) is NVar or type(body) is TNVar):
+            (key,) = body.free
+            new_args.append(((), mapping.get(key, body)))
             continue
         relevant = _relevant(mapping, body.free, binders)
         if binders and relevant:

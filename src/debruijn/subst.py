@@ -48,16 +48,12 @@ NAT = int
 
 
 def Renaming(prefix=(), tail_shift: int = 0) -> Assignment:
-    """n -> prefix[n] for n < q, q + j -> tail_shift + j."""
+    """n -> prefix[n] for n < q, q + j -> tail_shift + j; ``Renaming((), k)``
+    is the shift by k.  ``model.nat_monad()`` lifts and composes renamings."""
     return Assignment(prefix, tail_shift, NAT)
 
 
 IDENTITY = Assignment()
-SHIFT = Assignment((), 1)
-
-
-def shift_renaming(k: int) -> Assignment:
-    return Renaming((), k)
 
 
 def at(a: Assignment, n: int, var: Callable[[int], Any] = Var):
@@ -68,10 +64,6 @@ def at(a: Assignment, n: int, var: Callable[[int], Any] = Var):
 
 
 apply_assignment = at
-
-
-def apply_renaming(f: Assignment, n: int) -> int:
-    return at(f, n, NAT)
 
 
 def drop(a: Assignment, k: int) -> Assignment:
@@ -96,15 +88,6 @@ def compose_with(f: Assignment, g: Assignment, var: Callable, image: Callable) -
     return Assignment((*map(image, prefix), *rest.prefix), rest.tail_shift, var)
 
 
-def lift_renaming(f: Assignment) -> Assignment:
-    """0 -> 0, n+1 -> f(n) + 1."""
-    return lift_n_renaming(f, 1)
-
-
-def lift_n_renaming(f: Assignment, n: int) -> Assignment:
-    return lift_with(f, n, NAT, lambda r: r + n)
-
-
 def rename(t: Term, f: Assignment, sig: BindingSignature) -> Term:
     """Apply ``f`` to the free variables of ``t``, lifting under binders."""
     # lift^d(f)(n) = n for n < d, f(n - d) + d otherwise
@@ -115,7 +98,7 @@ def rename(t: Term, f: Assignment, sig: BindingSignature) -> Term:
 
 
 def _shift_term(t: Term, by: int, sig: BindingSignature) -> Term:
-    return t if by == 0 else rename(t, shift_renaming(by), sig)
+    return t if by == 0 else rename(t, Renaming((), by), sig)
 
 
 def lift(sigma: Assignment, sig: BindingSignature) -> Assignment:
@@ -155,11 +138,6 @@ def subst(t: Term, sigma: Assignment, sig: BindingSignature) -> Term:
 def compose(sigma: Assignment, tau: Assignment, sig: BindingSignature) -> Assignment:
     """Canonical representation of n -> subst(sigma(n), tau)."""
     return compose_with(sigma, tau, Var, lambda t: subst(t, tau, sig))
-
-
-def renaming_assignment(f: Assignment) -> Assignment:
-    """View a renaming as the assignment n -> Var(f(n))."""
-    return Assignment(tuple(Var(r) for r in f.prefix), f.tail_shift)
 
 
 def subst1(t: Term, u: Term, sig: BindingSignature) -> Term:

@@ -174,18 +174,29 @@ class _Parser:
             return TypeExpr(name, tuple(args))
         return TypeExpr(name)
 
-    # -- nameless terms -------------------------------------------------
+    # -- nameless terms and metaterms -----------------------------------
 
-    def nameless(self) -> Term:
+    def nameless(self, meta: bool = False) -> Term:
+        """A nameless term; with ``meta``, a metaterm, whose leaves may also
+        be metavariables ``?i`` and explicit substitutions ``{t [...]}``."""
         tok = self.peek()
         if tok.kind == "nat":
             self.next()
             return Var(int(tok.text))
+        if meta and tok.kind == "?":
+            self.next()
+            return MetaVar(self.nat())
+        if meta and tok.kind == "{":
+            self.next()
+            body = self.nameless(meta)
+            assign = self.literal(lambda: self.nameless(meta))
+            self.expect("}")
+            return ExplicitSubst(body, assign)
         self.expect("(")
         name = self.expect("ident").text
         args = []
         while not self.at(")"):
-            args.append(self.nameless())
+            args.append(self.nameless(meta))
         self.expect(")")
         return Op(name, tuple(args))
 
@@ -249,30 +260,6 @@ class _Parser:
         shift = self.nat()
         self.expect("]")
         return Assignment(tuple(entries), shift, var)
-
-    # -- metaterms ------------------------------------------------------
-
-    def metaterm(self):
-        tok = self.peek()
-        if tok.kind == "nat":
-            self.next()
-            return Var(int(tok.text))
-        if tok.kind == "?":
-            self.next()
-            return MetaVar(self.nat())
-        if tok.kind == "{":
-            self.next()
-            body = self.metaterm()
-            assign = self.literal(self.metaterm)
-            self.expect("}")
-            return ExplicitSubst(body, assign)
-        self.expect("(")
-        name = self.expect("ident").text
-        args = []
-        while not self.at(")"):
-            args.append(self.metaterm())
-        self.expect(")")
-        return Op(name, tuple(args))
 
 
 # --- public parse functions ---------------------------------------------
@@ -501,9 +488,9 @@ def parse_theory_file(text: str) -> EquationalTheory:
             p.expect(")")
         p.expect("]")
         p.expect(":")
-        left = p.metaterm()
+        left = p.nameless(meta=True)
         p.expect("=")
-        right = p.metaterm()
+        right = p.nameless(meta=True)
         p.expect(";")
         rules.append(Rule(name, BindingArity(tuple(binders)), left, right))
     if signature is None:

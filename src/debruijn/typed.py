@@ -208,14 +208,6 @@ def multi_shift(
     return _shift(t, tuple(by.values()), schema, {ty: i for i, ty in enumerate(by)}, {})
 
 
-def tlift(
-    sigma: TypedAssignment, ty: TypeExpr, schema: TypedSignatureSchema
-) -> TypedAssignment:
-    """Lift at one type: fixes the new index 0 of that type and shifts that
-    type's indices in every image (which leaves other types alone)."""
-    return tlift_gamma(sigma, (ty,), schema)
-
-
 def tlift_gamma(
     sigma: TypedAssignment, gamma: tuple[TypeExpr, ...], schema: TypedSignatureSchema
 ) -> TypedAssignment:
@@ -271,10 +263,6 @@ def tcompose(
         ty: compose_with(sigma.component(ty), nu.component(ty), _tvar(ty), image)
         for ty in {**sigma.components, **nu.components}
     })
-
-
-def tsubst1(t: TypedTerm, u: TypedTerm, ty: TypeExpr, schema: TypedSignatureSchema) -> TypedTerm:
-    return tsubst(t, TypedAssignment({ty: ((u,), 0)}), schema)
 
 
 # --- typed models -------------------------------------------------------

@@ -16,6 +16,7 @@ from debruijn import (
     IDENTITY,
     Assignment,
     Op,
+    Renaming,
     TOp,
     TVar,
     TypedArity,
@@ -39,7 +40,6 @@ from debruijn import (
     named_model,
     normalize,
     rename,
-    shift_renaming,
     stlc_schema,
     subst,
     support,
@@ -213,7 +213,7 @@ def test_criterion_5_substitution_clauses():
         # (v) lifted assignment at n+1
         for n in range(3):
             got = apply_assignment(lift(f, SIG), n + 1)
-            want = rename(apply_assignment(f, n), shift_renaming(1), SIG)
+            want = rename(apply_assignment(f, n), Renaming((), 1), SIG)
             if got != want:
                 ok = False
     record(5, "substitution clause parity", ok)
@@ -239,7 +239,7 @@ def test_criterion_6_beta_quotient():
     if equiv(beta, OMEGA, Var(0), 50) != "unknown":
         ok = False
 
-    expansion = lam(app(rename(Var(5), shift_renaming(1), SIG), Var(0)))
+    expansion = lam(app(rename(Var(5), Renaming((), 1), SIG), Var(0)))
     if equiv(betaeta, expansion, Var(5)) != "yes":
         ok = False
     record(6, "beta quotient", ok)

@@ -15,7 +15,7 @@ from types import SimpleNamespace
 import pytest
 
 from debruijn import (
-    SHIFT,
+    NAT,
     Assignment,
     Renaming,
     TVar,
@@ -23,14 +23,12 @@ from debruijn import (
     Var,
     alpha_eq,
     apply_assignment,
-    apply_renaming,
     arrow,
     at,
     base,
     compose,
     lambda_signature,
     lift_n,
-    lift_n_renaming,
     make_signature,
     model_compose,
     model_lift_n,
@@ -77,13 +75,13 @@ def _nat():
         element=lambda rng: rng.randrange(6),
         random=random_renaming,
         build=Renaming,
-        at=apply_renaming,
-        lift=lift_n_renaming,
+        at=lambda a, i: at(a, i, NAT),
+        lift=lambda a, n: model_lift_n(nat_monad(), a, n),
         ref_lift=lambda a, n: iterate_lift(
-            lambda i: apply_renaming(a, i), n, lambda i: i, lambda r: r + 1
+            lambda i: at(a, i, NAT), n, lambda i: i, lambda r: r + 1
         ),
         compose=lambda f, g: model_compose(nat_monad(), f, g),
-        image=lambda x, g: apply_renaming(g, x),
+        image=lambda x, g: at(g, x, NAT),
         equal=lambda x, y: x == y,
     )
 
@@ -117,7 +115,7 @@ def _named():
         lift=lambda a, n: model_lift_n(NM, a, n),
         ref_lift=lambda a, n: iterate_lift(
             lambda i: at(a, i, NM.variables), n, NM.variables,
-            lambda x: NM.substitution(x, SHIFT),
+            lambda x: NM.substitution(x, Renaming((), 1)),
         ),
         compose=lambda f, g: model_compose(NM, f, g),
         image=NM.substitution,

@@ -131,6 +131,18 @@ def test_term_from_named_rejects_bad_operations(lam_sig, capsys, term, message):
     assert out.err.strip() == message
 
 
+def test_term_from_named_key_error_is_an_internal_error(lam_sig, capsys, monkeypatch):
+    # from_named reports bad input as ValueError only, so a KeyError is a bug
+    import debruijn.cli as cli
+
+    def lookup_bug(sig, t):
+        raise KeyError("x0")
+
+    monkeypatch.setattr(cli, "from_named", lookup_bug)
+    assert main(["term", "from-named", "--sig", lam_sig, "--term", "x0"]) == 4
+    assert capsys.readouterr().err == "internal error: KeyError: 'x0'\n"
+
+
 def test_term_parse_error_exit_code(lam_sig, capsys):
     assert main(["term", "subst", "--sig", lam_sig, "--term", "(app 0)",
                  "--assign", "[; ^0]"]) == 2

@@ -12,6 +12,7 @@ from debruijn import (
     ExplicitSubst,
     MetaVar,
     Op,
+    Renaming,
     Rule,
     Var,
     beta_eta_theory,
@@ -26,7 +27,6 @@ from debruijn import (
     parse_theory_file,
     rename,
     rewrite_step,
-    shift_renaming,
     subst,
     support,
     term_model,
@@ -226,7 +226,7 @@ def test_equiv_unknown():
 
 def test_eta_identification():
     t = Var(5)
-    expansion = lam(app(rename(t, shift_renaming(1), SIG), Var(0)))
+    expansion = lam(app(rename(t, Renaming((), 1), SIG), Var(0)))
     assert equiv(BETAETA, expansion, t) == "yes"
     # plain beta does not identify them
     assert equiv(BETA, expansion, t) == "no"

@@ -27,7 +27,6 @@ from debruijn import (
     match_pattern,
     max_free_var,
     rename,
-    shift_renaming,
     stlc_schema,
     subst,
     support,
@@ -89,7 +88,7 @@ def test_identity_returns_the_input():
     for sig in (SIG, FO_SIG, MIXED_SIG):
         t = random_term(sig, rng, max_depth=6)
         assert subst(t, IDENTITY, sig) is t
-        assert rename(t, shift_renaming(0), sig) is t
+        assert rename(t, Renaming((), 0), sig) is t
     t = random_typed_term(SCH, rng, arrow(A, A), max_depth=4)
     assert tsubst(t, TypedAssignment(), SCH) is t
     assert multi_shift(t, {A: 0}, SCH) is t
@@ -98,10 +97,10 @@ def test_identity_returns_the_input():
 def test_unchanged_subterms_are_shared():
     closed = lam(lam(app(Var(1), Var(0))))
     t = app(closed, Var(0))
-    shifted = rename(t, shift_renaming(1), SIG)
+    shifted = rename(t, Renaming((), 1), SIG)
     assert shifted == app(closed, Var(1))
     assert shifted.args[0] is closed
-    assert rename(closed, shift_renaming(3), SIG) is closed
+    assert rename(closed, Renaming((), 3), SIG) is closed
     assert subst(closed, Assignment((Var(7),), 2), SIG) is closed
     # a renaming that fixes every free variable rebuilds nothing
     assert rename(t, Renaming((0,), 2), SIG) is t
@@ -253,7 +252,7 @@ def test_non_term_nodes_raise_type_error():
     with pytest.raises(TypeError):
         subst(bad, Assignment((Var(3),), 0), SIG)
     with pytest.raises(TypeError):
-        rename(lam(bad), shift_renaming(1), SIG)
+        rename(lam(bad), Renaming((), 1), SIG)
     tbad = TOp("app", (A, A), (TVar(0, arrow(A, A)), "not a term"))
     with pytest.raises(TypeError):
         tsubst(tbad, TypedAssignment({A: ((), 1)}), SCH)
@@ -280,7 +279,7 @@ def test_closed_subterms_are_not_walked():
     t = app(Var(0), closed)
     out = subst(t, Assignment((Var(4),), 0), SIG)
     assert out == app(Var(4), closed) and out.args[1] is closed
-    assert rename(closed, shift_renaming(2), SIG) is closed
+    assert rename(closed, Renaming((), 2), SIG) is closed
     assert wellformed(SIG, t) == [
         "unknown operation 'foo' at [1, 0]",
     ]

@@ -26,7 +26,7 @@ from debruijn import (
     lambda_signature,
     make_signature,
     model_compose,
-    model_lift,
+    model_lift_n,
     named_model,
     named_subst,
     nat_monad,
@@ -141,7 +141,7 @@ def test_model_lift_matches_term_lift():
     rng = random.Random(3)
     for _ in range(100):
         a = random_assignment(SIG, rng)
-        got = model_lift(TM, Assignment(a.prefix, a.tail_shift))
+        got = model_lift_n(TM, Assignment(a.prefix, a.tail_shift), 1)
         want = lift(a, SIG)
         assert Assignment(tuple(got.prefix), got.tail_shift) == want
 

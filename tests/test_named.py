@@ -451,6 +451,30 @@ def test_typed_to_named_output_is_pinned():
     )
 
 
+@pytest.mark.parametrize("depth", [50, 100])
+def test_typed_to_named_substitutes_as_often_as_to_named(depth, monkeypatch):
+    # at one sort the typed conversion makes the untyped one's calls: a
+    # binder-free variable argument is substituted in place at either sort
+    import debruijn.model as model
+
+    calls = []
+    inner = model.named_subst
+
+    def counted(t, mapping):
+        calls.append(t)
+        return inner(t, mapping)
+
+    monkeypatch.setattr(model, "named_subst", counted)
+    t = Var(depth)  # free: every level renames below it
+    for _ in range(depth):
+        t = lam(app(t, Var(0)))
+    to_named(SIG, t)
+    untyped = len(calls)
+    calls.clear()
+    typed_to_named(degenerate_schema(SIG), to_degenerate(t))
+    assert len(calls) == untyped
+
+
 def test_deep_to_named_is_fast_and_round_trips():
     t = deep_lambda(random.Random(300), 300)
     start = time.perf_counter()

@@ -7,21 +7,19 @@ import random
 
 from debruijn import (
     IDENTITY,
-    SHIFT,
+    NAT,
     Assignment,
     Renaming,
     Var,
     apply_assignment,
-    apply_renaming,
+    at,
     compose,
     lambda_signature,
     lift,
     lift_n,
-    lift_n_renaming,
-    lift_renaming,
+    model_lift_n,
+    nat_monad,
     rename,
-    renaming_assignment,
-    shift_renaming,
     subst,
     subst1,
 )
@@ -30,6 +28,7 @@ from debruijn.gen import random_assignment, random_renaming, random_term
 from helpers import app, lam
 
 SIG = lambda_signature()
+N = nat_monad()
 
 
 # --- denotation of the finite representation ----------------------------
@@ -46,7 +45,7 @@ def test_apply_assignment_tail_rule():
 
 
 def test_apply_renaming_shift():
-    assert apply_renaming(shift_renaming(1), 4) == 5
+    assert at(Renaming((), 1), 4, NAT) == 5
 
 
 def test_canonical_form_drops_redundant_prefix():
@@ -75,26 +74,26 @@ def test_canonical_form_soundness():
             expected = (
                 f.prefix[n] if n < len(f.prefix) else f.tail_shift + n - len(f.prefix)
             )
-            assert apply_renaming(f, n) == expected
+            assert at(f, n, NAT) == expected
 
 
 # --- lifting ------------------------------------------------------------
 
 
 def test_lift_renaming_shift():
-    assert lift_renaming(shift_renaming(1)) == Renaming((0,), 2)
+    assert model_lift_n(N, Renaming((), 1), 1) == Renaming((0,), 2)
 
 
 def test_lift_renaming_identity():
-    assert lift_renaming(IDENTITY) == IDENTITY
+    assert model_lift_n(N, IDENTITY, 1) == IDENTITY
 
 
 def test_lift_renaming_prefix():
-    lifted = lift_renaming(Renaming((5,), 0))
+    lifted = model_lift_n(N, Renaming((5,), 0), 1)
     assert lifted == Renaming((0, 6), 1)
     for n in range(5):
-        expected = 0 if n == 0 else apply_renaming(Renaming((5,), 0), n - 1) + 1
-        assert apply_renaming(lifted, n) == expected
+        expected = 0 if n == 0 else at(Renaming((5,), 0), n - 1, NAT) + 1
+        assert at(lifted, n, NAT) == expected
 
 
 def test_lift_identity():
@@ -119,7 +118,7 @@ def test_lift_shifted_prefix():
         assert apply_assignment(lifted, n) == expected
 
 
-SHIFT_1 = shift_renaming(1)
+SHIFT_1 = Renaming((), 1)
 
 
 def test_lift_n():
@@ -134,10 +133,10 @@ def test_lift_n_renaming_matches_pointwise():
     for _ in range(100):
         f = random_renaming(rng)
         k = rng.randrange(4)
-        lifted = lift_n_renaming(f, k)
+        lifted = model_lift_n(N, f, k)
         for n in range(8):
-            expected = n if n < k else apply_renaming(f, n - k) + k
-            assert apply_renaming(lifted, n) == expected
+            expected = n if n < k else at(f, n - k, NAT) + k
+            assert at(lifted, n, NAT) == expected
 
 
 # --- rename and subst ---------------------------------------------------
@@ -145,7 +144,7 @@ def test_lift_n_renaming_matches_pointwise():
 
 def test_rename_under_binder():
     assert rename(lam(Var(1)), SHIFT_1, SIG) == lam(Var(2))
-    assert rename(lam(Var(0)), shift_renaming(7), SIG) == lam(Var(0))
+    assert rename(lam(Var(0)), Renaming((), 7), SIG) == lam(Var(0))
     assert rename(app(Var(0), Var(1)), SHIFT_1, SIG) == app(Var(1), Var(2))
 
 
@@ -170,8 +169,9 @@ def test_subst1():
 
 
 def test_shift_assignment_constant():
-    assert SHIFT == Assignment((), 1)
-    assert apply_assignment(SHIFT, 4) == Var(5)
+    # the shift renaming and the term shift are one representation
+    assert Renaming((), 1) == Assignment((), 1)
+    assert apply_assignment(Renaming((), 1), 4) == Var(5)
 
 
 # --- compose ------------------------------------------------------------
@@ -227,7 +227,9 @@ def test_renaming_compatibility():
     for _ in range(300):
         t = random_term(SIG, rng, max_depth=5)
         f = random_renaming(rng)
-        assert rename(t, f, SIG) == subst(t, renaming_assignment(f), SIG)
+        # f viewed as the assignment n -> Var(f(n))
+        as_terms = Assignment(map(Var, f.prefix), f.tail_shift)
+        assert rename(t, f, SIG) == subst(t, as_terms, SIG)
 
 
 def test_lift_interchange():

@@ -31,11 +31,9 @@ from debruijn import (
     subst,
     t_initial_fold,
     tcompose,
-    tlift,
     tlift_gamma,
     to_degenerate,
     tsubst,
-    tsubst1,
     typecheck,
     typed_named_model,
     typed_term_model,
@@ -121,19 +119,19 @@ def test_typed_assignment_canonicalization():
 
 
 def test_tlift_identity():
-    assert tlift(TypedAssignment(), A, SCH) == TypedAssignment()
+    assert tlift_gamma(TypedAssignment(), (A,), SCH) == TypedAssignment()
 
 
 def test_tlift_single_type():
     # [TVar 3; ^9] maps 0 -> 3, n+1 -> 9+n; lifting gives [0, 4; ^10]
     sigma = TypedAssignment({A: ((TVar(3, A),), 9)})
-    lifted = tlift(sigma, A, SCH)
+    lifted = tlift_gamma(sigma, (A,), SCH)
     assert lifted.component(A) == ((TVar(0, A), TVar(4, A)), 10)
 
 
 def test_tlift_leaves_other_types_alone():
     sigma = TypedAssignment({A: ((TVar(3, A),), 9)})
-    lifted = tlift(sigma, B, SCH2)
+    lifted = tlift_gamma(sigma, (B,), SCH2)
     # the b-shift fixes a-indices, so the a-component is untouched
     assert lifted.component(A) == sigma.component(A)
     assert lifted.component(B) == ((TVar(0, B),), 1) or lifted.component(B) == ((), 0)
@@ -144,15 +142,17 @@ def test_tlift_shifts_cross_type_occurrences():
     # a-shift when lifting at a
     f = arrow(A, A)
     sigma = TypedAssignment({f: ((tlam(A, A, TVar(1, A)),), 0)})
-    lifted = tlift(sigma, A, SCH)
+    lifted = tlift_gamma(sigma, (A,), SCH)
     assert lifted.component(f)[0][0] == tlam(A, A, TVar(2, A))
 
 
 def test_tlift_gamma():
     sigma = TypedAssignment({A: ((TVar(3, A),), 0)})
     assert tlift_gamma(sigma, (), SCH) == sigma
-    assert tlift_gamma(sigma, (A,), SCH) == tlift(sigma, A, SCH)
-    assert tlift_gamma(sigma, (A, B), SCH2) == tlift(tlift(sigma, A, SCH2), B, SCH2)
+    # the one-step lift at a: [3; ^0] becomes [0, 4; ^1]
+    assert tlift_gamma(sigma, (A,), SCH) == TypedAssignment({A: ((TVar(0, A), TVar(4, A)), 1)})
+    lift_a = tlift_gamma(sigma, (A,), SCH2)
+    assert tlift_gamma(sigma, (A, B), SCH2) == tlift_gamma(lift_a, (B,), SCH2)
 
 
 # --- typed substitution -------------------------------------------------
@@ -187,7 +187,7 @@ def test_tsubst_identity():
 def test_tsubst1():
     u = tlam(A, A, TVar(0, A))
     t = TVar(0, arrow(A, A))
-    assert tsubst1(t, u, arrow(A, A), SCH) == u
+    assert tsubst(t, TypedAssignment({arrow(A, A): ((u,), 0)}), SCH) == u
 
 
 def test_subject_invariance():
@@ -252,7 +252,7 @@ def test_per_type_independence():
             for _ in range(rng.randint(0, 2))
         )
         sigma = TypedAssignment({ty: (prefix, rng.randint(0, 2))})
-        lifted = tlift(sigma, B, SCH2)
+        lifted = tlift_gamma(sigma, (B,), SCH2)
         assert lifted.component(ty)[0] == sigma.component(ty)[0]
 
 
