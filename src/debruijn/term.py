@@ -159,24 +159,26 @@ def fold_nodes(t, on_var: Callable, on_op: Callable, var: type = Var, op: type =
     its subterms in ``args``.  ``on_var(node)`` handles leaves;
     ``on_op(node, values)`` receives the already-folded argument values as
     a list.  A node of neither class raises ``TypeError``."""
-    stack: list[tuple[object, bool]] = [(t, False)]
-    values: list = []
-    push, pop, emit = stack.append, stack.pop, values.append
-    while stack:
-        node, ready = pop()
-        if type(node) is var:
-            emit(on_var(node))
-        elif type(node) is not op:
-            raise TypeError(f"not a term: {node!r}")
-        elif ready:
+    nodes, done, values = [t], [False], []  # done: the node's arguments are folded
+    while nodes:
+        node = nodes.pop()
+        if done.pop():
             k = len(values) - len(node.args)
             folded = values[k:]
             del values[k:]
-            emit(on_op(node, folded))
+            values.append(on_op(node, folded))
+        elif type(node) is var:
+            values.append(on_var(node))
+        elif type(node) is not op:
+            raise TypeError(f"not a term: {node!r}")
         else:
-            push((node, True))
-            for a in reversed(node.args):
-                push((a, False))
+            nodes.append(node)
+            done.append(True)
+            args, i = node.args, len(node.args)
+            while i:
+                i -= 1
+                nodes.append(args[i])
+                done.append(False)
     return values[0]
 
 
@@ -204,30 +206,39 @@ def map_free_vars(t: Term, sig: BindingSignature, on_free: Callable[[int, int], 
     that is not a term raises ``TypeError``.
     """
     binders = sig.binders
-    stack: list[tuple[Term, int, bool]] = [(t, 0, False)]
-    values: list[Term] = []
-    push, pop, emit = stack.append, stack.pop, values.append
-    while stack:
-        node, depth, ready = pop()
-        if type(node) is Var:
+    nodes, depths, values = [t], [0], []  # depth ~d < 0: the node's arguments are done
+    while nodes:
+        node = nodes.pop()
+        depth = depths.pop()
+        if depth < 0:
+            args = node.args
+            if len(args) == 1:  # rebuilt in place
+                values[-1] = node if values[-1] is args[0] else Op(node.name, (values[-1],))
+            else:
+                k = len(values) - len(args)
+                rebuilt = tuple(values[k:])
+                del values[k:]
+                values.append(Op(node.name, rebuilt) if any(map(is_not, rebuilt, args)) else node)
+        elif type(node) is Var:
             if node.index >= depth:
                 new = on_free(depth, node.index)
                 if type(new) is not Var or new.index != node.index:
                     node = new
-            emit(node)
+            values.append(node)
         elif type(node) is not Op:
             raise TypeError(f"not a term: {node!r}")
-        elif ready:
-            k = len(values) - len(node.args)
-            rebuilt = tuple(values[k:])
-            del values[k:]
-            emit(Op(node.name, rebuilt) if any(map(is_not, rebuilt, node.args)) else node)
         elif node._top <= depth or node._sig is sig and node._sup <= depth:
-            emit(node)
+            values.append(node)
         else:
-            push((node, depth, True))
-            for a, n in zip(reversed(node.args), reversed(binders[node.name]), strict=True):
-                push((a, depth + n, False))
+            ns, args, i = binders[node.name], node.args, len(node.args)
+            if len(ns) != i:
+                raise ValueError(f"operation '{node.name}' takes {len(ns)} arguments, got {i}")
+            nodes.append(node)
+            depths.append(~depth)
+            while i:
+                i -= 1
+                nodes.append(args[i])
+                depths.append(depth + ns[i])
     return values[0]
 
 
@@ -246,29 +257,34 @@ def support(t: Term, sig: BindingSignature) -> int:
     A node memoized under another signature is recomputed and overwritten.
     """
     binders = sig.binders
-    stack: list[tuple[Term, bool]] = [(t, False)]
-    values: list[int] = []
-    push, pop, emit = stack.append, stack.pop, values.append
-    while stack:
-        node, ready = pop()
-        if type(node) is Var:
-            emit(node.index + 1)
-        elif type(node) is not Op:
-            raise TypeError(f"not a term: {node!r}")
-        elif ready:
-            k = len(values) - len(node.args)
+    nodes, done, values = [t], [False], []  # done: the node's arguments are measured
+    while nodes:
+        node = nodes.pop()
+        if done.pop():
+            ns = binders[node.name]
+            k = len(values) - len(ns)
             s = 0
-            for v, n in zip(values[k:], binders[node.name], strict=True):
+            for v, n in zip(values[k:], ns):
                 if v - n > s:
                     s = v - n
             del values[k:]
             _op_sup(node, s)
             _op_sig(node, sig)
-            emit(s)
+            values.append(s)
+        elif type(node) is Var:
+            values.append(node.index + 1)
+        elif type(node) is not Op:
+            raise TypeError(f"not a term: {node!r}")
         elif node._sig is sig:
-            emit(node._sup)
+            values.append(node._sup)
         else:
-            push((node, True))
-            for a in reversed(node.args):
-                push((a, False))
+            ns, args, i = binders[node.name], node.args, len(node.args)
+            if len(ns) != i:
+                raise ValueError(f"operation '{node.name}' takes {len(ns)} arguments, got {i}")
+            nodes.append(node)
+            done.append(True)
+            while i:
+                i -= 1
+                nodes.append(args[i])
+                done.append(False)
     return max(values[0], 0)  # a root Var(i) with i < 0 is not free

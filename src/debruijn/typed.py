@@ -201,13 +201,6 @@ def _shift(t: TypedTerm, by: tuple[int, ...], schema, slot, shifts) -> TypedTerm
     return _map_free_tvars(t, schema, on_free, slot, shifts) if any(by) else t
 
 
-def multi_shift(
-    t: TypedTerm, by: dict[TypeExpr, int], schema: TypedSignatureSchema
-) -> TypedTerm:
-    """Add ``by[ty]`` to every free index of type ``ty``."""
-    return _shift(t, tuple(by.values()), schema, {ty: i for i, ty in enumerate(by)}, {})
-
-
 def tlift_gamma(
     sigma: TypedAssignment, gamma: tuple[TypeExpr, ...], schema: TypedSignatureSchema
 ) -> TypedAssignment:

@@ -4,6 +4,7 @@ the test suite."""
 from __future__ import annotations
 
 from collections import Counter
+from operator import is_not
 
 from debruijn import (
     Assignment,
@@ -21,6 +22,7 @@ from debruijn import (
     rewrite_step,
 )
 from debruijn.model import _letter_supply
+from debruijn.term import _op_sig, _op_sup
 from debruijn.typed import op_arity, typed_assignment_at
 
 
@@ -117,6 +119,73 @@ def ref_subst(t, sigma, sig):
     return Op(t.name, tuple(
         ref_subst(a, ref_lift_n(sigma, n, sig), sig) for a, n in zip(t.args, binders)
     ))
+
+
+# --- the tuple-stack kernels -----------------------------------------------
+#
+# ``term.map_free_vars`` and ``term.support`` as they were before their
+# walks moved to parallel node and depth lists: one (node, depth, ready)
+# tuple per visit.  The parallel-list kernels must agree with these on
+# results, on sharing with the input and on the support memos.
+
+
+def tuple_stack_map_free_vars(t, sig, on_free):
+    binders = sig.binders
+    stack = [(t, 0, False)]
+    values = []
+    push, pop, emit = stack.append, stack.pop, values.append
+    while stack:
+        node, depth, ready = pop()
+        if type(node) is Var:
+            if node.index >= depth:
+                new = on_free(depth, node.index)
+                if type(new) is not Var or new.index != node.index:
+                    node = new
+            emit(node)
+        elif type(node) is not Op:
+            raise TypeError(f"not a term: {node!r}")
+        elif ready:
+            k = len(values) - len(node.args)
+            rebuilt = tuple(values[k:])
+            del values[k:]
+            emit(Op(node.name, rebuilt) if any(map(is_not, rebuilt, node.args)) else node)
+        elif node._top <= depth or node._sig is sig and node._sup <= depth:
+            emit(node)
+        else:
+            push((node, depth, True))
+            for a, n in zip(reversed(node.args), reversed(binders[node.name]), strict=True):
+                push((a, depth + n, False))
+    return values[0]
+
+
+def tuple_stack_support(t, sig):
+    binders = sig.binders
+    stack = [(t, False)]
+    values = []
+    push, pop, emit = stack.append, stack.pop, values.append
+    while stack:
+        node, ready = pop()
+        if type(node) is Var:
+            emit(node.index + 1)
+        elif type(node) is not Op:
+            raise TypeError(f"not a term: {node!r}")
+        elif ready:
+            k = len(values) - len(node.args)
+            s = 0
+            for v, n in zip(values[k:], binders[node.name], strict=True):
+                if v - n > s:
+                    s = v - n
+            del values[k:]
+            _op_sup(node, s)
+            _op_sig(node, sig)
+            emit(s)
+        elif node._sig is sig:
+            emit(node._sup)
+        else:
+            push((node, True))
+            for a in reversed(node.args):
+                push((a, False))
+    return max(values[0], 0)
 
 
 def ref_multi_shift(t, by, schema, depth: Counter | None = None):

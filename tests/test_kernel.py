@@ -4,7 +4,9 @@ input, and rejection of nodes that are not terms."""
 
 from __future__ import annotations
 
+import importlib
 import random
+import time
 
 import pytest
 
@@ -41,7 +43,8 @@ from debruijn.gen import (
     random_typed_assignment,
     random_typed_term,
 )
-from debruijn.typed import multi_shift
+from debruijn.term import fold_nodes
+from debruijn.typed import _shift
 
 from helpers import (
     app,
@@ -52,6 +55,8 @@ from helpers import (
     ref_tsubst,
     ref_unshift,
     same_term,
+    tuple_stack_map_free_vars,
+    tuple_stack_support,
 )
 
 SIG = lambda_signature()
@@ -80,7 +85,8 @@ def test_tsubst_and_multi_shift_match_reference():
         sigma = random_typed_assignment(SCH, rng)
         assert tsubst(t, sigma, SCH) == ref_tsubst(t, sigma, SCH)
         by = {ty: rng.randint(0, 2) for ty in rng.sample(pool, 2)}
-        assert multi_shift(t, by, SCH) == ref_multi_shift(t, by, SCH)
+        slot = {ty: i for i, ty in enumerate(by)}
+        assert _shift(t, tuple(by.values()), SCH, slot, {}) == ref_multi_shift(t, by, SCH)
 
 
 def test_identity_returns_the_input():
@@ -91,7 +97,7 @@ def test_identity_returns_the_input():
         assert rename(t, Renaming((), 0), sig) is t
     t = random_typed_term(SCH, rng, arrow(A, A), max_depth=4)
     assert tsubst(t, TypedAssignment(), SCH) is t
-    assert multi_shift(t, {A: 0}, SCH) is t
+    assert _shift(t, (0,), SCH, {A: 0}, {}) is t
 
 
 def test_unchanged_subterms_are_shared():
@@ -110,7 +116,7 @@ def test_unchanged_subterms_are_shared():
     out = tsubst(tt, TypedAssignment({A: ((TVar(5, A),), 0)}), SCH)
     assert out == TOp("app", (A, A), (tclosed, TVar(5, A)))
     assert out.args[0] is tclosed
-    assert multi_shift(tclosed, {A: 2}, SCH) is tclosed
+    assert _shift(tclosed, (2,), SCH, {A: 0}, {}) is tclosed
 
 
 def test_substitution_images_are_shared_across_occurrences():
@@ -257,7 +263,7 @@ def test_non_term_nodes_raise_type_error():
     with pytest.raises(TypeError):
         tsubst(tbad, TypedAssignment({A: ((), 1)}), SCH)
     with pytest.raises(TypeError):
-        multi_shift(tbad, {A: 1}, SCH)
+        _shift(tbad, (1,), SCH, {A: 0}, {})
 
 
 def test_wrong_argument_count_raises():
@@ -305,3 +311,127 @@ def test_deep_typed_substitution():
     for _ in range(100_000):
         out = out.args[0]
     assert out == TVar(100_002, A)
+
+
+# --- the parallel-list kernels against the tuple-stack copies ------------
+
+SUBST_MODULE = importlib.import_module("debruijn.subst")
+
+
+def _on_tuple_stack(monkeypatch, call):
+    """``call()`` with ``subst`` and ``rename`` on the tuple-stack kernel."""
+    with monkeypatch.context() as m:
+        m.setattr(SUBST_MODULE, "map_free_vars", tuple_stack_map_free_vars)
+        return call()
+
+
+def _same_sharing(t, new, old) -> bool:
+    """Whether ``new`` and ``old`` keep the same subterms of ``t``: at each
+    position, either both are ``t``'s node itself or neither is."""
+    stack = [(t, new, old)]
+    while stack:
+        x, y, z = stack.pop()
+        if (y is x) != (z is x):
+            return False
+        if y is not x and type(x) is Op:
+            stack.extend(zip(x.args, y.args, z.args))
+    return True
+
+
+def _memos(t, sig) -> list:
+    """The support memo of every operation node of ``t`` under ``sig``."""
+    out, stack = [], [t]
+    while stack:
+        x = stack.pop()
+        if type(x) is Op:
+            out.append(x._sup if x._sig is sig else None)
+            stack.extend(x.args)
+    return out
+
+
+def _check_against_tuple_stack(monkeypatch, t, u, sig, calls, bound=None):
+    """Each of ``calls`` (on ``t``) agrees with the tuple-stack kernel, on
+    the result and on what it shares with ``t``; ``support`` of ``t``
+    agrees with the tuple-stack ``support`` of ``u``, an unshared copy,
+    on the result and on every memo.  Each library call takes under
+    ``bound`` seconds when one is given."""
+
+    def timed(call):
+        start = time.perf_counter()
+        out = call()
+        if bound is not None:
+            assert time.perf_counter() - start < bound
+        return out
+
+    for call in calls:
+        new = timed(call)
+        old = _on_tuple_stack(monkeypatch, call)
+        assert same_term(new, old)
+        assert _same_sharing(t, new, old)
+    assert timed(lambda: support(t, sig)) == tuple_stack_support(u, sig)
+    assert _memos(t, sig) == _memos(u, sig)
+
+
+@pytest.mark.parametrize("sig", [SIG, FO_SIG, MIXED_SIG], ids=["lambda", "FO", "MIXED"])
+def test_kernels_match_tuple_stack_copies(sig, monkeypatch):
+    rng = random.Random(71)
+    for i in range(200):
+        seed = rng.randrange(1 << 30)
+        if i % 2:
+            t, u = (random_term(sig, random.Random(seed), max_depth=6) for _ in range(2))
+        else:
+            t, u = (_binder_heavy_term(sig, random.Random(seed), 80) for _ in range(2))
+        sigma = random_assignment(sig, rng, max_depth=3)
+        f = random_renaming(rng)
+        calls = (lambda: subst(t, sigma, sig), lambda: rename(t, f, sig))
+        _check_against_tuple_stack(monkeypatch, t, u, sig, calls)
+        # again with every node of t memoized: the kernels skip by the memo
+        _check_against_tuple_stack(monkeypatch, t, u, sig, calls)
+
+
+def _chain(depth: int):
+    """``lam (app t i)`` nested ``depth`` deep over a free leaf, with i
+    cycling through 0 .. 4: free near the root, bound below it."""
+    t = Var(depth + 2)
+    for level in range(depth):
+        t = lam(app(t, Var(level % 5)))
+    return t
+
+
+@pytest.mark.parametrize("depth", [1_000, 10_000, 100_000], ids=["d1k", "d10k", "d100k"])
+def test_deep_chains_match_tuple_stack_copies(depth, monkeypatch):
+    t, u = _chain(depth), _chain(depth)
+    sigma = Assignment((lam(Var(1)), Var(3)), 2)
+    f = Renaming((2, 0), 1)
+    calls = (
+        lambda: subst(t, sigma, SIG),
+        lambda: rename(t, f, SIG),
+        lambda: rename(t, Renaming((), 4), SIG),
+    )
+    _check_against_tuple_stack(monkeypatch, t, u, SIG, calls, bound=10.0)
+
+
+def test_kernel_exception_types():
+    """Every walk raises ``TypeError`` at a node that is not a term,
+    ``ValueError`` at an operation with the wrong argument count and
+    ``KeyError`` at an unknown operation."""
+    bad = {
+        TypeError: [lam(app(Var(0), "x")), app(Var(0), None)],
+        ValueError: [lam(Op("app", (Var(0), Var(1), Var(2)))), lam(Op("app", (Var(1),)))],
+        KeyError: [lam(Op("foo", (Var(1),))), Op("foo", (Var(0),))],
+    }
+    walks = [
+        lambda t: map_free_vars(t, SIG, lambda d, n: Var(n + 1)),
+        lambda t: subst(t, Assignment((Var(5),), 0), SIG),
+        lambda t: rename(t, Renaming((), 1), SIG),
+        lambda t: rename(t, Renaming((1, 0), 0), SIG),
+        lambda t: support(t, SIG),
+    ]
+    for error, terms in bad.items():
+        for t in terms:
+            for walk in walks:
+                with pytest.raises(error):
+                    walk(t)
+    for t in bad[TypeError]:
+        with pytest.raises(TypeError):
+            fold_nodes(t, lambda v: v, lambda o, vs: o)
