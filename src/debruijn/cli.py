@@ -147,7 +147,13 @@ def cmd_term_from_named(args) -> int:
     return EXIT_OK
 
 
+def _check_fuel(fuel: int) -> None:
+    if fuel < 0:
+        raise CliError(f"--fuel must be at least 0, got {fuel}", EXIT_PARSE)
+
+
 def cmd_norm(args) -> int:
+    _check_fuel(args.fuel)
     theory = _load_theory(args.theory)
     t = _input_term(args.term, args.format, theory.signature)
     on_step = None
@@ -163,6 +169,7 @@ def cmd_norm(args) -> int:
 
 
 def cmd_equiv(args) -> int:
+    _check_fuel(args.fuel)
     theory = _load_theory(args.theory)
     left = _input_term(args.left, args.format, theory.signature)
     right = _input_term(args.right, args.format, theory.signature)

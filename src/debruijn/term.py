@@ -9,6 +9,8 @@ recursion limit.
 from __future__ import annotations
 
 from dataclasses import FrozenInstanceError
+from functools import wraps
+from gc import disable, enable, isenabled
 from math import inf
 from operator import is_not
 from typing import Callable, Optional
@@ -116,6 +118,25 @@ _var_index, _var_top, _op_name, _op_args, _op_sig, _op_sup, _op_top = (
     d.__set__ for d in (Var.index, Var._top, Op.name, Op.args, Op._sig, Op._sup, Op._top))
 
 
+def gc_paused(walk: Callable) -> Callable:
+    """``walk`` run with the cyclic collector paused and restored on every
+    exit, return or raise.  Its output, immutable nodes built bottom-up,
+    holds no cycle, so a collection during it would only rescan that output.
+    A collector already off stays off: a caller's ``gc.disable()`` holds,
+    and a nested walk does not switch it back on."""
+
+    @wraps(walk)
+    def paused(*args, **kwargs):
+        if not isenabled():
+            return walk(*args, **kwargs)
+        try:
+            disable()
+            return walk(*args, **kwargs)
+        finally:
+            enable()
+    return paused
+
+
 def wellformed(sig: BindingSignature, t: Term) -> list[str]:
     """Arity-check every node; returns diagnostics with node paths."""
 
@@ -153,6 +174,7 @@ def wellformed(sig: BindingSignature, t: Term) -> list[str]:
     return errs
 
 
+@gc_paused
 def fold_nodes(t, on_var: Callable, on_op: Callable, var: type = Var, op: type = Op):
     """Bottom-up structural recursion over the nodes of ``t``, untyped or
     typed: ``var`` and ``op`` are its node classes, an ``op`` node holding
@@ -191,6 +213,7 @@ def fold(sig: BindingSignature, var_case: Callable, op_case: Callable, t: Term):
     return fold_nodes(t, lambda v: var_case(v.index), lambda o, vs: op_case(o.name, vs))
 
 
+@gc_paused
 def map_free_vars(t: Term, sig: BindingSignature, on_free: Callable[[int, int], Term]) -> Term:
     """Rebuild ``t``, replacing each free variable occurrence.
 

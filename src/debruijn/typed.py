@@ -31,7 +31,7 @@ from .signature import (
     instantiate_schema,
 )
 from .subst import IDENTITY, Assignment, at, compose_with, lift_with
-from .term import Var, Op, fold_nodes
+from .term import Var, Op, fold_nodes, gc_paused
 
 
 @dataclass(frozen=True)
@@ -149,6 +149,7 @@ def typecheck(schema: TypedSignatureSchema, t: TypedTerm) -> TypeExpr:
 # --- renaming and substitution ------------------------------------------
 
 
+@gc_paused
 def _map_free_tvars(
     t: TypedTerm, schema: TypedSignatureSchema, on_free: Callable, slot: dict, shifts: dict
 ) -> TypedTerm:

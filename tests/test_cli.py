@@ -203,6 +203,21 @@ def test_equiv_unknown(capsys):
     assert capsys.readouterr().out.strip() == "unknown"
 
 
+@pytest.mark.parametrize("argv", [
+    ["norm", "--term", "(app (lam 0) (lam 0))"],
+    ["equiv", "--left", "(app (lam 0) (lam 0))", "--right", "(lam 0)"],
+], ids=["norm", "equiv"])
+def test_negative_fuel_exits_2(argv, capsys):
+    assert main([*argv, "--theory", "beta", "--fuel", "-1"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "--fuel must be at least 0, got -1" in out.err
+    # zero fuel is valid: the redex is left, so neither command finishes,
+    # and a normal form needs no fuel
+    assert main([*argv, "--theory", "beta", "--fuel", "0"]) == 3
+    assert main(["norm", "--theory", "beta", "--term", "(lam 0)", "--fuel", "0"]) == 0
+
+
 def test_equiv_betaeta(capsys):
     code = main(["equiv", "--theory", "betaeta", "--left", "(lam (app 6 0))",
                  "--right", "5"])

@@ -4,6 +4,7 @@ input, and rejection of nodes that are not terms."""
 
 from __future__ import annotations
 
+import gc
 import importlib
 import random
 import time
@@ -23,6 +24,7 @@ from debruijn import (
     Var,
     arrow,
     base,
+    compose,
     lambda_signature,
     make_signature,
     map_free_vars,
@@ -32,6 +34,7 @@ from debruijn import (
     stlc_schema,
     subst,
     support,
+    to_named,
     tsubst,
     wellformed,
 )
@@ -44,7 +47,7 @@ from debruijn.gen import (
     random_typed_term,
 )
 from debruijn.term import fold_nodes
-from debruijn.typed import _shift
+from debruijn.typed import _map_free_tvars, _shift
 
 from helpers import (
     app,
@@ -435,3 +438,111 @@ def test_kernel_exception_types():
     for t in bad[TypeError]:
         with pytest.raises(TypeError):
             fold_nodes(t, lambda v: v, lambda o, vs: o)
+
+
+# --- the collector is paused inside the walks that build terms ----------
+
+
+@pytest.fixture
+def gc_state():
+    """Restores the collector's state, whatever a test left it in."""
+    was = gc.isenabled()
+    yield
+    (gc.enable if was else gc.disable)()
+
+
+def _raise(*_):
+    raise RuntimeError("from a callback")
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+def test_walks_restore_the_collector(enabled, gc_state):
+    """After a walk, returning or raising, the collector is on exactly when
+    it was on before; a caller's ``gc.disable()`` holds."""
+    (gc.enable if enabled else gc.disable)()
+    t = lam(app(Var(1), lam(app(Var(0), Var(3)))))
+    sigma = Assignment((lam(Var(2)), Var(0)), 1)
+    tt = TOp("lam", (A, A), (TVar(1, A),))
+    returning = [
+        lambda: map_free_vars(t, SIG, lambda d, n: Var(n + 1)),
+        lambda: subst(t, sigma, SIG),
+        lambda: rename(t, Renaming((1, 0), 2), SIG),
+        lambda: compose(sigma, sigma, SIG),
+        lambda: to_named(SIG, t),
+        lambda: fold_nodes(t, lambda v: v, lambda o, vs: o),
+        lambda: tsubst(tt, TypedAssignment({A: ((TVar(4, A),), 0)}), SCH),
+        lambda: _shift(tt, (1,), SCH, {A: 0}, {}),
+    ]
+    for call in returning:
+        call()
+        assert gc.isenabled() is enabled
+    raising = [
+        (TypeError, lambda: subst(app(Var(0), "x"), sigma, SIG)),
+        (TypeError, lambda: fold_nodes(lam("x"), lambda v: v, lambda o, vs: o)),
+        (TypeError, lambda: _shift(TOp("lam", (A, A), ("x",)), (1,), SCH, {A: 0}, {})),
+        (ValueError, lambda: rename(lam(Op("app", (Var(1),))), Renaming((), 1), SIG)),
+        (ValueError, lambda: tsubst(TOp("lam", (A, A), (TVar(0, A), TVar(1, A))),
+                                    TypedAssignment({A: ((), 1)}), SCH)),
+        (KeyError, lambda: subst(lam(Op("foo", (Var(1),))), sigma, SIG)),
+        (RuntimeError, lambda: map_free_vars(t, SIG, _raise)),
+        (RuntimeError, lambda: fold_nodes(t, _raise, _raise)),
+        (RuntimeError, lambda: _map_free_tvars(tt, SCH, _raise, {}, {})),
+    ]
+    for error, call in raising:
+        with pytest.raises(error):
+            call()
+        assert gc.isenabled() is enabled
+
+
+def test_callbacks_see_the_collector_paused(monkeypatch, gc_state):
+    """Inside a walk the collector is off, in the nested ``rename`` that
+    ``subst`` runs to shift an image too, and on again after it."""
+    gc.enable()
+    seen = []
+
+    def probing(callback):
+        def probe(*args):
+            seen.append(gc.isenabled())
+            return callback(*args)
+        return probe
+
+    def probed(t, sig, on_free, real=map_free_vars):
+        return real(t, sig, probing(on_free))
+
+    t = lam(lam(app(Var(2), Var(3))))
+    map_free_vars(t, SIG, probing(lambda d, n: Var(n)))
+    fold_nodes(t, probing(lambda v: v), probing(lambda o, vs: o))
+    tt = TOp("lam", (A, A), (TVar(1, A),))
+    _map_free_tvars(tt, SCH, probing(lambda node, s, m, depth: node), {}, {})
+    assert len(seen) == 2 + 5 + 1
+    with monkeypatch.context() as m:
+        m.setattr(SUBST_MODULE, "map_free_vars", probed)
+        before = len(seen)
+        # the image lam(app 1 0) of 0 is shifted by 2 under the two binders
+        assert subst(t, Assignment((lam(app(Var(1), Var(0))),), 0), SIG) == lam(
+            lam(app(lam(app(Var(3), Var(0))), Var(2))))
+        assert len(seen) - before == 3  # two free occurrences, one in the image
+    assert seen and not any(seen)
+    assert gc.isenabled()
+
+
+def test_walks_make_no_cyclic_garbage(gc_state):
+    """The premise of the pause: the walks leave nothing for the cyclic
+    collector, so a collection during a walk could only find nothing."""
+    rng = random.Random(73)
+    pool = ground_types(SCH.grammar)
+    cases = [
+        (random_term(SIG, rng, max_depth=6), random_assignment(SIG, rng, max_depth=3),
+         random_renaming(rng), random_typed_term(SCH, rng, rng.choice(pool), max_depth=4),
+         random_typed_assignment(SCH, rng))
+        for _ in range(200)
+    ]
+    gc.disable()
+    gc.collect()
+    for t, sigma, f, tt, tsigma in cases:
+        subst(t, sigma, SIG)
+        rename(t, f, SIG)
+        compose(sigma, sigma, SIG)
+        to_named(SIG, t)
+        tsubst(tt, tsigma, SCH)
+    assert gc.collect() == 0
