@@ -76,12 +76,23 @@ def _load_schema(path: str):
     return next(iter(f.schemas.values()))
 
 
+def _too_deep_for_json() -> CliError:
+    # json and the JSON term converters recurse once per nesting level
+    return CliError(
+        "term nested too deeply for --format json: the json module's nesting "
+        f"limit is the recursion limit ({sys.getrecursionlimit()}); use --format sexpr",
+        EXIT_PARSE,
+    )
+
+
 def _input_term(text: str, fmt: str, sig: BindingSignature):
     if fmt == "json":
         try:
             t = term_from_json(json.loads(text))
         except ValueError as e:  # json.JSONDecodeError is one
             raise CliError(f"bad JSON term: {e}", EXIT_PARSE) from None
+        except RecursionError:
+            raise _too_deep_for_json() from None
         errs = wellformed(sig, t)
         if errs:
             raise CliError("; ".join(errs), EXIT_PARSE)
@@ -91,7 +102,10 @@ def _input_term(text: str, fmt: str, sig: BindingSignature):
 
 def _output_term(t, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(term_to_json(t), separators=(", ", ": "))
+        try:
+            return json.dumps(term_to_json(t), separators=(", ", ": "))
+        except RecursionError:
+            raise _too_deep_for_json() from None
     return print_term(t)
 
 

@@ -27,7 +27,7 @@ from typing import Any, Callable, Optional
 
 from .signature import BindingSignature, TypeExpr
 from .subst import IDENTITY, NAT, Assignment, at, compose_with, lift_with, subst
-from .term import Term, Var, Op, fold
+from .term import Term, Var, Op, fold, gc_paused
 
 
 # A model's assignments are the one finite ``Assignment``, with the model's
@@ -391,18 +391,29 @@ def to_named(sig: BindingSignature, t: Term) -> NamedTerm:
     return initial_fold(sig, named_model(sig), t)
 
 
+@gc_paused
 def from_named(sig: BindingSignature, t: NamedTerm) -> Term:
-    """Invert the conversion; free names must come from the supply."""
+    """Invert the conversion; free names must come from the supply.
 
-    def go(node: NamedTerm, env: tuple[str, ...]) -> Term:
+    One walk with an explicit stack of the open operations, each with the
+    values of its arguments so far.  ``levels`` maps each bound name to
+    the levels (binders above, counted from the root) of its binders in
+    scope, innermost last, so a variable is found in constant time."""
+    levels: dict[str, list[int]] = {}
+    depth = 0  # binders in scope
+    frames: list[tuple[str, tuple, tuple, list]] = []
+    node = t
+    while True:
         match node:
             case NVar(name):
-                if name in env:
-                    return Var(env.index(name))
-                idx = default_supply_index(name)
-                if idx is None:
-                    raise ValueError(f"unbound name '{name}' is not of supply form")
-                return Var(idx + len(env))
+                bound = levels.get(name)
+                if bound:
+                    value = Var(depth - 1 - bound[-1])
+                else:
+                    idx = default_supply_index(name)
+                    if idx is None:
+                        raise ValueError(f"unbound name '{name}' is not of supply form")
+                    value = Var(idx + depth)
             case NOp(op, args):
                 if op not in sig.ops:
                     raise ValueError(f"unknown operation '{op}'")
@@ -411,17 +422,30 @@ def from_named(sig: BindingSignature, t: NamedTerm) -> Term:
                     raise ValueError(
                         f"operation '{op}' expects {len(binders)} arguments, got {len(args)}"
                     )
-                parts = []
-                for k, (bs, body) in zip(binders, args):
-                    if len(bs) != k:
-                        raise ValueError(
-                            f"operation '{op}' expects {k} binders, got {len(bs)}"
-                        )
-                    parts.append(go(body, tuple(reversed(bs)) + env))
-                return Op(op, tuple(parts))
-        raise TypeError(node)
-
-    return go(t, ())
+                frames.append((op, binders, args, []))
+                value = None
+            case _:
+                raise TypeError(node)
+        while frames:  # hand the value up, to the first operation with an argument left
+            op, binders, args, values = frames[-1]
+            if value is not None:
+                for name in args[len(values)][0]:
+                    levels[name].pop()
+                    depth -= 1
+                values.append(value)
+            if len(values) < len(args):
+                k = binders[len(values)]
+                bs, node = args[len(values)]
+                if len(bs) != k:
+                    raise ValueError(f"operation '{op}' expects {k} binders, got {len(bs)}")
+                for name in bs:
+                    levels.setdefault(name, []).append(depth)
+                    depth += 1
+                break
+            value = Op(op, tuple(values))
+            frames.pop()
+        else:
+            return value
 
 
 def debruijn_to_named_direct(sig: BindingSignature, t: Term) -> NamedTerm:

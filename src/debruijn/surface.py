@@ -2,14 +2,19 @@
 signature and theory files, assignment and renaming literals.
 
 All printers emit canonical text (single spaces, no trailing whitespace)
-and round-trip through the corresponding parser.
+and round-trip through the corresponding parser.  Every reader reads one
+list of token texts, and the term readers and ``print_term`` use explicit
+stacks, so terms 100 000 binders deep are read and printed without
+recursion.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from itertools import islice
+from operator import length_hint
+from typing import Callable, Optional
 
 from .equational import EquationalTheory, ExplicitSubst, MetaVar, Rule, validate_theory
 from .model import NOp, NVar, NamedTerm
@@ -24,7 +29,7 @@ from .signature import (
     validate_signature,
 )
 from .subst import NAT, Assignment
-from .term import Term, Var, Op, wellformed
+from .term import Term, Var, Op, gc_paused, wellformed
 from .typed import TOp, TVar, TypedTerm
 
 
@@ -63,17 +68,39 @@ def _reject(errs: list[str]) -> None:
         raise ParseError([Diagnostic("error", e) for e in errs])
 
 
+# One pass of ``findall`` yields the token texts; whitespace between them
+# is skipped in C.  A token's kind follows from its text (``_kind``).  An
+# opening parenthesis and the identifier right after it are one token,
+# ``(name``: the term readers take it as an operation's head, and
+# ``_Parser`` reads it as ``(`` and then ``name``.  The first character
+# that starts no token starts the last one, which runs to the end of the
+# text, so one look at the last token finds it.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+)
-  | (?P<arrow>->)
-  | (?P<turnstile>\|-)
-  | (?P<nat>0|[1-9][0-9]*)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_']*)
-  | (?P<punct>[()\[\]{};,:^=?#])
+    [)\[\]{};,:^=?\#]               # punctuation, but (
+  | \(?[A-Za-z_][A-Za-z0-9_']*      # an identifier, or ( and an identifier
+  | 0|[1-9][0-9]*                   # a natural
+  | ->|\|-|\(                       # an arrow, a turnstile, a lone (
+  | \S[\s\S]*                       # an unexpected character, and the rest
     """,
     re.VERBOSE,
 )
+_KINDS = {p: p for p in "()[]{};,:^=?#"} | {"->": "arrow", "|-": "turnstile", "": "eof"}
+_DIGITS = frozenset("0123456789")
+_IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+_TYPE_ENDS = frozenset(",])")  # tokens after which a type of one name is whole
+
+
+def _kind(tok: str) -> str:
+    """``nat``, ``ident``, ``arrow``, ``turnstile``, ``eof`` for the end
+    (the empty text), the text itself for punctuation and ``(name``, and
+    ``unexpected`` from a character no token starts with."""
+    kind = _KINDS.get(tok)
+    if kind is None:
+        c = tok[0]
+        kind = "nat" if c in _DIGITS else "ident" if c in _IDENT_START else (
+            "(" if c == "(" else "unexpected")
+    return kind
 
 
 def _span(source: str, start: int, end: int) -> SourceSpan:
@@ -81,66 +108,69 @@ def _span(source: str, start: int, end: int) -> SourceSpan:
     return SourceSpan(start, end, source.count("\n", 0, start) + 1, start - line_start)
 
 
-class Token(NamedTuple):
-    """A token and its start offset in ``source``; its line and column
-    are worked out only when a diagnostic asks for its span."""
-
-    kind: str
-    text: str
-    start: int
-    source: str
-
-    @property
-    def span(self) -> SourceSpan:
-        return _span(self.source, self.start, self.start + len(self.text))
-
-
-def tokenize(text: str) -> list[Token]:
-    tokens: list[Token] = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            _fail(f"unexpected character {text[pos]!r}", _span(text, pos, pos + 1))
-        kind = m.lastgroup
-        if kind != "ws":
-            chunk = m.group()
-            tokens.append(Token(chunk if kind == "punct" else kind, chunk, pos, text))
-        pos = m.end()
-    tokens.append(Token("eof", "", pos, text))
-    return tokens
-
-
 class _Parser:
+    """The token texts of ``text``, with ``""`` at the end, read from
+    index ``pos``.  A ``(name`` token reads as ``(`` and then ``name``;
+    ``cut`` is 1 once its ``(`` is read.  A token's source offset is found
+    only when a diagnostic needs its span, by scanning up to it again.  An
+    unexpected character is reported here, before any other fault."""
+
     def __init__(self, text: str):
-        self.tokens = tokenize(text)
+        self.text = text
+        self.toks = _TOKEN_RE.findall(text)
+        if self.toks and _kind(self.toks[-1]) == "unexpected":
+            start = len(text) - len(self.toks[-1])
+            _fail(f"unexpected character {text[start]!r}", _span(text, start, start + 1))
+        self.toks.append("")
         self.pos = 0
+        self.cut = 0
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
+    def peek(self) -> str:
+        tok = self.toks[self.pos]
+        if self.cut:
+            return tok[1:]
+        return "(" if tok[:1] == "(" else tok
 
-    def next(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "eof":
+    def next(self) -> str:
+        tok = self.peek()
+        if not self.cut and tok != self.toks[self.pos]:  # the ( of a (name token
+            self.cut = 1
+        elif tok:  # the end is never passed
             self.pos += 1
+            self.cut = 0
         return tok
 
-    def expect(self, kind: str) -> Token:
+    def span(self) -> SourceSpan:
+        """The source span of the next token."""
+        m = next(islice(_TOKEN_RE.finditer(self.text), self.pos, None), None)
+        start = (m.start() if m else len(self.text)) + self.cut
+        return _span(self.text, start, start + len(self.peek()))
+
+    def expect(self, kind: str) -> str:
         tok = self.peek()
-        if tok.kind != kind:
-            _fail(f"expected {kind!r}, found {tok.text or 'end of input'!r}", tok.span)
+        if _kind(tok) != kind:
+            _fail(f"expected {kind!r}, found {tok or 'end of input'!r}", self.span())
         return self.next()
 
     def at(self, kind: str) -> bool:
-        return self.peek().kind == kind
+        return _kind(self.peek()) == kind
 
-    def accept(self, kind: str) -> Optional[Token]:
+    def accept(self, kind: str) -> Optional[str]:
         return self.next() if self.at(kind) else None
+
+    def keyword(self, *words: str) -> str:
+        """The next token, left unread: an identifier among ``words``."""
+        tok = self.peek()
+        if _kind(tok) != "ident":
+            self.expect("ident")
+        if tok not in words:
+            _fail(f"expected {' or '.join(map(repr, words))}, found '{tok}'", self.span())
+        return tok
 
     def done(self):
         tok = self.peek()
-        if tok.kind != "eof":
-            _fail(f"unexpected trailing input {tok.text!r}", tok.span)
+        if tok:
+            _fail(f"unexpected trailing input {tok!r}", self.span())
 
     def items(self, item: Callable[[], object], stop: str) -> list:
         """``item, item, ...`` up to ``stop``, which is left unread; empty
@@ -165,7 +195,7 @@ class _Parser:
             ty = self.type_expr()
             self.expect(")")
             return ty
-        name = self.expect("ident").text
+        name = self.expect("ident")
         if self.accept("("):
             args = [self.type_expr()]
             while self.accept(","):
@@ -174,81 +204,10 @@ class _Parser:
             return TypeExpr(name, tuple(args))
         return TypeExpr(name)
 
-    # -- nameless terms and metaterms -----------------------------------
-
-    def nameless(self, meta: bool = False) -> Term:
-        """A nameless term; with ``meta``, a metaterm, whose leaves may also
-        be metavariables ``?i`` and explicit substitutions ``{t [...]}``."""
-        tok = self.peek()
-        if tok.kind == "nat":
-            self.next()
-            return Var(int(tok.text))
-        if meta and tok.kind == "?":
-            self.next()
-            return MetaVar(self.nat())
-        if meta and tok.kind == "{":
-            self.next()
-            body = self.nameless(meta)
-            assign = self.literal(lambda: self.nameless(meta))
-            self.expect("}")
-            return ExplicitSubst(body, assign)
-        self.expect("(")
-        name = self.expect("ident").text
-        args = []
-        while not self.at(")"):
-            args.append(self.nameless(meta))
-        self.expect(")")
-        return Op(name, tuple(args))
-
-    # -- named terms ----------------------------------------------------
-
-    def named(self) -> NamedTerm:
-        tok = self.peek()
-        if tok.kind == "ident":
-            self.next()
-            return NVar(tok.text)
-        self.expect("(")
-        name = self.expect("ident").text
-        args = []
-        while not self.at(")"):
-            binders: tuple[str, ...] = ()
-            if self.accept("["):
-                names = []
-                while not self.at("]"):
-                    names.append(self.expect("ident").text)
-                self.expect("]")
-                binders = tuple(names)
-            args.append((binders, self.named()))
-        self.expect(")")
-        return NOp(name, tuple(args))
-
-    # -- typed terms ----------------------------------------------------
-
-    def typed(self) -> TypedTerm:
-        self.expect("(")
-        if self.accept("#"):
-            index = self.nat()
-            self.expect(":")
-            ty = self.type_expr()
-            self.expect(")")
-            return TVar(index, ty)
-        head = self.expect("ident")
-        if head.text != "op":
-            _fail("expected 'op' or '#' in typed term", head.span)
-        self.expect("[")
-        name = self.expect("ident").text
-        targs = self.items(self.type_expr, "]") if self.accept(";") else []
-        self.expect("]")
-        args = []
-        while not self.at(")"):
-            args.append(self.typed())
-        self.expect(")")
-        return TOp(name, tuple(targs), tuple(args))
-
     # -- literals -------------------------------------------------------
 
     def nat(self) -> int:
-        return int(self.expect("nat").text)
+        return int(self.expect("nat"))
 
     def literal(self, entry: Callable[[], object], var: Callable = Var) -> Assignment:
         """``[e, ...; ^k]``, each ``e`` read by ``entry``; the carrier's
@@ -262,6 +221,214 @@ class _Parser:
         return Assignment(tuple(entries), shift, var)
 
 
+# --- term readers ----------------------------------------------------------
+#
+# Each reads one term from ``p.pos`` in a single loop over the token list,
+# with an explicit stack of the enclosing operations, and leaves ``p.pos``
+# after it.  A token no term can take is handed to ``p.expect`` for the
+# diagnostic the grammar gives there.  Their output is acyclic, so they
+# run with the cyclic collector paused.
+
+
+@gc_paused
+def _read_nameless(p: _Parser, meta: bool = False) -> Term:
+    """A nameless term; with ``meta``, a metaterm, whose leaves may also
+    be metavariables ``?i`` and explicit substitutions ``{t [e, ...; ^k]}``.
+    ``name`` and ``args`` are the open operation's name and the arguments
+    read so far, ``names`` and ``stack`` those of the enclosing ones.
+    ``name`` is None at the root and inside an explicit substitution,
+    whose ``args`` are its body and then its entries."""
+    toks = p.toks
+    it = iter(toks)
+    it.__setstate__(p.pos)  # a list iterator's state is its index
+    names: list[Optional[str]] = []
+    stack: list[list] = []
+    name, args = None, []
+    known: dict[str, object] = {}  # token text -> its Var, or the name of a (name token
+    for tok in it:
+        if tok == ")" and name is not None:
+            node = Op(name, args)
+            name = names.pop()
+            args = stack.pop()
+        else:
+            node = known.get(tok)
+            if node is None:
+                p.pos = len(toks) - length_hint(it)  # after tok
+                kind = _kind(tok)
+                if kind == "nat":
+                    node = known[tok] = Var(int(tok))
+                elif tok == "(":
+                    node = p.expect("ident")
+                    it.__setstate__(p.pos)
+                elif kind == "(":
+                    node = known[tok] = tok[1:]
+                elif meta and tok == "?":
+                    node = MetaVar(p.nat())
+                    it.__setstate__(p.pos)
+                elif meta and tok == "{":
+                    names.append(name)
+                    stack.append(args)
+                    name, args = None, []
+                    continue
+                else:
+                    p.pos -= 1
+                    p.expect("(")  # fails: no term starts here
+            if type(node) is str:
+                names.append(name)
+                stack.append(args)
+                name, args = node, []
+                continue
+        args.append(node)
+        while name is None:  # at the root, or after the body or an entry of {body [e, ...; ^k]}
+            p.pos = len(toks) - length_hint(it)
+            if not stack:
+                return node
+            if len(args) == 1:
+                p.expect("[")
+                more = not p.at(";")
+            else:
+                more = p.accept(",") is not None
+            if not more:
+                p.expect(";")
+                p.expect("^")
+                shift = p.nat()
+                p.expect("]")
+                p.expect("}")
+                node = ExplicitSubst(args[0], Assignment(tuple(args[1:]), shift))
+                name = names.pop()
+                args = stack.pop()
+                args.append(node)
+            it.__setstate__(p.pos)
+            if more:
+                break
+    raise AssertionError("unreachable: the end token fails p.expect")
+
+
+@gc_paused
+def _read_named(p: _Parser) -> NamedTerm:
+    """A named term.  ``bound`` holds the binder names of the open
+    operation's next argument once its ``[...]`` is read, else None."""
+    toks = p.toks
+    it = iter(toks)
+    it.__setstate__(p.pos)
+    frames: list[tuple[Optional[str], list, Optional[tuple]]] = []
+    name, args, bound = None, [], None
+    known: dict[str, object] = {}  # token text -> its NVar, or the name of a (name token
+    for tok in it:
+        if tok == ")" and name is not None and bound is None:
+            node = NOp(name, tuple(args))
+            name, args, bound = frames.pop()
+        else:
+            node = known.get(tok)
+            if node is None:
+                p.pos = len(toks) - length_hint(it)  # after tok
+                kind = _kind(tok)
+                if kind == "ident":
+                    node = known[tok] = NVar(tok)
+                elif tok == "(":
+                    node = p.expect("ident")
+                    it.__setstate__(p.pos)
+                elif kind == "(":
+                    node = known[tok] = tok[1:]
+                elif tok == "[" and name is not None and bound is None:
+                    names = []
+                    while not p.accept("]"):
+                        names.append(p.expect("ident"))
+                    it.__setstate__(p.pos)
+                    bound = tuple(names)
+                    continue
+                else:
+                    p.pos -= 1
+                    p.expect("(")  # fails: no term starts here
+            if type(node) is str:
+                frames.append((name, args, bound))
+                name, args, bound = node, [], None
+                continue
+        if name is None:
+            p.pos = len(toks) - length_hint(it)
+            return node
+        args.append((bound or (), node))
+        bound = None
+    raise AssertionError("unreachable: the end token fails p.expect")
+
+
+@gc_paused
+def _read_typed(p: _Parser) -> TypedTerm:
+    """A typed term.  ``head`` is the open operation's name and type
+    arguments, None at the root; ``args`` its arguments read so far.  A
+    type that is one name is read here, once per name; any other goes to
+    ``p.type_expr``."""
+    toks, i = p.toks, p.pos
+    frames: list[tuple[Optional[tuple], list]] = []
+    head, args = None, []
+    names: dict[str, TypeExpr] = {}
+
+    def fail(at: int, kind: str):
+        p.pos = at
+        p.expect(kind)  # fails: token ``at`` is not of ``kind``
+
+    def type_at(at: int) -> tuple[TypeExpr, int]:
+        name = toks[at]
+        if _kind(name) == "ident" and toks[at + 1] in _TYPE_ENDS:
+            ty = names.get(name)
+            if ty is None:
+                ty = names[name] = TypeExpr(name)
+            return ty, at + 1
+        p.pos = at
+        return p.type_expr(), p.pos
+
+    while True:
+        tok = toks[i]
+        i += 1
+        if tok == ")" and head is not None:
+            node = TOp(*head, tuple(args))
+            head, args = frames.pop()
+        elif tok == "(" and toks[i] == "#":
+            index = toks[i + 1]
+            if _kind(index) != "nat":
+                fail(i + 1, "nat")
+            if toks[i + 2] != ":":
+                fail(i + 2, ":")
+            ty, i = type_at(i + 3)
+            if toks[i] != ")":
+                fail(i, ")")
+            i += 1
+            node = TVar(int(index), ty)
+        elif tok == "(op" or tok == "(" and toks[i] == "op":
+            i += tok == "("
+            if toks[i] != "[":
+                fail(i, "[")
+            name = toks[i + 1]
+            if _kind(name) != "ident":
+                fail(i + 1, "ident")
+            i += 2
+            targs = []
+            if toks[i] == ";":
+                i += 1
+                if toks[i] != "]":
+                    ty, i = type_at(i)
+                    targs.append(ty)
+                    while toks[i] == ",":
+                        ty, i = type_at(i + 1)
+                        targs.append(ty)
+            if toks[i] != "]":
+                fail(i, "]")
+            i += 1
+            frames.append((head, args))
+            head, args = (name, tuple(targs)), []
+            continue
+        else:  # no typed term starts here
+            p.pos = i - 1
+            p.expect("(")
+            if p.at("ident"):
+                _fail("expected 'op' or '#' in typed term", p.span())
+            p.expect("ident")
+        if head is None:
+            p.pos = i
+            return node
+        args.append(node)
+
+
 # --- public parse functions ---------------------------------------------
 
 
@@ -272,7 +439,7 @@ def parse_type(text: str) -> TypeExpr:
     return ty
 
 
-_TERM_READERS = {"nameless": _Parser.nameless, "named": _Parser.named, "typed": _Parser.typed}
+_TERM_READERS = {"nameless": _read_nameless, "named": _read_named, "typed": _read_typed}
 
 
 def parse_term(text: str, mode: str = "nameless", sig: Optional[BindingSignature] = None):
@@ -296,7 +463,7 @@ def parse_renaming(text: str) -> Assignment:
 
 def parse_assignment(text: str, sig: Optional[BindingSignature] = None) -> Assignment:
     p = _Parser(text)
-    a = p.literal(p.nameless)
+    a = p.literal(lambda: _read_nameless(p))
     p.done()
     if sig is not None:
         for t in a.prefix:
@@ -309,29 +476,63 @@ def parse_assignment(text: str, sig: Optional[BindingSignature] = None) -> Assig
 
 def print_term(t) -> str:
     """Canonical text of a nameless, named or typed term, or of a natural
-    (an entry of a renaming); ``print_term(to_named(sig, t))`` names ``t``."""
-    match t:
-        case Var(index):
-            return str(index)
-        case Op(name, args):
-            return "(" + " ".join([name, *(print_term(a) for a in args)]) + ")"
-        case NVar(name):
-            return name
-        case NOp(name, args):
-            parts = [name]
-            for binders, body in args:
-                if binders:
-                    parts.append("[" + " ".join(binders) + "]")
-                parts.append(print_term(body))
-            return "(" + " ".join(parts) + ")"
-        case TVar(index, ty):
-            return f"(#{index} : {ty})"
-        case TOp(name, targs, args):
-            head = f"op[{name}; {', '.join(str(ty) for ty in targs)}]"
-            return "(" + " ".join([head, *(print_term(a) for a in args)]) + ")"
-        case int():
-            return str(t)
-    raise TypeError(t)
+    (an entry of a renaming); ``print_term(to_named(sig, t))`` names ``t``.
+
+    One explicit stack holds the nodes still to print and, between them,
+    the text that follows each; the pieces are joined once.  A variable
+    argument is printed into the text after it, so it is never pushed.  A
+    string argument, not a term, is pushed as the ``TypeError`` it raises
+    when its turn comes."""
+    out: list[str] = []
+    stack = [t]
+    push, pop, emit = stack.append, stack.pop, out.append
+    while stack:
+        x = pop()
+        if type(x) is str:
+            emit(x)
+        elif type(x) is Op:
+            after = ")"
+            for a in reversed(x.args):
+                if type(a) is Var:
+                    after = f" {a.index}{after}"
+                else:
+                    push(after)
+                    push(TypeError(a) if type(a) is str else a)
+                    after = " "
+            emit(f"({x.name}{after}")
+        elif type(x) is Var:
+            emit(str(x.index))
+        else:
+            match x:
+                case NVar(name):
+                    emit(name)
+                case NOp(name, args):
+                    after = ")"
+                    for binders, body in reversed(args):
+                        if type(body) is NVar:
+                            after = f" {body.name}{after}"
+                        else:
+                            push(after)
+                            push(TypeError(body) if type(body) is str else body)
+                            after = " "
+                        if binders:
+                            after = f" [{' '.join(binders)}]{after}"
+                    emit(f"({name}{after}")
+                case TVar(index, ty):
+                    emit(f"(#{index} : {ty})")
+                case TOp(name, targs, args):
+                    push(")")
+                    for a in reversed(args):
+                        push(TypeError(a) if type(a) is str else a)
+                        push(" ")
+                    emit(f"(op[{name}; {', '.join(str(ty) for ty in targs)}]")
+                case int():
+                    emit(str(x))
+                case TypeError():
+                    raise x
+                case _:
+                    raise TypeError(x)
+    return "".join(out)
 
 
 def print_assignment(a: Assignment) -> str:
@@ -361,6 +562,7 @@ def term_from_json(data) -> Term:
     raise ValueError(f"not a JSON term: {data!r}")
 
 
+
 # --- signature and theory files ------------------------------------------
 
 
@@ -375,7 +577,7 @@ def _parse_typedecl(p: _Parser, ctors: dict[str, int]) -> None:
     ``ctors``, the constructors of every block read so far."""
     p.expect("{")
     while not p.at("}"):
-        name = p.expect("ident").text
+        name = p.expect("ident")
         n = 0
         if p.accept("("):
             n = p.nat()
@@ -390,9 +592,9 @@ def _parse_typedecl(p: _Parser, ctors: dict[str, int]) -> None:
 def _parse_opdecl(p: _Parser) -> tuple[str, BindingArity | OpSchema]:
     """``name : (n, ...);`` or ``name [metavars] : premises -> type;``,
     after the ``op`` keyword."""
-    name = p.expect("ident").text
+    name = p.expect("ident")
     if p.accept("["):
-        metavars = p.items(lambda: p.expect("ident").text, "]")
+        metavars = p.items(lambda: p.expect("ident"), "]")
         p.expect("]")
         p.expect(":")
 
@@ -422,13 +624,13 @@ def _signature_block(p: _Parser, grammar: Optional[TypeGrammar]):
     name and a ``BindingSignature``, or a ``TypedSignatureSchema`` over
     ``grammar``.  Without a grammar (a theory file) a typed operation is
     an error."""
-    name = p.expect("ident").text
+    name = p.expect("ident")
     p.expect("{")
     ops: dict[str, BindingArity | OpSchema] = {}
     while not p.at("}"):
-        kw = p.next()
-        if kw.text != "op":
-            _fail(f"expected 'op', found '{kw.text}'", kw.span)
+        if p.peek() != "op":
+            _fail(f"expected 'op', found '{p.peek()}'", p.span())
+        p.next()
         op, decl = _parse_opdecl(p)
         if grammar is None and isinstance(decl, OpSchema):
             _fail("theory signatures must be untyped")
@@ -449,12 +651,11 @@ def parse_signature_file(text: str) -> SignatureFile:
     ctors: dict[str, int] = {}
     f = SignatureFile({}, {})
     while not p.at("eof"):
-        tok = p.expect("ident")
-        if tok.text == "types":
+        if p.keyword("types", "signature") == "types":
+            p.next()
             _parse_typedecl(p, ctors)
             continue
-        if tok.text != "signature":
-            _fail(f"expected 'types' or 'signature', found '{tok.text}'", tok.span)
+        p.next()
         name, sig = _signature_block(p, TypeGrammar(ctors | {"->": 2}))
         if name in f.signatures or name in f.schemas:
             _fail(f"duplicate signature name '{name}'")
@@ -472,15 +673,14 @@ def parse_theory_file(text: str) -> EquationalTheory:
     signature: Optional[BindingSignature] = None
     rules: list[Rule] = []
     while not p.at("eof"):
-        tok = p.expect("ident")
-        if tok.text == "signature":
+        if p.keyword("signature", "eq") == "signature":
             if signature is not None:
-                _fail("theory file declares more than one signature", tok.span)
+                _fail("theory file declares more than one signature", p.span())
+            p.next()
             _, signature = _signature_block(p, None)
             continue
-        if tok.text != "eq":
-            _fail(f"expected 'signature' or 'eq', found '{tok.text}'", tok.span)
-        name = p.expect("ident").text
+        p.next()
+        name = p.expect("ident")
         p.expect("[")
         parens = p.accept("(") is not None
         binders = p.items(p.nat, ")" if parens else "]")
@@ -488,9 +688,9 @@ def parse_theory_file(text: str) -> EquationalTheory:
             p.expect(")")
         p.expect("]")
         p.expect(":")
-        left = p.nameless(meta=True)
+        left = _read_nameless(p, meta=True)
         p.expect("=")
-        right = p.nameless(meta=True)
+        right = _read_nameless(p, meta=True)
         p.expect(";")
         rules.append(Rule(name, BindingArity(tuple(binders)), left, right))
     if signature is None:

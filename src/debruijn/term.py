@@ -138,7 +138,26 @@ def gc_paused(walk: Callable) -> Callable:
 
 
 def wellformed(sig: BindingSignature, t: Term) -> list[str]:
-    """Arity-check every node; returns diagnostics with node paths."""
+    """Arity-check every node; returns diagnostics with node paths.  This
+    walk only checks; at the first fault, :func:`_faults` walks again and
+    spells out the path of each fault it reports."""
+    arities = sig.binders
+    nodes = [t]
+    pop, push = nodes.pop, nodes.extend
+    while nodes:
+        node = pop()
+        if type(node) is Op:
+            ns = arities.get(node.name)
+            if ns is None or len(ns) != len(node.args):
+                return _faults(sig, t)
+            push(node.args)
+        elif type(node) is not Var or node.index < 0:
+            return _faults(sig, t)
+    return []
+
+
+def _faults(sig: BindingSignature, t: Term) -> list[str]:
+    """The diagnostics of :func:`wellformed`, left to right."""
 
     def path(link) -> list[int]:  # link = (parent link, position), root ()
         out = []
@@ -148,7 +167,7 @@ def wellformed(sig: BindingSignature, t: Term) -> list[str]:
         return out[::-1]
 
     errs: list[str] = []
-    stack: list[tuple[Term, tuple]] = [(t, ())]  # a path is spelled out when reported
+    stack: list[tuple[Term, tuple]] = [(t, ())]
     while stack:
         node, link = stack.pop()
         match node:

@@ -3,25 +3,35 @@ the test suite."""
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from operator import is_not
+from typing import NamedTuple
 
 from debruijn import (
+    NAT,
     Assignment,
+    Diagnostic,
+    ExplicitSubst,
+    MetaVar,
     NOp,
     NVar,
     NormalizeResult,
     Op,
+    ParseError,
     TNOp,
     TNVar,
     TOp,
     TVar,
     Term,
     TypedAssignment,
+    TypeExpr,
     Var,
     rewrite_step,
+    wellformed,
 )
 from debruijn.model import _letter_supply
+from debruijn.surface import SourceSpan
 from debruijn.term import _op_sig, _op_sup
 from debruijn.typed import op_arity, typed_assignment_at
 
@@ -423,3 +433,252 @@ def ref_random_assignment(sig, rng, max_prefix=4, max_shift=3, max_depth=4, max_
         for _ in range(rng.randint(0, max_prefix))
     )
     return Assignment(prefix, rng.randint(0, max_shift))
+
+
+# --- the recursive surface readers ------------------------------------------
+#
+# ``surface.tokenize`` and the recursive ``_Parser`` readers as they were
+# before the one-pass tokenizer and the explicit-stack readers: one Token
+# tuple per token, every character scanned first, one Python call per
+# nested term.  The new readers must agree with these on results and on
+# every diagnostic (severity, message, span, path).
+
+_REF_TOKEN_RE = re.compile(
+    r"""
+    (?P<ws>\s+)
+  | (?P<arrow>->)
+  | (?P<turnstile>\|-)
+  | (?P<nat>0|[1-9][0-9]*)
+  | (?P<ident>[A-Za-z_][A-Za-z0-9_']*)
+  | (?P<punct>[()\[\]{};,:^=?#])
+    """,
+    re.VERBOSE,
+)
+
+
+def _ref_span(source: str, start: int, end: int) -> SourceSpan:
+    line_start = source.rfind("\n", 0, start)
+    return SourceSpan(start, end, source.count("\n", 0, start) + 1, start - line_start)
+
+
+def _ref_fail(message: str, span=None):
+    raise ParseError([Diagnostic("error", message, span)])
+
+
+class RefToken(NamedTuple):
+    kind: str
+    text: str
+    start: int
+    source: str
+
+    @property
+    def span(self) -> SourceSpan:
+        return _ref_span(self.source, self.start, self.start + len(self.text))
+
+
+def ref_tokenize(text: str) -> list[RefToken]:
+    tokens: list[RefToken] = []
+    pos = 0
+    while pos < len(text):
+        m = _REF_TOKEN_RE.match(text, pos)
+        if m is None:
+            _ref_fail(f"unexpected character {text[pos]!r}", _ref_span(text, pos, pos + 1))
+        kind = m.lastgroup
+        if kind != "ws":
+            chunk = m.group()
+            tokens.append(RefToken(chunk if kind == "punct" else kind, chunk, pos, text))
+        pos = m.end()
+    tokens.append(RefToken("eof", "", pos, text))
+    return tokens
+
+
+class RefParser:
+    def __init__(self, text: str):
+        self.tokens = ref_tokenize(text)
+        self.pos = 0
+
+    def peek(self) -> RefToken:
+        return self.tokens[self.pos]
+
+    def next(self) -> RefToken:
+        tok = self.tokens[self.pos]
+        if tok.kind != "eof":
+            self.pos += 1
+        return tok
+
+    def expect(self, kind: str) -> RefToken:
+        tok = self.peek()
+        if tok.kind != kind:
+            _ref_fail(f"expected {kind!r}, found {tok.text or 'end of input'!r}", tok.span)
+        return self.next()
+
+    def at(self, kind: str) -> bool:
+        return self.peek().kind == kind
+
+    def accept(self, kind: str):
+        return self.next() if self.at(kind) else None
+
+    def done(self):
+        tok = self.peek()
+        if tok.kind != "eof":
+            _ref_fail(f"unexpected trailing input {tok.text!r}", tok.span)
+
+    def items(self, item, stop: str) -> list:
+        if self.at(stop):
+            return []
+        out = [item()]
+        while self.accept(","):
+            out.append(item())
+        return out
+
+    def type_expr(self) -> TypeExpr:
+        left = self.type_atom()
+        if self.accept("arrow"):
+            return TypeExpr("->", (left, self.type_expr()))
+        return left
+
+    def type_atom(self) -> TypeExpr:
+        if self.accept("("):
+            ty = self.type_expr()
+            self.expect(")")
+            return ty
+        name = self.expect("ident").text
+        if self.accept("("):
+            args = [self.type_expr()]
+            while self.accept(","):
+                args.append(self.type_expr())
+            self.expect(")")
+            return TypeExpr(name, tuple(args))
+        return TypeExpr(name)
+
+    def nameless(self, meta: bool = False) -> Term:
+        tok = self.peek()
+        if tok.kind == "nat":
+            self.next()
+            return Var(int(tok.text))
+        if meta and tok.kind == "?":
+            self.next()
+            return MetaVar(self.nat())
+        if meta and tok.kind == "{":
+            self.next()
+            body = self.nameless(meta)
+            assign = self.literal(lambda: self.nameless(meta))
+            self.expect("}")
+            return ExplicitSubst(body, assign)
+        self.expect("(")
+        name = self.expect("ident").text
+        args = []
+        while not self.at(")"):
+            args.append(self.nameless(meta))
+        self.expect(")")
+        return Op(name, tuple(args))
+
+    def named(self):
+        tok = self.peek()
+        if tok.kind == "ident":
+            self.next()
+            return NVar(tok.text)
+        self.expect("(")
+        name = self.expect("ident").text
+        args = []
+        while not self.at(")"):
+            binders: tuple[str, ...] = ()
+            if self.accept("["):
+                names = []
+                while not self.at("]"):
+                    names.append(self.expect("ident").text)
+                self.expect("]")
+                binders = tuple(names)
+            args.append((binders, self.named()))
+        self.expect(")")
+        return NOp(name, tuple(args))
+
+    def typed(self):
+        self.expect("(")
+        if self.accept("#"):
+            index = self.nat()
+            self.expect(":")
+            ty = self.type_expr()
+            self.expect(")")
+            return TVar(index, ty)
+        head = self.expect("ident")
+        if head.text != "op":
+            _ref_fail("expected 'op' or '#' in typed term", head.span)
+        self.expect("[")
+        name = self.expect("ident").text
+        targs = self.items(self.type_expr, "]") if self.accept(";") else []
+        self.expect("]")
+        args = []
+        while not self.at(")"):
+            args.append(self.typed())
+        self.expect(")")
+        return TOp(name, tuple(targs), tuple(args))
+
+    def nat(self) -> int:
+        return int(self.expect("nat").text)
+
+    def literal(self, entry, var=Var) -> Assignment:
+        self.expect("[")
+        entries = self.items(entry, ";")
+        self.expect(";")
+        self.expect("^")
+        shift = self.nat()
+        self.expect("]")
+        return Assignment(tuple(entries), shift, var)
+
+
+def ref_parse(text: str, kind: str, sig=None):
+    """``text`` read as ``kind`` by the recursive readers: a ``type``, a
+    ``nameless`` term (arity-checked under ``sig``), a ``meta`` term, a
+    ``named`` or ``typed`` term, a ``renaming`` or an ``assignment``."""
+    p = RefParser(text)
+    read = {
+        "type": p.type_expr,
+        "nameless": p.nameless,
+        "meta": lambda: p.nameless(meta=True),
+        "named": p.named,
+        "typed": p.typed,
+        "renaming": lambda: p.literal(p.nat, NAT),
+        "assignment": lambda: p.literal(p.nameless),
+    }[kind]
+    out = read()
+    p.done()
+    if sig is not None:
+        for t in out.prefix if kind == "assignment" else (out,):
+            errs = wellformed(sig, t)
+            if errs:
+                raise ParseError([Diagnostic("error", e) for e in errs])
+    return out
+
+
+def ref_from_named(sig, t):
+    """``model.from_named`` as it was before its explicit stack: one call
+    per node, the binders in scope as a tuple, innermost first."""
+    from debruijn.model import default_supply_index
+
+    def go(node, env):
+        if isinstance(node, NVar):
+            if node.name in env:
+                return Var(env.index(node.name))
+            idx = default_supply_index(node.name)
+            if idx is None:
+                raise ValueError(f"unbound name '{node.name}' is not of supply form")
+            return Var(idx + len(env))
+        if isinstance(node, NOp):
+            op, args = node.name, node.args
+            if op not in sig.ops:
+                raise ValueError(f"unknown operation '{op}'")
+            binders = sig.ops[op].binders
+            if len(args) != len(binders):
+                raise ValueError(
+                    f"operation '{op}' expects {len(binders)} arguments, got {len(args)}"
+                )
+            parts = []
+            for k, (bs, body) in zip(binders, args):
+                if len(bs) != k:
+                    raise ValueError(f"operation '{op}' expects {k} binders, got {len(bs)}")
+                parts.append(go(body, tuple(reversed(bs)) + env))
+            return Op(op, tuple(parts))
+        raise TypeError(node)
+
+    return go(t, ())

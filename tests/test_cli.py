@@ -314,3 +314,35 @@ def test_malformed_request_exits_2_with_empty_stdout(lam_sig, capsys, argv):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err != ""
+
+
+DEEP = 3_000  # past the recursion limit, which the JSON paths meet
+
+
+def _deep_json(depth: int) -> str:
+    return '{"op": "lam", "args": [' * depth + '{"var": 0}' + "]}" * depth
+
+
+def test_deep_sexpr_requests_succeed(lam_sig, capsys):
+    deep = "(lam " * DEEP + "0" + ")" * DEEP
+    assert main(["term", "subst", "--sig", lam_sig, "--term", deep, "--assign", "[; ^0]"]) == 0
+    assert capsys.readouterr().out.strip() == deep
+    named = "(lam [a] " * DEEP + "a" + ")" * DEEP
+    assert main(["term", "from-named", "--sig", lam_sig, "--term", named]) == 0
+    assert capsys.readouterr().out.strip() == deep
+    assert main(["norm", "--theory", "beta", "--term", deep]) == 0
+    assert capsys.readouterr().out.strip() == deep
+
+
+@pytest.mark.parametrize("argv", [
+    ["--term", _deep_json(DEEP), "--assign", "[; ^0]"],
+    ["--term", '{"var": 0}', "--assign", "[" + "(lam " * DEEP + "0" + ")" * DEEP + "; ^0]"],
+], ids=["input", "output"])
+def test_deep_json_terms_exit_2(lam_sig, capsys, argv):
+    """A JSON term deeper than the json module's nesting limit, read or
+    written, is a usage error that points to --format sexpr."""
+    assert main(["term", "subst", "--sig", lam_sig, *argv, "--format", "json"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "nesting limit" in out.err and "--format sexpr" in out.err
+    assert "internal error" not in out.err

@@ -9,6 +9,7 @@ import hashlib
 import itertools
 import random
 import time
+from collections import Counter
 
 import pytest
 
@@ -44,6 +45,7 @@ from helpers import (
     lam,
     ref_alpha_eq,
     ref_free_names,
+    ref_from_named,
     ref_named_subst,
     ref_random_assignment,
     ref_random_term,
@@ -490,3 +492,37 @@ def test_deep_to_named_is_fast_and_round_trips():
         else:
             assert x.name == y.name and len(x.args) == len(y.args)
             stack.extend(zip(x.args, y.args))
+
+
+def _random_named_term(rng: random.Random, depth: int):
+    """A named term over lam, app, m and an unknown operation, with
+    arguments and binder groups of random length: most are faulty."""
+    if depth == 0 or rng.random() < 0.3:
+        return NVar(rng.choice(["a", "b", "c", "x0", "x3", "q"]))
+    args = []
+    for _ in range(rng.choice([0, 1, 1, 2, 2, 3])):
+        bs = tuple(rng.choice("abc") for _ in range(rng.choice([0, 0, 1, 1, 2])))
+        args.append((bs, _random_named_term(rng, depth - 1)))
+    return NOp(rng.choice(["lam", "app", "m", "m", "g"]), tuple(args))
+
+
+@pytest.mark.parametrize(
+    "sig", [SIG, make_signature({"lam": (1,), "app": (0, 0), "m": (2, 0, 1)})],
+    ids=["lambda", "lambda+MIXED"],
+)
+def test_from_named_agrees_with_the_recursive_one(sig):
+    """The explicit-stack ``from_named`` returns what the recursive one
+    returned, and raises the same error at the same fault first."""
+    rng = random.Random(31)
+    seen = Counter()
+    for _ in range(3000):
+        t = _random_named_term(rng, 5)
+        outcomes = []
+        for convert in (from_named, ref_from_named):
+            try:
+                outcomes.append(("ok", convert(sig, t)))
+            except (ValueError, TypeError) as e:
+                outcomes.append((type(e).__name__, str(e)))
+        assert outcomes[0] == outcomes[1], t
+        seen[outcomes[0][0] if outcomes[0][0] == "ok" else outcomes[0][1].split(" ")[0]] += 1
+    assert seen["ok"] > 100 and sum(seen.values()) - seen["ok"] > 1000

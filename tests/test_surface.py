@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import time
 
 import pytest
 
@@ -24,6 +25,7 @@ from debruijn import (
     alpha_eq,
     arrow,
     base,
+    from_named,
     lambda_signature,
     parse_assignment,
     parse_renaming,
@@ -38,9 +40,10 @@ from debruijn import (
     term_to_json,
     to_named,
 )
+from debruijn import surface
 from debruijn.gen import random_assignment, random_term
 
-from helpers import app, lam
+from helpers import app, lam, ref_parse, ref_tokenize
 
 SIG = lambda_signature()
 
@@ -477,3 +480,195 @@ def test_surface_behaviour_is_pinned(monkeypatch):
     assert surface_behaviour_digest() == (
         "cf3722198044fe754d7fa7a7ada6f43e4461d6cbd3f70ac6cf53a3d431c3e41f"
     )
+
+
+# --- the one-pass readers against the recursive ones --------------------
+
+
+def _random_type_text(rng: random.Random, depth: int) -> str:
+    r = rng.random()
+    if depth == 0 or r < 0.4:
+        return rng.choice(["a", "b", "t'"])
+    if r < 0.7:
+        left = _random_type_text(rng, depth - 1)
+        if "->" in left or rng.random() < 0.2:
+            left = f"({left})"
+        return f"{left} -> {_random_type_text(rng, depth - 1)}"
+    if r < 0.85:
+        return f"list({_random_type_text(rng, depth - 1)})"
+    return f"pair({_random_type_text(rng, depth - 1)}, {_random_type_text(rng, depth - 1)})"
+
+
+def _random_nameless_text(rng: random.Random, depth: int, meta: bool = False) -> str:
+    r = rng.random()
+    if depth == 0 or r < 0.3:
+        return f"?{rng.randrange(3)}" if meta and r < 0.1 else str(rng.randrange(12))
+    if meta and r < 0.4:
+        body = _random_nameless_text(rng, depth - 1, meta)
+        entries = [_random_nameless_text(rng, depth - 1, meta) for _ in range(rng.randrange(3))]
+        return f"{{{body} [{', '.join(entries)}; ^{rng.randrange(3)}]}}"
+    name = rng.choice(["lam", "app", "f", "c", "x'", "_g1"])
+    args = [_random_nameless_text(rng, depth - 1, meta) for _ in range(rng.randrange(4))]
+    return "(" + " ".join([name, *args]) + ")"
+
+
+def _random_named_text(rng: random.Random, depth: int) -> str:
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice(["x", "y", "x0", "a'"])
+    parts = [rng.choice(["lam", "app", "f", "c"])]
+    for _ in range(rng.randrange(4)):
+        if rng.random() < 0.5:
+            parts.append("[" + " ".join(rng.choice("xyz") for _ in range(rng.randrange(3))) + "]")
+        parts.append(_random_named_text(rng, depth - 1))
+    return "(" + " ".join(parts) + ")"
+
+
+def _random_typed_text(rng: random.Random, depth: int) -> str:
+    if depth == 0 or rng.random() < 0.3:
+        return f"(#{rng.randrange(5)} : {_random_type_text(rng, 2)})"
+    head = "op[" + rng.choice(["lam", "app", "k"])
+    if rng.random() < 0.8:
+        head += "; " + ", ".join(_random_type_text(rng, 1) for _ in range(rng.randrange(3)))
+    args = [_random_typed_text(rng, depth - 1) for _ in range(rng.randrange(3))]
+    return "(" + " ".join([head + "]", *args]) + ")"
+
+
+def _random_literal_text(rng: random.Random, entry) -> str:
+    entries = [entry() for _ in range(rng.randrange(4))]
+    return f"[{', '.join(entries)}; ^{rng.randrange(4)}]"
+
+
+DIFF_TEXTS = {
+    "type": lambda rng: _random_type_text(rng, 3),
+    "nameless": lambda rng: _random_nameless_text(rng, 4),
+    "meta": lambda rng: _random_nameless_text(rng, 4, meta=True),
+    "named": lambda rng: _random_named_text(rng, 4),
+    "typed": lambda rng: _random_typed_text(rng, 3),
+    "renaming": lambda rng: _random_literal_text(rng, lambda: str(rng.randrange(6))),
+    "assignment": lambda rng: _random_literal_text(rng, lambda: _random_nameless_text(rng, 2)),
+}
+
+
+def _read_meta(text: str):
+    p = surface._Parser(text)
+    t = surface._read_nameless(p, meta=True)
+    p.done()
+    return t
+
+
+DIFF_READERS = {
+    "type": parse_type,
+    "nameless": parse_term,
+    "meta": _read_meta,
+    "named": lambda text: parse_term(text, "named"),
+    "typed": lambda text: parse_term(text, "typed"),
+    "renaming": parse_renaming,
+    "assignment": parse_assignment,
+}
+
+
+_BAD_CHARS = "$%-|>'!é²\\"
+
+
+def _respace(rng: random.Random, texts: list[str]) -> str:
+    """``texts`` joined by random whitespace, none next to punctuation
+    half the time: the tokens stay the same."""
+    out = [texts[0]] if texts else []
+    for left, right in zip(texts, texts[1:]):
+        glued = not (left[-1].isalnum() or left[-1] in "_'") or not (
+            right[0].isalnum() or right[0] in "_(")
+        out.append(rng.choice(["", " "] if glued else [" ", "\n  ", "\t"]))
+        out.append(right)
+    return "".join(out)
+
+
+def _mutants(rng: random.Random, text: str) -> list[str]:
+    """Single faults of ``text``: a token deleted, duplicated or swapped
+    with the next, or a bad character inserted."""
+    toks = [tok.text for tok in ref_tokenize(text)[:-1]]
+    out = []
+    i = rng.randrange(len(toks))
+    out.append(_respace(rng, toks[:i] + toks[i + 1:]))
+    out.append(_respace(rng, toks[:i + 1] + toks[i:]))
+    if len(toks) > 1:
+        j = rng.randrange(len(toks) - 1)
+        out.append(_respace(rng, toks[:j] + [toks[j + 1], toks[j]] + toks[j + 2:]))
+    k = rng.randrange(len(text) + 1)
+    out.append(text[:k] + rng.choice(_BAD_CHARS) + text[k:])
+    return out
+
+
+def _outcome(read, text: str):
+    """The result of ``read(text)``, or what it raised: every field of
+    every diagnostic of a ParseError, else the exception's type and text."""
+    try:
+        out = read(text)
+    except ParseError as e:
+        return "error", [(d.severity, d.message, d.span, d.path) for d in e.diagnostics]
+    except Exception as e:
+        return "raised", type(e).__name__, str(e)
+    return "ok", repr(out)
+
+
+@pytest.mark.parametrize("kind", list(DIFF_TEXTS))
+def test_readers_agree_with_the_recursive_readers(kind):
+    rng = random.Random(sorted(DIFF_TEXTS).index(kind))
+    sig = SIG if kind in ("nameless", "assignment") else None
+    read = DIFF_READERS[kind]
+    faults = 0
+    for _ in range(250):
+        text = _respace(rng, [t.text for t in ref_tokenize(DIFF_TEXTS[kind](rng))[:-1]])
+        for sample in [text, *_mutants(rng, text)]:
+            for s in (None, sig) if sig else (None,):
+                new = _outcome(lambda x: read(x, sig=s) if s else read(x), sample)
+                old = _outcome(lambda x: ref_parse(x, kind, s), sample)
+                assert new == old, sample
+            faults += new[0] != "ok"
+    assert faults > 500  # the mutants do reach the diagnostics
+
+
+# --- deep terms ------------------------------------------------------------
+
+
+def _timed(bound: float, call):
+    start = time.perf_counter()
+    out = call()
+    assert time.perf_counter() - start < bound
+    return out
+
+
+def _deep_chains(depth: int):
+    """``lam (app t 0)`` nested ``depth`` deep over the free leaf
+    ``depth``: nameless, named (built directly, each ``lam`` binding
+    ``a``; the leaf is ``x0``) and typed."""
+    t, n = Var(depth), NVar("x0")
+    a = base("a")
+    typed = TVar(depth, a)
+    for _ in range(depth):
+        t = lam(app(t, Var(0)))
+        n = NOp("lam", ((("a",), NOp("app", (((), n), ((), NVar("a"))))),))
+        typed = TOp("lam", (a, a), (TOp("app", (a, a), (typed, TVar(0, a))),))
+    return t, n, typed
+
+
+@pytest.mark.parametrize("depth", [1_000, 10_000, 100_000], ids=["d1k", "d10k", "d100k"])
+def test_deep_terms_read_and_print(depth):
+    """Every reader, ``print_term`` and ``from_named`` take terms 100 000
+    binders deep, each call in time linear in the depth."""
+    bound = 1.0 + depth * 50e-6
+    t, n, typed = _deep_chains(depth)
+    text = _timed(bound, lambda: print_term(t))
+    assert text == "(lam (app " * depth + str(depth) + " 0))" * depth
+    assert _timed(bound, lambda: parse_term(text, sig=SIG)) == t
+    named = _timed(bound, lambda: print_term(n))
+    assert named == "(lam [a] (app " * depth + "x0" + " a))" * depth
+    back = _timed(bound, lambda: parse_term(named, "named"))
+    assert _timed(bound, lambda: print_term(back)) == named
+    assert _timed(bound, lambda: from_named(SIG, back)) == t
+    assert _timed(bound, lambda: from_named(SIG, n)) == t
+    typed_text = _timed(bound, lambda: print_term(typed))
+    assert typed_text == (
+        "(op[lam; a, a] (op[app; a, a] " * depth + f"(#{depth} : a)" + " (#0 : a)))" * depth
+    )
+    back = _timed(4 * bound, lambda: parse_term(typed_text, "typed"))
+    assert _timed(bound, lambda: print_term(back)) == typed_text

@@ -29,6 +29,7 @@ from debruijn import (
     to_named,
     wellformed,
 )
+from debruijn import term
 from debruijn.gen import random_assignment, random_renaming, random_term
 
 from helpers import app, lam
@@ -216,3 +217,33 @@ def test_eq_is_iterative_and_rejects_by_bound():
     assert app(Var(0), Var(2)) != app(Var(1), Var(2)) == app(Var(1), Var(2))
     assert app(Var(0), lam(Var(0))) != app(Var(0), Var(0))
     assert Op("c", ()) == Op("c", ()) and Op("c", ()) != Op("d", ())
+
+
+def test_wellformed_reports_as_the_path_walk():
+    """The checking walk returns [] exactly when the walk that spells out
+    paths finds no fault, and otherwise that walk's diagnostics."""
+    rng = random.Random(5)
+    faulty = 0
+    for _ in range(2000):
+        t = random_term(SIG, rng, max_depth=5)
+        for _ in range(rng.randrange(3)):  # plant faults at random nodes
+            path, node = [], t
+            while type(node) is Op and node.args and rng.random() < 0.7:
+                i = rng.randrange(len(node.args))
+                path.append(i)
+                node = node.args[i]
+            bad = rng.choice([Var(-1), Op("foo", ()), Op("app", (Var(0),)), "x", Op("lam", ())])
+            t = _replace_at(t, path, bad)
+        errs = wellformed(SIG, t)
+        assert errs == term._faults(SIG, t)
+        faulty += bool(errs)
+    assert faulty > 1000
+
+
+def _replace_at(t, path, new):
+    if not path:
+        return new
+    i, rest = path[0], path[1:]
+    args = list(t.args)
+    args[i] = _replace_at(args[i], rest, new)
+    return Op(t.name, tuple(args))
