@@ -21,7 +21,8 @@ import random
 import re
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import repeat
+from heapq import heappop, heappush
+from itertools import islice, repeat
 from operator import attrgetter
 from typing import Any, Callable, Optional
 
@@ -181,52 +182,66 @@ def free_names(t: NamedTerm) -> frozenset:
     return t.free
 
 
+def _bind(env: dict, keys, depth: int) -> list:
+    """Bind ``keys`` at depths ``depth``, ``depth + 1``, ...; the entries
+    they shadow, for :func:`_restore`."""
+    saved = []
+    for i, x in enumerate(keys):
+        saved.append((x, env.get(x)))
+        env[x] = depth + i
+    return saved
+
+
+def _restore(env: dict, saved: list) -> None:
+    for x, old in reversed(saved):
+        if old is None:
+            del env[x]
+        else:
+            env[x] = old
+
+
 def alpha_eq(a: NamedTerm, b: NamedTerm) -> bool:
     """Equality of named terms up to consistent renaming of binders; typed
-    terms must also agree on every type."""
+    terms must also agree on every type.
+
+    One walk with an explicit stack of items: a pair of terms, a pair of
+    arguments (binders, body) whose binders are bound when it is taken, or
+    the bindings to undo once that body is done."""
     # key -> binder depth on each side, updated in place and restored
     # after each body; a mismatch ends the whole comparison unrestored
     env_a: dict = {}
     env_b: dict = {}
-
-    def bind(env: dict, keys, depth: int) -> list:
-        saved = []
-        for i, x in enumerate(keys):
-            saved.append((x, env.get(x)))
-            env[x] = depth + i
-        return saved
-
-    def restore(env: dict, saved: list) -> None:
-        for x, old in reversed(saved):
-            if old is None:
-                del env[x]
-            else:
-                env[x] = old
-
-    def go(a, b, depth: int) -> bool:
-        kind = type(a)
-        if kind is not type(b):
+    stack: list = [(a, b, 0)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        x, y, depth = pop()
+        kind = type(x)
+        if x is None:  # y holds the shadowed entries of both sides
+            _restore(env_a, y[0])
+            _restore(env_b, y[1])
+        elif kind is tuple:  # (binders, body) on each side
+            (bx, tx), (by, ty) = x, y
+            if bx:
+                push((None, (_bind(env_a, bx, depth), _bind(env_b, by, depth)), 0))
+                depth += len(bx)
+            push((tx, ty, depth))
+        elif kind is not type(y):
             return False
-        if kind is NVar or kind is TNVar:
+        elif kind is NVar or kind is TNVar:
             # a bound key's type is its binder's, which the sides share
-            (x,), (y,) = a.free, b.free
-            ia, ib = env_a.get(x), env_b.get(y)
-            return ia == ib and (ia is not None or x == y)
-        xs, ys = a.args, b.args
-        if a.name != b.name or a.type_args != b.type_args or len(xs) != len(ys):
-            return False
-        for (bx, tx), (by, ty) in zip(xs, ys):
-            if a.group_sorts(bx) != a.group_sorts(by):
+            (kx,), (ky,) = x.free, y.free
+            ia, ib = env_a.get(kx), env_b.get(ky)
+            if ia != ib or ia is None and kx != ky:
                 return False
-            saved_a = bind(env_a, bx, depth)
-            saved_b = bind(env_b, by, depth)
-            if not go(tx, ty, depth + len(bx)):
+        else:
+            xs, ys = x.args, y.args
+            if x.name != y.name or x.type_args != y.type_args or len(xs) != len(ys):
                 return False
-            restore(env_a, saved_a)
-            restore(env_b, saved_b)
-        return True
-
-    return go(a, b, 0)
+            for (bx, _), (by, _) in zip(xs, ys):
+                if x.group_sorts(bx) != x.group_sorts(by):
+                    return False
+            stack.extend(reversed(list(zip(xs, ys, repeat(depth)))))
+    return True
 
 
 def _letter_supply():
@@ -237,13 +252,18 @@ def _letter_supply():
         i += 1
 
 
+_LETTERS = tuple(islice(_letter_supply(), 26 * 4))
+
+
 def fresh_names(count: int, avoid) -> list[str]:
     """First ``count`` binder names (a, b, c, ...) not in ``avoid``."""
     if not count:
         return []
     out: list[str] = []
-    # the supply never repeats a name, so ``avoid`` needs no additions
-    for name in _letter_supply():
+    # the supply never repeats a name, so ``avoid`` needs no additions; the
+    # first count + len(avoid) names hold the picks
+    supply = _LETTERS if count + len(avoid) <= len(_LETTERS) else _letter_supply()
+    for name in supply:
         if name not in avoid:
             out.append(name)
             if len(out) == count:
@@ -344,17 +364,23 @@ def bind_fresh(op: type, head: tuple, arg_sorts, args) -> NamedTerm:
         if not sorts:
             pieces.append(((), e))
             continue
-        zs = fresh_names(len(sorts), op.key_names(e.free))
-        inner_first: dict = {}
-        for z, s in zip(reversed(zs), reversed(sorts)):
-            inner_first.setdefault(s, []).append(z)
-        mapping = {}
+        # index i >= n of a sort with n binders here is free above them, as
+        # x<i - n>: the binders avoid that name as well as the body's
+        mapping, inner = {}, []
         for key, name, s in op.split(e.free):
             idx = default_supply_index(name)
             if idx is not None:
-                bound = inner_first.get(s, ())
-                z = bound[idx] if idx < len(bound) else default_supply(idx - len(bound))
-                mapping[key] = op.var(z, s)
+                n = sorts.count(s)
+                if idx < n:
+                    inner.append((key, idx, s))
+                else:
+                    mapping[key] = op.var(default_supply(idx - n), s)
+        zs = fresh_names(len(sorts), op.key_names(e.free.union(*map(_free, mapping.values()))))
+        inner_first: dict = {}
+        for z, s in zip(reversed(zs), reversed(sorts)):
+            inner_first.setdefault(s, []).append(z)
+        for key, idx, s in inner:
+            mapping[key] = op.var(inner_first[s][idx], s)
         pieces.append((op.decls(zs, sorts), named_subst(e, mapping)))
     return op(*head, tuple(pieces))
 
@@ -387,8 +413,240 @@ def initial_fold(sig: BindingSignature, algebra: DBAlgebra, t: Term):
     )
 
 
+def _supply_form(names) -> bool:
+    """Whether one of ``names`` has the form of a free variable's, x<i>."""
+    return any(z[0] == "x" and _SUPPLY_RE.match(z) for z in names)
+
+
+@gc_paused
+def named_walk(
+    t, var: type, op: type, arg_sorts: Callable, var_sort: Callable, build: Callable, named: type
+) -> NamedTerm:
+    """The term that the fold of ``t`` into the named model gives, equal to
+    it under ``==``, binder names included.
+
+    ``t`` has node classes ``var`` and ``op``; ``arg_sorts(node)`` lists each
+    argument's binder sorts, outermost first, and ``var_sort(v)`` is a
+    variable's sort.  ``build(node, args)`` makes the named node, and the
+    hooks ``var`` and ``decls`` of ``named`` its variables and binders.
+
+    The fold names the binder group of an argument (:func:`bind_fresh`) once
+    its body is named, and its :func:`named_subst` renames a group inside
+    that body whose binder an image would capture, instead of the image.
+    Each binder and each free (sort, root index) here is an identity, and
+    ``free[g]`` holds the identities free in the body of group ``g``.  A
+    capture at ``h`` in the pass of ``g`` needs a binder of ``h`` with the
+    image name of an identity free in ``h``'s body: a binder of ``g``, of a
+    group renamed in the same pass, or, since an image ``x<i>`` is of supply
+    form, an identity bound above ``g`` when ``h`` has a supply-form name.
+    So each pass visits, in preorder, only the users of ``g`` (the groups
+    whose body refers to its binders), of each group it renames, and the
+    supply-named groups inside ``g``, and renames exactly as
+    ``named_subst`` does.  The named term is built once, at the end."""
+    env: dict = {}  # sort -> identities of the binders in scope, innermost last
+    sorts, levels, owner, names = [], [], [], []  # per identity
+    free_ids: dict = {}  # (sort, index at the root) -> identity of a free variable
+    single: dict = {}  # identity -> frozenset of it
+    # per group, numbered in preorder: first identity, binder sorts, binders
+    # of each sort in scope in its body (by slot of ``env``), one past the
+    # last group inside it, identities free in its body
+    gfirst, gsorts, gdepth, gend, free = [], [], [], [], []
+    users: dict = {}
+    post: list = []  # an identity per variable, (node, group per argument) per operation
+    frames: list = []
+    node = t
+    while True:
+        if type(node) is var:
+            s, i = var_sort(node), node.index
+            scope = env.get(s, ())
+            if i < 0:
+                raise ValueError(f"negative variable index {i}")
+            if i < len(scope):
+                ident = scope[-1 - i]
+            else:
+                r = i - len(scope)
+                ident = free_ids.get((s, r))
+                if ident is None:
+                    ident = free_ids[s, r] = len(sorts)
+                    sorts.append(s)
+                    levels.append(-1 - r)
+                    owner.append(-1)
+                    names.append(default_supply(r))
+            post.append(ident)
+            value = single.get(ident)
+            if value is None:
+                value = single[ident] = frozenset((ident,))
+        elif type(node) is op:
+            frames.append((node, arg_sorts(node), [], []))
+            value = None
+        else:
+            raise TypeError(f"not a term: {node!r}")
+        while frames:  # hand the value up, to the first operation with an argument left
+            parent, arg_ss, values, gids = frames[-1]
+            if value is not None:
+                g = gids[-1]
+                if g >= 0:
+                    own = range(gfirst[g], gfirst[g] + len(gsorts[g]))
+                    for s in gsorts[g]:
+                        env[s].pop()
+                    free[g] = value
+                    gend[g] = len(gfirst)
+                    for i in value:
+                        if owner[i] >= 0 and owner[i] != g:
+                            users.setdefault(owner[i], []).append(g)
+                    if not value.isdisjoint(own):
+                        value = value.difference(own)
+                values.append(value)
+            if len(values) < len(parent.args):
+                ss = arg_ss[len(values)]
+                g = -1
+                if ss:
+                    g = len(gfirst)
+                    gfirst.append(len(sorts))
+                    gsorts.append(ss)
+                    for s in ss:
+                        scope = env.setdefault(s, [])
+                        scope.append(len(sorts))
+                        sorts.append(s)
+                        levels.append(len(scope) - 1)
+                        owner.append(g)
+                        names.append(None)
+                    gdepth.append(tuple(map(len, env.values())))
+                    gend.append(None)
+                    free.append(None)
+                gids.append(g)
+                node = parent.args[len(values)]
+                break
+            frames.pop()
+            post.append((parent, gids))
+            value = values[0] if len(values) == 1 else frozenset().union(*values)
+        else:
+            break
+
+    slot = {s: k for k, s in enumerate(env)}
+
+    def supply_keys(g: int, ids):
+        """(name before, name after the pass of ``g``, sort) of each identity
+        of ``ids`` bound above ``g``, and (name before, None, sort) of each
+        binder of ``g``: supply names, from binder counts."""
+        for i in ids:
+            if owner[i] <= g:
+                s, d = sorts[i], gdepth[g]
+                k = slot.get(s, len(d))
+                n = (d[k] if k < len(d) else 0) - 1 - levels[i]
+                after = None if owner[i] == g else default_supply(n - gsorts[g].count(s))
+                yield default_supply(n), after, s
+
+    def supply_names(g: int, ids) -> set:
+        return {z for before, after, _ in supply_keys(g, ids) for z in (before, after) if z}
+
+    first_letters: dict = {}
+    supply_named: set = set()
+    for g in reversed(range(len(gfirst))):
+        first, ss = gfirst[g], gsorts[g]
+        if len(ss) not in first_letters:
+            zs = fresh_names(len(ss), ())
+            first_letters[len(ss)] = zs, _supply_form(zs)
+        zs, supply = first_letters[len(ss)]
+        if supply:  # as bind_fresh: no name free in the body before or after
+            zs = fresh_names(len(ss), supply_names(g, free[g]))
+            if _supply_form(zs):
+                supply_named.add(g)
+        names[first:first + len(ss)] = zs
+        seen = set(users.get(g, ()))
+        if supply_named:
+            seen.update(h for h in supply_named if g < h < gend[g])
+        if not seen:
+            continue
+        heap = sorted(seen)
+        renamed: dict = {}  # identity -> its name after this pass
+        recheck = []  # renamed groups that may gain or lose a supply-form name
+        images: dict = {}  # (name, sort) -> the binders of g and renamed ones with that image
+        for b in range(first, first + len(ss)):
+            images.setdefault((names[b], sorts[b]), []).append(b)
+        while heap:
+            h = heappop(heap)
+            own = range(gfirst[h], gfirst[h] + len(gsorts[h]))
+            body = free[h]
+            outer = ()
+            if h in supply_named:
+                outer = {(after, s) for _, after, s in supply_keys(g, body) if after}
+            hits = []  # binders captured by the image of an identity free in the body
+            for b in own:
+                key = names[b], sorts[b]
+                if key in images and not body.isdisjoint(images[key]) or key in outer:
+                    hits.append(b)
+            if not hits:
+                continue
+            # avoid the images, the body's free names and the group's own
+            # names; the supply names among them only if a pick is one
+            avoid = {names[b] for b in own}
+            for i in body:
+                if owner[i] >= g:
+                    avoid.add(names[i])
+                    if i in renamed:
+                        avoid.add(renamed[i])
+            zs = fresh_names(len(hits), avoid)
+            if _supply_form(zs):
+                zs = fresh_names(len(hits), avoid | supply_names(g, body))
+            if h in supply_named or _supply_form(zs):
+                recheck.append(h)
+            for b, z in zip(hits, zs):
+                renamed[b] = z
+                images.setdefault((z, sorts[b]), []).append(b)
+            for u in users.get(h, ()):
+                if u not in seen:
+                    seen.add(u)
+                    heappush(heap, u)
+        for i, z in renamed.items():
+            names[i] = z
+        for h in recheck:
+            if _supply_form(names[gfirst[h]:gfirst[h] + len(gsorts[h])]):
+                supply_named.add(h)
+            else:
+                supply_named.discard(h)
+
+    variables: dict = {}
+    values = []
+    for item in post:
+        if type(item) is int:
+            v = variables.get(item)
+            if v is None:
+                v = variables[item] = named.var(names[item], sorts[item])
+            values.append(v)
+            continue
+        node, gids = item
+        k = len(values) - len(gids)
+        args = []
+        for g, body in zip(gids, values[k:]):
+            if g < 0:
+                args.append(((), body))
+            else:
+                first, ss = gfirst[g], gsorts[g]
+                args.append((named.decls(names[first:first + len(ss)], ss), body))
+        del values[k:]
+        values.append(build(node, tuple(args)))
+    return values[0]
+
+
 def to_named(sig: BindingSignature, t: Term) -> NamedTerm:
-    return initial_fold(sig, named_model(sig), t)
+    """The named form of ``t``.  Its definition is the fold
+    ``initial_fold(sig, named_model(sig), t)``; :func:`named_walk` computes
+    the same term, equal under ``==``, in time linear in the size of ``t``
+    while each variable points a bounded number of binders up."""
+    sorts = {name: [(None,) * k for k in ns] for name, ns in sig.binders.items()}
+
+    def arg_sorts(node: Op) -> list:
+        ss = sorts[node.name]
+        if len(ss) != len(node.args):
+            raise ValueError(
+                f"operation '{node.name}' takes {len(ss)} arguments, got {len(node.args)}"
+            )
+        return ss
+
+    return named_walk(
+        t, Var, Op, arg_sorts, lambda v: None, lambda o, args: NOp(o.name, args), NOp
+    )
 
 
 @gc_paused
@@ -446,36 +704,6 @@ def from_named(sig: BindingSignature, t: NamedTerm) -> Term:
             frames.pop()
         else:
             return value
-
-
-def debruijn_to_named_direct(sig: BindingSignature, t: Term) -> NamedTerm:
-    """Independent top-down converter used to cross-check the fold-based
-    conversion; binder names are drawn per nesting depth."""
-    supply = []
-    # skip the names of free variables (x1, x2, ...), which a binder would capture
-    gen = (z for z in _letter_supply() if default_supply_index(z) is None)
-
-    def letter(i: int) -> str:
-        while len(supply) <= i:
-            supply.append(next(gen))
-        return supply[i]
-
-    def go(node: Term, env: tuple[str, ...]) -> NamedTerm:
-        match node:
-            case Var(n):
-                if n < len(env):
-                    return NVar(env[n])
-                return NVar(default_supply(n - len(env)))
-            case Op(name, args):
-                binders = sig.ops[name].binders
-                parts = []
-                for k, a in zip(binders, args):
-                    bs = tuple(letter(len(env) + j) for j in range(k))
-                    parts.append((bs, go(a, tuple(reversed(bs)) + env)))
-                return NOp(name, tuple(parts))
-        raise TypeError(node)
-
-    return go(t, ())
 
 
 # --- law checking -------------------------------------------------------

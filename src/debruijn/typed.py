@@ -16,10 +16,12 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import zip_longest
-from operator import is_not
+from operator import attrgetter, is_not
 from typing import Any, Callable
 
-from .model import NamedTerm, TNOp, TNVar, alpha_eq, bind_fresh, default_supply, supply_subst
+from .model import (
+    NamedTerm, TNOp, TNVar, alpha_eq, bind_fresh, default_supply, named_walk, supply_subst,
+)
 from .signature import (
     OpSchema,
     TypeExpr,
@@ -309,7 +311,26 @@ def typed_named_model(schema: TypedSignatureSchema) -> TypedAlgebra:
 
 
 def typed_to_named(schema: TypedSignatureSchema, t: TypedTerm) -> NamedTerm:
-    return t_initial_fold(schema, typed_named_model(schema), t)
+    """The named form of ``t``.  Its definition is the fold
+    ``t_initial_fold(schema, typed_named_model(schema), t)``;
+    :func:`~debruijn.model.named_walk` computes the same term."""
+    sorts: dict = {}
+
+    def arg_sorts(node: TOp) -> list:
+        key = node.name, node.type_args
+        if key not in sorts:
+            sorts[key] = [g for g, _ in op_arity(schema, *key).premises]
+        if len(sorts[key]) != len(node.args):
+            raise TypecheckError(
+                f"operation '{node.name}' expects {len(sorts[key])} "
+                f"arguments, got {len(node.args)}"
+            )
+        return sorts[key]
+
+    return named_walk(
+        t, TVar, TOp, arg_sorts, attrgetter("ty"),
+        lambda o, args: TNOp(o.name, o.type_args, args), TNOp,
+    )
 
 
 # --- degenerate single-type reduction -----------------------------------

@@ -30,7 +30,7 @@ from debruijn import (
     rewrite_step,
     wellformed,
 )
-from debruijn.model import _letter_supply
+from debruijn.model import _letter_supply, default_supply, default_supply_index
 from debruijn.surface import SourceSpan
 from debruijn.term import _op_sig, _op_sup
 from debruijn.typed import op_arity, typed_assignment_at
@@ -251,6 +251,27 @@ def same_term(a, b) -> bool:
     return True
 
 
+def same_named(a, b) -> bool:
+    """``a == b`` for named terms, typed or not, binder names included,
+    with an explicit stack: the dataclass ``==`` recurses once per level."""
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        if type(x) is not type(y):
+            return False
+        if isinstance(x, (NVar, TNVar)):
+            if x != y:
+                return False
+        elif x.name != y.name or x.type_args != y.type_args or len(x.args) != len(y.args):
+            return False
+        else:
+            for (bx, tx), (by, ty) in zip(x.args, y.args):
+                if bx != by:
+                    return False
+                stack.append((tx, ty))
+    return True
+
+
 # --- rewriting reference ---------------------------------------------------
 
 
@@ -345,6 +366,36 @@ def ref_alpha_eq(a, b):
         return True
 
     return go(a, b, {}, {}, 0)
+
+
+def debruijn_to_named_direct(sig, t):
+    """Independent top-down converter used to cross-check the fold-based
+    conversion; binder names are drawn per nesting depth."""
+    supply = []
+    # skip the names of free variables (x1, x2, ...), which a binder would capture
+    gen = (z for z in _letter_supply() if default_supply_index(z) is None)
+
+    def letter(i: int) -> str:
+        while len(supply) <= i:
+            supply.append(next(gen))
+        return supply[i]
+
+    def go(node, env):
+        match node:
+            case Var(n):
+                if n < len(env):
+                    return NVar(env[n])
+                return NVar(default_supply(n - len(env)))
+            case Op(name, args):
+                binders = sig.ops[name].binders
+                parts = []
+                for k, a in zip(binders, args):
+                    bs = tuple(letter(len(env) + j) for j in range(k))
+                    parts.append((bs, go(a, tuple(reversed(bs)) + env)))
+                return NOp(name, tuple(parts))
+        raise TypeError(node)
+
+    return go(t, ())
 
 
 def ref_tn_free(t):

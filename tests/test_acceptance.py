@@ -60,7 +60,7 @@ from debruijn.gen import (
     random_typed_assignment,
     random_typed_term,
 )
-from debruijn.model import debruijn_to_named_direct
+from helpers import debruijn_to_named_direct
 from debruijn.signature import instantiate_schema
 from debruijn.typed import BTLeaf, BTNode
 

@@ -36,7 +36,7 @@ from debruijn import (
     to_named,
 )
 from debruijn.equational import check_half_equation
-from debruijn.model import debruijn_to_named_direct
+from helpers import debruijn_to_named_direct
 from debruijn.gen import random_assignment, random_term, shrink_law_sample
 
 from helpers import app, lam

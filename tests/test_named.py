@@ -16,6 +16,7 @@ import pytest
 from debruijn import (
     NOp,
     NVar,
+    Op,
     TNOp,
     TNVar,
     Var,
@@ -24,12 +25,16 @@ from debruijn import (
     base,
     free_names,
     from_named,
+    initial_fold,
     lambda_signature,
     make_signature,
+    named_model,
     named_subst,
     print_term,
     stlc_schema,
+    t_initial_fold,
     to_named,
+    typed_named_model,
 )
 from debruijn.gen import (
     ground_types,
@@ -37,11 +42,13 @@ from debruijn.gen import (
     random_term,
     random_typed_term,
 )
-from debruijn.model import debruijn_to_named_direct, fresh_names
+from debruijn.model import fresh_names
+from debruijn.signature import OpSchema, TypedArity, TypedSignatureSchema, TypeGrammar
 from debruijn.typed import degenerate_schema, to_degenerate, typed_to_named
 
 from helpers import (
     app,
+    debruijn_to_named_direct,
     lam,
     ref_alpha_eq,
     ref_free_names,
@@ -52,6 +59,7 @@ from helpers import (
     ref_tn_alpha_eq,
     ref_tn_free,
     ref_tn_subst,
+    same_named,
 )
 
 SIG = lambda_signature()
@@ -526,3 +534,168 @@ def test_from_named_agrees_with_the_recursive_one(sig):
         assert outcomes[0] == outcomes[1], t
         seen[outcomes[0][0] if outcomes[0][0] == "ok" else outcomes[0][1].split(" ")[0]] += 1
     assert seen["ok"] > 100 and sum(seen.values()) - seen["ok"] > 1000
+
+
+# --- the walk of to_named against the fold that defines it ------------------
+
+
+@pytest.mark.parametrize(
+    "sig, depth", [(SIG, 7), (FO_SIG, 7), (MIXED_SIG, 5)], ids=["lambda", "FO", "MIXED"]
+)
+def test_to_named_is_the_fold(sig, depth):
+    """``to_named`` returns the fold's term, binder names included."""
+    rng = random.Random(79)
+    nm = named_model(sig)
+    for _ in range(3000):
+        t = random_term(sig, rng, max_depth=depth, max_index=6)
+        assert same_named(to_named(sig, t), initial_fold(sig, nm, t)), t
+
+
+def fan_in_chain(rng: random.Random):
+    """n binders, each over an application to any variable with p = 0.3,
+    over an application spine of the variables i < n + 3, each kept with
+    p = 0.8: nearly every binder is used below every other one."""
+    n = rng.randint(50, 110)
+    t = None
+    for i in range(n + 3):
+        if rng.random() < 0.8:
+            t = Var(i) if t is None else app(t, Var(i))
+    for _ in range(n):
+        if rng.random() < 0.3:
+            t = app(t, Var(rng.randrange(n + 3)))
+        t = lam(t)
+    return t
+
+
+def binder_names(t) -> set:
+    names, stack = set(), [t]
+    while stack:
+        for binders, body in getattr(stack.pop(), "args", ()):
+            names.update(binders)
+            stack.append(body)
+    return names
+
+
+def test_to_named_is_the_fold_on_fan_in_chains():
+    """Each pass of the fold renames a cascade of groups here, and in some
+    chains it names a binder x1, a name of supply form."""
+    rng = random.Random(5)
+    nm = named_model(SIG)
+    named_x1 = 0
+    for _ in range(40):
+        t = fan_in_chain(rng)
+        fold = initial_fold(SIG, nm, t)
+        assert same_named(to_named(SIG, t), fold)
+        named_x1 += "x1" in binder_names(fold)
+    assert named_x1 >= 1
+
+
+A_, B_ = base("a"), base("b")
+# binder groups over two sorts, and one of 60 binders, whose names reach
+# the supply form x1
+MULTI_SORT = TypedSignatureSchema(TypeGrammar({"a": 0, "b": 0}), {
+    "p": OpSchema("p", (), TypedArity((((A_, B_, A_), A_), ((B_,), B_)), A_)),
+    "q": OpSchema("q", (), TypedArity((((), A_),), B_)),
+    "r": OpSchema("r", (), TypedArity((((A_,), B_),), B_)),
+    "big": OpSchema("big", (), TypedArity((((A_,) * 30 + (B_,) * 30, A_),), A_)),
+})
+
+
+@pytest.mark.parametrize("schema", [SCH, MULTI_SORT], ids=["STLC", "multi-sort"])
+def test_typed_to_named_is_the_fold(schema):
+    rng = random.Random(83)
+    pool = ground_types(schema.grammar)
+    nm = typed_named_model(schema)
+    for _ in range(1500):
+        t = random_typed_term(schema, rng, rng.choice(pool), max_depth=6)
+        assert same_named(typed_to_named(schema, t), t_initial_fold(schema, nm, t)), t
+
+
+def test_a_group_of_fifty_binders_leaves_x1_free():
+    """The 50th name of the letter supply is x1.  A variable free above a
+    group of 50 binders is x1 there, so the group must not bind x1."""
+    sig = make_signature({"big": (50,)})
+    t = Op("big", (Var(51),))
+    named = to_named(sig, t)
+    assert "x1" not in named.args[0][0] and named.args[0][1] == NVar("x1")
+    assert from_named(sig, named) == t
+    assert named == initial_fold(sig, named_model(sig), t)
+
+
+@pytest.mark.parametrize("depth", [50, 100])
+def test_conversions_do_not_substitute(depth, monkeypatch):
+    """Both conversions replay the fold's renamings instead of running its
+    ``named_subst`` under every binder."""
+    import debruijn.model as model
+
+    calls = []
+    inner = model.named_subst
+
+    def counted(t, mapping):
+        calls.append(t)
+        return inner(t, mapping)
+
+    monkeypatch.setattr(model, "named_subst", counted)
+    t = Var(depth)
+    for _ in range(depth):
+        t = lam(app(t, Var(0)))
+    to_named(SIG, t)
+    typed_to_named(degenerate_schema(SIG), to_degenerate(t))
+    assert calls == []
+    initial_fold(SIG, named_model(SIG), t)
+    assert len(calls) >= depth  # the counter sees the fold's calls
+
+
+def near_chain(rng: random.Random, depth: int):
+    """``depth`` binders, half of them over an application to a variable
+    at most 8 binders up (one in ten free instead), over a free leaf."""
+    t = Var(depth)
+    for level in range(depth):
+        if rng.random() < 0.5:
+            above = depth - level  # binders over this application
+            if rng.random() < 0.9:
+                t = app(t, Var(rng.randrange(min(8, above))))
+            else:
+                t = app(t, Var(above + rng.randrange(3)))
+        t = lam(t)
+    return t
+
+
+def same_names(typed, untyped) -> bool:
+    """The typed named term has the untyped one's names, by an explicit
+    stack: the one-sort case at any depth."""
+    stack = [(typed, untyped)]
+    while stack:
+        x, y = stack.pop()
+        if type(x) is TNVar:
+            if type(y) is not NVar or x.name != y.name:
+                return False
+        elif type(y) is not NOp or x.name != y.name or len(x.args) != len(y.args):
+            return False
+        else:
+            for (bx, tx), (by, ty) in zip(x.args, y.args):
+                if tuple(n for n, _ in bx) != by:
+                    return False
+                stack.append((tx, ty))
+    return True
+
+
+def _timed(bound: float, call):
+    start = time.perf_counter()
+    out = call()
+    assert time.perf_counter() - start < bound
+    return out
+
+
+@pytest.mark.parametrize("depth", [1_000, 10_000, 100_000], ids=["d1k", "d10k", "d100k"])
+def test_deep_to_named_sweep(depth):
+    """Both conversions and ``alpha_eq`` take terms 100 000 binders deep,
+    each call in time linear in the depth, and the output round-trips."""
+    bound = 1.0 + depth * 50e-6
+    t = near_chain(random.Random(depth), depth)
+    named = _timed(2 * bound, lambda: to_named(SIG, t))
+    assert _timed(bound, lambda: from_named(SIG, named)) == t
+    schema, typed_t = degenerate_schema(SIG), to_degenerate(t)
+    assert same_names(_timed(2 * bound, lambda: typed_to_named(schema, typed_t)), named)
+    again = to_named(SIG, t)
+    assert _timed(bound, lambda: alpha_eq(named, again))
