@@ -22,7 +22,7 @@ import re
 from dataclasses import dataclass, field
 from functools import partial
 from heapq import heappop, heappush
-from itertools import islice, repeat
+from itertools import repeat
 from operator import attrgetter
 from typing import Any, Callable, Optional
 
@@ -252,18 +252,13 @@ def _letter_supply():
         i += 1
 
 
-_LETTERS = tuple(islice(_letter_supply(), 26 * 4))
-
-
 def fresh_names(count: int, avoid) -> list[str]:
     """First ``count`` binder names (a, b, c, ...) not in ``avoid``."""
     if not count:
         return []
     out: list[str] = []
-    # the supply never repeats a name, so ``avoid`` needs no additions; the
-    # first count + len(avoid) names hold the picks
-    supply = _LETTERS if count + len(avoid) <= len(_LETTERS) else _letter_supply()
-    for name in supply:
+    # the supply never repeats a name, so ``avoid`` needs no additions
+    for name in _letter_supply():
         if name not in avoid:
             out.append(name)
             if len(out) == count:
@@ -441,8 +436,17 @@ def named_walk(
     form, an identity bound above ``g`` when ``h`` has a supply-form name.
     So each pass visits, in preorder, only the users of ``g`` (the groups
     whose body refers to its binders), of each group it renames, and the
-    supply-named groups inside ``g``, and renames exactly as
-    ``named_subst`` does.  The named term is built once, at the end."""
+    supply-named groups inside ``g`` whose body refers to an identity above
+    ``g``, and renames exactly as ``named_subst`` does.  The named term is
+    built once, at the end.
+
+    The cost is linear in the size of ``t``, plus, for each renaming the
+    fold makes, the free set of the renamed group's body, plus one check
+    per pass of each supply-named group.
+    Renamings can cascade: down a chain of groups of 50 binders, each
+    using the last binder of the group above, every pass renames a binder
+    in every group below it, so the cost is quadratic in the chain's
+    length, as the fold's own renaming work is."""
     env: dict = {}  # sort -> identities of the binders in scope, innermost last
     sorts, levels, owner, names = [], [], [], []  # per identity
     free_ids: dict = {}  # (sort, index at the root) -> identity of a free variable
@@ -540,8 +544,14 @@ def named_walk(
     def supply_names(g: int, ids) -> set:
         return {z for before, after, _ in supply_keys(g, ids) for z in (before, after) if z}
 
+    def reach(h: int) -> int:
+        return min(map(owner.__getitem__, free[h]), default=h)
+
     first_letters: dict = {}
-    supply_named: set = set()
+    # group with a supply-form name -> the lowest owner of an identity free
+    # in its body (-1 for a free variable); a pass of ``g`` can rename it
+    # for a supply name only when that owner is above ``g``
+    supply_named: dict = {}
     for g in reversed(range(len(gfirst))):
         first, ss = gfirst[g], gsorts[g]
         if len(ss) not in first_letters:
@@ -551,11 +561,11 @@ def named_walk(
         if supply:  # as bind_fresh: no name free in the body before or after
             zs = fresh_names(len(ss), supply_names(g, free[g]))
             if _supply_form(zs):
-                supply_named.add(g)
+                supply_named[g] = reach(g)
         names[first:first + len(ss)] = zs
         seen = set(users.get(g, ()))
         if supply_named:
-            seen.update(h for h in supply_named if g < h < gend[g])
+            seen.update(h for h, r in supply_named.items() if r < g < h < gend[g])
         if not seen:
             continue
         heap = sorted(seen)
@@ -602,9 +612,9 @@ def named_walk(
             names[i] = z
         for h in recheck:
             if _supply_form(names[gfirst[h]:gfirst[h] + len(gsorts[h])]):
-                supply_named.add(h)
+                supply_named[h] = reach(h)
             else:
-                supply_named.discard(h)
+                supply_named.pop(h, None)
 
     variables: dict = {}
     values = []
@@ -633,14 +643,14 @@ def to_named(sig: BindingSignature, t: Term) -> NamedTerm:
     """The named form of ``t``.  Its definition is the fold
     ``initial_fold(sig, named_model(sig), t)``; :func:`named_walk` computes
     the same term, equal under ``==``, in time linear in the size of ``t``
-    while each variable points a bounded number of binders up."""
+    plus the fold's renamings."""
     sorts = {name: [(None,) * k for k in ns] for name, ns in sig.binders.items()}
 
     def arg_sorts(node: Op) -> list:
         ss = sorts[node.name]
         if len(ss) != len(node.args):
             raise ValueError(
-                f"operation '{node.name}' takes {len(ss)} arguments, got {len(node.args)}"
+                f"operation '{node.name}' expects {len(ss)} arguments, got {len(node.args)}"
             )
         return ss
 

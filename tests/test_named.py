@@ -19,6 +19,8 @@ from debruijn import (
     Op,
     TNOp,
     TNVar,
+    TOp,
+    TVar,
     Var,
     alpha_eq,
     arrow,
@@ -44,7 +46,7 @@ from debruijn.gen import (
 )
 from debruijn.model import fresh_names
 from debruijn.signature import OpSchema, TypedArity, TypedSignatureSchema, TypeGrammar
-from debruijn.typed import degenerate_schema, to_degenerate, typed_to_named
+from debruijn.typed import TypecheckError, degenerate_schema, to_degenerate, typed_to_named
 
 from helpers import (
     app,
@@ -620,6 +622,45 @@ def test_a_group_of_fifty_binders_leaves_x1_free():
     assert "x1" not in named.args[0][0] and named.args[0][1] == NVar("x1")
     assert from_named(sig, named) == t
     assert named == initial_fold(sig, named_model(sig), t)
+
+
+def test_wide_group_chains_are_the_fold_and_fast():
+    """A chain of groups of 50 binders, each body using its own x1 binder:
+    every group has a supply-form name, and a pass need visit only the
+    groups whose body reaches above it."""
+    sig = make_signature({"big": (50,), "app": (0, 0)})
+
+    def chain(n):
+        t = Var(0)
+        for _ in range(n):
+            t = Op("big", (Op("app", (t, Var(49))),))
+        return t
+
+    t = chain(60)
+    assert same_named(to_named(sig, t), initial_fold(sig, named_model(sig), t))
+    t = chain(1000)
+    named = _timed(2.0, lambda: to_named(sig, t))
+    assert named.args[0][0][-1] == "x1"
+    assert from_named(sig, named) == t
+
+
+def test_conversions_reject_malformed_terms():
+    """Argument counts are checked, in the words ``from_named`` uses."""
+    with pytest.raises(ValueError, match="operation 'app' expects 2 arguments, got 3"):
+        to_named(SIG, Op("app", (Var(0), Var(1), Var(2))))
+    with pytest.raises(ValueError, match="operation 'lam' expects 1 arguments, got 0"):
+        to_named(SIG, lam(Op("lam", ())))
+    with pytest.raises(ValueError, match="negative variable index -1"):
+        to_named(SIG, lam(app(Var(0), Var(-1))))
+    with pytest.raises(TypeError, match="not a term"):
+        to_named(SIG, lam("x"))
+    ab = arrow(A, B)
+    with pytest.raises(TypecheckError, match="operation 'app' expects 2 arguments, got 3"):
+        typed_to_named(SCH, TOp("app", (A, B), (TVar(0, ab), TVar(1, A), TVar(2, A))))
+    with pytest.raises(TypecheckError, match="operation 'lam' expects 1 arguments, got 0"):
+        typed_to_named(SCH, TOp("lam", (A, B), ()))
+    with pytest.raises(ValueError, match="negative variable index -1"):
+        typed_to_named(SCH, TOp("lam", (A, A), (TVar(-1, A),)))
 
 
 @pytest.mark.parametrize("depth", [50, 100])
