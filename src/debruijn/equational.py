@@ -74,66 +74,62 @@ def validate_theory(theory: EquationalTheory) -> list[str]:
             errs.append(f"duplicate rule name '{rule.name}'")
         seen.add(rule.name)
         p = len(rule.arity.binders)
-        for side, mt in (("left", rule.left), ("right", rule.right)):
-            errs.extend(
-                f"rule '{rule.name}' {side}: {e}" for e in _check_metaterm(mt, sig, p)
-            )
-        used: list[int] = []
-
-        def pattern_ok(mt) -> Optional[str]:
-            match mt:
-                case MetaVar(index):
-                    if index in used:
-                        return f"metavariable ?{index} used twice"
-                    used.append(index)
-                    return None
-                case Var(_):
-                    return None
-                case Op(_, args):
-                    for a in args:
-                        msg = pattern_ok(a)
-                        if msg:
-                            return msg
-                    return None
-                case ExplicitSubst(MetaVar(index), Assignment((), _)):
-                    if index in used:
-                        return f"metavariable ?{index} used twice"
-                    used.append(index)
-                    return None
-                case ExplicitSubst(_, _):
-                    return "explicit substitution in a pattern must be a shift of a metavariable"
-            return f"bad pattern node {mt!r}"
-
-        msg = pattern_ok(rule.left)
+        left, msg = _check_metaterm(rule.left, sig, p)
+        right, _ = _check_metaterm(rule.right, sig, p)
+        errs.extend(f"rule '{rule.name}' left: {e}" for e in left)
+        errs.extend(f"rule '{rule.name}' right: {e}" for e in right)
         if msg:
             errs.append(f"rule '{rule.name}' left: {msg}")
     return errs
 
 
-def _check_metaterm(mt: MetaTerm, sig: BindingSignature, metavars: int) -> list[str]:
-    match mt:
-        case MetaVar(index):
-            if not 0 <= index < metavars:
-                return [f"metavariable ?{index} out of range (< {metavars})"]
-            return []
-        case Var(index):
-            return [] if index >= 0 else [f"negative variable index {index}"]
-        case Op(name, args):
-            if name not in sig.ops:
-                return [f"unknown operation '{name}'"]
-            want = len(sig.ops[name].binders)
-            if len(args) != want:
-                return [f"operation '{name}' expects {want} arguments, got {len(args)}"]
-            out = []
-            for a in args:
-                out.extend(_check_metaterm(a, sig, metavars))
-            return out
-        case ExplicitSubst(body, assign):
-            out = _check_metaterm(body, sig, metavars)
-            for p in assign.prefix:
-                out.extend(_check_metaterm(p, sig, metavars))
-            return out
-    return [f"not a metaterm: {mt!r}"]
+def _check_metaterm(mt: MetaTerm, sig: BindingSignature, metavars: int):
+    """The well-formedness errors of ``mt`` in preorder, and the first node
+    at which it breaks the pattern restrictions (or None), in one walk.
+
+    The walk does not check the arguments of an operation that is unknown
+    or has the wrong argument count, but still reads them as a pattern; it
+    reads the inside of an explicit substitution only as a metaterm."""
+    errs: list[str] = []
+    msg: Optional[str] = None
+    used: set[int] = set()
+    stack = [(mt, True)]  # (node, whether to check it as a metaterm)
+    while stack:
+        node, check = stack.pop()
+        pat = msg is None
+        match node:
+            case MetaVar(index):
+                if check and not 0 <= index < metavars:
+                    errs.append(f"metavariable ?{index} out of range (< {metavars})")
+                if pat:
+                    if index in used:
+                        msg = f"metavariable ?{index} used twice"
+                    used.add(index)
+            case Var(index):
+                if check and index < 0:
+                    errs.append(f"negative variable index {index}")
+            case Op(name, args):
+                if check and name not in sig.ops:
+                    errs.append(f"unknown operation '{name}'")
+                    check = False
+                elif check and len(args) != len(sig.ops[name].binders):
+                    want = len(sig.ops[name].binders)
+                    errs.append(f"operation '{name}' expects {want} arguments, got {len(args)}")
+                    check = False
+                if check or pat:
+                    stack.extend((a, check) for a in reversed(args))
+            case ExplicitSubst(body, assign):
+                shift = isinstance(body, MetaVar) and isinstance(assign, Assignment)
+                if pat and not (shift and not assign.prefix):
+                    msg = "explicit substitution in a pattern must be a shift of a metavariable"
+                if check or msg is None:  # unchecked, only a shift's metavariable is read
+                    stack.extend((x, check) for x in reversed((body, *assign.prefix)))
+            case _:
+                if check:
+                    errs.append(f"not a metaterm: {node!r}")
+                if pat:
+                    msg = f"bad pattern node {node!r}"
+    return errs, msg
 
 
 def eval_metaterm(algebra: DBAlgebra, env: list, mt: MetaTerm):

@@ -245,15 +245,22 @@ def alpha_eq(a: NamedTerm, b: NamedTerm) -> bool:
 
 
 def _letter_supply():
+    """The binder names a, ..., z, a1, ..., w1, y1, z1, a2, ...: the names
+    of the free-variable form x<i> (x1, x2, ...) are skipped, so no binder
+    that the named model, its fold or :func:`named_walk` picks shares a
+    name with a free variable."""
     i = 0
     while True:
         for c in "abcdefghijklmnopqrstuvwxyz":
-            yield c if i == 0 else f"{c}{i}"
+            if not i:
+                yield c
+            elif c != "x":
+                yield f"{c}{i}"
         i += 1
 
 
 def fresh_names(count: int, avoid) -> list[str]:
-    """First ``count`` binder names (a, b, c, ...) not in ``avoid``."""
+    """First ``count`` names of the letter supply not in ``avoid``."""
     if not count:
         return []
     out: list[str] = []
@@ -360,22 +367,18 @@ def bind_fresh(op: type, head: tuple, arg_sorts, args) -> NamedTerm:
             pieces.append(((), e))
             continue
         # index i >= n of a sort with n binders here is free above them, as
-        # x<i - n>: the binders avoid that name as well as the body's
-        mapping, inner = {}, []
-        for key, name, s in op.split(e.free):
-            idx = default_supply_index(name)
-            if idx is not None:
-                n = sorts.count(s)
-                if idx < n:
-                    inner.append((key, idx, s))
-                else:
-                    mapping[key] = op.var(default_supply(idx - n), s)
-        zs = fresh_names(len(sorts), op.key_names(e.free.union(*map(_free, mapping.values()))))
+        # x<i - n>, a name no binder takes: the binders avoid only the body's
+        zs = fresh_names(len(sorts), op.key_names(e.free))
         inner_first: dict = {}
         for z, s in zip(reversed(zs), reversed(sorts)):
             inner_first.setdefault(s, []).append(z)
-        for key, idx, s in inner:
-            mapping[key] = op.var(inner_first[s][idx], s)
+        mapping = {}
+        for key, name, s in op.split(e.free):
+            idx = default_supply_index(name)
+            if idx is not None:
+                inner = inner_first.get(s, ())
+                z = inner[idx] if idx < len(inner) else default_supply(idx - len(inner))
+                mapping[key] = op.var(z, s)
         pieces.append((op.decls(zs, sorts), named_subst(e, mapping)))
     return op(*head, tuple(pieces))
 
@@ -408,11 +411,6 @@ def initial_fold(sig: BindingSignature, algebra: DBAlgebra, t: Term):
     )
 
 
-def _supply_form(names) -> bool:
-    """Whether one of ``names`` has the form of a free variable's, x<i>."""
-    return any(z[0] == "x" and _SUPPLY_RE.match(z) for z in names)
-
-
 @gc_paused
 def named_walk(
     t, var: type, op: type, arg_sorts: Callable, var_sort: Callable, build: Callable, named: type
@@ -431,30 +429,26 @@ def named_walk(
     Each binder and each free (sort, root index) here is an identity, and
     ``free[g]`` holds the identities free in the body of group ``g``.  A
     capture at ``h`` in the pass of ``g`` needs a binder of ``h`` with the
-    image name of an identity free in ``h``'s body: a binder of ``g``, of a
-    group renamed in the same pass, or, since an image ``x<i>`` is of supply
-    form, an identity bound above ``g`` when ``h`` has a supply-form name.
-    So each pass visits, in preorder, only the users of ``g`` (the groups
-    whose body refers to its binders), of each group it renames, and the
-    supply-named groups inside ``g`` whose body refers to an identity above
-    ``g``, and renames exactly as ``named_subst`` does.  The named term is
-    built once, at the end.
+    image name of an identity free in ``h``'s body: a binder of ``g`` or of
+    a group renamed in the same pass, as no binder takes a free variable's
+    name.  So each pass visits, in preorder, only the users of ``g`` (the
+    groups whose body refers to its binders) and of each group it renames,
+    and renames exactly as ``named_subst`` does.  The named term is built
+    once, at the end.
 
     The cost is linear in the size of ``t``, plus, for each renaming the
-    fold makes, the free set of the renamed group's body, plus one check
-    per pass of each supply-named group.
+    fold makes, the free set of the renamed group's body.
     Renamings can cascade: down a chain of groups of 50 binders, each
     using the last binder of the group above, every pass renames a binder
     in every group below it, so the cost is quadratic in the chain's
     length, as the fold's own renaming work is."""
     env: dict = {}  # sort -> identities of the binders in scope, innermost last
-    sorts, levels, owner, names = [], [], [], []  # per identity
+    sorts, owner, names = [], [], []  # per identity
     free_ids: dict = {}  # (sort, index at the root) -> identity of a free variable
     single: dict = {}  # identity -> frozenset of it
-    # per group, numbered in preorder: first identity, binder sorts, binders
-    # of each sort in scope in its body (by slot of ``env``), one past the
-    # last group inside it, identities free in its body
-    gfirst, gsorts, gdepth, gend, free = [], [], [], [], []
+    # per group, numbered in preorder: first identity, binder sorts,
+    # identities free in its body
+    gfirst, gsorts, free = [], [], []
     users: dict = {}
     post: list = []  # an identity per variable, (node, group per argument) per operation
     frames: list = []
@@ -473,7 +467,6 @@ def named_walk(
                 if ident is None:
                     ident = free_ids[s, r] = len(sorts)
                     sorts.append(s)
-                    levels.append(-1 - r)
                     owner.append(-1)
                     names.append(default_supply(r))
             post.append(ident)
@@ -494,7 +487,6 @@ def named_walk(
                     for s in gsorts[g]:
                         env[s].pop()
                     free[g] = value
-                    gend[g] = len(gfirst)
                     for i in value:
                         if owner[i] >= 0 and owner[i] != g:
                             users.setdefault(owner[i], []).append(g)
@@ -509,14 +501,10 @@ def named_walk(
                     gfirst.append(len(sorts))
                     gsorts.append(ss)
                     for s in ss:
-                        scope = env.setdefault(s, [])
-                        scope.append(len(sorts))
+                        env.setdefault(s, []).append(len(sorts))
                         sorts.append(s)
-                        levels.append(len(scope) - 1)
                         owner.append(g)
                         names.append(None)
-                    gdepth.append(tuple(map(len, env.values())))
-                    gend.append(None)
                     free.append(None)
                 gids.append(g)
                 node = parent.args[len(values)]
@@ -527,50 +515,18 @@ def named_walk(
         else:
             break
 
-    slot = {s: k for k, s in enumerate(env)}
-
-    def supply_keys(g: int, ids):
-        """(name before, name after the pass of ``g``, sort) of each identity
-        of ``ids`` bound above ``g``, and (name before, None, sort) of each
-        binder of ``g``: supply names, from binder counts."""
-        for i in ids:
-            if owner[i] <= g:
-                s, d = sorts[i], gdepth[g]
-                k = slot.get(s, len(d))
-                n = (d[k] if k < len(d) else 0) - 1 - levels[i]
-                after = None if owner[i] == g else default_supply(n - gsorts[g].count(s))
-                yield default_supply(n), after, s
-
-    def supply_names(g: int, ids) -> set:
-        return {z for before, after, _ in supply_keys(g, ids) for z in (before, after) if z}
-
-    def reach(h: int) -> int:
-        return min(map(owner.__getitem__, free[h]), default=h)
-
-    first_letters: dict = {}
-    # group with a supply-form name -> the lowest owner of an identity free
-    # in its body (-1 for a free variable); a pass of ``g`` can rename it
-    # for a supply name only when that owner is above ``g``
-    supply_named: dict = {}
+    first_names: dict = {}  # binder count -> the first names of the supply
     for g in reversed(range(len(gfirst))):
         first, ss = gfirst[g], gsorts[g]
-        if len(ss) not in first_letters:
-            zs = fresh_names(len(ss), ())
-            first_letters[len(ss)] = zs, _supply_form(zs)
-        zs, supply = first_letters[len(ss)]
-        if supply:  # as bind_fresh: no name free in the body before or after
-            zs = fresh_names(len(ss), supply_names(g, free[g]))
-            if _supply_form(zs):
-                supply_named[g] = reach(g)
+        zs = first_names.get(len(ss))
+        if zs is None:
+            zs = first_names[len(ss)] = fresh_names(len(ss), ())
         names[first:first + len(ss)] = zs
         seen = set(users.get(g, ()))
-        if supply_named:
-            seen.update(h for h, r in supply_named.items() if r < g < h < gend[g])
         if not seen:
             continue
         heap = sorted(seen)
         renamed: dict = {}  # identity -> its name after this pass
-        recheck = []  # renamed groups that may gain or lose a supply-form name
         images: dict = {}  # (name, sort) -> the binders of g and renamed ones with that image
         for b in range(first, first + len(ss)):
             images.setdefault((names[b], sorts[b]), []).append(b)
@@ -578,30 +534,21 @@ def named_walk(
             h = heappop(heap)
             own = range(gfirst[h], gfirst[h] + len(gsorts[h]))
             body = free[h]
-            outer = ()
-            if h in supply_named:
-                outer = {(after, s) for _, after, s in supply_keys(g, body) if after}
             hits = []  # binders captured by the image of an identity free in the body
             for b in own:
                 key = names[b], sorts[b]
-                if key in images and not body.isdisjoint(images[key]) or key in outer:
+                if key in images and not body.isdisjoint(images[key]):
                     hits.append(b)
             if not hits:
                 continue
-            # avoid the images, the body's free names and the group's own
-            # names; the supply names among them only if a pick is one
+            # avoid the images, the body's free names and the group's own names
             avoid = {names[b] for b in own}
             for i in body:
                 if owner[i] >= g:
                     avoid.add(names[i])
                     if i in renamed:
                         avoid.add(renamed[i])
-            zs = fresh_names(len(hits), avoid)
-            if _supply_form(zs):
-                zs = fresh_names(len(hits), avoid | supply_names(g, body))
-            if h in supply_named or _supply_form(zs):
-                recheck.append(h)
-            for b, z in zip(hits, zs):
+            for b, z in zip(hits, fresh_names(len(hits), avoid)):
                 renamed[b] = z
                 images.setdefault((z, sorts[b]), []).append(b)
             for u in users.get(h, ()):
@@ -610,11 +557,6 @@ def named_walk(
                     heappush(heap, u)
         for i, z in renamed.items():
             names[i] = z
-        for h in recheck:
-            if _supply_form(names[gfirst[h]:gfirst[h] + len(gsorts[h])]):
-                supply_named[h] = reach(h)
-            else:
-                supply_named.pop(h, None)
 
     variables: dict = {}
     values = []

@@ -29,7 +29,7 @@ from .signature import (
     validate_signature,
 )
 from .subst import NAT, Assignment
-from .term import Term, Var, Op, gc_paused, wellformed
+from .term import Term, Var, Op, fold_nodes, gc_paused, wellformed
 from .typed import TOp, TVar, TypedTerm
 
 
@@ -541,12 +541,9 @@ def print_assignment(a: Assignment) -> str:
 
 
 def term_to_json(t: Term):
-    match t:
-        case Var(index):
-            return {"var": index}
-        case Op(name, args):
-            return {"op": name, "args": [term_to_json(a) for a in args]}
-    raise TypeError(t)
+    """``{"var": n}`` or ``{"op": name, "args": [...]}``, by one walk with an
+    explicit stack; ``json.dumps`` of a deep result still nests."""
+    return fold_nodes(t, lambda v: {"var": v.index}, lambda o, args: {"op": o.name, "args": args})
 
 
 def term_from_json(data) -> Term:

@@ -294,6 +294,78 @@ def ref_normalize_all(theory, t, limit):
     ]
 
 
+def ref_validate_theory(theory):
+    """``validate_theory`` as first written: each side checked by one
+    recursion, then the left side read again by a second one for the
+    pattern restrictions."""
+    errs = []
+    sig = theory.signature
+    seen = set()
+    for rule in theory.rules:
+        if rule.name in seen:
+            errs.append(f"duplicate rule name '{rule.name}'")
+        seen.add(rule.name)
+        p = len(rule.arity.binders)
+        for side, mt in (("left", rule.left), ("right", rule.right)):
+            errs.extend(f"rule '{rule.name}' {side}: {e}" for e in _ref_check_metaterm(mt, sig, p))
+        used = []
+
+        def pattern_ok(mt):
+            match mt:
+                case MetaVar(index):
+                    if index in used:
+                        return f"metavariable ?{index} used twice"
+                    used.append(index)
+                    return None
+                case Var(_):
+                    return None
+                case Op(_, args):
+                    for a in args:
+                        msg = pattern_ok(a)
+                        if msg:
+                            return msg
+                    return None
+                case ExplicitSubst(MetaVar(index), Assignment((), _)):
+                    if index in used:
+                        return f"metavariable ?{index} used twice"
+                    used.append(index)
+                    return None
+                case ExplicitSubst(_, _):
+                    return "explicit substitution in a pattern must be a shift of a metavariable"
+            return f"bad pattern node {mt!r}"
+
+        msg = pattern_ok(rule.left)
+        if msg:
+            errs.append(f"rule '{rule.name}' left: {msg}")
+    return errs
+
+
+def _ref_check_metaterm(mt, sig, metavars):
+    match mt:
+        case MetaVar(index):
+            if not 0 <= index < metavars:
+                return [f"metavariable ?{index} out of range (< {metavars})"]
+            return []
+        case Var(index):
+            return [] if index >= 0 else [f"negative variable index {index}"]
+        case Op(name, args):
+            if name not in sig.ops:
+                return [f"unknown operation '{name}'"]
+            want = len(sig.ops[name].binders)
+            if len(args) != want:
+                return [f"operation '{name}' expects {want} arguments, got {len(args)}"]
+            out = []
+            for a in args:
+                out.extend(_ref_check_metaterm(a, sig, metavars))
+            return out
+        case ExplicitSubst(body, assign):
+            out = _ref_check_metaterm(body, sig, metavars)
+            for p in assign.prefix:
+                out.extend(_ref_check_metaterm(p, sig, metavars))
+            return out
+    return [f"not a metaterm: {mt!r}"]
+
+
 # --- named-term references -----------------------------------------------
 #
 # The named oracle as first written: free names recomputed by recursion at

@@ -35,7 +35,7 @@ from debruijn import (
 from debruijn.equational import check_half_equation
 from debruijn.gen import random_assignment, random_term
 
-from helpers import CHURCH_PLUS, OMEGA, app, church, lam, ref_unshift
+from helpers import CHURCH_PLUS, OMEGA, app, church, lam, ref_unshift, ref_validate_theory
 
 SIG = lambda_signature()
 TM = term_model(SIG)
@@ -92,6 +92,47 @@ def test_general_explicit_subst_pattern_rejected():
     )
     errs = validate_theory(EquationalTheory(SIG, (rule,)))
     assert any("shift" in e for e in errs)
+
+
+def random_metaterm(rng: random.Random, depth: int):
+    """A metaterm that is often malformed or not a pattern: metavariables
+    and indices out of range, unknown operations, wrong argument counts,
+    repeated metavariables, explicit substitutions of every shape and
+    nodes that are not metaterms."""
+    roll = rng.random()
+    if depth == 0 or roll < 0.25:
+        leaf = rng.randrange(10)
+        if leaf < 4:
+            return MetaVar(rng.randrange(-1, 4))
+        if leaf < 9:
+            return Var(rng.randrange(-1, 3))
+        return "junk"
+    if roll < 0.8:
+        name = rng.choice(("lam", "app", "app", "nope"))
+        return Op(name, tuple(random_metaterm(rng, depth - 1) for _ in range(rng.randrange(4))))
+    prefix = [random_metaterm(rng, depth - 1) for _ in range(rng.choice((0, 0, 1, 2)))]
+    return ExplicitSubst(random_metaterm(rng, depth - 1), Assignment(prefix, rng.randrange(3)))
+
+
+def test_validate_theory_matches_reference():
+    """One walk per side gives the two recursions' diagnostics, in order."""
+    rng = random.Random(17)
+    kinds = set()
+    for _ in range(3000):
+        rules = tuple(
+            Rule(
+                rng.choice(("r", "s", "t")),
+                BindingArity((0,) * rng.randrange(4)),
+                random_metaterm(rng, 4),
+                random_metaterm(rng, 3),
+            )
+            for _ in range(rng.randrange(1, 3))
+        )
+        theory = EquationalTheory(SIG, rules)
+        errs = validate_theory(theory)
+        assert errs == ref_validate_theory(theory), rules
+        kinds.update(e.split(": ", 1)[-1].split(" ")[0] for e in errs)
+    assert {"metavariable", "negative", "unknown", "operation", "not", "explicit", "bad"} <= kinds
 
 
 def test_identity_explicit_subst_is_a_shift_pattern():

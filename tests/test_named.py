@@ -44,7 +44,7 @@ from debruijn.gen import (
     random_term,
     random_typed_term,
 )
-from debruijn.model import fresh_names
+from debruijn.model import default_supply_index, fresh_names
 from debruijn.signature import OpSchema, TypedArity, TypedSignatureSchema, TypeGrammar
 from debruijn.typed import TypecheckError, degenerate_schema, to_degenerate, typed_to_named
 
@@ -578,23 +578,33 @@ def binder_names(t) -> set:
     return names
 
 
+def supply_form_binders(t) -> set:
+    """The binder names in ``t`` of a free variable's form x<i>."""
+    names = {b if isinstance(b, str) else b[0] for b in binder_names(t)}
+    return {z for z in names if default_supply_index(z) is not None}
+
+
 def test_to_named_is_the_fold_on_fan_in_chains():
     """Each pass of the fold renames a cascade of groups here, and in some
-    chains it names a binder x1, a name of supply form."""
+    chains it picks y1, the 50th name of the supply, which skips x1: no
+    binder takes a free variable's name."""
+    assert fresh_names(60, ())[49] == "y1"
     rng = random.Random(5)
     nm = named_model(SIG)
-    named_x1 = 0
+    named_y1 = 0
     for _ in range(40):
         t = fan_in_chain(rng)
         fold = initial_fold(SIG, nm, t)
-        assert same_named(to_named(SIG, t), fold)
-        named_x1 += "x1" in binder_names(fold)
-    assert named_x1 >= 1
+        walk = to_named(SIG, t)
+        assert same_named(walk, fold)
+        assert not supply_form_binders(fold) and not supply_form_binders(walk)
+        named_y1 += "y1" in binder_names(fold)
+    assert named_y1 >= 1
 
 
 A_, B_ = base("a"), base("b")
 # binder groups over two sorts, and one of 60 binders, whose names reach
-# the supply form x1
+# past y1, where the supply skips the free-variable form x1
 MULTI_SORT = TypedSignatureSchema(TypeGrammar({"a": 0, "b": 0}), {
     "p": OpSchema("p", (), TypedArity((((A_, B_, A_), A_), ((B_,), B_)), A_)),
     "q": OpSchema("q", (), TypedArity((((), A_),), B_)),
@@ -610,12 +620,14 @@ def test_typed_to_named_is_the_fold(schema):
     nm = typed_named_model(schema)
     for _ in range(1500):
         t = random_typed_term(schema, rng, rng.choice(pool), max_depth=6)
-        assert same_named(typed_to_named(schema, t), t_initial_fold(schema, nm, t)), t
+        walk, fold = typed_to_named(schema, t), t_initial_fold(schema, nm, t)
+        assert same_named(walk, fold), t
+        assert not supply_form_binders(fold) and not supply_form_binders(walk), t
 
 
 def test_a_group_of_fifty_binders_leaves_x1_free():
-    """The 50th name of the letter supply is x1.  A variable free above a
-    group of 50 binders is x1 there, so the group must not bind x1."""
+    """A variable free above a group of 50 binders is x1 there, so the
+    group must not bind x1."""
     sig = make_signature({"big": (50,)})
     t = Op("big", (Var(51),))
     named = to_named(sig, t)
@@ -624,10 +636,18 @@ def test_a_group_of_fifty_binders_leaves_x1_free():
     assert named == initial_fold(sig, named_model(sig), t)
 
 
+def test_user_input_may_bind_a_supply_form_name():
+    """Only the supply skips x<i>: a named term may still bind x1."""
+    t = NOp("lam", ((("x1",), NOp("app", (((), NVar("x1")), ((), NVar("x0"))))),))
+    nameless = from_named(SIG, t)
+    assert nameless == lam(app(Var(0), Var(1)))
+    assert alpha_eq(to_named(SIG, nameless), t)
+
+
 def test_wide_group_chains_are_the_fold_and_fast():
-    """A chain of groups of 50 binders, each body using its own x1 binder:
-    every group has a supply-form name, and a pass need visit only the
-    groups whose body reaches above it."""
+    """A chain of groups of 50 binders, each body using its own 50th
+    binder, y1: the supply skips x1, so no binder takes a free variable's
+    name."""
     sig = make_signature({"big": (50,), "app": (0, 0)})
 
     def chain(n):
@@ -637,10 +657,13 @@ def test_wide_group_chains_are_the_fold_and_fast():
         return t
 
     t = chain(60)
-    assert same_named(to_named(sig, t), initial_fold(sig, named_model(sig), t))
+    walk, fold = to_named(sig, t), initial_fold(sig, named_model(sig), t)
+    assert same_named(walk, fold)
+    assert not supply_form_binders(fold) and not supply_form_binders(walk)
     t = chain(1000)
     named = _timed(2.0, lambda: to_named(sig, t))
-    assert named.args[0][0][-1] == "x1"
+    assert named.args[0][0][-1] == fresh_names(60, ())[49] == "y1"
+    assert not supply_form_binders(named)
     assert from_named(sig, named) == t
 
 

@@ -653,12 +653,19 @@ def _deep_chains(depth: int):
 
 @pytest.mark.parametrize("depth", [1_000, 10_000, 100_000], ids=["d1k", "d10k", "d100k"])
 def test_deep_terms_read_and_print(depth):
-    """Every reader, ``print_term`` and ``from_named`` take terms 100 000
-    binders deep, each call in time linear in the depth."""
+    """Every reader, ``print_term``, ``term_to_json`` and ``from_named``
+    take terms 100 000 binders deep, each call in time linear in the depth."""
     bound = 1.0 + depth * 50e-6
     t, n, typed = _deep_chains(depth)
     text = _timed(bound, lambda: print_term(t))
     assert text == "(lam (app " * depth + str(depth) + " 0))" * depth
+    js = _timed(bound, lambda: term_to_json(t))
+    for _ in range(depth):
+        assert js["op"] == "lam"
+        (body,) = js["args"]
+        assert body["op"] == "app" and body["args"][1] == {"var": 0}
+        js = body["args"][0]
+    assert js == {"var": depth}
     assert _timed(bound, lambda: parse_term(text, sig=SIG)) == t
     named = _timed(bound, lambda: print_term(n))
     assert named == "(lam [a] (app " * depth + "x0" + " a))" * depth
