@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 from .signature import BindingArity, BindingSignature, lambda_signature
 from .gen import random_assignment, random_term
@@ -119,8 +119,7 @@ def _check_metaterm(mt: MetaTerm, sig: BindingSignature, metavars: int):
                 if check or pat:
                     stack.extend((a, check) for a in reversed(args))
             case ExplicitSubst(body, assign):
-                shift = isinstance(body, MetaVar) and isinstance(assign, Assignment)
-                if pat and not (shift and not assign.prefix):
+                if pat and _shift_pattern(node) is None:
                     msg = "explicit substitution in a pattern must be a shift of a metavariable"
                 if check or msg is None:  # unchecked, only a shift's metavariable is read
                     stack.extend((x, check) for x in reversed((body, *assign.prefix)))
@@ -134,24 +133,40 @@ def _check_metaterm(mt: MetaTerm, sig: BindingSignature, metavars: int):
 
 def eval_metaterm(algebra: DBAlgebra, env: list, mt: MetaTerm):
     """Evaluate a metaterm in a model under an environment for its
-    metavariables."""
-    match mt:
-        case MetaVar(index):
-            return env[index]
-        case Var(index):
-            return algebra.variables(index)
-        case Op(name, args):
-            return algebra.interpretations[name](
-                [eval_metaterm(algebra, env, a) for a in args]
-            )
-        case ExplicitSubst(body, assign):
-            a = Assignment(
-                tuple(eval_metaterm(algebra, env, p) for p in assign.prefix),
-                assign.tail_shift,
-                algebra.variables,
-            )
-            return algebra.substitution(eval_metaterm(algebra, env, body), a)
-    raise TypeError(mt)
+    metavariables, on one explicit stack.  Interpretations are looked up
+    before their arguments, prefixes evaluated before their bodies, and
+    arguments that are all metavariables read at once."""
+    var, substitution = algebra.variables, algebra.substitution
+    nodes, done, values = [mt], [False], []  # done: the node's arguments are evaluated
+    while nodes:
+        node = nodes.pop()
+        kind = type(node)
+        if done.pop():  # values end with the interpretation and arguments, or prefix and body
+            if kind is Op:
+                k = len(values) - len(node.args)
+                values[k - 1 :] = [values[k - 1](values[k:])]
+            else:
+                k = len(values) - len(node.assign.prefix) - 1
+                a = Assignment(values[k:-1], node.assign.tail_shift, var)
+                values[k:] = [substitution(values[-1], a)]
+        elif kind is MetaVar:
+            values.append(env[node.index])
+        elif kind is Var:
+            values.append(var(node.index))
+        elif kind is Op or kind is ExplicitSubst:
+            if kind is Op:
+                values.append(algebra.interpretations[node.name])
+            args = node.args if kind is Op else (*node.assign.prefix, node.body)
+            nodes.append(node)
+            done.append(True)
+            if all(type(a) is MetaVar for a in args):
+                values.extend([env[a.index] for a in args])
+            else:
+                nodes.extend(reversed(args))
+                done.extend([False] * len(args))
+        else:
+            raise TypeError(node)
+    return values[0]
 
 
 # --- matching and rewriting ---------------------------------------------
@@ -168,62 +183,39 @@ def _unshift(k: int, depth: int, n: int) -> Var:
     return Var(n - k)
 
 
+def _shift_pattern(node) -> Optional[int]:
+    """k when ``node`` is the shift pattern ``?i[^k]``, else None."""
+    if type(node) is ExplicitSubst and type(node.body) is MetaVar:
+        if isinstance(node.assign, Assignment) and not node.assign.prefix:
+            return node.assign.tail_shift
+    return None
+
+
 def match_pattern(pat: MetaTerm, t: Term, sig: BindingSignature) -> Optional[dict[int, Term]]:
+    """The metavariable bindings under which ``pat`` is ``t``, or None, on
+    one explicit stack in preorder: a later binding of a metavariable wins."""
     env: dict[int, Term] = {}
-
-    def go(pat, t) -> bool:
-        match pat:
-            case MetaVar(index):
-                env[index] = t
-                return True
-            case ExplicitSubst(MetaVar(index), Assignment((), k)):
-                # t must be a k-shift of some term: renaming it by the pure
-                # shift -k, in one walk, meets no free index below k
-                try:
-                    env[index] = map_free_vars(t, sig, partial(_unshift, k))
-                except _NotAShift:
-                    return False
-                return True
-            case Var(index):
-                return t == Var(index)
-            case Op(name, args):
-                return (
-                    isinstance(t, Op)
-                    and t.name == name
-                    and len(t.args) == len(args)
-                    and all(go(p, a) for p, a in zip(args, t.args))
-                )
-        return False
-
-    return env if go(pat, t) else None
-
-
-def _redexes(theory: EquationalTheory, t: Term) -> Iterator[Term]:
-    """One-step rewrites, positions enumerated leftmost-outermost."""
-    sig = theory.signature
-    tm = term_model(sig)
-
-    def go(node: Term, rebuild) -> Iterator[Term]:
-        for rule in theory.rules:
-            env = match_pattern(rule.left, node, sig)
-            if env is not None:
-                p = len(rule.arity.binders)
-                args = [env.get(i, Var(0)) for i in range(p)]
-                yield rebuild(eval_metaterm(tm, args, rule.right))
-        if isinstance(node, Op):
-            for i, a in enumerate(node.args):
-                def wrap(u, node=node, i=i, rebuild=rebuild):
-                    return rebuild(
-                        Op(node.name, node.args[:i] + (u,) + node.args[i + 1 :])
-                    )
-
-                yield from go(a, wrap)
-
-    return go(t, lambda u: u)
-
-
-def rewrite_step(theory: EquationalTheory, t: Term) -> list[Term]:
-    return list(_redexes(theory, t))
+    pats, terms = [pat], [t]
+    while pats:
+        p, u = pats.pop(), terms.pop()
+        if type(p) is MetaVar:
+            env[p.index] = u
+        elif type(p) is Op:
+            if type(u) is not Op or u.name != p.name or len(u.args) != len(p.args):
+                return None
+            pats.extend(reversed(p.args))
+            terms.extend(reversed(u.args))
+        elif type(p) is Var:
+            if type(u) is not Var or u.index != p.index:
+                return None
+        elif (k := _shift_pattern(p)) is None:
+            return None
+        else:  # u is a k-shift if its rename by -k, in one walk, meets no index below k
+            try:
+                env[p.body.index] = map_free_vars(u, sig, partial(_unshift, k))
+            except _NotAShift:
+                return None
+    return env
 
 
 @dataclass(frozen=True)
@@ -237,14 +229,17 @@ def _reach(mt: MetaTerm) -> float:
     """Levels of a left side that look at the term (its Op and Var
     nodes), or every level when it holds a shift pattern ``?i[^k]`` with
     k > 0, which looks at every free variable of the subterm it matches."""
-    match mt:
-        case Op(_, args):
-            return 1 + max(map(_reach, args), default=0)
-        case Var(_):
-            return 1
-        case ExplicitSubst(MetaVar(_), Assignment((), k)) if k > 0:
-            return math.inf
-    return 0
+    reach, stack = 0, [(mt, 1)]
+    while stack:
+        node, level = stack.pop()
+        if type(node) is Op:
+            stack.extend((a, level + 1) for a in node.args)
+        elif type(node) is not Var:
+            if (_shift_pattern(node) or 0) > 0:
+                return math.inf
+            continue
+        reach = max(reach, level)
+    return reach
 
 
 def _plug(parent: Op, i: int, child: Term) -> Op:
@@ -264,8 +259,8 @@ def normalize(
     """Repeatedly contract the leftmost-outermost redex until none is
     left or fuel runs out.
 
-    The steps are those of iterating ``rewrite_step(theory, t)[0]``, found
-    without restarting from the root.  The focus moves over the term as a
+    The steps are those of contracting the leftmost-outermost redex of
+    the whole term each time, found without restarting from the root.  The focus moves over the term as a
     zipper (Huet 1997): ``frames`` holds (parent, argument index) from the
     root down.  Nodes before the focus in preorder hold no redex.  A
     contraction at p creates redexes only inside the contractum and at
@@ -283,12 +278,12 @@ def normalize(
     sig = theory.signature
     tm = term_model(sig)
     loose = tuple(r for r in theory.rules if type(r.left) is not Op)
-    heads = {r.left.name for r in theory.rules if type(r.left) is Op}
     by_head = {
         h: tuple(r for r in theory.rules if type(r.left) is not Op or r.left.name == h)
-        for h in heads
+        for h in {r.left.name for r in theory.rules if type(r.left) is Op}
     }
     reach = max((_reach(r.left) for r in theory.rules), default=0) - 1
+    zero = Var(0)  # what a metavariable the left side does not bind stands for
     support(t, sig)
     frames: list[tuple[Op, int]] = []
     route: list[int] = []  # argument indices back down to the last contraction, innermost first
@@ -304,7 +299,7 @@ def normalize(
                 steps += 1
                 if on_step is not None:
                     on_step(steps, rule.name, [i for _, i in frames])
-                args = [env.get(i, Var(0)) for i in range(len(rule.arity.binders))]
+                args = [env.get(i, zero) for i in range(len(rule.arity.binders))]
                 node = eval_metaterm(tm, args, rule.right)
                 support(node, sig)
                 route.clear()

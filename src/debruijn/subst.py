@@ -25,7 +25,7 @@ from collections import namedtuple
 from typing import Any, Callable
 
 from .signature import BindingSignature
-from .term import Term, Var, map_free_vars
+from .term import Op, Term, Var, map_free_vars
 
 
 class Assignment(namedtuple("Assignment", ("prefix", "tail_shift"))):
@@ -98,7 +98,12 @@ def rename(t: Term, f: Assignment, sig: BindingSignature) -> Term:
 
 
 def _shift_term(t: Term, by: int, sig: BindingSignature) -> Term:
-    return t if by == 0 else rename(t, Renaming((), by), sig)
+    """``t`` renamed by the shift ``by``; a closed term or a variable needs no walk."""
+    if by == 0 or type(t) is Op and (t._top == 0 or t._sig is sig and t._sup == 0):
+        return t
+    if type(t) is Var and t.index >= 0:
+        return Var(t.index + by)
+    return rename(t, Renaming((), by), sig)
 
 
 def lift(sigma: Assignment, sig: BindingSignature) -> Assignment:
@@ -107,7 +112,7 @@ def lift(sigma: Assignment, sig: BindingSignature) -> Assignment:
 
 
 def lift_n(sigma: Assignment, n: int, sig: BindingSignature) -> Assignment:
-    """The n-fold lift; images shift by n through rename's pure-shift path."""
+    """The n-fold lift; images shift by n through :func:`_shift_term`."""
     return lift_with(sigma, n, Var, lambda t: _shift_term(t, n, sig))
 
 

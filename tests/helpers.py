@@ -27,7 +27,7 @@ from debruijn import (
     TypedAssignment,
     TypeExpr,
     Var,
-    rewrite_step,
+    term_model,
     wellformed,
 )
 from debruijn.model import _letter_supply, default_supply, default_supply_index
@@ -273,6 +273,114 @@ def same_named(a, b) -> bool:
 
 
 # --- rewriting reference ---------------------------------------------------
+#
+# Matching, evaluation and one-step rewriting by recursion over class
+# patterns, as first written: the oracle of ``match_pattern``,
+# ``eval_metaterm`` and ``normalize``, sharing no code with them.
+
+
+def ref_eval_metaterm(algebra, env, mt):
+    match mt:
+        case MetaVar(index):
+            return env[index]
+        case Var(index):
+            return algebra.variables(index)
+        case Op(name, args):
+            return algebra.interpretations[name](
+                [ref_eval_metaterm(algebra, env, a) for a in args]
+            )
+        case ExplicitSubst(body, assign):
+            a = Assignment(
+                tuple(ref_eval_metaterm(algebra, env, p) for p in assign.prefix),
+                assign.tail_shift,
+                algebra.variables,
+            )
+            return algebra.substitution(ref_eval_metaterm(algebra, env, body), a)
+    raise TypeError(mt)
+
+
+def ref_match_pattern(pat, t, sig):
+    env = {}
+
+    def go(pat, t) -> bool:
+        match pat:
+            case MetaVar(index):
+                env[index] = t
+                return True
+            case ExplicitSubst(MetaVar(index), Assignment((), k)):
+                image = ref_unshift(t, k, sig)
+                if image is None:
+                    return False
+                env[index] = image
+                return True
+            case Var(index):
+                return t == Var(index)
+            case Op(name, args):
+                return (
+                    isinstance(t, Op)
+                    and t.name == name
+                    and len(t.args) == len(args)
+                    and all(go(p, a) for p, a in zip(args, t.args))
+                )
+        return False
+
+    return env if go(pat, t) else None
+
+
+def _redexes(theory, t):
+    """One-step rewrites, positions enumerated leftmost-outermost."""
+    sig = theory.signature
+    tm = term_model(sig)
+
+    def go(node, rebuild):
+        for rule in theory.rules:
+            env = ref_match_pattern(rule.left, node, sig)
+            if env is not None:
+                p = len(rule.arity.binders)
+                args = [env.get(i, Var(0)) for i in range(p)]
+                yield rebuild(ref_eval_metaterm(tm, args, rule.right))
+        if isinstance(node, Op):
+            for i, a in enumerate(node.args):
+                def wrap(u, node=node, i=i, rebuild=rebuild):
+                    return rebuild(
+                        Op(node.name, node.args[:i] + (u,) + node.args[i + 1 :])
+                    )
+
+                yield from go(a, wrap)
+
+    return go(t, lambda u: u)
+
+
+def rewrite_step(theory, t):
+    return list(_redexes(theory, t))
+
+
+def random_rule_side(sig, rng, metavars, max_depth=4, ops=True, junk=0.05):
+    """A seeded metaterm over ``sig`` for the differential tests, with the
+    nodes a rule side may hold and some it may not: metavariables ``?0 ..
+    ?(metavars - 1)``, variables, operations (``ops``; one in eight with
+    an argument too many or too few), shift patterns ``?i[^k]``, explicit
+    substitutions with a prefix of metaterms and a tail shift, nested, and
+    with probability ``junk`` a node that is not a metaterm."""
+    names = sorted(sig.ops) if ops else []
+    r = rng.random()
+    if r < junk:
+        return ("not", "a", "metaterm")
+    if max_depth <= 0 or r < 0.3:
+        return MetaVar(rng.randrange(metavars)) if rng.random() < 0.6 else Var(rng.randrange(4))
+    if r < 0.45:
+        return ExplicitSubst(MetaVar(rng.randrange(metavars)), Assignment((), rng.randrange(4)))
+    if r < 0.65 or not names:
+        body = random_rule_side(sig, rng, metavars, max_depth - 1, ops, junk)
+        prefix = [random_rule_side(sig, rng, metavars, max_depth - 2, ops, junk)
+                  for _ in range(rng.randrange(3))]
+        return ExplicitSubst(body, Assignment(prefix, rng.randrange(3)))
+    name = rng.choice(names)
+    n = len(sig.ops[name].binders)
+    if rng.random() < 0.125:
+        n = max(0, n + rng.choice((-1, 1)))
+    return Op(name, tuple(
+        random_rule_side(sig, rng, metavars, max_depth - 1, ops, junk) for _ in range(n)))
 
 
 def ref_normalize_all(theory, t, limit):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
@@ -332,6 +333,25 @@ def test_deep_sexpr_requests_succeed(lam_sig, capsys):
     assert capsys.readouterr().out.strip() == deep
     assert main(["norm", "--theory", "beta", "--term", deep]) == 0
     assert capsys.readouterr().out.strip() == deep
+
+
+def test_deep_rule_sides(tmp_path, capsys):
+    """A theory file whose left or right side is 100k levels deep reads,
+    matches and rewrites."""
+    n = 100_000
+    deep = "(f " * n + "?0" + ")" * n
+    header = "signature s {\n  op f : (0);\n  op c : ();\n}\n"
+    left, right = tmp_path / "left.theory", tmp_path / "right.theory"
+    left.write_text(header + f"eq r [0] : {deep} = ?0;\n")
+    right.write_text(header + f"eq r [0] : (f ?0) = {deep};\n")
+    start = time.perf_counter()
+    assert main(["norm", "--theory", str(left), "--term", "(f (f (c)))", "--fuel", "1"]) == 0
+    assert capsys.readouterr().out == "(f (f (c)))\n"
+    assert main(["norm", "--theory", str(right), "--term", "(f (f (c)))", "--fuel", "1"]) == 3
+    out = capsys.readouterr()
+    assert out.out == "(f " * (n + 1) + "(c)" + ")" * (n + 1) + "\n"
+    assert out.err == "fuel exhausted\n"
+    assert time.perf_counter() - start < 60
 
 
 @pytest.mark.parametrize("argv", [

@@ -3,7 +3,9 @@ and three-valued equivalence."""
 
 from __future__ import annotations
 
+import operator
 import random
+import time
 
 from debruijn import (
     Assignment,
@@ -11,10 +13,12 @@ from debruijn import (
     EquationalTheory,
     ExplicitSubst,
     MetaVar,
+    NormalizeResult,
     Op,
     Renaming,
     Rule,
     Var,
+    alpha_eq,
     beta_eta_theory,
     beta_theory,
     check_theory,
@@ -23,22 +27,38 @@ from debruijn import (
     lambda_signature,
     make_signature,
     match_pattern,
+    named_model,
+    nat_monad,
     normalize,
     parse_theory_file,
     rename,
-    rewrite_step,
     subst,
     support,
     term_model,
+    to_named,
     validate_theory,
+    wellformed,
 )
 from debruijn.equational import check_half_equation
 from debruijn.gen import random_assignment, random_term
 
-from helpers import CHURCH_PLUS, OMEGA, app, church, lam, ref_unshift, ref_validate_theory
+from helpers import (
+    CHURCH_PLUS,
+    OMEGA,
+    app,
+    church,
+    lam,
+    random_rule_side,
+    ref_eval_metaterm,
+    ref_match_pattern,
+    ref_unshift,
+    ref_validate_theory,
+    rewrite_step,
+)
 
 SIG = lambda_signature()
 TM = term_model(SIG)
+SIGS = (SIG, make_signature({"f": (0, 0), "c": ()}), make_signature({"m": (2, 0, 1)}))
 BETA = beta_theory()
 BETAETA = beta_eta_theory()
 
@@ -62,6 +82,41 @@ def test_eval_right_beta():
 def test_eval_metavar():
     t = lam(Var(0))
     assert eval_metaterm(TM, [t], MetaVar(0)) == t
+
+
+def _outcome(fn, *args):
+    """(True, the result) of a call, or (False, the type it raised)."""
+    try:
+        return True, fn(*args)
+    except (TypeError, ValueError, IndexError, KeyError, AttributeError) as e:
+        return False, type(e)
+
+
+def test_eval_metaterm_matches_reference():
+    """The explicit-stack evaluator against the recursion it replaced, in
+    the term model, the named model (up to alpha) and the naturals, on
+    metaterms with nested explicit substitutions, shifts, wrong argument
+    counts and nodes that are not metaterms: the same result, or the same
+    exception."""
+    rng = random.Random(83)
+    outcomes = {True: 0, False: 0}
+    for sig in SIGS:
+        models = (
+            (term_model(sig), lambda: random_term(sig, rng, max_depth=3), operator.eq, True),
+            (named_model(sig), lambda: to_named(sig, random_term(sig, rng, max_depth=3)),
+             alpha_eq, True),
+            (nat_monad(), lambda: rng.randrange(6), operator.eq, False),
+        )
+        for model, draw, same, ops in models:
+            for _ in range(150):
+                mt = random_rule_side(sig, rng, 3, ops=ops)
+                env = [draw() for _ in range(3)]
+                ok, got = _outcome(eval_metaterm, model, env, mt)
+                ref_ok, want = _outcome(ref_eval_metaterm, model, env, mt)
+                assert ok == ref_ok
+                assert same(got, want) if ok else got is want
+                outcomes[ok] += 1
+    assert outcomes[True] > 800 and outcomes[False] > 50
 
 
 # --- validation ---------------------------------------------------------
@@ -154,9 +209,8 @@ def test_shift_pattern_matches_reference():
     # the subterms have their support memoized, so the kernel skips closed
     # ones and must still see every free index
     rng = random.Random(41)
-    sigs = (SIG, make_signature({"f": (0, 0), "c": ()}), make_signature({"m": (2, 0, 1)}))
     matched = failed = 0
-    for sig in sigs:
+    for sig in SIGS:
         for _ in range(300):
             t = random_term(sig, rng, max_depth=6, max_index=6)
             stack = [t]
@@ -174,6 +228,31 @@ def test_shift_pattern_matches_reference():
                 matched += want is not None
                 failed += want is None
     assert matched > 300 and failed > 300
+
+
+def test_match_pattern_matches_reference():
+    """The explicit-stack matcher against the recursion it replaced, None
+    included, on random patterns (shift patterns, variables, wrong
+    argument counts, explicit substitutions, repeated metavariables, nodes
+    that are not metaterms) against random terms and instances of the
+    pattern itself."""
+    rng = random.Random(89)
+    hits = misses = 0
+    for sig in SIGS:
+        tm = term_model(sig)
+        for _ in range(400):
+            pat = random_rule_side(sig, rng, 3)
+            subjects = [random_term(sig, rng, max_depth=4)]
+            env = [random_term(sig, rng, max_depth=3) for _ in range(3)]
+            ok, instance = _outcome(ref_eval_metaterm, tm, env, pat)
+            if ok and not wellformed(sig, instance):
+                subjects.append(instance)
+            for t in subjects:
+                got = match_pattern(pat, t, sig)
+                assert got == ref_match_pattern(pat, t, sig)
+                hits += got is not None
+                misses += got is None
+    assert hits > 300 and misses > 300
 
 
 def test_meta_signature():
@@ -248,6 +327,34 @@ def test_normalize_deterministic():
     a = normalize(BETA, t, 1000)
     b = normalize(BETA, t, 1000)
     assert a == b
+
+
+DEEP = 100_000
+F_SIG = make_signature({"f": (0,), "c": ()})
+
+
+def f_chain(n: int, leaf):
+    for _ in range(n):
+        leaf = Op("f", (leaf,))
+    return leaf
+
+
+def test_rule_sides_of_any_depth():
+    """A left side and a right side 100k levels deep validate, match,
+    evaluate and rewrite, with no recursion on the way."""
+    c = Op("c", ())
+    start = time.perf_counter()
+    deep = f_chain(DEEP, MetaVar(0))
+    assert match_pattern(deep, f_chain(DEEP + 1, c), F_SIG) == {0: f_chain(1, c)}
+    assert match_pattern(deep, f_chain(DEEP - 1, c), F_SIG) is None
+    assert eval_metaterm(term_model(F_SIG), [c], deep) == f_chain(DEEP, c)
+    left = EquationalTheory(F_SIG, (Rule("r", BindingArity((0,)), deep, MetaVar(0)),))
+    right = EquationalTheory(F_SIG, (Rule("r", BindingArity((0,)), f_chain(1, MetaVar(0)), deep),))
+    assert validate_theory(left) == validate_theory(right) == []
+    assert normalize(left, f_chain(2, c), 1) == NormalizeResult(f_chain(2, c), False, 0)
+    assert normalize(left, f_chain(DEEP + 1, c), 1) == NormalizeResult(f_chain(1, c), False, 1)
+    assert normalize(right, f_chain(2, c), 1) == NormalizeResult(f_chain(DEEP + 1, c), True, 1)
+    assert time.perf_counter() - start < 30
 
 
 # --- equivalence --------------------------------------------------------

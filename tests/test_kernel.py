@@ -26,6 +26,7 @@ from debruijn import (
     base,
     compose,
     lambda_signature,
+    lift_n,
     make_signature,
     map_free_vars,
     match_pattern,
@@ -524,6 +525,66 @@ def test_callbacks_see_the_collector_paused(monkeypatch, gc_state):
         assert len(seen) - before == 3  # two free occurrences, one in the image
     assert seen and not any(seen)
     assert gc.isenabled()
+
+
+def test_shifting_an_image_no_shift_can_change_walks_nothing(monkeypatch):
+    """``subst`` and ``lift_n`` shift an image with no walk when no shift
+    can change it: a closed image, by its bound or by a support memo under
+    the same signature, is returned itself at every depth, and a variable
+    image moves.  Any other image is renamed as before."""
+    walks = []
+
+    def counted(t, sig, on_free, real=map_free_vars):
+        walks.append(t)
+        return real(t, sig, on_free)
+
+    monkeypatch.setattr(SUBST_MODULE, "map_free_vars", counted)
+    sig = make_signature({"lam": (1,), "app": (0, 0), "c": ()})
+    c = Op("c", ())
+    by_bound = app(c, c)
+    by_memo = lam(app(Var(0), c))  # its bound index keeps _top at 1
+    assert support(by_memo, sig) == 0
+    t = app(Var(0), lam(app(Var(1), lam(Var(2)))))  # index 0 free at depths 0, 1 and 2
+    for image in (by_bound, by_memo):
+        out = subst(t, Assignment((image,), 0), sig)
+        inner = out.args[1].args[0]
+        assert out.args[0] is image and inner.args[0] is image and inner.args[1].args[0] is image
+        for d in range(4):
+            assert lift_n(Assignment((image,), 0), d, sig).prefix[d] is image
+        assert walks == [t]  # subst's own walk only
+        walks.clear()
+
+    assert subst(t, Assignment((Var(2),), 0), sig) == app(Var(2), lam(app(Var(3), lam(Var(4)))))
+    assert lift_n(Assignment((Var(2),), 0), 3, sig).prefix[3] == Var(5)
+    assert walks == [t]
+    walks.clear()
+
+    # an open image, or a closed one with no memo, is walked at each depth > 0
+    for image in (lam(app(Var(1), Var(0))), lam(Var(0))):
+        sigma = Assignment((image,), 0)
+        assert subst(t, sigma, sig) == ref_subst(t, sigma, sig)
+        assert len(walks) == 3
+        walks.clear()
+
+    # lam(0) is closed under sig, where lam binds one variable, and open
+    # under other, where it binds none: the memo under sig is not trusted
+    image = lam(Var(0))
+    assert support(image, sig) == 0
+    other = make_signature({"lam": (0,), "b": (1,)})
+    assert subst(Op("b", (Var(1),)), Assignment((image,), 0), other) == Op("b", (lam(Var(1)),))
+    assert len(walks) == 2
+    walks.clear()
+
+    # a variable below 0 is kept as the rename keeps it; a non-term raises
+    neg = Var(-1)
+    out = subst(lam(Var(1)), Assignment((neg,), 0), sig)
+    assert out == lam(neg) and out.args[0] is neg
+    assert lift_n(Assignment((neg,), 0), 2, sig).prefix[2] is neg
+    for bad in ("x", MetaVar(0), app(Var(0), "x")):
+        with pytest.raises(TypeError, match="not a term"):
+            subst(lam(Var(1)), Assignment((bad,), 0), sig)
+        with pytest.raises(TypeError, match="not a term"):
+            lift_n(Assignment((bad,), 0), 1, sig)
 
 
 def test_walks_make_no_cyclic_garbage(gc_state):
