@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from functools import partial
 from heapq import heappop, heappush
 from itertools import repeat
-from operator import attrgetter
 from typing import Any, Callable, Optional
 
 from .signature import BindingSignature, TypeExpr
@@ -273,21 +272,6 @@ def fresh_names(count: int, avoid) -> list[str]:
     raise AssertionError("unreachable")
 
 
-_free = attrgetter("free")
-
-
-def _relevant(mapping: dict, fv: frozenset, bound) -> dict:
-    """The entries of ``mapping`` whose key is in ``fv`` but not ``bound``:
-    ``mapping`` itself when that is all of it, else a new dict built by
-    walking the smaller of ``mapping`` and ``fv``."""
-    keys = mapping.keys()
-    if keys <= fv and keys.isdisjoint(bound):
-        return mapping
-    if len(mapping) <= len(fv):
-        return {x: v for x, v in mapping.items() if x in fv and x not in bound}
-    return {x: mapping[x] for x in fv if x in mapping and x not in bound}
-
-
 def named_subst(t: NamedTerm, mapping: dict) -> NamedTerm:
     """Simultaneous capture-avoiding substitution with deterministic
     fresh binder names; ``mapping`` sends keys to terms.
@@ -307,19 +291,15 @@ def named_subst(t: NamedTerm, mapping: dict) -> NamedTerm:
         return mapping[key]
     new_args = []
     for binders, body in t.args:
-        if not binders and (type(body) is NVar or type(body) is TNVar):
-            (key,) = body.free
-            new_args.append(((), mapping.get(key, body)))
-            continue
-        relevant = _relevant(mapping, body.free, binders)
+        fv = body.free
+        relevant = {x: v for x, v in mapping.items() if x in fv and x not in binders}
         if binders and relevant:
-            captured = frozenset().union(*map(_free, relevant.values()))
+            captured = frozenset().union(*(v.free for v in relevant.values()))
             if not captured.isdisjoint(binders):
                 # rename the captured binders at once, to names free in
                 # neither the body nor any image and bound nowhere in the group
-                avoid = t.key_names(captured.union(body.free, binders))
+                avoid = t.key_names(captured.union(fv, binders))
                 zs = iter(fresh_names(sum(map(captured.__contains__, binders)), avoid))
-                relevant = dict(relevant)
                 new_names, sorts = [], []
                 for b, z, sort in t.split(binders):
                     if b in captured:

@@ -88,7 +88,6 @@ _TOKEN_RE = re.compile(
 _KINDS = {p: p for p in "()[]{};,:^=?#"} | {"->": "arrow", "|-": "turnstile", "": "eof"}
 _DIGITS = frozenset("0123456789")
 _IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
-_TYPE_ENDS = frozenset(",])")  # tokens after which a type of one name is whole
 
 
 def _kind(tok: str) -> str:
@@ -223,11 +222,13 @@ class _Parser:
 
 # --- term readers ----------------------------------------------------------
 #
-# Each reads one term from ``p.pos`` in a single loop over the token list,
-# with an explicit stack of the enclosing operations, and leaves ``p.pos``
-# after it.  A token no term can take is handed to ``p.expect`` for the
-# diagnostic the grammar gives there.  Their output is acyclic, so they
-# run with the cyclic collector paused.
+# Each reads one term from ``p.pos`` in a single loop, with an explicit
+# stack of the enclosing operations, and leaves ``p.pos`` after it.  The
+# nameless and named readers walk the token list themselves and hand a
+# token no term can take to ``p.expect`` for the diagnostic the grammar
+# gives there; the typed reader, which carries little traffic, reads
+# through the parser's own rules.  Their output is acyclic, so they run
+# with the cyclic collector paused.
 
 
 @gc_paused
@@ -355,76 +356,33 @@ def _read_named(p: _Parser) -> NamedTerm:
 @gc_paused
 def _read_typed(p: _Parser) -> TypedTerm:
     """A typed term.  ``head`` is the open operation's name and type
-    arguments, None at the root; ``args`` its arguments read so far.  A
-    type that is one name is read here, once per name; any other goes to
-    ``p.type_expr``."""
-    toks, i = p.toks, p.pos
+    arguments, None at the root; ``args`` its arguments read so far."""
     frames: list[tuple[Optional[tuple], list]] = []
     head, args = None, []
-    names: dict[str, TypeExpr] = {}
-
-    def fail(at: int, kind: str):
-        p.pos = at
-        p.expect(kind)  # fails: token ``at`` is not of ``kind``
-
-    def type_at(at: int) -> tuple[TypeExpr, int]:
-        name = toks[at]
-        if _kind(name) == "ident" and toks[at + 1] in _TYPE_ENDS:
-            ty = names.get(name)
-            if ty is None:
-                ty = names[name] = TypeExpr(name)
-            return ty, at + 1
-        p.pos = at
-        return p.type_expr(), p.pos
-
     while True:
-        tok = toks[i]
-        i += 1
-        if tok == ")" and head is not None:
+        if head is not None and p.accept(")"):
             node = TOp(*head, tuple(args))
             head, args = frames.pop()
-        elif tok == "(" and toks[i] == "#":
-            index = toks[i + 1]
-            if _kind(index) != "nat":
-                fail(i + 1, "nat")
-            if toks[i + 2] != ":":
-                fail(i + 2, ":")
-            ty, i = type_at(i + 3)
-            if toks[i] != ")":
-                fail(i, ")")
-            i += 1
-            node = TVar(int(index), ty)
-        elif tok == "(op" or tok == "(" and toks[i] == "op":
-            i += tok == "("
-            if toks[i] != "[":
-                fail(i, "[")
-            name = toks[i + 1]
-            if _kind(name) != "ident":
-                fail(i + 1, "ident")
-            i += 2
-            targs = []
-            if toks[i] == ";":
-                i += 1
-                if toks[i] != "]":
-                    ty, i = type_at(i)
-                    targs.append(ty)
-                    while toks[i] == ",":
-                        ty, i = type_at(i + 1)
-                        targs.append(ty)
-            if toks[i] != "]":
-                fail(i, "]")
-            i += 1
-            frames.append((head, args))
-            head, args = (name, tuple(targs)), []
-            continue
-        else:  # no typed term starts here
-            p.pos = i - 1
+        else:
             p.expect("(")
-            if p.at("ident"):
-                _fail("expected 'op' or '#' in typed term", p.span())
-            p.expect("ident")
+            if p.accept("#"):
+                index = p.nat()
+                p.expect(":")
+                ty = p.type_expr()
+                p.expect(")")
+                node = TVar(index, ty)
+            else:
+                if p.at("ident") and p.peek() != "op":
+                    _fail("expected 'op' or '#' in typed term", p.span())
+                p.expect("ident")
+                p.expect("[")
+                name = p.expect("ident")
+                targs = p.items(p.type_expr, "]") if p.accept(";") else []
+                p.expect("]")
+                frames.append((head, args))
+                head, args = (name, tuple(targs)), []
+                continue
         if head is None:
-            p.pos = i
             return node
         args.append(node)
 

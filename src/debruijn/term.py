@@ -13,7 +13,7 @@ from functools import wraps
 from gc import disable, enable, isenabled
 from math import inf
 from operator import is_not
-from typing import Callable, Optional
+from typing import Callable
 
 from .signature import BindingSignature, first_order_arity
 
@@ -282,12 +282,6 @@ def map_free_vars(t: Term, sig: BindingSignature, on_free: Callable[[int, int], 
                 nodes.append(args[i])
                 depths.append(depth + ns[i])
     return values[0]
-
-
-def max_free_var(t: Term, sig: BindingSignature) -> Optional[int]:
-    """Greatest free index of ``t``, or None when the term is closed."""
-    s = support(t, sig)
-    return s - 1 if s else None
 
 
 def support(t: Term, sig: BindingSignature) -> int:

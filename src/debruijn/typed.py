@@ -95,57 +95,73 @@ class TypecheckError(Exception):
         self.path = path
 
 
-def op_arity(
-    schema: TypedSignatureSchema, name: str, type_args: tuple, path: tuple[int, ...] = ()
-) -> TypedArity:
-    """The arity of ``name`` at ``type_args``, or a ``TypecheckError`` at
-    ``path`` for an unknown operation or ill-formed type arguments.  An
-    arity is instantiated once per schema; a failure is not memoized."""
+def op_arity(schema: TypedSignatureSchema, name: str, type_args: tuple) -> TypedArity:
+    """The arity of ``name`` at ``type_args``, or a ``TypecheckError`` for
+    an unknown operation or ill-formed type arguments.  An arity is
+    instantiated once per schema; a failure is not memoized."""
     ar = schema.arities.get((name, type_args))
     if ar is None:
         if name not in schema.schemas:
-            raise TypecheckError(f"unknown operation schema '{name}'", path)
+            raise TypecheckError(f"unknown operation schema '{name}'")
         try:
             ar = instantiate_schema(schema.schemas[name], type_args, schema.grammar)
         except ValueError as e:
-            raise TypecheckError(str(e), path) from None
+            raise TypecheckError(str(e)) from None
         schema.arities[name, type_args] = ar
     return ar
 
 
 def typecheck(schema: TypedSignatureSchema, t: TypedTerm) -> TypeExpr:
     """Type of ``t``; binder counts along each premise's context shape
-    the per-type index discipline but do not affect the computed type."""
+    the per-type index discipline but do not affect the computed type.
 
-    def go(node: TypedTerm, path: tuple[int, ...]) -> TypeExpr:
-        match node:
-            case TVar(index, ty):
-                errs = schema.grammar.wellformed(ty)
-                if errs:
-                    raise TypecheckError(errs[0], path)
-                if index < 0:
-                    raise TypecheckError("negative variable index", path)
-                return ty
-            case TOp(_, _, args):
-                ar = op_arity(schema, node.name, node.type_args, path)
-                if len(args) != len(ar.premises):
-                    raise TypecheckError(
-                        f"operation '{node.name}' expects {len(ar.premises)} "
-                        f"arguments, got {len(args)}",
-                        path,
-                    )
-                for i, (a, (_, want)) in enumerate(zip(args, ar.premises)):
-                    got = go(a, path + (i,))
-                    if got != want:
-                        raise TypecheckError(
-                            f"argument {i} of '{node.name}' has type {got}, "
-                            f"expected {want}",
-                            path,
-                        )
-                return ar.conclusion
-        raise TypecheckError(f"not a typed term: {node!r}", path)
+    One walk with an explicit stack of [operation, arity, argument
+    position] frames.  It meets the faults in the order of the recursive
+    definition (an operation's own, then each argument's in turn, its type
+    compared with its premise once known) and reads a path off the stack."""
+    wellformed = schema.grammar.wellformed
+    frames: list[list] = []
 
-    return go(t, ())
+    def fault(message: str):
+        raise TypecheckError(message, tuple(f[2] for f in frames))
+
+    node = t
+    while True:
+        if type(node) is TVar:
+            errs = wellformed(node.ty)
+            if errs or node.index < 0:
+                fault(errs[0] if errs else "negative variable index")
+            got = node.ty
+        elif type(node) is TOp:
+            try:
+                ar = op_arity(schema, node.name, node.type_args)
+            except TypecheckError as e:
+                fault(str(e))
+            n = len(ar.premises)
+            if len(node.args) != n:
+                fault(f"operation '{node.name}' expects {n} arguments, got {len(node.args)}")
+            got = ar.conclusion
+            if n:
+                frames.append([node, ar, 0])
+                node = node.args[0]
+                continue
+        else:
+            fault(f"not a typed term: {node!r}")
+        while frames:  # hand the type up, to the first operation with an argument left
+            frame = frames[-1]
+            parent, ar, i = frame
+            want = ar.premises[i][1]
+            if got != want:
+                frames.pop()  # the fault is the parent's
+                fault(f"argument {i} of '{parent.name}' has type {got}, expected {want}")
+            if i + 1 < len(parent.args):
+                frame[2] = i + 1
+                node = parent.args[i + 1]
+                break
+            frames.pop()
+            got = ar.conclusion
+        else:
+            return got
 
 
 # --- renaming and substitution ------------------------------------------
@@ -314,18 +330,15 @@ def typed_to_named(schema: TypedSignatureSchema, t: TypedTerm) -> NamedTerm:
     """The named form of ``t``.  Its definition is the fold
     ``t_initial_fold(schema, typed_named_model(schema), t)``;
     :func:`~debruijn.model.named_walk` computes the same term."""
-    sorts: dict = {}
 
     def arg_sorts(node: TOp) -> list:
-        key = node.name, node.type_args
-        if key not in sorts:
-            sorts[key] = [g for g, _ in op_arity(schema, *key).premises]
-        if len(sorts[key]) != len(node.args):
+        premises = op_arity(schema, node.name, node.type_args).premises
+        if len(premises) != len(node.args):
             raise TypecheckError(
-                f"operation '{node.name}' expects {len(sorts[key])} "
+                f"operation '{node.name}' expects {len(premises)} "
                 f"arguments, got {len(node.args)}"
             )
-        return sorts[key]
+        return [g for g, _ in premises]
 
     return named_walk(
         t, TVar, TOp, arg_sorts, attrgetter("ty"),

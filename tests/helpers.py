@@ -24,6 +24,7 @@ from debruijn import (
     TOp,
     TVar,
     Term,
+    TypecheckError,
     TypedAssignment,
     TypeExpr,
     Var,
@@ -229,6 +230,45 @@ def ref_tsubst(t, sigma, schema):
         ref_tsubst(a, ref_tlift_gamma(sigma, gamma, schema), schema)
         for a, (gamma, _) in zip(t.args, premises)
     ))
+
+
+def ref_typecheck(schema, t):
+    """``typed.typecheck`` as it was before its explicit stack: one call
+    per node, the path built as it goes down.  ``op_arity`` raises
+    without a path, so its faults get one here."""
+
+    def go(node, path):
+        match node:
+            case TVar(index, ty):
+                errs = schema.grammar.wellformed(ty)
+                if errs:
+                    raise TypecheckError(errs[0], path)
+                if index < 0:
+                    raise TypecheckError("negative variable index", path)
+                return ty
+            case TOp(_, _, args):
+                try:
+                    ar = op_arity(schema, node.name, node.type_args)
+                except TypecheckError as e:
+                    raise TypecheckError(str(e), path) from None
+                if len(args) != len(ar.premises):
+                    raise TypecheckError(
+                        f"operation '{node.name}' expects {len(ar.premises)} "
+                        f"arguments, got {len(args)}",
+                        path,
+                    )
+                for i, (a, (_, want)) in enumerate(zip(args, ar.premises)):
+                    got = go(a, path + (i,))
+                    if got != want:
+                        raise TypecheckError(
+                            f"argument {i} of '{node.name}' has type {got}, "
+                            f"expected {want}",
+                            path,
+                        )
+                return ar.conclusion
+        raise TypecheckError(f"not a typed term: {node!r}", path)
+
+    return go(t, ())
 
 
 def same_term(a, b) -> bool:

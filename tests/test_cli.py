@@ -238,6 +238,28 @@ def test_typecheck_type_error(stlc_sig, capsys):
     assert "type error" in capsys.readouterr().err
 
 
+def test_typecheck_deep_chain(stlc_sig, capsys):
+    """A 10 000-deep ``app (lam #0) ...`` chain typechecks."""
+    n = 10_000
+    text = "(op[app; a, a] (op[lam; a, a] (#0 : a)) " * n + "(#0 : a)" + ")" * n
+    assert main(["typecheck", "--sig", stlc_sig, "--term", text]) == 0
+    assert capsys.readouterr().out == "a\n"
+
+
+@pytest.mark.parametrize("argv, kind", [
+    (["term", "subst", "--sig", "stlc", "--term", "0", "--assign", "[; ^0]"], "untyped"),
+    (["fuzz", "--sig", "stlc"], "untyped"),
+    (["typecheck", "--sig", "lambda", "--term", "(#0 : a)"], "typed"),
+], ids=["subst-typed-file", "fuzz-typed-file", "typecheck-untyped-file"])
+def test_signature_file_without_the_kind_asked_for_exits_2(lam_sig, stlc_sig, capsys, argv, kind):
+    i = argv.index("--sig") + 1
+    path = {"stlc": stlc_sig, "lambda": lam_sig}[argv[i]]
+    assert main([*argv[:i], path, *argv[i + 1:]]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"{path}: no {kind} signature declared\n"
+
+
 def test_fuzz_all_laws(lam_sig, capsys):
     code = main(["fuzz", "--sig", lam_sig, "--laws", "monad,binding,morphism",
                  "--cases", "50", "--seed", "42"])
@@ -246,6 +268,17 @@ def test_fuzz_all_laws(lam_sig, capsys):
     assert "LAW associativity PASS seed=42" in out
     assert "LAW binding:lam PASS seed=42" in out
     assert "LAW morphism:op:app PASS seed=42" in out
+
+
+def test_fuzz_prints_the_shrunk_counterexample_of_a_broken_model(lam_sig, capsys, monkeypatch):
+    # a term model whose substitution ignores the assignment
+    monkeypatch.setattr("debruijn.model.subst", lambda t, a, sig: t)
+    assert main(["fuzz", "--sig", lam_sig, "--laws", "monad", "--cases", "20", "--seed", "3"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "LAW associativity PASS seed=3",
+        "LAW left-unitality FAIL seed=3 case=0 counterexample=(x=0 f=[; ^1] g=[; ^0] n=0)",
+        "LAW right-unitality PASS seed=3",
+    ]
 
 
 def test_fuzz_unknown_law_group(lam_sig, capsys):
@@ -298,12 +331,14 @@ def test_repeated_in_process_calls_give_the_same_output(lam_sig, capsys):
     ["--term", "[0]"],
     ["--term", "0"],
     ["--term", "{"],
+    ["--term", '{"op": "lam", "args": []}'],
+    ["--term", '{"op": "pair", "args": [{"var": 0}, {"var": 1}]}'],
     ["fuzz", "--cases", "0"],
     ["fuzz", "--cases", "-3"],
 ], ids=[
     "var-str", "var-bool", "var-float", "var-extra-key", "op-no-args", "op-extra-key",
     "op-not-str", "args-not-list", "arg-not-object", "list", "number", "not-json",
-    "cases-zero", "cases-negative",
+    "wrong-arity", "unknown-op", "cases-zero", "cases-negative",
 ])
 def test_malformed_request_exits_2_with_empty_stdout(lam_sig, capsys, argv):
     if argv[0] == "fuzz":

@@ -30,7 +30,6 @@ from debruijn import (
     make_signature,
     map_free_vars,
     match_pattern,
-    max_free_var,
     rename,
     stlc_schema,
     subst,
@@ -142,7 +141,7 @@ def test_support_memo_is_kept_per_signature():
         assert subst(node, sigma, two) is node
         assert support(node, two) == 0
         assert subst(node, sigma, SIG) == lam(app(Var(8), Var(0)))
-        assert max_free_var(node, SIG) == 0
+        assert support(node, SIG) == 1
 
 
 def _dag_term(rng, closed, depth):
@@ -276,7 +275,7 @@ def test_wrong_argument_count_raises():
     with pytest.raises(ValueError):
         subst(bad, Assignment((Var(5),), 0), SIG)
     with pytest.raises(ValueError):
-        max_free_var(bad, SIG)
+        support(bad, SIG)
     tbad = TOp("lam", (A, A), (TVar(0, A), TVar(1, A)))
     with pytest.raises(ValueError):
         tsubst(tbad, TypedAssignment({A: ((), 1)}), SCH)

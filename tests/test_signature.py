@@ -11,6 +11,7 @@ import sys
 
 from debruijn import (
     BindingArity,
+    BindingSignature,
     OpSchema,
     TypedArity,
     TypedSignatureSchema,
@@ -145,6 +146,23 @@ def test_validate_unknown_constructor_in_schema():
     sch = TypedSignatureSchema(grammar, {"nil": bad})
     errs = validate_signature(sch)
     assert errs
+
+
+@pytest.mark.parametrize("sig, errs", [
+    (BindingSignature({"1f": arity(0), "f-g": arity(1)}),
+     ["invalid operation name '1f'", "invalid operation name 'f-g'"]),
+    (BindingSignature({"f": arity(0, -1)}), ["operation 'f' has a negative binder count"]),
+    (TypedSignatureSchema(TypeGrammar({"a": 0, "t": -1}), {}),
+     ["type constructor 't' has negative arity"]),
+    (TypedSignatureSchema(TypeGrammar({"a": 0}), {"f": OpSchema("g", (), TypedArity((), base("a")))}),
+     ["schema key 'f' does not match name 'g'"]),
+    (TypedSignatureSchema(TypeGrammar({"a": 0}), {"?": OpSchema("?", (), TypedArity((), base("a")))}),
+     ["invalid operation name '?'"]),
+    ({"lam": (1,)}, ["not a signature: {'lam': (1,)}"]),
+], ids=["invalid-name", "negative-binders", "negative-ctor-arity", "key-mismatch",
+        "invalid-typed-name", "not-a-signature"])
+def test_validate_reports_each_fault(sig, errs):
+    assert validate_signature(sig) == errs
 
 
 def test_validate_builtins():

@@ -18,7 +18,6 @@ from debruijn import (
     lambda_signature,
     make_signature,
     map_free_vars,
-    max_free_var,
     parse_term,
     print_term,
     rename,
@@ -96,17 +95,17 @@ def test_fold_identity_is_identity():
         assert fold(SIG, Var, lambda name, args: Op(name, tuple(args)), t) == t
 
 
-def test_max_free_var():
-    assert max_free_var(app(Var(0), Var(2)), SIG) == 2
-    assert max_free_var(lam(Var(0)), SIG) is None
-    assert max_free_var(lam(app(Var(1), Var(3))), SIG) == 2
+def test_support_above_binders():
+    assert support(app(Var(0), Var(2)), SIG) == 3
+    assert support(lam(Var(0)), SIG) == 0
+    assert support(lam(app(Var(1), Var(3))), SIG) == 3
 
 
-def test_max_free_var_multi_binder():
+def test_support_multi_binder():
     sig = make_signature({"m": (2, 0, 1)})
     t = Op("m", (Var(2), Var(2), Var(2)))
     # binder counts 2, 0, 1 leave free contributions 0, 2, 1
-    assert max_free_var(t, sig) == 2
+    assert support(t, sig) == 3
 
 
 def test_support():

@@ -5,6 +5,7 @@ signature built from application binary trees."""
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
@@ -15,6 +16,7 @@ from debruijn import (
     TVar,
     TypecheckError,
     TypedArity,
+    TypeExpr,
     TypedAssignment,
     Var,
     alpha_eq,
@@ -49,7 +51,7 @@ from debruijn.gen import (
 )
 from debruijn.typed import op_arity, typed_assignment_at
 
-from helpers import app, lam, same_term
+from helpers import app, lam, ref_typecheck, same_term
 
 SCH = stlc_schema({"a"})
 SCH2 = stlc_schema({"a", "b"})
@@ -93,6 +95,120 @@ def test_typecheck_error_carries_path():
 def test_typecheck_unknown_schema():
     with pytest.raises(TypecheckError):
         typecheck(SCH, TOp("pair", (), ()))
+
+
+@pytest.mark.parametrize("t, message, path", [
+    (TVar(0, TypeExpr("c")), "unknown type constructor 'c'", ()),
+    (tlam(A, A, TVar(0, arrow(A, TypeExpr("->", (A,))))),
+     "type constructor '->' expects 2 arguments, got 1", (0,)),
+    (tlam(A, A, TVar(-1, A)), "negative variable index", (0,)),
+    (TVar(-1, TypeExpr("c")), "unknown type constructor 'c'", ()),
+    (TOp("app", (A, A), (tlam(A, A, TVar(0, A)),)),
+     "operation 'app' expects 2 arguments, got 1", ()),
+    (TOp("lam", (A, A), (TVar(0, A), TVar(0, A))),
+     "operation 'lam' expects 1 arguments, got 2", ()),
+    (tapp(A, A, tlam(A, A, TVar(0, A)), "x"), "not a typed term: 'x'", (1,)),
+    (Var(0), "not a typed term: Var(index=0)", ()),
+    (tapp(A, A, tlam(A, A, TVar(0, A)), TOp("lam", (A,), (TVar(0, A),))),
+     "schema 'lam' expects 2 type arguments, got 1", (1,)),
+], ids=["ill-formed-type", "ill-formed-argument-type", "negative-index",
+        "ill-formed-type-first", "too-few-arguments", "too-many-arguments",
+        "non-term-argument", "untyped-node", "bad-type-arguments"])
+def test_typecheck_faults(t, message, path):
+    for check in (typecheck, ref_typecheck):
+        with pytest.raises(TypecheckError) as e:
+            check(SCH, t)
+        assert e.value.path == path
+        assert str(e.value) == (f"{message} (at {list(path)})" if path else message)
+
+
+def _positions(t, path=()):
+    """Every (path, subterm) of a typed term, in preorder."""
+    yield path, t
+    if type(t) is TOp:
+        for i, a in enumerate(t.args):
+            yield from _positions(a, path + (i,))
+
+
+def _replace(t, path, new):
+    if not path:
+        return new
+    i, rest = path[0], path[1:]
+    return TOp(t.name, t.type_args, t.args[:i] + (_replace(t.args[i], rest, new),) + t.args[i + 1:])
+
+
+def _mutate(t, rng, pool):
+    """``t`` with one subterm changed: a wrong type, a wrong argument
+    count, a negative index, an ill-formed type or a non-term leaf."""
+    path, node = rng.choice(list(_positions(t)))
+    kind = rng.randrange(5)
+    if kind == 0:
+        new = TVar(rng.randrange(3), rng.choice(pool))
+    elif kind == 1 and type(node) is TOp:
+        args = node.args[:-1] if node.args and rng.random() < 0.5 else node.args + (node,)
+        new = TOp(node.name, node.type_args, args)
+    elif kind == 2:
+        new = TVar(-1 - rng.randrange(2), rng.choice(pool))
+    elif kind == 3:
+        ty = rng.choice([TypeExpr("c"), TypeExpr("a", (A,)), TypeExpr("->", (A,))])
+        new = TVar(rng.choice([0, -1]), ty)
+    else:
+        new = rng.choice(["x", Var(0), None])
+    return _replace(t, path, new)
+
+
+def _outcome(check, t):
+    try:
+        return check(SCH2, t)
+    except TypecheckError as e:
+        return str(e), e.path
+
+
+def test_typecheck_matches_reference():
+    """The explicit-stack walk gives the recursive definition's type, or
+    its first fault with the same message and path, on seeded well-typed
+    terms and on mutants with one to three faults."""
+    rng = random.Random(41)
+    pool = ground_types(SCH2.grammar)
+    faults = 0
+    for _ in range(400):
+        ty = rng.choice(pool)
+        t = random_typed_term(SCH2, rng, ty)
+        assert typecheck(SCH2, t) == ref_typecheck(SCH2, t) == ty
+        for _ in range(3):
+            bad = t
+            for _ in range(rng.randint(1, 3)):
+                bad = _mutate(bad, rng, pool)
+            want = _outcome(ref_typecheck, bad)
+            assert _outcome(typecheck, bad) == want, bad
+            faults += type(want) is tuple
+    assert faults > 600  # most mutants do fault
+
+
+def _identity_chain(depth: int, leaf):
+    """``app (lam #0) (app (lam #0) ... leaf)`` at type ``a``, ``depth``
+    applications deep."""
+    ident = tlam(A, A, TVar(0, A))
+    t = leaf
+    for _ in range(depth):
+        t = tapp(A, A, ident, t)
+    return t
+
+
+@pytest.mark.parametrize("depth", [1_000, 10_000, 100_000], ids=["d1k", "d10k", "d100k"])
+def test_typecheck_deep_sweep(depth):
+    """``typecheck`` takes terms 100 000 levels deep, each call in time
+    linear in the depth, and reports a fault at the bottom with its path."""
+    bound = 1.0 + depth * 50e-6
+    good, bad = _identity_chain(depth, TVar(0, A)), _identity_chain(depth, TVar(-1, A))
+    start = time.perf_counter()
+    assert typecheck(SCH, good) == A
+    assert time.perf_counter() - start < bound
+    start = time.perf_counter()
+    with pytest.raises(TypecheckError) as e:
+        typecheck(SCH, bad)
+    assert time.perf_counter() - start < bound
+    assert e.value.path == (1,) * depth
 
 
 @pytest.mark.parametrize("t", [
@@ -414,5 +530,5 @@ def test_op_arity_is_memoized_per_schema_and_failures_are_not():
     for name, targs in (("pair", (A, B)), ("lam", (A,)), ("lam", (A, base("c")))):
         for _ in range(2):
             with pytest.raises(TypecheckError):
-                op_arity(sch, name, targs, (0, 1))
+                op_arity(sch, name, targs)
     assert list(sch.arities) == [("lam", (A, B))]
