@@ -242,6 +242,22 @@ def _reach(mt: MetaTerm) -> float:
     return reach
 
 
+def _moved(mt: MetaTerm) -> tuple[int, ...]:
+    """The metavariables a right side shifts: in a prefix or a pure shift's body."""
+    found, stack = set(), [(mt, False)]
+    while stack:
+        node, moved = stack.pop()
+        if type(node) is MetaVar and moved:
+            found.add(node.index)
+        elif type(node) is Op:
+            stack.extend((a, moved) for a in node.args)
+        elif type(node) is ExplicitSubst:
+            prefix, k = node.assign
+            stack.extend((x, True) for x in prefix)
+            stack.append((node.body, moved or not prefix and k > 0))
+    return tuple(sorted(found))
+
+
 def _plug(parent: Op, i: int, child: Term) -> Op:
     """``parent`` with ``child`` as argument i, shared when unchanged."""
     args = parent.args
@@ -268,18 +284,20 @@ def normalize(
     so the search resumes at that ancestor, checks the nodes on the way
     back down to p, then goes on in preorder from the contractum.  A shift
     pattern ``?i[^k]`` (k > 0) looks at every free variable below it, so
-    a theory holding one checks every ancestor.  Each contractum's
-    :func:`support` is memoized, which lets substitution skip the closed
-    subterms that later steps move around.
+    a theory holding one checks every ancestor.  The :func:`support` of
+    the input, and of each value a right side shifts (in a prefix or a
+    pure shift's body) before it is evaluated, is memoized, so substitution
+    skips their closed subterms; contracta are not walked again.
 
     ``on_step(n, rule name, position)`` is called before the n-th
     contraction, with the position as argument indices from the root.
     """
     sig = theory.signature
     tm = term_model(sig)
-    loose = tuple(r for r in theory.rules if type(r.left) is not Op)
+    rules = [(r, _moved(r.right)) for r in theory.rules]
+    loose = tuple((r, m) for r, m in rules if type(r.left) is not Op)
     by_head = {
-        h: tuple(r for r in theory.rules if type(r.left) is not Op or r.left.name == h)
+        h: tuple((r, m) for r, m in rules if type(r.left) is not Op or r.left.name == h)
         for h in {r.left.name for r in theory.rules if type(r.left) is Op}
     }
     reach = max((_reach(r.left) for r in theory.rules), default=0) - 1
@@ -289,7 +307,7 @@ def normalize(
     route: list[int] = []  # argument indices back down to the last contraction, innermost first
     node, steps = t, 0
     while True:
-        for rule in by_head.get(node.name, loose) if type(node) is Op else loose:
+        for rule, moved in by_head.get(node.name, loose) if type(node) is Op else loose:
             env = match_pattern(rule.left, node, sig)
             if env is not None:
                 if steps >= fuel:
@@ -300,8 +318,10 @@ def normalize(
                 if on_step is not None:
                     on_step(steps, rule.name, [i for _, i in frames])
                 args = [env.get(i, zero) for i in range(len(rule.arity.binders))]
+                for i in moved:
+                    if type(args[i]) is Op and args[i]._sig is not sig:
+                        support(args[i], sig)
                 node = eval_metaterm(tm, args, rule.right)
-                support(node, sig)
                 route.clear()
                 for _ in range(min(reach, len(frames))):
                     parent, i = frames.pop()

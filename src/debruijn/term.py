@@ -107,7 +107,22 @@ class Op(Term):
         return hash((self.name, self.args))
 
     def __repr__(self):
-        return f"Op(name={self.name!r}, args={self.args!r})"
+        """The dataclass repr, on an explicit stack of operation nodes and
+        text: deep terms render without recursion."""
+        out, stack = [], [self]
+        while stack:
+            node = stack.pop()
+            if type(node) is str:
+                out.append(node)
+                continue
+            args = node.args
+            out.append(f"Op(name={node.name!r}, args=(")
+            stack.append(",))" if len(args) == 1 else "))")
+            for i in range(len(args) - 1, -1, -1):
+                stack.append(args[i] if type(args[i]) is Op else repr(args[i]))
+                if i:
+                    stack.append(", ")
+        return "".join(out)
 
     def __reduce__(self):
         return Op, (self.name, self.args)

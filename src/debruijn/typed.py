@@ -90,8 +90,15 @@ def typed_assignment_at(sigma: TypedAssignment, ty: TypeExpr, n: int) -> TypedTe
 
 
 class TypecheckError(Exception):
+    """A typing fault at ``path``, the argument indices from the root.  The
+    message spells out a path of up to 8 steps, else its depth and last 8."""
+
     def __init__(self, message: str, path: tuple[int, ...] = ()):
-        super().__init__(f"{message} (at {list(path)})" if path else message)
+        if len(path) > 8:
+            message += f" (at depth {len(path)}, path ending {list(path[-8:])})"
+        elif path:
+            message += f" (at {list(path)})"
+        super().__init__(message)
         self.path = path
 
 

@@ -698,6 +698,20 @@ def ref_random_term(sig, rng, max_depth=8, max_index=5):
     )
 
 
+class RecursiveReprOp:
+    """A copy of an ``Op`` tree whose repr is ``Op.__repr__`` as first
+    written: the frozen dataclass's, which renders ``args`` with the tuple
+    repr and so recurses once per level.  The oracle of the explicit-stack
+    repr; other nodes in the tree keep their own repr."""
+
+    def __init__(self, t: Op):
+        self.name = t.name
+        self.args = tuple(RecursiveReprOp(a) if type(a) is Op else a for a in t.args)
+
+    def __repr__(self):
+        return f"Op(name={self.name!r}, args={self.args!r})"
+
+
 def ref_random_assignment(sig, rng, max_prefix=4, max_shift=3, max_depth=4, max_index=5):
     prefix = tuple(
         ref_random_term(sig, rng, max_depth, max_index)

@@ -246,6 +246,18 @@ def test_typecheck_deep_chain(stlc_sig, capsys):
     assert capsys.readouterr().out == "a\n"
 
 
+def test_typecheck_deep_fault_prints_a_short_line(stlc_sig, capsys):
+    """A fault at the leaf of a 10 000-deep chain names its depth and the
+    last steps of its path, not all 10 000."""
+    n = 10_000
+    text = "(op[app; a, a] (op[lam; a, a] (#0 : a)) " * n + "(#0 : c)" + ")" * n
+    assert main(["typecheck", "--sig", stlc_sig, "--term", text]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.count("\n") == 1 and len(out.err) < 200
+    assert f"at depth {n}, path ending {[1] * 8}" in out.err
+
+
 @pytest.mark.parametrize("argv, kind", [
     (["term", "subst", "--sig", "stlc", "--term", "0", "--assign", "[; ^0]"], "untyped"),
     (["fuzz", "--sig", "stlc"], "untyped"),

@@ -10,8 +10,11 @@ import time
 import pytest
 
 from debruijn import (
+    Assignment,
     BindingArity,
+    BindingSignature,
     EquationalTheory,
+    ExplicitSubst,
     MetaVar,
     NormalizeResult,
     Op,
@@ -24,9 +27,19 @@ from debruijn import (
     match_pattern,
     normalize,
 )
+from debruijn.equational import _moved
 from debruijn.gen import random_term
 
-from helpers import OMEGA, app, church, lam, ref_normalize_all, same_term
+from helpers import (
+    CHURCH_PLUS,
+    OMEGA,
+    app,
+    church,
+    lam,
+    ref_normalize_all,
+    same_term,
+    tuple_stack_support,
+)
 
 BETA = beta_theory()
 BETAETA = beta_eta_theory()
@@ -166,3 +179,94 @@ def test_equiv_compares_deep_normal_forms():
     t = app(app(church(1000), SUCC), ZERO)
     assert equiv(BETA, t, church(1000), 5000) == "yes"
     assert equiv(BETA, t, church(999), 5000) == "no"
+
+
+# --- the support memo: on the values a contraction shifts ----------------
+
+# lam m. lam n. lam f. m (n f), and lam m. lam n. n m (m to the power n)
+CHURCH_MULT = lam(lam(lam(app(Var(2), app(Var(1), Var(0))))))
+CHURCH_EXP = lam(lam(app(Var(0), Var(1))))
+
+
+def _arith(op, m, n, applied):
+    t = app(app(op, church(m)), church(n))
+    return app(app(t, SUCC), ZERO) if applied else t
+
+
+def assert_memos_exact(t, sig):
+    """Every node reachable from ``t`` with a support memo under ``sig``
+    has the support that a fresh walk computes (under a copy of ``sig``,
+    so the walk reads none of the memos it checks)."""
+    memoized, seen, stack = [], set(), [t]
+    while stack:
+        node = stack.pop()
+        if type(node) is Op and id(node) not in seen:
+            seen.add(id(node))
+            if node._sig is sig:
+                memoized.append((node, node._sup))
+            stack.extend(node.args)
+    fresh = BindingSignature(dict(sig.ops))
+    for node, sup in memoized:
+        assert sup == tuple_stack_support(node, fresh), node
+    return len(memoized)
+
+
+ARITH = {
+    "plus": (CHURCH_PLUS, 2, 3),
+    "mult": (CHURCH_MULT, 2, 3),
+    "exp": (CHURCH_EXP, 2, 3),
+}
+
+
+@pytest.mark.parametrize("applied", [False, True], ids=["open", "succ-zero"])
+@pytest.mark.parametrize("name", ARITH)
+@pytest.mark.parametrize("theory", [BETA, BETAETA], ids=["beta", "betaeta"])
+def test_church_arithmetic_follows_the_spec(theory, name, applied):
+    """Values built by earlier contractions are substituted, and shifted,
+    by later ones: the memo placed on them must not change a step."""
+    op, m, n = ARITH[name]
+    t = _arith(op, m, n, applied)
+    steps = normalize(theory, t, 10_000).steps
+    assert_follows_spec(theory, t, steps + 1)
+
+
+@pytest.mark.parametrize("name", ARITH)
+@pytest.mark.parametrize("theory", [BETA, BETAETA], ids=["beta", "betaeta"])
+def test_support_memos_after_normalize_are_exact(theory, name):
+    """At every fuel: each intermediate term is a result at some fuel."""
+    op, m, n = ARITH[name]
+    value = {"plus": m + n, "mult": m * n, "exp": m**n}[name]
+    checked = 0
+    for applied in (False, True):
+        t = _arith(op, m, n, applied)
+        r = normalize(theory, t, 10_000)
+        assert not r.exhausted
+        if applied:
+            assert r.term == church(value)
+        for fuel in range(r.steps + 1):
+            checked += assert_memos_exact(normalize(theory, t, fuel).term, theory.signature)
+    assert checked > 0
+
+
+# f(?0) = b(?0[^1]): a right side that is a pure shift of a metavariable
+SHIFT_RULE = _rule("f-to-b", (0,), f(MetaVar(0)),
+                   Op("b", (ExplicitSubst(MetaVar(0), Assignment((), 1)),)))
+SHIFT_THEORY = EquationalTheory(FG_SIG, (SHIFT_RULE,))
+
+
+def test_moved_metavariables_of_right_sides():
+    assert _moved(BETA.rules[0].right) == (1,)
+    assert [_moved(r.right) for r in BETAETA.rules] == [(1,), ()]
+    assert _moved(SHIFT_RULE.right) == (0,)
+    nested = ExplicitSubst(g(MetaVar(0)), Assignment((f(ExplicitSubst(MetaVar(1), Assignment(
+        (MetaVar(2),), 0))),), 0))
+    assert _moved(nested) == (1, 2)
+    assert _moved(ExplicitSubst(MetaVar(0), Assignment((), 0))) == ()
+
+
+def test_pure_shift_right_side_follows_the_spec():
+    rng = random.Random(61)
+    for _ in range(200):
+        t = random_term(FG_SIG, rng, max_depth=7, max_index=2)
+        assert_follows_spec(SHIFT_THEORY, t, 12)
+        assert_memos_exact(normalize(SHIFT_THEORY, t, 100).term, FG_SIG)

@@ -652,6 +652,19 @@ def _deep_chains(depth: int):
 
 
 @pytest.mark.parametrize("depth", [1_000, 10_000, 100_000], ids=["d1k", "d10k", "d100k"])
+def test_deep_repr(depth):
+    """``repr`` of a term 100 000 binders deep, in time linear in the depth."""
+    t = Var(depth)
+    for _ in range(depth):
+        t = lam(app(t, Var(0)))
+    text = _timed(1.0 + depth * 20e-6, lambda: repr(t))
+    assert text == (
+        "Op(name='lam', args=(Op(name='app', args=(" * depth + f"Var(index={depth})"
+        + ", Var(index=0))),))" * depth
+    )
+
+
+@pytest.mark.parametrize("depth", [1_000, 10_000, 100_000], ids=["d1k", "d10k", "d100k"])
 def test_deep_terms_read_and_print(depth):
     """Every reader, ``print_term``, ``term_to_json`` and ``from_named``
     take terms 100 000 binders deep, each call in time linear in the depth."""

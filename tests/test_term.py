@@ -11,6 +11,7 @@ from math import inf
 
 from debruijn import (
     Assignment,
+    MetaVar,
     Op,
     Var,
     fold,
@@ -31,7 +32,7 @@ from debruijn import (
 from debruijn import term
 from debruijn.gen import random_assignment, random_renaming, random_term
 
-from helpers import app, lam
+from helpers import RecursiveReprOp, app, lam
 
 SIG = lambda_signature()
 FO_SIG = make_signature({"f": (0, 0), "c": ()})
@@ -147,6 +148,21 @@ def test_node_repr_eq_and_hash_are_the_dataclass_ones():
     assert o == app(lam(Var(0)), Var(3)) and o != app(lam(Var(0)), Var(4))
     assert Var(0) != lam(Var(0)) and Var(0) != 0
     assert pickle.loads(pickle.dumps(o)) == o
+
+
+@pytest.mark.parametrize("sig", [SIG, FO_SIG, MIXED_SIG], ids=["lambda", "FO", "MIXED"])
+def test_repr_agrees_with_the_recursive_repr(sig):
+    """On seeded terms, some with leaves that are not terms: strings,
+    ``None``, negative indices, metavariables and empty argument tuples."""
+    rng = random.Random(73)
+    junk = ["x", None, Var(-1), MetaVar(2), Op("k", ()), 0]
+    for _ in range(300):
+        t = random_term(sig, rng, max_depth=6, max_index=4)
+        if type(t) is Op and rng.random() < 0.5:
+            t = Op("j", (*t.args, rng.choice(junk)))
+        if type(t) is Op:
+            assert repr(t) == repr(RecursiveReprOp(t))
+        assert repr(Op("w", (t,))) == repr(RecursiveReprOp(Op("w", (t,))))
 
 
 def _bounds_hold(t) -> bool:

@@ -122,6 +122,22 @@ def test_typecheck_faults(t, message, path):
         assert str(e.value) == (f"{message} (at {list(path)})" if path else message)
 
 
+@pytest.mark.parametrize("depth", [8, 9, 1_000])
+def test_typecheck_error_message_shortens_long_paths(depth):
+    """A path of up to 8 steps is spelled out; a longer one as its depth and
+    its last 8 steps.  ``path`` keeps every step."""
+    t = tlam(A, A, TVar(0, TypeExpr("c")))
+    for _ in range(depth - 1):
+        t = tapp(A, A, tlam(A, A, TVar(0, A)), t)
+    path = (1,) * (depth - 1) + (0,)
+    with pytest.raises(TypecheckError) as e:
+        typecheck(SCH, t)
+    assert e.value.path == path
+    where = (f"at {list(path)}" if depth <= 8
+             else f"at depth {depth}, path ending {list(path[-8:])}")
+    assert str(e.value) == f"unknown type constructor 'c' ({where})"
+
+
 def _positions(t, path=()):
     """Every (path, subterm) of a typed term, in preorder."""
     yield path, t
