@@ -243,7 +243,7 @@ def _reach(mt: MetaTerm) -> float:
 
 
 def _moved(mt: MetaTerm) -> tuple[int, ...]:
-    """The metavariables a right side shifts: in a prefix or a pure shift's body."""
+    """The metavariables inside a right side's explicit substitution prefixes."""
     found, stack = set(), [(mt, False)]
     while stack:
         node, moved = stack.pop()
@@ -252,9 +252,8 @@ def _moved(mt: MetaTerm) -> tuple[int, ...]:
         elif type(node) is Op:
             stack.extend((a, moved) for a in node.args)
         elif type(node) is ExplicitSubst:
-            prefix, k = node.assign
-            stack.extend((x, True) for x in prefix)
-            stack.append((node.body, moved or not prefix and k > 0))
+            stack.extend((x, True) for x in node.assign.prefix)
+            stack.append((node.body, moved))
     return tuple(sorted(found))
 
 
@@ -285,9 +284,10 @@ def normalize(
     back down to p, then goes on in preorder from the contractum.  A shift
     pattern ``?i[^k]`` (k > 0) looks at every free variable below it, so
     a theory holding one checks every ancestor.  The :func:`support` of
-    the input, and of each value a right side shifts (in a prefix or a
-    pure shift's body) before it is evaluated, is memoized, so substitution
-    skips their closed subterms; contracta are not walked again.
+    the input, and of each value in a right side's substitution prefix as
+    it is bound, is memoized, so substitution skips their closed
+    subterms; contracta are not walked.  The theory must pass
+    :func:`validate_theory`: a right side's arities are not checked here.
 
     ``on_step(n, rule name, position)`` is called before the n-th
     contraction, with the position as argument indices from the root.
