@@ -34,9 +34,9 @@ from .surface import (
     parse_term,
     parse_theory_file,
     print_assignment,
+    print_json,
     print_term,
     term_from_json,
-    term_to_json,
 )
 from .term import wellformed
 from .typed import TypecheckError, typecheck
@@ -77,9 +77,9 @@ def _load_schema(path: str):
 
 
 def _too_deep_for_json() -> CliError:
-    # json and the JSON term converters recurse once per nesting level
+    # the json module's reader recurses once per nesting level
     return CliError(
-        "term nested too deeply for --format json: the json module's nesting "
+        "term nested too deeply for --format json input: the json module's nesting "
         f"limit is the recursion limit ({sys.getrecursionlimit()}); use --format sexpr",
         EXIT_PARSE,
     )
@@ -101,12 +101,7 @@ def _input_term(text: str, fmt: str, sig: BindingSignature):
 
 
 def _output_term(t, fmt: str) -> str:
-    if fmt == "json":
-        try:
-            return json.dumps(term_to_json(t), separators=(", ", ": "))
-        except RecursionError:
-            raise _too_deep_for_json() from None
-    return print_term(t)
+    return print_json(t) if fmt == "json" else print_term(t)
 
 
 def _load_theory(spec: str):

@@ -22,7 +22,8 @@ import re
 from dataclasses import dataclass, field
 from functools import partial
 from heapq import heappop, heappush
-from itertools import repeat
+from itertools import islice, repeat
+from operator import attrgetter
 from typing import Any, Callable, Optional
 
 from .signature import BindingSignature, TypeExpr
@@ -89,38 +90,107 @@ def nat_monad() -> DeBruijnMonad:
 # --- named terms --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NamedTerm:
-    pass
+class NamedTerm(Term):
+    """Base of the named node classes, on the nameless nodes' slotted
+    frozen base.  ``==``, ``hash``, ``repr`` and ``__reduce__`` are those of
+    frozen dataclasses over each class's ``_fields``, written once here:
+    ``==`` and ``repr`` walk an explicit stack, and the hash is memoized
+    bottom-up, so deep terms compare, hash and print without recursion.
+
+    A variable's key (``_key``) is its name, or its (name, type) pair when
+    typed; a binder declaration is a key, and it binds exactly the
+    variables of its key.  ``free``, the keys free in a node, and ``_hash``
+    are memos, filled on first read for the node and each node below it
+    that lacks one; they take no part in ==, hash or repr.  The hooks on
+    the operation classes are all that tells sorts apart."""
+
+    __slots__ = ("free", "_hash")
+
+    def __getattr__(self, name):  # only an unset memo gets here
+        if name == "free":
+            return _memoize(self, _free_memo, _free_of)
+        if name == "_hash":
+            return _memoize(self, _hash_memo, _hash_of)
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        stack = [(self, other)]
+        pop, push = stack.pop, stack.append
+        while stack:
+            x, y = pop()
+            if x is y:
+                continue
+            kind = x.__class__
+            if y.__class__ is not kind:
+                return False
+            if kind is NVar or kind is TNVar:
+                if kind._key(x) != kind._key(y):
+                    return False
+            elif x.name != y.name or x.type_args != y.type_args or len(x.args) != len(y.args):
+                return False
+            else:
+                for (bx, tx), (by, ty) in zip(x.args, y.args):
+                    if bx != by:
+                        return False
+                    push((tx, ty))
+        return True
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        out, stack = [], [self]
+        while stack:
+            node = stack.pop()
+            if type(node) is str:
+                out.append(node)
+                continue
+            kind = type(node)
+            is_var = kind is NVar or kind is TNVar
+            fields = ", ".join(
+                f"{f}={getattr(node, f)!r}" for f in (kind._fields if is_var else kind._fields[:-1])
+            )
+            if is_var:
+                out.append(f"{kind.__name__}({fields})")
+                continue
+            args = node.args
+            out.append(f"{kind.__name__}({fields}, args=(")
+            stack.append(",))" if len(args) == 1 else "))")
+            for i in range(len(args) - 1, -1, -1):
+                binders, body = args[i]
+                stack += ")", body, f"({binders!r}, "
+                if i:
+                    stack.append(", ")
+        return "".join(out)
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self._fields)
 
 
-# A variable's key is its name, or its (name, type) pair when typed; a
-# binder declaration is a key, and it binds exactly the variables of its
-# key.  Each node caches the keys free in it in ``free``, computed once
-# from its children's sets; it takes no part in ==, hash or repr.  The
-# hooks on the operation classes are all that tells sorts apart.
-
-
-@dataclass(frozen=True)
 class NVar(NamedTerm):
-    name: str
-    free: frozenset[str] = field(init=False, repr=False, compare=False)
+    __slots__ = ("name",)
+    __match_args__ = _fields = ("name",)
+    _key = attrgetter("name")
 
-    def __post_init__(self):
-        object.__setattr__(self, "free", frozenset((self.name,)))
+    def __init__(self, name: str):
+        _nvar_name(self, name)
 
 
-@dataclass(frozen=True)
 class NOp(NamedTerm):
-    name: str
     # one (binder names, body) pair per argument; binders listed
     # outermost-first, so the last binder is nameless index 0
-    args: tuple[tuple[tuple[str, ...], NamedTerm], ...]
-    free: frozenset[str] = field(init=False, repr=False, compare=False)
+    __slots__ = ("name", "args")
+    __match_args__ = _fields = ("name", "args")
     type_args = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "free", _free_of_args(self.args))
+    def __init__(self, name: str, args: tuple[tuple[tuple[str, ...], NamedTerm], ...]):
+        for _, body in args:
+            if not isinstance(body, NamedTerm):
+                raise TypeError(body)
+        _nop_name(self, name)
+        _nop_args(self, args)
 
     # one sort, None, and a key is its name; split yields (key, name, sort)
     key_names = staticmethod(frozenset)
@@ -130,27 +200,34 @@ class NOp(NamedTerm):
     decls = staticmethod(lambda names, sorts: tuple(names))
 
 
-@dataclass(frozen=True)
 class TNVar(NamedTerm):
-    name: str
-    ty: TypeExpr
-    free: frozenset = field(init=False, repr=False, compare=False)
+    __slots__ = ("name", "ty")
+    __match_args__ = _fields = ("name", "ty")
+    _key = attrgetter("name", "ty")
 
-    def __post_init__(self):
-        object.__setattr__(self, "free", frozenset(((self.name, self.ty),)))
+    def __init__(self, name: str, ty: TypeExpr):
+        _tnvar_name(self, name)
+        _tnvar_ty(self, ty)
 
 
-@dataclass(frozen=True)
 class TNOp(NamedTerm):
-    name: str
-    type_args: tuple[TypeExpr, ...]
     # per argument: (binder declarations ordered along the premise
     # context, body); a binder declaration is a (name, type) pair
-    args: tuple[tuple[tuple[tuple[str, TypeExpr], ...], NamedTerm], ...]
-    free: frozenset = field(init=False, repr=False, compare=False)
+    __slots__ = ("name", "type_args", "args")
+    __match_args__ = _fields = ("name", "type_args", "args")
 
-    def __post_init__(self):
-        object.__setattr__(self, "free", _free_of_args(self.args))
+    def __init__(
+        self,
+        name: str,
+        type_args: tuple[TypeExpr, ...],
+        args: tuple[tuple[tuple[tuple[str, TypeExpr], ...], NamedTerm], ...],
+    ):
+        for _, body in args:
+            if not isinstance(body, NamedTerm):
+                raise TypeError(body)
+        _tnop_name(self, name)
+        _tnop_type_args(self, type_args)
+        _tnop_args(self, args)
 
     key_names = staticmethod(lambda keys: {n for n, _ in keys})
     group_sorts = staticmethod(lambda decls: [ty for _, ty in decls])
@@ -159,13 +236,52 @@ class TNOp(NamedTerm):
     decls = staticmethod(lambda names, sorts: tuple(zip(names, sorts)))
 
 
-def _free_of_args(args) -> frozenset:
-    """Union over ``(binders, body)`` pairs of the body's free set minus
-    its binders; a lone body's set is shared when it binds none of it."""
+# named nodes are frozen: their slots are set through the slot descriptors
+_free_memo, _hash_memo = NamedTerm.free, NamedTerm._hash
+_nvar_name, _nop_name, _nop_args, _tnvar_name, _tnvar_ty, _tnop_name, _tnop_type_args, _tnop_args = (
+    d.__set__ for d in (NVar.name, NOp.name, NOp.args, TNVar.name, TNVar.ty,
+                        TNOp.name, TNOp.type_args, TNOp.args))
+
+
+@gc_paused
+def _memoize(t: NamedTerm, memo, value: Callable):
+    """``value(node)`` stored in the slot ``memo`` of ``t`` and of each node
+    below it without one, children first, so that ``value`` may read the
+    children's memos: one walk with an explicit stack.  A variable is
+    stored when it is reached, at least as cheap as testing its slot."""
+    get, put = memo.__get__, memo.__set__
+    nodes, done = [t], [False]  # done: the node's arguments are memoized
+    while nodes:
+        node = nodes.pop()
+        if done.pop():
+            put(node, value(node))
+            continue
+        kind = type(node)
+        if kind is not NOp and kind is not TNOp:
+            put(node, value(node))
+            continue
+        try:
+            get(node)
+            continue  # memoized, and so is everything below it
+        except AttributeError:
+            pass
+        nodes.append(node)
+        done.append(True)
+        for _, body in node.args:
+            nodes.append(body)
+            done.append(False)
+    return get(t)
+
+
+def _free_of(t: NamedTerm) -> frozenset:
+    """The keys free in ``t``, from its arguments' memos: the union over
+    ``(binders, body)`` pairs of the body's free set minus its binders; a
+    lone body's set is shared when it binds none of it."""
+    kind = type(t)
+    if kind is NVar or kind is TNVar:
+        return frozenset((kind._key(t),))
     sets = []
-    for binders, body in args:
-        if not isinstance(body, NamedTerm):
-            raise TypeError(body)
+    for binders, body in t.args:
         fv = body.free
         if not fv.isdisjoint(binders):
             fv = fv.difference(binders)
@@ -173,6 +289,12 @@ def _free_of_args(args) -> frozenset:
     if len(sets) == 1:
         return sets[0]
     return frozenset().union(*sets)
+
+
+def _hash_of(t: NamedTerm) -> int:
+    """The frozen dataclass's hash, of the tuple of ``t``'s fields; the
+    tuple hash reads the arguments' memos."""
+    return hash(tuple([getattr(t, f) for f in t._fields]))
 
 
 def free_names(t: NamedTerm) -> frozenset:
@@ -228,7 +350,7 @@ def alpha_eq(a: NamedTerm, b: NamedTerm) -> bool:
             return False
         elif kind is NVar or kind is TNVar:
             # a bound key's type is its binder's, which the sides share
-            (kx,), (ky,) = x.free, y.free
+            kx, ky = kind._key(x), kind._key(y)
             ia, ib = env_a.get(kx), env_b.get(ky)
             if ia != ib or ia is None and kx != ky:
                 return False
@@ -258,20 +380,35 @@ def _letter_supply():
         i += 1
 
 
+# the letter supply's names drawn so far, grown on demand by _more_names
+_LETTERS = _letter_supply()
+_NAMES: tuple[str, ...] = ()
+
+
+def _more_names() -> tuple[str, ...]:
+    """The supply so far, after drawing at least 26 more names from it."""
+    global _NAMES
+    _NAMES += tuple(islice(_LETTERS, max(26, len(_NAMES))))
+    return _NAMES
+
+
 def fresh_names(count: int, avoid) -> list[str]:
     """First ``count`` names of the letter supply not in ``avoid``."""
-    if not count:
-        return []
     out: list[str] = []
-    # the supply never repeats a name, so ``avoid`` needs no additions
-    for name in _letter_supply():
-        if name not in avoid:
-            out.append(name)
-            if len(out) == count:
-                return out
-    raise AssertionError("unreachable")
+    if not count:
+        return out
+    names, start = _NAMES, 0
+    while True:
+        # the supply never repeats a name, so ``avoid`` needs no additions
+        for name in islice(names, start, None):
+            if name not in avoid:
+                out.append(name)
+                if len(out) == count:
+                    return out
+        names, start = _more_names(), len(names)
 
 
+@gc_paused
 def named_subst(t: NamedTerm, mapping: dict) -> NamedTerm:
     """Simultaneous capture-avoiding substitution with deterministic
     fresh binder names; ``mapping`` sends keys to terms.
@@ -282,36 +419,53 @@ def named_subst(t: NamedTerm, mapping: dict) -> NamedTerm:
     Sharing: a subterm (``t`` too) in which no key of ``mapping`` is free
     is returned itself, and only the entries free in a body are passed
     down into it.
-    """
-    if mapping.keys().isdisjoint(t.free):
-        return t
-    kind = type(t)
-    if kind is not NOp and kind is not TNOp:  # a variable
-        (key,) = t.free
-        return mapping[key]
-    new_args = []
-    for binders, body in t.args:
-        fv = body.free
-        relevant = {x: v for x, v in mapping.items() if x in fv and x not in binders}
-        if binders and relevant:
-            captured = frozenset().union(*(v.free for v in relevant.values()))
-            if not captured.isdisjoint(binders):
-                # rename the captured binders at once, to names free in
-                # neither the body nor any image and bound nowhere in the group
-                avoid = t.key_names(captured.union(fv, binders))
-                zs = iter(fresh_names(sum(map(captured.__contains__, binders)), avoid))
-                new_names, sorts = [], []
-                for b, z, sort in t.split(binders):
-                    if b in captured:
-                        z = next(zs)
-                        relevant[b] = t.var(z, sort)
-                    new_names.append(z)
-                    sorts.append(sort)
-                binders = t.decls(new_names, sorts)
-        new_args.append((binders, named_subst(body, relevant)))
-    if kind is NOp:
-        return NOp(t.name, tuple(new_args))
-    return TNOp(t.name, t.type_args, tuple(new_args))
+
+    One walk with an explicit stack of (node, its entries, None) items
+    and, once a node's arguments are pushed, (node, None, their binder
+    groups) to rebuild it from their values."""
+    stack: list = [(t, mapping, None)]
+    values: list = []
+    while stack:
+        node, entries, groups = stack.pop()
+        if groups is not None:  # the arguments' values are done
+            k = len(values) - len(groups)
+            args = tuple(zip(groups, values[k:]))
+            del values[k:]
+            values.append(
+                NOp(node.name, args) if type(node) is NOp else TNOp(node.name, node.type_args, args)
+            )
+            continue
+        if entries.keys().isdisjoint(node.free):
+            values.append(node)
+            continue
+        kind = type(node)
+        if kind is not NOp and kind is not TNOp:  # a variable
+            values.append(entries[kind._key(node)])
+            continue
+        groups, bodies = [], []
+        for binders, body in node.args:
+            fv = body.free
+            relevant = {x: v for x, v in entries.items() if x in fv and x not in binders}
+            if binders and relevant:
+                captured = frozenset().union(*(v.free for v in relevant.values()))
+                if not captured.isdisjoint(binders):
+                    # rename the captured binders at once, to names free in
+                    # neither the body nor any image and bound nowhere in the group
+                    avoid = node.key_names(captured.union(fv, binders))
+                    zs = iter(fresh_names(sum(map(captured.__contains__, binders)), avoid))
+                    new_names, sorts = [], []
+                    for b, z, sort in node.split(binders):
+                        if b in captured:
+                            z = next(zs)
+                            relevant[b] = node.var(z, sort)
+                        new_names.append(z)
+                        sorts.append(sort)
+                    binders = node.decls(new_names, sorts)
+            groups.append(binders)
+            bodies.append((body, relevant, None))
+        stack.append((node, None, groups))
+        stack += reversed(bodies)
+    return values[0]
 
 
 _SUPPLY_RE = re.compile(r"^x(0|[1-9][0-9]*)$")
@@ -594,28 +748,28 @@ def from_named(sig: BindingSignature, t: NamedTerm) -> Term:
     frames: list[tuple[str, tuple, tuple, list]] = []
     node = t
     while True:
-        match node:
-            case NVar(name):
-                bound = levels.get(name)
-                if bound:
-                    value = Var(depth - 1 - bound[-1])
-                else:
-                    idx = default_supply_index(name)
-                    if idx is None:
-                        raise ValueError(f"unbound name '{name}' is not of supply form")
-                    value = Var(idx + depth)
-            case NOp(op, args):
-                if op not in sig.ops:
-                    raise ValueError(f"unknown operation '{op}'")
-                binders = sig.ops[op].binders
-                if len(args) != len(binders):
-                    raise ValueError(
-                        f"operation '{op}' expects {len(binders)} arguments, got {len(args)}"
-                    )
-                frames.append((op, binders, args, []))
-                value = None
-            case _:
-                raise TypeError(node)
+        if type(node) is NVar:
+            bound = levels.get(node.name)
+            if bound:
+                value = Var(depth - 1 - bound[-1])
+            else:
+                idx = default_supply_index(node.name)
+                if idx is None:
+                    raise ValueError(f"unbound name '{node.name}' is not of supply form")
+                value = Var(idx + depth)
+        elif type(node) is NOp:
+            op, args = node.name, node.args
+            if op not in sig.ops:
+                raise ValueError(f"unknown operation '{op}'")
+            binders = sig.ops[op].binders
+            if len(args) != len(binders):
+                raise ValueError(
+                    f"operation '{op}' expects {len(binders)} arguments, got {len(args)}"
+                )
+            frames.append((op, binders, args, []))
+            value = None
+        else:
+            raise TypeError(node)
         while frames:  # hand the value up, to the first operation with an argument left
             op, binders, args, values = frames[-1]
             if value is not None:

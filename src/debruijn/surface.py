@@ -3,13 +3,14 @@ signature and theory files, assignment and renaming literals.
 
 All printers emit canonical text (single spaces, no trailing whitespace)
 and round-trip through the corresponding parser.  Every reader reads one
-list of token texts, and the term readers and ``print_term`` use explicit
-stacks, so terms 100 000 binders deep are read and printed without
-recursion.
+list of token texts, and the term readers, ``print_term`` and the JSON
+term writer and reader use explicit stacks, so terms 100 000 binders deep
+are read and printed without recursion.
 """
 
 from __future__ import annotations
 
+import json
 import re
 from dataclasses import dataclass
 from itertools import islice
@@ -460,22 +461,22 @@ def print_term(t) -> str:
             emit(f"({x.name}{after}")
         elif type(x) is Var:
             emit(str(x.index))
+        elif type(x) is NOp:
+            after = ")"
+            for binders, body in reversed(x.args):
+                if type(body) is NVar:
+                    after = f" {body.name}{after}"
+                else:
+                    push(after)
+                    push(body)
+                    after = " "
+                if binders:
+                    after = f" [{' '.join(binders)}]{after}"
+            emit(f"({x.name}{after}")
+        elif type(x) is NVar:
+            emit(x.name)
         else:
             match x:
-                case NVar(name):
-                    emit(name)
-                case NOp(name, args):
-                    after = ")"
-                    for binders, body in reversed(args):
-                        if type(body) is NVar:
-                            after = f" {body.name}{after}"
-                        else:
-                            push(after)
-                            push(TypeError(body) if type(body) is str else body)
-                            after = " "
-                        if binders:
-                            after = f" [{' '.join(binders)}]{after}"
-                    emit(f"({name}{after}")
                 case TVar(index, ty):
                     emit(f"(#{index} : {ty})")
                 case TOp(name, targs, args):
@@ -500,22 +501,84 @@ def print_assignment(a: Assignment) -> str:
 
 def term_to_json(t: Term):
     """``{"var": n}`` or ``{"op": name, "args": [...]}``, by one walk with an
-    explicit stack; ``json.dumps`` of a deep result still nests."""
+    explicit stack; ``json.dumps`` of a deep result still nests, and
+    :func:`print_json` writes the same text without it."""
     return fold_nodes(t, lambda v: {"var": v.index}, lambda o, args: {"op": o.name, "args": args})
 
 
+def print_json(t: Term) -> str:
+    """``json.dumps(term_to_json(t), separators=(", ", ": "))``, byte for
+    byte, written from ``t`` with the explicit stack of :func:`print_term`:
+    no object form, and no nesting limit.  Each name and each index that
+    is not a plain ``int`` goes through ``json.dumps``."""
+    names: dict = {}  # operation name -> its JSON text
+    out: list[str] = []
+    stack = [t]
+    push, pop, emit = stack.append, stack.pop, out.append
+    while stack:
+        x = pop()
+        if type(x) is str:
+            emit(x)
+        elif type(x) is Op:
+            after = "]}"
+            args = x.args
+            for i in range(len(args) - 1, -1, -1):
+                a = args[i]
+                if type(a) is Var:
+                    after = f'{{"var": {_json_index(a.index)}}}{after}'
+                elif type(a) is Op:
+                    push(after)
+                    push(a)
+                    after = ""
+                else:
+                    raise TypeError(f"not a term: {a!r}")
+                if i:
+                    after = ", " + after
+            name = names.get(x.name)
+            if name is None:
+                name = names[x.name] = json.dumps(x.name)
+            emit(f'{{"op": {name}, "args": [{after}')
+        elif type(x) is Var:
+            emit(f'{{"var": {_json_index(x.index)}}}')
+        else:
+            raise TypeError(f"not a term: {x!r}")
+    return "".join(out)
+
+
+def _json_index(i) -> str:
+    return str(i) if type(i) is int else json.dumps(i)
+
+
+@gc_paused
 def term_from_json(data) -> Term:
     """``{"var": n}`` or ``{"op": name, "args": [...]}``, with exactly
-    these keys; any other shape raises ``ValueError``."""
-    # exact type tests: a bool is not an index, and a match statement's
-    # mapping patterns cost three times as much per node
-    if type(data) is dict:
+    these keys; any other shape raises ``ValueError``.  One walk with an
+    explicit stack of the open operations, each with its name, its
+    arguments' data and their values so far."""
+    frames: list[tuple[str, list, list]] = []
+    while True:
+        # exact type tests: a bool is not an index, and a match statement's
+        # mapping patterns cost three times as much per node
+        if type(data) is not dict:
+            raise ValueError(f"not a JSON term: {data!r}")
         if len(data) == 1 and type(data.get("var")) is int:
-            return Var(data["var"])
-        if len(data) == 2 and type(data.get("op")) is str and type(data.get("args")) is list:
-            return Op(data["op"], tuple(term_from_json(a) for a in data["args"]))
-    raise ValueError(f"not a JSON term: {data!r}")
-
+            value = Var(data["var"])
+        elif len(data) == 2 and type(data.get("op")) is str and type(data.get("args")) is list:
+            frames.append((data["op"], data["args"], []))
+            value = None
+        else:
+            raise ValueError(f"not a JSON term: {data!r}")
+        while frames:  # hand the value up, to the first operation with an argument left
+            name, items, values = frames[-1]
+            if value is not None:
+                values.append(value)
+            if len(values) < len(items):
+                data = items[len(values)]
+                break
+            value = Op(name, tuple(values))
+            frames.pop()
+        else:
+            return value
 
 
 # --- signature and theory files ------------------------------------------

@@ -19,9 +19,10 @@ from .signature import BindingSignature, first_order_arity
 
 
 class Term:
-    """Base of the two node classes.  Nodes are immutable, with the
-    ``==``, ``hash`` and ``repr`` of frozen dataclasses, but slotted: no
-    per-node ``__dict__``, and room for the index bound and the memos."""
+    """Base of the node classes: ``Var`` and ``Op`` here, and the named
+    ones of :mod:`debruijn.model`.  Nodes are immutable, with the ``==``,
+    ``hash`` and ``repr`` of frozen dataclasses, but slotted: no per-node
+    ``__dict__``, and room for the index bound and the memos."""
 
     __slots__ = ()
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
+from dataclasses import dataclass
 from operator import is_not
 from typing import NamedTuple
 
@@ -967,3 +968,57 @@ def ref_from_named(sig, t):
         raise TypeError(node)
 
     return go(t, ())
+
+
+def ref_term_from_json(data):
+    """``surface.term_from_json`` as it was before its explicit stack: one
+    call per node."""
+    if type(data) is dict:
+        if len(data) == 1 and type(data.get("var")) is int:
+            return Var(data["var"])
+        if len(data) == 2 and type(data.get("op")) is str and type(data.get("args")) is list:
+            return Op(data["op"], tuple(ref_term_from_json(a) for a in data["args"]))
+    raise ValueError(f"not a JSON term: {data!r}")
+
+
+# The named node classes as they were first written: frozen dataclasses,
+# whose ==, hash and repr recurse through their fields.  Each takes its
+# original's qualified name, which the dataclass repr prints.
+@dataclass(frozen=True)
+class DataNVar:
+    name: str
+
+
+@dataclass(frozen=True)
+class DataNOp:
+    name: str
+    args: tuple
+
+
+@dataclass(frozen=True)
+class DataTNVar:
+    name: str
+    ty: TypeExpr
+
+
+@dataclass(frozen=True)
+class DataTNOp:
+    name: str
+    type_args: tuple
+    args: tuple
+
+
+for _cls in (DataNVar, DataNOp, DataTNVar, DataTNOp):
+    _cls.__qualname__ = _cls.__name__[len("Data"):]
+
+
+def as_dataclasses(t):
+    """A copy of a named term made of the frozen dataclasses above."""
+    if isinstance(t, NVar):
+        return DataNVar(t.name)
+    if isinstance(t, TNVar):
+        return DataTNVar(t.name, t.ty)
+    args = tuple((binders, as_dataclasses(body)) for binders, body in t.args)
+    if isinstance(t, NOp):
+        return DataNOp(t.name, args)
+    return DataTNOp(t.name, t.type_args, args)

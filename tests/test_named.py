@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import pickle
 import random
 import time
 from collections import Counter
@@ -44,12 +45,13 @@ from debruijn.gen import (
     random_term,
     random_typed_term,
 )
-from debruijn.model import default_supply_index, fresh_names
+from debruijn.model import _letter_supply, default_supply_index, fresh_names
 from debruijn.signature import OpSchema, TypedArity, TypedSignatureSchema, TypeGrammar
 from debruijn.typed import TypecheckError, degenerate_schema, to_degenerate, typed_to_named
 
 from helpers import (
     app,
+    as_dataclasses,
     debruijn_to_named_direct,
     lam,
     ref_alpha_eq,
@@ -134,6 +136,39 @@ def test_fresh_names():
     assert fresh_names(2, frozenset("abcdefghijklmnopqrstuvwxyz")) == ["a1", "b1"]
     assert fresh_names(0, set()) == []
     assert fresh_names(0, {"a"}) == []
+
+
+def test_fresh_names_are_the_first_names_of_the_letter_supply():
+    supply = list(itertools.islice(_letter_supply(), 200))
+    avoids = [
+        set(), {"a", "c"}, frozenset("abcdefghijklmnopqrstuvwxyz"), set(supply[:80]),
+        set(supply[1::2]), {"x1", "q", "zz", "b2"}, tuple(supply[20:40]),
+    ]
+    for avoid in avoids:
+        for count in range(61):
+            assert fresh_names(count, avoid) == [n for n in supply if n not in avoid][:count]
+
+
+def test_named_nodes_match_the_frozen_dataclasses():
+    """``==``, ``hash``, ``repr``, pickling and ``__match_args__`` of the
+    named nodes are those of the frozen dataclasses they replaced."""
+    rng = random.Random(57)
+    pool = [random_named(rng, 2) for _ in range(60)] + [random_tnamed(rng, 2) for _ in range(60)]
+    pool += [random_named(rng, 5) for _ in range(60)] + [random_tnamed(rng, 5) for _ in range(60)]
+    for t in pool:
+        d = as_dataclasses(t)
+        assert repr(t) == repr(d)
+        assert hash(t) == hash(d)
+        assert pickle.loads(pickle.dumps(t)) == t
+    for _ in range(2000):
+        s, t = rng.choice(pool), rng.choice(pool)
+        assert (s == t) == (as_dataclasses(s) == as_dataclasses(t))
+        assert (s != t) == (as_dataclasses(s) != as_dataclasses(t))
+    assert NVar.__match_args__ == ("name",) and NOp.__match_args__ == ("name", "args")
+    assert TNVar.__match_args__ == ("name", "ty")
+    assert TNOp.__match_args__ == ("name", "type_args", "args")
+    with pytest.raises(AttributeError):
+        NVar("x").name = "y"
 
 
 def test_free_set_is_not_part_of_equality_hash_or_repr():
@@ -763,3 +798,54 @@ def test_deep_to_named_sweep(depth):
     assert same_names(_timed(2 * bound, lambda: typed_to_named(schema, typed_t)), named)
     again = to_named(SIG, t)
     assert _timed(bound, lambda: alpha_eq(named, again))
+
+
+def named_chain(depth: int, binder: str, leaf: str):
+    """``lam [binder] (app t binder)`` nested ``depth`` deep over ``leaf``."""
+    t = NVar(leaf)
+    for _ in range(depth):
+        t = NOp("lam", (((binder,), NOp("app", (((), t), ((), NVar(binder))))),))
+    return t
+
+
+def tnamed_chain(depth: int, binder: str, leaf: str):
+    """The typed ``named_chain``, every name at type ``A``."""
+    t = TNVar(leaf, A)
+    for _ in range(depth):
+        app_ = TNOp("app", (A, A), (((), t), ((), TNVar(binder, A))))
+        t = TNOp("lam", (A, A), ((((binder, A),), app_),))
+    return t
+
+
+@pytest.mark.parametrize("depth", [1_000, 10_000, 100_000], ids=["d1k", "d10k", "d100k"])
+def test_deep_named_subst(depth):
+    """``named_subst`` takes terms 100 000 binders deep whose map holds a
+    free name, each call in time linear in the depth."""
+    bound = 1.0 + depth * 50e-6
+    t, tt = named_chain(depth, "a", "x0"), tnamed_chain(depth, "a", "x0")
+    out = _timed(bound, lambda: named_subst(t, {"x0": NVar("y")}))
+    assert out == named_chain(depth, "a", "y")
+    # the image's name is every binder's: each is renamed, to b
+    out = _timed(bound, lambda: named_subst(t, {"x0": NVar("a")}))
+    assert out == named_chain(depth, "b", "a")
+    out = _timed(bound, lambda: named_subst(tt, {("x0", A): TNVar("a", A)}))
+    assert out == tnamed_chain(depth, "b", "a")
+    # a name free at another type captures nothing
+    assert _timed(bound, lambda: named_subst(tt, {("x0", B): TNVar("a", A)})) is tt
+
+
+@pytest.mark.parametrize("depth", [1_000, 10_000, 100_000], ids=["d1k", "d10k", "d100k"])
+def test_deep_named_eq_hash_and_repr_sweep(depth):
+    """``==``, ``hash`` and ``repr`` of named and typed named terms 100 000
+    binders deep, each call in time linear in the depth; the repr is the
+    frozen dataclass's, level for level."""
+    bound = 1.0 + depth * 50e-6
+    for chain in (named_chain, tnamed_chain):
+        a, b, other = chain(depth, "a", "x0"), chain(depth, "a", "x0"), chain(depth, "a", "x1")
+        assert _timed(bound, lambda: a == b)
+        assert not _timed(bound, lambda: a == other)
+        assert _timed(bound, lambda: a != other)
+        assert _timed(bound, lambda: hash(a)) == _timed(bound, lambda: hash(b))
+        leaf = repr(chain(0, "a", "x0"))
+        prefix, suffix = repr(as_dataclasses(chain(1, "a", "x0"))).split(leaf)
+        assert _timed(bound, lambda: repr(a)) == prefix * depth + leaf + suffix * depth

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import random
 import time
 
@@ -34,6 +35,7 @@ from debruijn import (
     parse_theory_file,
     parse_type,
     print_assignment,
+    print_json,
     print_signature,
     print_term,
     term_from_json,
@@ -43,7 +45,7 @@ from debruijn import (
 from debruijn import surface
 from debruijn.gen import random_assignment, random_term
 
-from helpers import app, lam, ref_parse, ref_tokenize
+from helpers import app, lam, ref_parse, ref_term_from_json, ref_tokenize
 
 SIG = lambda_signature()
 
@@ -171,6 +173,60 @@ def test_json_round_trip():
     for _ in range(200):
         t = random_term(SIG, rng)
         assert term_from_json(term_to_json(t)) == t
+
+
+# operation names that json.dumps escapes: quotes, backslashes, control
+# characters, non-ASCII text and a surrogate pair
+JSON_NAMES = ("lam", "app", 'q"uote', "back\\slash", "tab\tnl\n\x00", "λ", "snow☃", "\U0001d11e", "")
+
+
+def _named_ops(rng: random.Random, depth: int):
+    if depth <= 0 or rng.random() < 0.25:
+        return Var(rng.randrange(6))
+    return Op(rng.choice(JSON_NAMES), tuple(_named_ops(rng, depth - 1) for _ in range(rng.randrange(4))))
+
+
+def test_print_json_is_json_dumps_of_term_to_json():
+    rng = random.Random(71)
+    for _ in range(400):
+        t = random_term(SIG, rng) if rng.random() < 0.5 else _named_ops(rng, 6)
+        assert print_json(t) == json.dumps(term_to_json(t), separators=(", ", ": "))
+    assert print_json(Op("c", ())) == '{"op": "c", "args": []}'
+    assert print_json(Var(3)) == '{"var": 3}'
+    with pytest.raises(TypeError):
+        print_json(lam("not a term"))
+
+
+def test_term_from_json_matches_the_recursive_one():
+    rng = random.Random(72)
+    for _ in range(400):
+        t = random_term(SIG, rng) if rng.random() < 0.5 else _named_ops(rng, 6)
+        data = json.loads(json.dumps(term_to_json(t)))
+        assert term_from_json(data) == ref_term_from_json(data) == t
+
+
+@pytest.mark.parametrize("data", [
+    {"var": True},
+    {"var": 0, "op": "c"},
+    {"op": "lam", "args": [{"var": 0}], "x": 1},
+    {"op": "lam", "args": ({"var": 0},)},
+    {"op": "lam", "args": {"var": 0}},
+    {"op": "lam", "args": [[{"var": 0}]]},
+    {"op": "app", "args": [{"var": 0}, {"var": False}]},
+    {"op": "lam", "args": [{"op": "lam", "args": [{"var": 1, "y": 2}]}]},
+    [{"var": 0}],
+    "lam",
+    None,
+], ids=[
+    "var-bool", "extra-key", "op-extra-key", "args-tuple", "args-dict", "arg-list",
+    "late-bool", "deep-extra-key", "list", "str", "none",
+])
+def test_term_from_json_rejects_what_the_recursive_one_does(data):
+    with pytest.raises(ValueError) as want:
+        ref_term_from_json(data)
+    with pytest.raises(ValueError) as got:
+        term_from_json(data)
+    assert str(got.value) == str(want.value)
 
 
 # --- signature files ----------------------------------------------------
@@ -666,8 +722,8 @@ def test_deep_repr(depth):
 
 @pytest.mark.parametrize("depth", [1_000, 10_000, 100_000], ids=["d1k", "d10k", "d100k"])
 def test_deep_terms_read_and_print(depth):
-    """Every reader, ``print_term``, ``term_to_json`` and ``from_named``
-    take terms 100 000 binders deep, each call in time linear in the depth."""
+    """Every reader, ``print_term``, both JSON converters, ``print_json``
+    and ``from_named`` take terms 100 000 binders deep, each call in time linear in the depth."""
     bound = 1.0 + depth * 50e-6
     t, n, typed = _deep_chains(depth)
     text = _timed(bound, lambda: print_term(t))
@@ -679,6 +735,12 @@ def test_deep_terms_read_and_print(depth):
         assert body["op"] == "app" and body["args"][1] == {"var": 0}
         js = body["args"][0]
     assert js == {"var": depth}
+    json_text = _timed(bound, lambda: print_json(t))
+    assert json_text == (
+        '{"op": "lam", "args": [{"op": "app", "args": [' * depth + f'{{"var": {depth}}}'
+        + ', {"var": 0}]}]}' * depth
+    )
+    assert _timed(bound, lambda: term_from_json(term_to_json(t))) == t
     assert _timed(bound, lambda: parse_term(text, sig=SIG)) == t
     named = _timed(bound, lambda: print_term(n))
     assert named == "(lam [a] (app " * depth + "x0" + " a))" * depth
