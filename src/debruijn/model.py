@@ -28,7 +28,7 @@ from typing import Any, Callable, Optional
 
 from .signature import BindingSignature, TypeExpr
 from .subst import IDENTITY, NAT, Assignment, at, compose_with, lift_with, subst
-from .term import Term, Var, Op, fold, gc_paused
+from .term import Term, Var, Op, _memoize, fold, gc_paused
 
 
 # A model's assignments are the one finite ``Assignment``, with the model's
@@ -91,82 +91,23 @@ def nat_monad() -> DeBruijnMonad:
 
 
 class NamedTerm(Term):
-    """Base of the named node classes, on the nameless nodes' slotted
-    frozen base.  ``==``, ``hash``, ``repr`` and ``__reduce__`` are those of
-    frozen dataclasses over each class's ``_fields``, written once here:
-    ``==`` and ``repr`` walk an explicit stack, and the hash is memoized
-    bottom-up, so deep terms compare, hash and print without recursion.
+    """Base of the named node classes, on the nodes' slotted frozen base,
+    whose arguments are (binders, body) pairs.
 
     A variable's key (``_key``) is its name, or its (name, type) pair when
     typed; a binder declaration is a key, and it binds exactly the
-    variables of its key.  ``free``, the keys free in a node, and ``_hash``
-    are memos, filled on first read for the node and each node below it
-    that lacks one; they take no part in ==, hash or repr.  The hooks on
+    variables of its key.  ``free``, the keys free in a node, is a memo
+    like ``_hash``, filled on first read for the node and each node below
+    it that lacks one; it takes no part in ==, hash or repr.  The hooks on
     the operation classes are all that tells sorts apart."""
 
-    __slots__ = ("free", "_hash")
+    __slots__ = ("free",)
+    _pairs = True
 
     def __getattr__(self, name):  # only an unset memo gets here
         if name == "free":
-            return _memoize(self, _free_memo, _free_of)
-        if name == "_hash":
-            return _memoize(self, _hash_memo, _hash_of)
+            return _memoize(self, NamedTerm.free, _free_of)
         raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        stack = [(self, other)]
-        pop, push = stack.pop, stack.append
-        while stack:
-            x, y = pop()
-            if x is y:
-                continue
-            kind = x.__class__
-            if y.__class__ is not kind:
-                return False
-            if kind is NVar or kind is TNVar:
-                if kind._key(x) != kind._key(y):
-                    return False
-            elif x.name != y.name or x.type_args != y.type_args or len(x.args) != len(y.args):
-                return False
-            else:
-                for (bx, tx), (by, ty) in zip(x.args, y.args):
-                    if bx != by:
-                        return False
-                    push((tx, ty))
-        return True
-
-    def __hash__(self):
-        return self._hash
-
-    def __repr__(self):
-        out, stack = [], [self]
-        while stack:
-            node = stack.pop()
-            if type(node) is str:
-                out.append(node)
-                continue
-            kind = type(node)
-            is_var = kind is NVar or kind is TNVar
-            fields = ", ".join(
-                f"{f}={getattr(node, f)!r}" for f in (kind._fields if is_var else kind._fields[:-1])
-            )
-            if is_var:
-                out.append(f"{kind.__name__}({fields})")
-                continue
-            args = node.args
-            out.append(f"{kind.__name__}({fields}, args=(")
-            stack.append(",))" if len(args) == 1 else "))")
-            for i in range(len(args) - 1, -1, -1):
-                binders, body = args[i]
-                stack += ")", body, f"({binders!r}, "
-                if i:
-                    stack.append(", ")
-        return "".join(out)
-
-    def __reduce__(self):
-        return type(self), tuple(getattr(self, f) for f in self._fields)
 
 
 class NVar(NamedTerm):
@@ -237,49 +178,17 @@ class TNOp(NamedTerm):
 
 
 # named nodes are frozen: their slots are set through the slot descriptors
-_free_memo, _hash_memo = NamedTerm.free, NamedTerm._hash
 _nvar_name, _nop_name, _nop_args, _tnvar_name, _tnvar_ty, _tnop_name, _tnop_type_args, _tnop_args = (
     d.__set__ for d in (NVar.name, NOp.name, NOp.args, TNVar.name, TNVar.ty,
                         TNOp.name, TNOp.type_args, TNOp.args))
-
-
-@gc_paused
-def _memoize(t: NamedTerm, memo, value: Callable):
-    """``value(node)`` stored in the slot ``memo`` of ``t`` and of each node
-    below it without one, children first, so that ``value`` may read the
-    children's memos: one walk with an explicit stack.  A variable is
-    stored when it is reached, at least as cheap as testing its slot."""
-    get, put = memo.__get__, memo.__set__
-    nodes, done = [t], [False]  # done: the node's arguments are memoized
-    while nodes:
-        node = nodes.pop()
-        if done.pop():
-            put(node, value(node))
-            continue
-        kind = type(node)
-        if kind is not NOp and kind is not TNOp:
-            put(node, value(node))
-            continue
-        try:
-            get(node)
-            continue  # memoized, and so is everything below it
-        except AttributeError:
-            pass
-        nodes.append(node)
-        done.append(True)
-        for _, body in node.args:
-            nodes.append(body)
-            done.append(False)
-    return get(t)
 
 
 def _free_of(t: NamedTerm) -> frozenset:
     """The keys free in ``t``, from its arguments' memos: the union over
     ``(binders, body)`` pairs of the body's free set minus its binders; a
     lone body's set is shared when it binds none of it."""
-    kind = type(t)
-    if kind is NVar or kind is TNVar:
-        return frozenset((kind._key(t),))
+    if t._key is not None:
+        return frozenset((t._key(t),))
     sets = []
     for binders, body in t.args:
         fv = body.free
@@ -289,12 +198,6 @@ def _free_of(t: NamedTerm) -> frozenset:
     if len(sets) == 1:
         return sets[0]
     return frozenset().union(*sets)
-
-
-def _hash_of(t: NamedTerm) -> int:
-    """The frozen dataclass's hash, of the tuple of ``t``'s fields; the
-    tuple hash reads the arguments' memos."""
-    return hash(tuple([getattr(t, f) for f in t._fields]))
 
 
 def free_names(t: NamedTerm) -> frozenset:
@@ -438,9 +341,8 @@ def named_subst(t: NamedTerm, mapping: dict) -> NamedTerm:
         if entries.keys().isdisjoint(node.free):
             values.append(node)
             continue
-        kind = type(node)
-        if kind is not NOp and kind is not TNOp:  # a variable
-            values.append(entries[kind._key(node)])
+        if node._key is not None:  # a variable
+            values.append(entries[node._key(node)])
             continue
         groups, bodies = [], []
         for binders, body in node.args:

@@ -89,6 +89,11 @@ _TOKEN_RE = re.compile(
 _KINDS = {p: p for p in "()[]{};,:^=?#"} | {"->": "arrow", "|-": "turnstile", "": "eof"}
 _DIGITS = frozenset("0123456789")
 _IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+# How deep arrows, parentheses and constructor arguments nest in a written
+# type.  The walks over types recurse (``TypeGrammar.wellformed``, ``==``,
+# ``str``, instantiation); ``==``, the deepest, takes about four frames a
+# level, so at this depth they keep clear of the default limit of 1 000.
+MAX_TYPE_NESTING = 200
 
 
 def _kind(tok: str) -> str:
@@ -124,6 +129,7 @@ class _Parser:
         self.toks.append("")
         self.pos = 0
         self.cut = 0
+        self.nesting = 0  # the open type expressions
 
     def peek(self) -> str:
         tok = self.toks[self.pos]
@@ -185,10 +191,16 @@ class _Parser:
     # -- types ----------------------------------------------------------
 
     def type_expr(self) -> TypeExpr:
-        left = self.type_atom()
+        """``atom -> type``, nested at most ``MAX_TYPE_NESTING`` deep, a
+        level per arrow, parenthesis and constructor argument."""
+        if self.nesting == MAX_TYPE_NESTING:
+            _fail(f"type nested more than {MAX_TYPE_NESTING} levels deep", self.span())
+        self.nesting += 1
+        ty = self.type_atom()
         if self.accept("arrow"):
-            return TypeExpr("->", (left, self.type_expr()))
-        return left
+            ty = TypeExpr("->", (ty, self.type_expr()))
+        self.nesting -= 1
+        return ty
 
     def type_atom(self) -> TypeExpr:
         if self.accept("("):

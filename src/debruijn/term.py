@@ -12,19 +12,26 @@ from dataclasses import FrozenInstanceError
 from functools import wraps
 from gc import disable, enable, isenabled
 from math import inf
-from operator import is_not
+from operator import attrgetter, is_not
 from typing import Callable
 
 from .signature import BindingSignature, first_order_arity
 
 
 class Term:
-    """Base of the node classes: ``Var`` and ``Op`` here, and the named
-    ones of :mod:`debruijn.model`.  Nodes are immutable, with the ``==``,
-    ``hash`` and ``repr`` of frozen dataclasses, but slotted: no per-node
-    ``__dict__``, and room for the index bound and the memos."""
+    """Base of every node class: ``Var`` and ``Op`` here, ``TVar`` and
+    ``TOp`` of :mod:`debruijn.typed` and the named ones of
+    :mod:`debruijn.model`.  Nodes are immutable and slotted, with the
+    ``==``, ``hash``, ``repr`` and pickling of frozen dataclasses over each
+    class's ``_fields``, written once here without recursion.  A variable
+    class's ``_key`` reads its fields; an operation class has ``name``,
+    ``type_args`` and ``args``, each argument a subterm, or a (binders,
+    body) pair where the class sets ``_pairs``.  ``_hash`` is a memo: the
+    first ``hash`` fills it for the node and each node below it without one."""
 
-    __slots__ = ()
+    __slots__ = ("_hash",)
+    _key = None
+    _pairs = False
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field '{name}'")
@@ -32,28 +39,106 @@ class Term:
     def __delattr__(self, name):
         raise FrozenInstanceError(f"cannot delete field '{name}'")
 
+    def __eq__(self, other):
+        """Structural equality, with an explicit stack of operation pairs:
+        deep terms compare without recursion.  Nameless operations of
+        unequal bound differ at once; the arguments of each pair are
+        compared in one inner loop, variables in place."""
+        kind = self.__class__
+        if other.__class__ is not kind:
+            return NotImplemented
+        if self is other:
+            return True
+        if kind is Var:
+            return self.index == other.index
+        if kind._key is not None:
+            return kind._key(self) == kind._key(other)
+        stack = [(self, other)]
+        pop, push = stack.pop, stack.append
+        while stack:
+            x, y = pop()
+            if x.__class__ is Op:
+                if x._top != y._top or x.name != y.name or len(x.args) != len(y.args):
+                    return False
+                for a, b in zip(x.args, y.args):
+                    if a is b:
+                        pass
+                    elif type(a) is Var and type(b) is Var:
+                        if a.index != b.index:
+                            return False
+                    elif type(a) is Op and type(b) is Op:
+                        push((a, b))
+                    elif a != b:  # a variable and an operation, or metavariables
+                        return False
+                continue
+            if x.name != y.name or x.type_args != y.type_args or len(x.args) != len(y.args):
+                return False
+            pairs = x._pairs
+            for a, b in zip(x.args, y.args):
+                if pairs:  # (binders, body)
+                    if a[0] != b[0]:
+                        return False
+                    a, b = a[1], b[1]
+                if a is b:
+                    pass
+                elif a.__class__ is not b.__class__ or not isinstance(a, Term):
+                    if a != b:
+                        return False
+                elif a._key is not None:  # variables of one class
+                    if a._key(a) != a._key(b):
+                        return False
+                else:
+                    push((a, b))
+        return True
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:  # not memoized yet
+            return _memoize(self, Term._hash, _hash_of)
+
+    def __repr__(self):
+        """The frozen dataclass's repr, on an explicit stack of nodes and
+        text: deep terms render without recursion."""
+        out, stack = [], [self]
+        while stack:
+            node = stack.pop()
+            if type(node) is str:
+                out.append(node)
+                continue
+            kind = type(node)
+            head = ", ".join(f"{f}={getattr(node, f)!r}" for f in kind._fields if f != "args")
+            if kind._key is not None:
+                out.append(f"{kind.__name__}({head})")
+                continue
+            out.append(f"{kind.__name__}({head}, args=(")
+            args = node.args
+            stack.append(",))" if len(args) == 1 else "))")
+            for i in range(len(args) - 1, -1, -1):
+                a = args[i]
+                if kind._pairs:  # (binders, body)
+                    stack += ")", a[1], f"({a[0]!r}, "
+                else:
+                    stack.append(a if isinstance(a, Term) else repr(a))
+                if i:
+                    stack.append(", ")
+        return "".join(out)
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self._fields)
+
 
 class Var(Term):
     __slots__ = ("index", "_top")
-    __match_args__ = ("index",)
+    __match_args__ = _fields = ("index",)
+    _key = attrgetter("index")
+    # Term's, also in Var's and Op's own dicts, where perfbench's tracer
+    # wraps them
+    __eq__, __hash__ = Term.__eq__, Term.__hash__
 
     def __init__(self, index: int):
         _var_index(self, index)
         _var_top(self, index + 1)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.index == other.index
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.index,))
-
-    def __repr__(self):
-        return f"Var(index={self.index!r})"
-
-    def __reduce__(self):
-        return Var, (self.index,)
 
 
 class Op(Term):
@@ -63,7 +148,9 @@ class Op(Term):
     object ``_sig``; only :func:`support` writes them."""
 
     __slots__ = ("name", "args", "_sig", "_sup", "_top")
-    __match_args__ = ("name", "args")
+    __match_args__ = _fields = ("name", "args")
+    type_args = ()
+    __eq__, __hash__ = Term.__eq__, Term.__hash__
 
     def __init__(self, name: str, args: tuple[Term, ...]):
         args = tuple(args)
@@ -78,55 +165,6 @@ class Op(Term):
         _op_args(self, args)
         _op_sig(self, None)
         _op_top(self, top)
-
-    def __eq__(self, other):
-        """Structural equality, with an explicit stack: deep terms compare
-        without recursion, and nodes of unequal bound differ at once."""
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        if self is other:
-            return True
-        stack = [(self, other)]
-        pop, push = stack.pop, stack.append
-        while stack:
-            x, y = pop()
-            if x._top != y._top or x.name != y.name or len(x.args) != len(y.args):
-                return False
-            for a, b in zip(x.args, y.args):
-                if a is b:
-                    pass
-                elif type(a) is Var and type(b) is Var:
-                    if a.index != b.index:
-                        return False
-                elif type(a) is Op and type(b) is Op:
-                    push((a, b))
-                elif a != b:  # a variable and an operation, or metavariables
-                    return False
-        return True
-
-    def __hash__(self):
-        return hash((self.name, self.args))
-
-    def __repr__(self):
-        """The dataclass repr, on an explicit stack of operation nodes and
-        text: deep terms render without recursion."""
-        out, stack = [], [self]
-        while stack:
-            node = stack.pop()
-            if type(node) is str:
-                out.append(node)
-                continue
-            args = node.args
-            out.append(f"Op(name={node.name!r}, args=(")
-            stack.append(",))" if len(args) == 1 else "))")
-            for i in range(len(args) - 1, -1, -1):
-                stack.append(args[i] if type(args[i]) is Op else repr(args[i]))
-                if i:
-                    stack.append(", ")
-        return "".join(out)
-
-    def __reduce__(self):
-        return Op, (self.name, self.args)
 
 
 # nodes are frozen: their slots are set through the slot descriptors
@@ -151,6 +189,43 @@ def gc_paused(walk: Callable) -> Callable:
         finally:
             enable()
     return paused
+
+
+@gc_paused
+def _memoize(t: Term, memo, value: Callable):
+    """``value(node)`` stored in the slot ``memo`` of ``t`` and of each node
+    below it without one, children first, so that ``value`` may read the
+    children's memos: one walk with an explicit stack.  A variable is
+    stored when it is reached, at least as cheap as testing its slot; an
+    argument that is not a term is left to ``value``."""
+    get, put = memo.__get__, memo.__set__
+    nodes, done = [t], [False]  # done: the node's arguments are memoized
+    while nodes:
+        node = nodes.pop()
+        kind = type(node)
+        if done.pop() or kind._key is not None:
+            put(node, value(node))
+            continue
+        try:
+            get(node)
+            continue  # memoized, and so is everything below it
+        except AttributeError:
+            pass
+        nodes.append(node)
+        done.append(True)
+        for a in node.args:
+            if kind._pairs:
+                a = a[1]
+            if isinstance(a, Term):
+                nodes.append(a)
+                done.append(False)
+    return get(t)
+
+
+def _hash_of(t: Term) -> int:
+    """The frozen dataclass's hash, of the tuple of ``t``'s fields; the
+    tuple hash reads the arguments' memos."""
+    return hash(tuple([getattr(t, f) for f in t._fields]))
 
 
 def wellformed(sig: BindingSignature, t: Term) -> list[str]:

@@ -33,29 +33,38 @@ from .signature import (
     instantiate_schema,
 )
 from .subst import IDENTITY, Assignment, at, compose_with, lift_with
-from .term import Var, Op, fold_nodes, gc_paused
+from .term import Term, Var, Op, fold_nodes, gc_paused
 
 
-@dataclass(frozen=True)
-class TypedTerm:
-    pass
+class TypedTerm(Term):
+    """Base of the typed node classes."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class TVar(TypedTerm):
-    index: int
-    ty: TypeExpr
+    __slots__ = ("index", "ty")
+    __match_args__ = _fields = ("index", "ty")
+    _key = attrgetter("index", "ty")
+
+    def __init__(self, index: int, ty: TypeExpr):
+        _tvar_index(self, index)
+        _tvar_ty(self, ty)
 
 
-@dataclass(frozen=True)
 class TOp(TypedTerm):
-    name: str
-    type_args: tuple[TypeExpr, ...]
-    args: tuple[TypedTerm, ...]
+    __slots__ = ("name", "type_args", "args")
+    __match_args__ = _fields = ("name", "type_args", "args")
 
-    def __post_init__(self):
-        object.__setattr__(self, "type_args", tuple(self.type_args))
-        object.__setattr__(self, "args", tuple(self.args))
+    def __init__(self, name: str, type_args: tuple[TypeExpr, ...], args: tuple[TypedTerm, ...]):
+        _top_name(self, name)
+        _top_type_args(self, tuple(type_args))
+        _top_args(self, tuple(args))
+
+
+# typed nodes are frozen: their slots are set through the slot descriptors
+_tvar_index, _tvar_ty, _top_name, _top_type_args, _top_args = (
+    d.__set__ for d in (TVar.index, TVar.ty, TOp.name, TOp.type_args, TOp.args))
 
 
 def _tvar(ty: TypeExpr) -> Callable[[int], TVar]:

@@ -981,9 +981,9 @@ def ref_term_from_json(data):
     raise ValueError(f"not a JSON term: {data!r}")
 
 
-# The named node classes as they were first written: frozen dataclasses,
-# whose ==, hash and repr recurse through their fields.  Each takes its
-# original's qualified name, which the dataclass repr prints.
+# The named and typed node classes as they were first written: frozen
+# dataclasses, whose ==, hash and repr recurse through their fields.  Each
+# takes its original's qualified name, which the dataclass repr prints.
 @dataclass(frozen=True)
 class DataNVar:
     name: str
@@ -1008,12 +1008,33 @@ class DataTNOp:
     args: tuple
 
 
-for _cls in (DataNVar, DataNOp, DataTNVar, DataTNOp):
+@dataclass(frozen=True)
+class DataTVar:
+    index: int
+    ty: TypeExpr
+
+
+@dataclass(frozen=True)
+class DataTOp:
+    name: str
+    type_args: tuple
+    args: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "type_args", tuple(self.type_args))
+        object.__setattr__(self, "args", tuple(self.args))
+
+
+for _cls in (DataNVar, DataNOp, DataTNVar, DataTNOp, DataTVar, DataTOp):
     _cls.__qualname__ = _cls.__name__[len("Data"):]
 
 
 def as_dataclasses(t):
-    """A copy of a named term made of the frozen dataclasses above."""
+    """A copy of a named or typed term made of the frozen dataclasses above."""
+    if isinstance(t, TVar):
+        return DataTVar(t.index, t.ty)
+    if isinstance(t, TOp):
+        return DataTOp(t.name, t.type_args, tuple(as_dataclasses(a) for a in t.args))
     if isinstance(t, NVar):
         return DataNVar(t.name)
     if isinstance(t, TNVar):

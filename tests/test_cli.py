@@ -8,6 +8,7 @@ import time
 import pytest
 
 from debruijn.cli import main
+from debruijn.surface import MAX_TYPE_NESTING
 
 LAMBDA_SIG = """\
 signature lambda {
@@ -60,6 +61,22 @@ def test_sig_check_parse_error(tmp_path, capsys):
     p.write_text("signature s { op f (0); }")
     assert main(["sig", "check", str(p)]) == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("nesting", ["arrows", "parentheses"])
+def test_sig_check_of_a_type_2000_levels_deep_exits_2(tmp_path, capsys, nesting):
+    """The parser bounds type nesting, so the deep type is a parse error
+    at the token past the bound, not an internal error."""
+    premise = "a -> " * 2000 + "a" if nesting == "arrows" else "(" * 2000 + "a" + ")" * 2000
+    p = tmp_path / "deep.sig"
+    p.write_text(f"types {{ a; }}\nsignature s {{\n  op f [] : (|- {premise}) -> a;\n}}\n")
+    assert main(["sig", "check", str(p)]) == 2
+    column = 17 + MAX_TYPE_NESTING * (5 if nesting == "arrows" else 1)
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.strip().endswith(
+        f"3:{column}: error: type nested more than {MAX_TYPE_NESTING} levels deep"
+    )
 
 
 def test_sig_check_missing_file(capsys):

@@ -50,6 +50,7 @@ from debruijn.signature import OpSchema, TypedArity, TypedSignatureSchema, TypeG
 from debruijn.typed import TypecheckError, degenerate_schema, to_degenerate, typed_to_named
 
 from helpers import (
+    RecursiveReprOp,
     app,
     as_dataclasses,
     debruijn_to_named_direct,
@@ -834,18 +835,41 @@ def test_deep_named_subst(depth):
     assert _timed(bound, lambda: named_subst(tt, {("x0", B): TNVar("a", A)})) is tt
 
 
+def op_chain(depth: int, leaf: int):
+    """``lam (app t 0)`` nested ``depth`` deep over ``Var(leaf)``, every
+    node built anew."""
+    t = Var(leaf)
+    for _ in range(depth):
+        t = lam(app(t, Var(0)))
+    return t
+
+
+def top_chain(depth: int, leaf: int):
+    """The typed ``op_chain``, every variable at type ``A``."""
+    t = TVar(leaf, A)
+    for _ in range(depth):
+        t = TOp("lam", (A, A), (TOp("app", (A, A), (t, TVar(0, A))),))
+    return t
+
+
 @pytest.mark.parametrize("depth", [1_000, 10_000, 100_000], ids=["d1k", "d10k", "d100k"])
 def test_deep_named_eq_hash_and_repr_sweep(depth):
-    """``==``, ``hash`` and ``repr`` of named and typed named terms 100 000
-    binders deep, each call in time linear in the depth; the repr is the
-    frozen dataclass's, level for level."""
+    """``==``, ``hash`` and ``repr`` of named, typed named, nameless and
+    typed terms 100 000 binders deep, each call in time linear in the
+    depth; the repr is the frozen dataclass's, level for level."""
     bound = 1.0 + depth * 50e-6
-    for chain in (named_chain, tnamed_chain):
-        a, b, other = chain(depth, "a", "x0"), chain(depth, "a", "x0"), chain(depth, "a", "x1")
+    chains = (  # (chain over leaf 1 or 2, the oracle of its repr)
+        (lambda depth, k: named_chain(depth, "a", f"x{k}"), as_dataclasses),
+        (lambda depth, k: tnamed_chain(depth, "a", f"x{k}"), as_dataclasses),
+        (op_chain, RecursiveReprOp),
+        (top_chain, as_dataclasses),
+    )
+    for chain, oracle in chains:
+        a, b, other = chain(depth, 1), chain(depth, 1), chain(depth, 2)
         assert _timed(bound, lambda: a == b)
         assert not _timed(bound, lambda: a == other)
         assert _timed(bound, lambda: a != other)
         assert _timed(bound, lambda: hash(a)) == _timed(bound, lambda: hash(b))
-        leaf = repr(chain(0, "a", "x0"))
-        prefix, suffix = repr(as_dataclasses(chain(1, "a", "x0"))).split(leaf)
+        leaf = repr(chain(0, 1))
+        prefix, suffix = repr(oracle(chain(1, 1))).split(leaf)
         assert _timed(bound, lambda: repr(a)) == prefix * depth + leaf + suffix * depth

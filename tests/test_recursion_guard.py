@@ -13,7 +13,8 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "debruijn"
 
-# module.function, or module.Class.method and module.outer.inner
+# module.function, or module.Class.method and module.outer.inner; a type
+# that the parser reads nests at most surface.MAX_TYPE_NESTING (200) deep
 BOUNDED = {
     # the generator's max_depth, or the size of the sample it shrinks
     "gen._random_term",

@@ -22,6 +22,7 @@ from debruijn import (
     Renaming,
     TOp,
     TVar,
+    TypeGrammar,
     Var,
     alpha_eq,
     arrow,
@@ -44,6 +45,7 @@ from debruijn import (
 )
 from debruijn import surface
 from debruijn.gen import random_assignment, random_term
+from debruijn.signature import _subst_type
 
 from helpers import app, lam, ref_parse, ref_term_from_json, ref_tokenize
 
@@ -131,6 +133,38 @@ def test_parse_type():
     assert parse_type("a -> a -> b") == arrow(a, arrow(a, b))
     assert parse_type("(a -> a) -> b") == arrow(arrow(a, a), b)
     assert parse_type("list(a)") == __import__("debruijn").TypeExpr("list", (a,))
+
+
+def _nested_types(n: int) -> dict[str, str]:
+    """Types written ``n`` levels deep: arrows, parentheses, constructor
+    arguments, and left-nested arrows, a level per parenthesis and one for
+    the innermost arrow's right side."""
+    return {
+        "arrows": "a -> " * (n - 1) + "a",
+        "parentheses": "(" * (n - 1) + "a" + ")" * (n - 1),
+        "constructors": "pair(a, " * (n - 1) + "a" + ")" * (n - 1),
+        "left arrows": "(" * (n - 2) + "a" + " -> a)" * (n - 2),
+    }
+
+
+def test_type_nesting_is_bounded():
+    """A type nested ``MAX_TYPE_NESTING`` levels deep parses, and the walks
+    over types that recurse take it; one level more is a parse error at
+    the token that opens it."""
+    n = surface.MAX_TYPE_NESTING
+    grammar = TypeGrammar({"a": 0, "b": 0, "pair": 2, "->": 2})
+    for text in _nested_types(n).values():
+        ty = parse_type(text)
+        assert grammar.wellformed(ty) == []
+        assert _subst_type(ty, {"a": base("b")}) != ty
+        assert parse_type(str(ty)) == ty
+        assert parse_type(text) == ty and not parse_type(text) != ty
+    # where level n + 1 opens
+    starts = {"arrows": 5 * n, "parentheses": n, "constructors": 8 * (n - 1) + 5, "left arrows": n + 4}
+    for kind, text in _nested_types(n + 1).items():
+        with pytest.raises(ParseError, match=f"type nested more than {n} levels deep") as e:
+            parse_type(text)
+        assert e.value.diagnostics[0].span.start == starts[kind]
 
 
 # --- literals -----------------------------------------------------------

@@ -4,8 +4,11 @@ signature built from application binary trees."""
 
 from __future__ import annotations
 
+import pickle
 import random
 import time
+from dataclasses import FrozenInstanceError
+from functools import partial
 
 import pytest
 
@@ -51,7 +54,7 @@ from debruijn.gen import (
 )
 from debruijn.typed import op_arity, typed_assignment_at
 
-from helpers import app, lam, ref_typecheck, same_term
+from helpers import DataTOp, DataTVar, app, as_dataclasses, lam, ref_typecheck, same_term
 
 SCH = stlc_schema({"a"})
 SCH2 = stlc_schema({"a", "b"})
@@ -64,6 +67,39 @@ def tlam(s, t, body):
 
 def tapp(s, t, fn, arg):
     return TOp("app", (s, t), (fn, arg))
+
+
+# --- nodes ----------------------------------------------------------------
+
+
+def test_typed_nodes_match_the_frozen_dataclasses():
+    """``==``, ``hash``, ``repr``, pickling, keyword construction, frozen
+    fields and ``__match_args__`` of the typed nodes are those of the frozen
+    dataclasses they replaced."""
+    rng = random.Random(61)
+    types = ground_types(SCH2.grammar)
+    pool = [random_typed_term(SCH2, rng, rng.choice(types), max_depth=d) for d in (2, 5) * 60]
+    pool += [pickle.loads(pickle.dumps(t)) for t in pool[::4]]  # equal, unshared
+    for t in pool:
+        d = as_dataclasses(t)
+        assert repr(t) == repr(d)
+        assert hash(t) == hash(d)
+        assert pickle.loads(pickle.dumps(t)) == t
+    for _ in range(2000):
+        s, t = rng.choice(pool), rng.choice(pool)
+        assert (s == t) == (as_dataclasses(s) == as_dataclasses(t))
+        assert (s != t) == (as_dataclasses(s) != as_dataclasses(t))
+    assert TVar.__match_args__ == DataTVar.__match_args__ == ("index", "ty")
+    assert TOp.__match_args__ == DataTOp.__match_args__ == ("name", "type_args", "args")
+    made = TOp(name="app", type_args=[A, A], args=[TVar(index=1, ty=A), partial(TVar, ty=A)(0)])
+    assert made == TOp("app", (A, A), (TVar(1, A), TVar(0, A)))
+    assert repr(made) == repr(DataTOp("app", [A, A], [DataTVar(1, A), DataTVar(0, A)]))
+    for node, field in ((made, "args"), (TVar(0, A), "index"), (DataTVar(0, A), "index")):
+        with pytest.raises(FrozenInstanceError, match=f"cannot assign to field '{field}'"):
+            setattr(node, field, ())
+        with pytest.raises(FrozenInstanceError, match=f"cannot delete field '{field}'"):
+            delattr(node, field)
+    assert TVar(0, A) != DataTVar(0, A) and TVar(0, A) != Var(0)
 
 
 # --- typechecking -------------------------------------------------------
