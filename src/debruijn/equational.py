@@ -22,7 +22,7 @@ from .gen import random_assignment, random_term
 from .model import DBAlgebra, Report, named_model, term_model, to_named
 from .model import _binding_law, _binding_sampler, _naturality_law, _run_law
 from .subst import Assignment
-from .term import Term, Var, Op, map_free_vars, support
+from .term import Term, Var, Op, gc_paused, map_free_vars, support
 
 
 @dataclass(frozen=True)
@@ -131,41 +131,131 @@ def _check_metaterm(mt: MetaTerm, sig: BindingSignature, metavars: int):
     return errs, msg
 
 
-def eval_metaterm(algebra: DBAlgebra, env: list, mt: MetaTerm):
-    """Evaluate a metaterm in a model under an environment for its
-    metavariables, on one explicit stack.  Interpretations are looked up
-    before their arguments, prefixes evaluated before their bodies, and
-    arguments that are all metavariables read at once."""
-    var, substitution = algebra.variables, algebra.substitution
-    nodes, done, values = [mt], [False], []  # done: the node's arguments are evaluated
+# --- compiled rule sides -------------------------------------------------
+
+# The codes of the steps a side compiles to.  A pattern runs in preorder
+# over registers: register 0 holds the term it is matched against, and an
+# operation step loads the arguments of its register's term into the next
+# free registers.  A metaterm runs in postfix over a stack of values.
+_OP, _VAR, _UNSHIFT, _BAD = "op", "var", "unshift", "bad"
+_META, _INTERP, _APPLY, _SUBST = "meta", "interp", "apply", "subst"
+_ZERO = Var(0)  # what a metavariable the left side does not bind stands for
+
+
+@dataclass(frozen=True)
+class CompiledPattern:
+    """A left side as a flat program, made by :func:`compile_pattern`.
+
+    ``steps`` are ``(code, register, x, n)``: the term in the register
+    is an operation named x with n arguments, which are loaded; a
+    variable with index x; or a k-shift, where x is k, replaced by its
+    unshift.  A step coded "bad" fails the match.  ``binds`` are the
+    (metavariable, register) pairs in preorder, and ``gather`` the
+    register of each of the rule's metavariables, last bound wins, -1
+    for one that the side does not bind."""
+
+    steps: tuple[tuple, ...]
+    binds: tuple[tuple[int, int], ...]
+    gather: tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class CompiledMetaterm:
+    """A metaterm as a flat postfix program, made by :func:`compile_metaterm`.
+
+    ``steps`` are ``(code, x, y)``: push metavariable x, variable x or
+    the interpretation of operation x, looked up before its arguments;
+    apply the interpretation below the last x values to them; or
+    substitute the last value, a body, by the assignment of the x values
+    below it, its prefix, and tail shift y.  A step coded "bad" raises
+    ``TypeError(x)``, x not a metaterm."""
+
+    steps: tuple[tuple, ...]
+
+
+def compile_pattern(pat: MetaTerm, metavars: int) -> CompiledPattern:
+    """``pat`` compiled for :func:`match_pattern`, in one walk; a match of
+    the result lists a term for each of the rule's ``metavars``
+    metavariables.  The program stops at the first node that is not a
+    pattern node: a match that gets there fails."""
+    steps, binds = [], []
+    nodes, registers, free = [pat], [0], 1  # free: the next register an operation loads
+    while nodes:
+        node, r = nodes.pop(), registers.pop()
+        if type(node) is MetaVar:
+            binds.append((node.index, r))
+        elif type(node) is Op:
+            n = len(node.args)
+            steps.append((_OP, r, node.name, n))
+            nodes.extend(reversed(node.args))
+            registers.extend(reversed(range(free, free + n)))
+            free += n
+        elif type(node) is Var:
+            steps.append((_VAR, r, node.index, None))
+        elif (k := _shift_pattern(node)) is not None:
+            steps.append((_UNSHIFT, r, k, None))
+            binds.append((node.body.index, r))
+        else:
+            steps.append((_BAD, r, None, None))
+            break
+    last = dict(binds)
+    gather = tuple(last.get(i, -1) for i in range(metavars))
+    return CompiledPattern(tuple(steps), tuple(binds), gather)
+
+
+def compile_metaterm(mt: MetaTerm) -> CompiledMetaterm:
+    """``mt`` compiled for :func:`eval_metaterm`, in one walk: an
+    operation's interpretation is looked up before its arguments, and a
+    prefix evaluated before its body."""
+    steps, nodes, done = [], [mt], [False]  # done: the node's arguments are compiled
     while nodes:
         node = nodes.pop()
         kind = type(node)
-        if done.pop():  # values end with the interpretation and arguments, or prefix and body
+        if done.pop():
             if kind is Op:
-                k = len(values) - len(node.args)
-                values[k - 1 :] = [values[k - 1](values[k:])]
+                steps.append((_APPLY, len(node.args), None))
             else:
-                k = len(values) - len(node.assign.prefix) - 1
-                a = Assignment(values[k:-1], node.assign.tail_shift, var)
-                values[k:] = [substitution(values[-1], a)]
+                steps.append((_SUBST, len(node.assign.prefix), node.assign.tail_shift))
         elif kind is MetaVar:
-            values.append(env[node.index])
+            steps.append((_META, node.index, None))
         elif kind is Var:
-            values.append(var(node.index))
+            steps.append((_VAR, node.index, None))
         elif kind is Op or kind is ExplicitSubst:
             if kind is Op:
-                values.append(algebra.interpretations[node.name])
+                steps.append((_INTERP, node.name, None))
             args = node.args if kind is Op else (*node.assign.prefix, node.body)
             nodes.append(node)
             done.append(True)
-            if all(type(a) is MetaVar for a in args):
-                values.extend([env[a.index] for a in args])
-            else:
-                nodes.extend(reversed(args))
-                done.extend([False] * len(args))
+            nodes.extend(reversed(args))
+            done.extend([False] * len(args))
         else:
-            raise TypeError(node)
+            steps.append((_BAD, node, None))
+    return CompiledMetaterm(tuple(steps))
+
+
+def eval_metaterm(algebra: DBAlgebra, env, mt):
+    """Evaluate a metaterm in a model under an environment for its
+    metavariables.  ``mt`` is a metaterm, compiled here, or a
+    :class:`CompiledMetaterm`, whose program runs on one stack of values."""
+    program = mt if type(mt) is CompiledMetaterm else compile_metaterm(mt)
+    var, substitution = algebra.variables, algebra.substitution
+    values = []
+    push = values.append
+    for code, x, y in program.steps:
+        if code is _META:
+            push(env[x])
+        elif code is _SUBST:  # the prefix's x values, then the body
+            k = len(values) - x - 1
+            values[k:] = [substitution(values[-1], Assignment(values[k:-1], y, var))]
+        elif code is _APPLY:  # the interpretation, then its x arguments
+            k = len(values) - x
+            values[k - 1 :] = [values[k - 1](values[k:])]
+        elif code is _INTERP:
+            push(algebra.interpretations[x])
+        elif code is _VAR:
+            push(var(x))
+        else:
+            raise TypeError(x)
     return values[0]
 
 
@@ -191,31 +281,35 @@ def _shift_pattern(node) -> Optional[int]:
     return None
 
 
-def match_pattern(pat: MetaTerm, t: Term, sig: BindingSignature) -> Optional[dict[int, Term]]:
-    """The metavariable bindings under which ``pat`` is ``t``, or None, on
-    one explicit stack in preorder: a later binding of a metavariable wins."""
-    env: dict[int, Term] = {}
-    pats, terms = [pat], [t]
-    while pats:
-        p, u = pats.pop(), terms.pop()
-        if type(p) is MetaVar:
-            env[p.index] = u
-        elif type(p) is Op:
-            if type(u) is not Op or u.name != p.name or len(u.args) != len(p.args):
+def match_pattern(pat, t: Term, sig: BindingSignature):
+    """The metavariable bindings under which the left side ``pat`` is
+    ``t``, or None.  ``pat`` is a metaterm, compiled here, whose bindings
+    are a dict; or a :class:`CompiledPattern`, whose bindings are a list
+    with a term for each of its rule's metavariables, ``Var(0)`` for one
+    that it does not bind.  Matching follows ``pat`` in preorder, so a
+    later binding of a metavariable wins."""
+    left = pat if type(pat) is CompiledPattern else compile_pattern(pat, 0)
+    regs = [t]
+    for code, r, x, n in left.steps:
+        u = regs[r]
+        if code is _OP:
+            if type(u) is not Op or u.name != x or len(u.args) != n:
                 return None
-            pats.extend(reversed(p.args))
-            terms.extend(reversed(u.args))
-        elif type(p) is Var:
-            if type(u) is not Var or u.index != p.index:
+            regs += u.args
+        elif code is _VAR:
+            if type(u) is not Var or u.index != x:
                 return None
-        elif (k := _shift_pattern(p)) is None:
+        elif code is _BAD:
             return None
-        else:  # u is a k-shift if its rename by -k, in one walk, meets no index below k
+        else:  # u is an x-shift if its rename by -x, in one walk, meets no index below x
             try:
-                env[p.body.index] = map_free_vars(u, sig, partial(_unshift, k))
+                regs[r] = map_free_vars(u, sig, partial(_unshift, x))
             except _NotAShift:
                 return None
-    return env
+    if left is not pat:
+        return {i: regs[r] for i, r in left.binds}
+    regs.append(_ZERO)  # register -1, which gather names for a metavariable left unbound
+    return [regs[r] for r in left.gather]
 
 
 @dataclass(frozen=True)
@@ -265,6 +359,7 @@ def _plug(parent: Op, i: int, child: Term) -> Op:
     return Op(parent.name, args[:i] + (child,) + args[i + 1 :])
 
 
+@gc_paused
 def normalize(
     theory: EquationalTheory,
     t: Term,
@@ -289,26 +384,38 @@ def normalize(
     subterms; contracta are not walked.  The theory must pass
     :func:`validate_theory`: a right side's arities are not checked here.
 
+    Each rule side is compiled once, when the call starts, and every
+    match and contraction runs its program through :func:`match_pattern`
+    and :func:`eval_metaterm`.  The whole call runs with the cyclic
+    collector paused (:func:`~debruijn.term.gc_paused`): it builds only
+    acyclic terms.
+
     ``on_step(n, rule name, position)`` is called before the n-th
-    contraction, with the position as argument indices from the root.
+    contraction, with the position as argument indices from the root,
+    with the collector paused too.
     """
     sig = theory.signature
     tm = term_model(sig)
-    rules = [(r, _moved(r.right)) for r in theory.rules]
-    loose = tuple((r, m) for r, m in rules if type(r.left) is not Op)
+    heads = [r.left.name if type(r.left) is Op else None for r in theory.rules]
+    rules = [
+        (r.name, compile_pattern(r.left, len(r.arity.binders)), compile_metaterm(r.right),
+         _moved(r.right))
+        for r in theory.rules
+    ]
+    loose = tuple(rule for rule, h in zip(rules, heads) if h is None)
     by_head = {
-        h: tuple((r, m) for r, m in rules if type(r.left) is not Op or r.left.name == h)
-        for h in {r.left.name for r in theory.rules if type(r.left) is Op}
+        head: tuple(rule for rule, h in zip(rules, heads) if h is None or h == head)
+        for head in set(heads) - {None}
     }
     reach = max((_reach(r.left) for r in theory.rules), default=0) - 1
-    zero = Var(0)  # what a metavariable the left side does not bind stands for
     support(t, sig)
     frames: list[tuple[Op, int]] = []
     route: list[int] = []  # argument indices back down to the last contraction, innermost first
     node, steps = t, 0
     while True:
-        for rule, moved in by_head.get(node.name, loose) if type(node) is Op else loose:
-            env = match_pattern(rule.left, node, sig)
+        candidates = by_head.get(node.name, loose) if type(node) is Op else loose
+        for name, left, right, moved in candidates:
+            env = match_pattern(left, node, sig)
             if env is not None:
                 if steps >= fuel:
                     while frames:
@@ -316,12 +423,11 @@ def normalize(
                     return NormalizeResult(node, True, steps)
                 steps += 1
                 if on_step is not None:
-                    on_step(steps, rule.name, [i for _, i in frames])
-                args = [env.get(i, zero) for i in range(len(rule.arity.binders))]
+                    on_step(steps, name, [i for _, i in frames])
                 for i in moved:
-                    if type(args[i]) is Op and args[i]._sig is not sig:
-                        support(args[i], sig)
-                node = eval_metaterm(tm, args, rule.right)
+                    if type(env[i]) is Op and env[i]._sig is not sig:
+                        support(env[i], sig)
+                node = eval_metaterm(tm, env, right)
                 route.clear()
                 for _ in range(min(reach, len(frames))):
                     parent, i = frames.pop()
@@ -380,7 +486,8 @@ def check_half_equation(
         partial(random_term, sig, max_depth=4), partial(random_assignment, sig), binders
     )
 
-    in_tm, in_nm = (partial(eval_metaterm, m, mt=side) for m in (tm, nm))
+    program = compile_metaterm(side)
+    in_tm, in_nm = (partial(eval_metaterm, m, mt=program) for m in (tm, nm))
     binding_ok = _binding_law(tm, in_tm, binders)
     natural = _naturality_law(partial(to_named, sig), in_tm, in_nm, nm.equal)
     _run_law(report, "half-equation:binding", seed, cases, gen, binding_ok)

@@ -77,14 +77,45 @@ class TypeExpr:
     def __reduce__(self):  # a string's hash differs between processes
         return TypeExpr, (self.ctor, self.args)
 
+    def __eq__(self, other):
+        """The dataclass's equality, on two explicit stacks that hold the
+        pairs to compare: a type that instantiating a schema nests past
+        the recursion limit compares too.  Types of unequal hashes differ
+        at once."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        xs, ys = [self], [other]
+        while xs:
+            x, y = xs.pop(), ys.pop()
+            if x is not y:
+                if x._hash != y._hash or x.ctor != y.ctor or len(x.args) != len(y.args):
+                    return False
+                xs += x.args
+                ys += y.args
+        return True
+
     def __str__(self) -> str:
-        if self.ctor == "->" and len(self.args) == 2:
-            left, right = self.args
-            ls = f"({left})" if left.ctor == "->" else str(left)
-            return f"{ls} -> {right}"
-        if self.args:
-            return f"{self.ctor}({', '.join(str(a) for a in self.args)})"
-        return self.ctor
+        """``ctor(arg, ...)``, or ``src -> dst`` with a parenthesized arrow
+        on the left, on an explicit stack of types and text."""
+        out, stack = [], [self]
+        while stack:
+            node = stack.pop()
+            if type(node) is str:
+                out.append(node)
+            elif node.ctor == "->" and len(node.args) == 2:
+                left, right = node.args
+                if left.ctor == "->":
+                    stack += right, ") -> ", left, "("
+                else:
+                    stack += right, " -> ", left
+            elif node.args:
+                stack.append(")")
+                for a in reversed(node.args[1:]):
+                    stack += a, ", "
+                stack += node.args[0], f"{node.ctor}("
+            else:
+                out.append(node.ctor)
+        return "".join(out)
 
 
 def base(name: str) -> TypeExpr:

@@ -30,11 +30,15 @@ from .term import Op, Term, Var, map_free_vars
 
 class Assignment(namedtuple("Assignment", ("prefix", "tail_shift"))):
     """The pair ``(prefix, tail_shift)``, trimmed on construction to
-    canonical form against the carrier's ``var`` (terms unless given)."""
+    canonical form against the carrier's ``var`` (terms unless given).
+    A negative tail shift, which would send indices below 0, raises
+    ``ValueError``."""
 
     __slots__ = ()
 
     def __new__(cls, prefix=(), tail_shift: int = 0, var: Callable[[int], Any] = Var):
+        if tail_shift < 0:
+            raise ValueError(f"negative tail shift {tail_shift}")
         prefix = tuple(prefix)
         q, k = len(prefix), tail_shift
         while q and k > 0 and prefix[q - 1] == var(k - 1):

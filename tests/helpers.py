@@ -233,6 +233,39 @@ def ref_tsubst(t, sigma, schema):
     ))
 
 
+def list_nest(x: str, depth: int = 190) -> str:
+    """The type ``x`` written inside ``depth`` ``list(...)``."""
+    return "list(" * depth + x + ")" * depth
+
+
+# instantiating f or c at s = list_nest("a") nests list 380 deep, past
+# the parser's bound on a written type
+DEEP_LIST_SIG = (
+    "types { a; list(1); }\n"
+    f"signature s {{ op f [s] : (|- {list_nest('s')}) -> a; op c [s] : -> {list_nest('s')}; }}\n"
+)
+DEEP_LIST_OK = f"(op[f; {list_nest('a')}] (op[c; {list_nest('a')}]))"
+DEEP_LIST_BAD = f"(op[f; {list_nest('a')}] (op[c; a]))"
+DEEP_LIST_ERROR = (
+    f"argument 0 of 'f' has type {list_nest('a')}, expected {list_nest(list_nest('a'))}")
+
+
+def ref_type_eq(a, b) -> bool:
+    """``TypeExpr`` equality as first written: the dataclass's, recursive."""
+    return a.ctor == b.ctor and len(a.args) == len(b.args) and all(map(ref_type_eq, a.args, b.args))
+
+
+def ref_type_str(ty) -> str:
+    """``str`` of a ``TypeExpr`` as first written, recursive."""
+    if ty.ctor == "->" and len(ty.args) == 2:
+        left, right = ty.args
+        ls = f"({ref_type_str(left)})" if left.ctor == "->" else ref_type_str(left)
+        return f"{ls} -> {ref_type_str(right)}"
+    if ty.args:
+        return f"{ty.ctor}({', '.join(ref_type_str(a) for a in ty.args)})"
+    return ty.ctor
+
+
 def ref_typecheck(schema, t):
     """``typed.typecheck`` as it was before its explicit stack: one call
     per node, the path built as it goes down.  ``op_arity`` raises

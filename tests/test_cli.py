@@ -10,6 +10,8 @@ import pytest
 from debruijn.cli import main
 from debruijn.surface import MAX_TYPE_NESTING
 
+from helpers import DEEP_LIST_BAD, DEEP_LIST_ERROR, DEEP_LIST_OK, DEEP_LIST_SIG
+
 LAMBDA_SIG = """\
 signature lambda {
   op lam : (1);
@@ -253,6 +255,17 @@ def test_typecheck_type_error(stlc_sig, capsys):
                  "--term", "(op[app; a, a] (#0 : a) (#0 : a))"])
     assert code == 1
     assert "type error" in capsys.readouterr().err
+
+
+def test_typecheck_of_deeply_instantiated_types(tmp_path, capsys):
+    """Types nested 380 deep by instantiation typecheck (exit 0) or fail
+    with a type error (exit 1), not an internal error."""
+    sig = tmp_path / "deep.sig"
+    sig.write_text(DEEP_LIST_SIG)
+    assert main(["typecheck", "--sig", str(sig), "--term", DEEP_LIST_OK]) == 0
+    assert capsys.readouterr().out == "a\n"
+    assert main(["typecheck", "--sig", str(sig), "--term", DEEP_LIST_BAD]) == 1
+    assert capsys.readouterr().err == f"type error: {DEEP_LIST_ERROR}\n"
 
 
 def test_typecheck_deep_chain(stlc_sig, capsys):

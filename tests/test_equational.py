@@ -6,6 +6,7 @@ from __future__ import annotations
 import operator
 import random
 import time
+from collections import Counter
 
 from debruijn import (
     Assignment,
@@ -22,6 +23,8 @@ from debruijn import (
     beta_eta_theory,
     beta_theory,
     check_theory,
+    compile_metaterm,
+    compile_pattern,
     equiv,
     eval_metaterm,
     lambda_signature,
@@ -39,6 +42,7 @@ from debruijn import (
     validate_theory,
     wellformed,
 )
+from debruijn import equational
 from debruijn.equational import check_half_equation
 from debruijn.gen import random_assignment, random_term
 
@@ -255,6 +259,28 @@ def test_match_pattern_matches_reference():
     assert hits > 300 and misses > 300
 
 
+def test_compiled_sides_match_and_evaluate_as_the_metaterms_do():
+    """A compiled pattern's match lists, for each of the rule's
+    metavariables, the binding the dict form holds, or Var(0); a compiled
+    metaterm evaluates to what the metaterm does, or raises the same."""
+    rng = random.Random(97)
+    hits = 0
+    for sig in SIGS:
+        tm = term_model(sig)
+        for _ in range(300):
+            side = random_rule_side(sig, rng, 3)
+            env = [random_term(sig, rng, max_depth=3) for _ in range(3)]
+            assert _outcome(eval_metaterm, tm, env, compile_metaterm(side)) == _outcome(
+                eval_metaterm, tm, env, side)
+            ok, t = _outcome(eval_metaterm, tm, env, side)
+            for subject in (t, random_term(sig, rng, max_depth=4)) if ok else (env[0],):
+                want = match_pattern(side, subject, sig)
+                got = match_pattern(compile_pattern(side, 3), subject, sig)
+                assert got == (None if want is None else [want.get(i, Var(0)) for i in range(3)])
+                hits += got is not None
+    assert hits > 200
+
+
 def test_meta_signature():
     msig = BETA.meta_signature()
     assert msig.ops["beta"] == BindingArity((1, 0))
@@ -355,6 +381,46 @@ def test_rule_sides_of_any_depth():
     assert normalize(left, f_chain(DEEP + 1, c), 1) == NormalizeResult(f_chain(1, c), False, 1)
     assert normalize(right, f_chain(2, c), 1) == NormalizeResult(f_chain(DEEP + 1, c), True, 1)
     assert time.perf_counter() - start < 30
+
+
+def subst_chain(n: int, leaf):
+    """``f(0)[leaf; ^0]`` with each leaf the next such substitution, n
+    deep: a metaterm that denotes ``f^n(leaf)``."""
+    for _ in range(n):
+        leaf = ExplicitSubst(Op("f", (Var(0),)), Assignment((leaf,), 0))
+    return leaf
+
+
+def test_right_sides_nested_in_explicit_substitutions_of_any_depth():
+    """A right side 100k explicit substitutions deep validates, evaluates
+    and rewrites, with no recursion on the way."""
+    c = Op("c", ())
+    start = time.perf_counter()
+    deep = subst_chain(DEEP, MetaVar(0))
+    assert eval_metaterm(term_model(F_SIG), [c], deep) == f_chain(DEEP, c)
+    theory = EquationalTheory(F_SIG, (Rule("r", BindingArity((0,)), f_chain(1, MetaVar(0)), deep),))
+    assert validate_theory(theory) == []
+    assert normalize(theory, f_chain(2, c), 1) == NormalizeResult(f_chain(DEEP + 1, c), True, 1)
+    assert time.perf_counter() - start < 30
+
+
+def test_each_rule_side_is_compiled_once(monkeypatch):
+    """normalize compiles each rule side once per call, not once per match
+    or contraction; check_half_equation compiles its side once per check,
+    not once per sample."""
+    calls = Counter()
+    for name in ("compile_pattern", "compile_metaterm"):
+        def counted(*args, _compile=getattr(equational, name), _name=name):
+            calls[_name] += 1
+            return _compile(*args)
+
+        monkeypatch.setattr(equational, name, counted)
+    r = normalize(BETAETA, app(app(CHURCH_PLUS, church(2)), church(2)), 100)
+    assert r.steps > 5 and r.term == church(4)
+    assert calls == {"compile_pattern": 2, "compile_metaterm": 2}
+    calls.clear()
+    assert check_half_equation(SIG, BindingArity((1, 0)), R_BETA, cases=50).ok
+    assert calls == {"compile_metaterm": 1}
 
 
 # --- equivalence --------------------------------------------------------

@@ -6,8 +6,10 @@ import pytest
 
 import os
 import pickle
+import random
 import subprocess
 import sys
+import time
 
 from debruijn import (
     BindingArity,
@@ -29,6 +31,8 @@ from debruijn import (
     validate_signature,
 )
 from debruijn.surface import ParseError
+
+from helpers import ref_type_eq, ref_type_str
 
 
 def test_first_order_arity():
@@ -64,6 +68,54 @@ def test_type_hash_is_the_dataclass_hash_and_survives_pickling():
                           check=True).stdout
     loaded, ab = pickle.loads(data), arrow(base("a"), base("b"))
     assert loaded == ab and hash(loaded) == hash(ab) and {ab: 1}[loaded] == 1
+
+
+def random_type(rng: random.Random, depth: int) -> TypeExpr:
+    """A small type, so that equal pairs are common; one arrow in ten has
+    one or three arguments, which ``str`` prints as a constructor."""
+    if depth == 0 or rng.random() < 0.3:
+        return base(rng.choice("ab"))
+    ctor = rng.choice(("->", "->", "list", "pair"))
+    n = {"list": 1, "pair": 2}.get(ctor) or (2 if rng.random() < 0.9 else rng.choice((1, 3)))
+    return TypeExpr(ctor, tuple(random_type(rng, depth - 1) for _ in range(n)))
+
+
+def test_type_eq_and_str_match_reference():
+    """The explicit-stack == and str against the recursions they replaced,
+    on shared and unshared pairs."""
+    rng = random.Random(29)
+    equal = 0
+    for _ in range(3000):
+        x, y = random_type(rng, 3), random_type(rng, 3)
+        copy = pickle.loads(pickle.dumps(x))  # equal and unshared
+        assert str(x) == ref_type_str(x)
+        assert (x == y) == ref_type_eq(x, y) and (x != y) != ref_type_eq(x, y)
+        assert x == copy and not x != copy
+        equal += x == y
+    assert 100 < equal < 2900
+
+
+@pytest.mark.parametrize("depth", [1_000, 10_000, 100_000])
+def test_deep_type_eq_and_str(depth):
+    def nest(leaf):
+        for _ in range(depth):
+            leaf = TypeExpr("list", (leaf,))
+        return leaf
+
+    def arrows(leaf):  # a -> (a -> ... -> leaf), and (... (a -> a) -> ...) -> a
+        right = left = leaf
+        for _ in range(depth):
+            right, left = arrow(base("a"), right), arrow(left, base("a"))
+        return right, left
+
+    start = time.perf_counter()
+    assert nest(base("a")) == nest(base("a")) and nest(base("a")) != nest(base("b"))
+    assert str(nest(base("a"))) == "list(" * depth + "a" + ")" * depth
+    right, left = arrows(base("a"))
+    assert str(right) == "a -> " * depth + "a"
+    assert str(left) == "(" * (depth - 1) + "a -> a" + ") -> a" * (depth - 1)
+    assert right != left and right == arrows(base("a"))[0]
+    assert time.perf_counter() - start < 30
 
 
 def test_stlc_schema_lam():

@@ -5,14 +5,18 @@ from __future__ import annotations
 
 import random
 
+import pytest
+
 from debruijn import (
     IDENTITY,
     NAT,
     Assignment,
     Renaming,
+    TypedAssignment,
     Var,
     apply_assignment,
     at,
+    base,
     compose,
     lambda_signature,
     lift,
@@ -56,6 +60,17 @@ def test_canonical_form_drops_redundant_prefix():
     assert Assignment((lam(Var(0)), Var(1)), 2) == Assignment((lam(Var(0)),), 1)
     # a genuinely different entry is kept
     assert Assignment((lam(Var(0)), Var(2)), 2).prefix == (lam(Var(0)), Var(2))
+
+
+@pytest.mark.parametrize("make", [
+    Assignment,
+    Renaming,
+    lambda prefix, k: TypedAssignment({base("a"): (prefix, k)}),
+], ids=["term", "renaming", "typed"])
+def test_negative_tail_shift_is_rejected(make):
+    # subst(lam(Var 1), [; ^-2]) would make lam(Var -1), not a term
+    with pytest.raises(ValueError, match="negative tail shift -2"):
+        make((), -2)
 
 
 def test_canonical_form_soundness():

@@ -32,6 +32,8 @@ from debruijn import (
     instantiate_schema,
     from_degenerate,
     lambda_signature,
+    parse_signature_file,
+    parse_term,
     stlc_schema,
     subst,
     t_initial_fold,
@@ -54,7 +56,19 @@ from debruijn.gen import (
 )
 from debruijn.typed import op_arity, typed_assignment_at
 
-from helpers import DataTOp, DataTVar, app, as_dataclasses, lam, ref_typecheck, same_term
+from helpers import (
+    DEEP_LIST_BAD,
+    DEEP_LIST_ERROR,
+    DEEP_LIST_OK,
+    DEEP_LIST_SIG,
+    DataTOp,
+    DataTVar,
+    app,
+    as_dataclasses,
+    lam,
+    ref_typecheck,
+    same_term,
+)
 
 SCH = stlc_schema({"a"})
 SCH2 = stlc_schema({"a", "b"})
@@ -156,6 +170,16 @@ def test_typecheck_faults(t, message, path):
             check(SCH, t)
         assert e.value.path == path
         assert str(e.value) == (f"{message} (at {list(path)})" if path else message)
+
+
+def test_typecheck_compares_and_prints_instantiated_types_of_any_depth():
+    """Instantiating a schema nests types past the parser's bound; the
+    typecheck compares them, and its error prints them, without recursion."""
+    schema = parse_signature_file(DEEP_LIST_SIG).schemas["s"]
+    assert typecheck(schema, parse_term(DEEP_LIST_OK, "typed")) == base("a")
+    with pytest.raises(TypecheckError) as e:
+        typecheck(schema, parse_term(DEEP_LIST_BAD, "typed"))
+    assert str(e.value) == DEEP_LIST_ERROR
 
 
 @pytest.mark.parametrize("depth", [8, 9, 1_000])
