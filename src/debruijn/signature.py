@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from threading import RLock
+from weakref import WeakValueDictionary
 
 
 @dataclass(frozen=True)
@@ -57,42 +59,51 @@ def lambda_signature() -> BindingSignature:
 # --- type expressions ---------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False, repr=False)
 class TypeExpr:
     """Type expression: a constructor name applied to argument types.
 
-    Base types are nullary constructors; ``->`` is the binary arrow.
-    """
+    Base types are nullary constructors; ``->`` is the binary arrow.  Types are immutable
+    and hash-consed, so ``==`` is identity: building one returns any live equal type."""
 
     ctor: str
     args: tuple[TypeExpr, ...] = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "args", tuple(self.args))
-        object.__setattr__(self, "_hash", hash((self.ctor, self.args)))
+    def __new__(cls, ctor: str, args: tuple[TypeExpr, ...] = ()):
+        key = (ctor, tuple(args))
+        if (ty := _types.get(key)) is None:
+            with _interning:  # so that two threads cannot both make it
+                if (ty := _types.get(key)) is None:
+                    ty = super().__new__(cls)
+                    vars(ty).update(ctor=ctor, args=key[1], _hash=hash(key))  # frozen
+                    _types[key] = ty  # only once whole: the first get takes no lock
+        return ty
 
     def __hash__(self):  # the dataclass hash, computed once
         return self._hash
 
-    def __reduce__(self):  # a string's hash differs between processes
-        return TypeExpr, (self.ctor, self.args)
+    def __reduce__(self):
+        """Flat (constructor, argument count) pairs, preorder, last argument first."""
+        flat, stack = [], [self]
+        while stack:
+            ty = stack.pop()
+            flat += ty.ctor, len(ty.args)
+            stack += ty.args
+        return _type_of_flat, (tuple(flat),)
 
-    def __eq__(self, other):
-        """The dataclass's equality, on two explicit stacks that hold the
-        pairs to compare: a type that instantiating a schema nests past
-        the recursion limit compares too.  Types of unequal hashes differ
-        at once."""
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        xs, ys = [self], [other]
-        while xs:
-            x, y = xs.pop(), ys.pop()
-            if x is not y:
-                if x._hash != y._hash or x.ctor != y.ctor or len(x.args) != len(y.args):
-                    return False
-                xs += x.args
-                ys += y.args
-        return True
+    def __repr__(self) -> str:
+        """The frozen dataclass's repr, on an explicit stack of types and text."""
+        out, stack = [], [self]
+        while stack:
+            ty = stack.pop()
+            if type(ty) is str:
+                out.append(ty)
+            else:
+                out.append(f"TypeExpr(ctor={ty.ctor!r}, args=(")
+                stack.append(",))" if len(ty.args) == 1 else "))")
+                for i in range(len(ty.args) - 1, -1, -1):
+                    stack += (ty.args[i], ", ") if i else (ty.args[i],)
+        return "".join(out)
 
     def __str__(self) -> str:
         """``ctor(arg, ...)``, or ``src -> dst`` with a parenthesized arrow
@@ -116,6 +127,18 @@ class TypeExpr:
             else:
                 out.append(node.ctor)
         return "".join(out)
+
+
+_types, _interning = WeakValueDictionary(), RLock()  # the live types by (ctor, args)
+
+
+def _type_of_flat(flat: tuple) -> TypeExpr:
+    """The type ``TypeExpr.__reduce__`` flattened, its pairs read backwards."""
+    done: list[TypeExpr] = []
+    for i in range(len(flat) - 2, -1, -2):
+        k = len(done) - flat[i + 1]
+        done[k:] = [TypeExpr(flat[i], done[k:])]
+    return done[0]
 
 
 def base(name: str) -> TypeExpr:

@@ -90,9 +90,9 @@ _KINDS = {p: p for p in "()[]{};,:^=?#"} | {"->": "arrow", "|-": "turnstile", ""
 _DIGITS = frozenset("0123456789")
 _IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 # How deep arrows, parentheses and constructor arguments nest in a written
-# type.  The walks over types recurse (``TypeGrammar.wellformed``, ``==``,
-# ``str``, instantiation); ``==``, the deepest, takes about four frames a
-# level, so at this depth they keep clear of the default limit of 1 000.
+# type.  This reader, ``TypeGrammar.wellformed`` and instantiation recurse,
+# at most two frames a level, so at this depth they keep clear of the
+# default limit of 1 000; ``==``, ``str``, ``repr`` and pickling do not.
 MAX_TYPE_NESTING = 200
 
 

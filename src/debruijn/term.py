@@ -49,8 +49,8 @@ class Term:
             return NotImplemented
         if self is other:
             return True
-        if kind is Var:
-            return self.index == other.index
+        if kind is Var or kind._key is tvar_key:  # index first, then an interned type
+            return self.index == other.index and (kind is Var or self.ty is other.ty)
         if kind._key is not None:
             return kind._key(self) == kind._key(other)
         stack = [(self, other)]
@@ -83,6 +83,9 @@ class Term:
                     pass
                 elif a.__class__ is not b.__class__ or not isinstance(a, Term):
                     if a != b:
+                        return False
+                elif a._key is tvar_key:  # typed variables: index, then interned type
+                    if a.index != b.index or a.ty is not b.ty:
                         return False
                 elif a._key is not None:  # variables of one class
                     if a._key(a) != a._key(b):
@@ -166,6 +169,8 @@ class Op(Term):
         _op_sig(self, None)
         _op_top(self, top)
 
+
+tvar_key = attrgetter("index", "ty")  # typed.TVar's key; == compares it in place
 
 # nodes are frozen: their slots are set through the slot descriptors
 _var_index, _var_top, _op_name, _op_args, _op_sig, _op_sup, _op_top = (
@@ -339,40 +344,40 @@ def map_free_vars(t: Term, sig: BindingSignature, on_free: Callable[[int, int], 
     that is not a term raises ``TypeError``.
     """
     binders = sig.binders
-    nodes, depths, values = [t], [0], []  # depth ~d < 0: the node's arguments are done
-    while nodes:
-        node = nodes.pop()
-        depth = depths.pop()
-        if depth < 0:
-            args = node.args
-            if len(args) == 1:  # rebuilt in place
-                values[-1] = node if values[-1] is args[0] else Op(node.name, (values[-1],))
+    # the current operation in locals, its depth, binder counts, next argument and
+    # argument count; the open ones on frames above a root frame around t
+    frames, values = [], []
+    push = values.append
+    node, depth, args, ns, i, m = None, 0, (t,), (0,), 0, 1
+    while True:
+        while i < m:
+            a, n = args[i], depth + ns[i]
+            i += 1
+            if type(a) is Var:
+                if a.index >= n:
+                    new = on_free(n, a.index)
+                    if type(new) is not Var or new.index != a.index:
+                        a = new
+                push(a)
+            elif type(a) is not Op:
+                raise TypeError(f"not a term: {a!r}")
+            elif a._top <= n or a._sig is sig and a._sup <= n:
+                push(a)
             else:
-                k = len(values) - len(args)
-                rebuilt = tuple(values[k:])
-                del values[k:]
-                values.append(Op(node.name, rebuilt) if any(map(is_not, rebuilt, args)) else node)
-        elif type(node) is Var:
-            if node.index >= depth:
-                new = on_free(depth, node.index)
-                if type(new) is not Var or new.index != node.index:
-                    node = new
-            values.append(node)
-        elif type(node) is not Op:
-            raise TypeError(f"not a term: {node!r}")
-        elif node._top <= depth or node._sig is sig and node._sup <= depth:
-            values.append(node)
+                frames.append((node, depth, args, ns, i, m))
+                node, depth, args, ns, i, m = a, n, a.args, binders[a.name], 0, len(a.args)
+                if len(ns) != m:
+                    raise ValueError(f"operation '{a.name}' takes {len(ns)} arguments, got {m}")
+        if node is None:
+            return values[0]
+        if m == 1:  # rebuilt in place
+            values[-1] = node if values[-1] is args[0] else Op(node.name, (values[-1],))
         else:
-            ns, args, i = binders[node.name], node.args, len(node.args)
-            if len(ns) != i:
-                raise ValueError(f"operation '{node.name}' takes {len(ns)} arguments, got {i}")
-            nodes.append(node)
-            depths.append(~depth)
-            while i:
-                i -= 1
-                nodes.append(args[i])
-                depths.append(depth + ns[i])
-    return values[0]
+            k = len(values) - m
+            rebuilt = tuple(values[k:])
+            del values[k:]
+            push(Op(node.name, rebuilt) if any(map(is_not, rebuilt, args)) else node)
+        node, depth, args, ns, i, m = frames.pop()
 
 
 def support(t: Term, sig: BindingSignature) -> int:

@@ -15,7 +15,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import zip_longest
 from operator import attrgetter, is_not
 from typing import Any, Callable
 
@@ -33,7 +32,7 @@ from .signature import (
     instantiate_schema,
 )
 from .subst import IDENTITY, Assignment, at, compose_with, lift_with
-from .term import Term, Var, Op, fold_nodes, gc_paused
+from .term import Term, Var, Op, fold_nodes, gc_paused, tvar_key
 
 
 class TypedTerm(Term):
@@ -45,7 +44,7 @@ class TypedTerm(Term):
 class TVar(TypedTerm):
     __slots__ = ("index", "ty")
     __match_args__ = _fields = ("index", "ty")
-    _key = attrgetter("index", "ty")
+    _key = tvar_key
 
     def __init__(self, index: int, ty: TypeExpr):
         _tvar_index(self, index)
@@ -187,44 +186,51 @@ def typecheck(schema: TypedSignatureSchema, t: TypedTerm) -> TypeExpr:
 def _map_free_tvars(
     t: TypedTerm, schema: TypedSignatureSchema, on_free: Callable, slot: dict, shifts: dict
 ) -> TypedTerm:
-    """Typed ``term.map_free_vars``: same sharing and errors.  Depths are
-    binder counts indexed by ``slot[ty]``; ``on_free(node, s, m, depth)``
-    gets a free variable, its type's slot and its index less the binders of
-    its type.  ``shifts`` caches each premise's shift vector per (name,
-    type_args); one substitution shares both tables."""
-    stack: list[tuple[TypedTerm, tuple[int, ...], bool]] = [(t, (), False)]
-    values: list[TypedTerm] = []
-    push, pop, emit = stack.append, stack.pop, values.append
-    while stack:
-        node, depth, ready = pop()
-        if type(node) is TVar:
-            s = slot.setdefault(node.ty, len(slot))
-            m = node.index - (depth[s] if s < len(depth) else 0)
-            if m >= 0:
-                new = on_free(node, s, m, depth)
-                if type(new) is not TVar or new.index != node.index or new.ty is not node.ty:
-                    node = new
-            emit(node)
-        elif type(node) is not TOp:
-            raise TypeError(f"not a typed term: {node!r}")
-        elif ready:
-            k = len(values) - len(node.args)
-            rebuilt = tuple(values[k:])
-            del values[k:]
-            changed = any(map(is_not, rebuilt, node.args))
-            emit(TOp(node.name, node.type_args, rebuilt) if changed else node)
-        else:
-            vecs = shifts.get((node.name, node.type_args))
-            if vecs is None:
-                vecs = shifts[node.name, node.type_args] = []
-                for gamma, _ in op_arity(schema, node.name, node.type_args).premises:
-                    slots = [slot.setdefault(ty, len(slot)) for ty in gamma]
-                    vecs.append(tuple(map(slots.count, range(max(slots, default=-1) + 1))))
-            push((node, depth, True))
-            for a, vec in zip(reversed(node.args), reversed(vecs), strict=True):
-                deeper = tuple(map(sum, zip_longest(depth, vec, fillvalue=0))) if vec else depth
-                push((a, deeper, False))
-    return values[0]
+    """Typed ``term.map_free_vars``, on its frames: same sharing and errors.
+    Depths are binder counts indexed by ``slot[ty]``; ``on_free(node, s,
+    m, depth)`` gets a free variable, its type's slot and its index less the
+    binders of its type.  ``shifts`` caches the arguments' depths per (name,
+    type_args, depth); one substitution shares both tables."""
+    frames, values = [], []
+    push = values.append
+    node, args, depths, i, m = None, (t,), ((),), 0, 1  # a root frame around t
+    while True:
+        while i < m:
+            a, depth = args[i], depths[i]
+            i += 1
+            if type(a) is TVar:
+                s = slot.setdefault(a.ty, len(slot))
+                j = a.index - (depth[s] if s < len(depth) else 0)
+                if j >= 0:
+                    new = on_free(a, s, j, depth)
+                    if type(new) is not TVar or new.index != a.index or new.ty is not a.ty:
+                        a = new
+                push(a)
+            elif type(a) is not TOp:
+                raise TypeError(f"not a typed term: {a!r}")
+            else:
+                deeper = shifts.get((a.name, a.type_args, depth))
+                if deeper is None:  # depth plus the count of each slot's type in a context
+                    deeper = []
+                    for gamma, _ in op_arity(schema, a.name, a.type_args).premises:
+                        d = list(depth)
+                        for ty in gamma:
+                            s = slot.setdefault(ty, len(slot))
+                            d += [0] * (s + 1 - len(d))
+                            d[s] += 1
+                        deeper.append(tuple(d) if gamma else depth)
+                    deeper = shifts[a.name, a.type_args, depth] = tuple(deeper)
+                if len(deeper) != len(a.args):  # the ValueError of a strict zip
+                    tuple(zip(a.args, deeper, strict=True))
+                frames.append((node, args, depths, i, m))
+                node, args, depths, i, m = a, a.args, deeper, 0, len(a.args)
+        if node is None:
+            return values[0]
+        k = len(values) - m
+        rebuilt = tuple(values[k:])
+        del values[k:]
+        push(TOp(node.name, node.type_args, rebuilt) if any(map(is_not, rebuilt, args)) else node)
+        node, args, depths, i, m = frames.pop()
 
 
 def _shift(t: TypedTerm, by: tuple[int, ...], schema, slot, shifts) -> TypedTerm:

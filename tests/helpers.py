@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
+from itertools import zip_longest
 from dataclasses import dataclass
 from operator import is_not
 from typing import NamedTuple
@@ -198,6 +199,88 @@ def tuple_stack_support(t, sig):
             for a in reversed(node.args):
                 push((a, False))
     return max(values[0], 0)
+
+
+# --- the one-stack-entry-per-node kernels ---------------------------------
+#
+# ``term.map_free_vars`` and ``typed._map_free_tvars`` as they were before
+# their frame design: every node, variables too, goes onto the stack and
+# off it again.  The frame kernels must agree with these on results, on
+# sharing with the input and on the exception and message at a bad node.
+
+
+def list_stack_map_free_vars(t, sig, on_free):
+    binders = sig.binders
+    nodes, depths, values = [t], [0], []  # depth ~d < 0: the node's arguments are done
+    while nodes:
+        node = nodes.pop()
+        depth = depths.pop()
+        if depth < 0:
+            args = node.args
+            if len(args) == 1:  # rebuilt in place
+                values[-1] = node if values[-1] is args[0] else Op(node.name, (values[-1],))
+            else:
+                k = len(values) - len(args)
+                rebuilt = tuple(values[k:])
+                del values[k:]
+                values.append(Op(node.name, rebuilt) if any(map(is_not, rebuilt, args)) else node)
+        elif type(node) is Var:
+            if node.index >= depth:
+                new = on_free(depth, node.index)
+                if type(new) is not Var or new.index != node.index:
+                    node = new
+            values.append(node)
+        elif type(node) is not Op:
+            raise TypeError(f"not a term: {node!r}")
+        elif node._top <= depth or node._sig is sig and node._sup <= depth:
+            values.append(node)
+        else:
+            ns, args, i = binders[node.name], node.args, len(node.args)
+            if len(ns) != i:
+                raise ValueError(f"operation '{node.name}' takes {len(ns)} arguments, got {i}")
+            nodes.append(node)
+            depths.append(~depth)
+            while i:
+                i -= 1
+                nodes.append(args[i])
+                depths.append(depth + ns[i])
+    return values[0]
+
+
+def list_stack_map_free_tvars(t, schema, on_free, slot, shifts):
+    stack = [(t, (), False)]
+    values = []
+    push, pop, emit = stack.append, stack.pop, values.append
+    while stack:
+        node, depth, ready = pop()
+        if type(node) is TVar:
+            s = slot.setdefault(node.ty, len(slot))
+            m = node.index - (depth[s] if s < len(depth) else 0)
+            if m >= 0:
+                new = on_free(node, s, m, depth)
+                if type(new) is not TVar or new.index != node.index or new.ty is not node.ty:
+                    node = new
+            emit(node)
+        elif type(node) is not TOp:
+            raise TypeError(f"not a typed term: {node!r}")
+        elif ready:
+            k = len(values) - len(node.args)
+            rebuilt = tuple(values[k:])
+            del values[k:]
+            changed = any(map(is_not, rebuilt, node.args))
+            emit(TOp(node.name, node.type_args, rebuilt) if changed else node)
+        else:
+            vecs = shifts.get((node.name, node.type_args))
+            if vecs is None:
+                vecs = shifts[node.name, node.type_args] = []
+                for gamma, _ in op_arity(schema, node.name, node.type_args).premises:
+                    slots = [slot.setdefault(ty, len(slot)) for ty in gamma]
+                    vecs.append(tuple(map(slots.count, range(max(slots, default=-1) + 1))))
+            push((node, depth, True))
+            for a, vec in zip(reversed(node.args), reversed(vecs), strict=True):
+                deeper = tuple(map(sum, zip_longest(depth, vec, fillvalue=0))) if vec else depth
+                push((a, deeper, False))
+    return values[0]
 
 
 def ref_multi_shift(t, by, schema, depth: Counter | None = None):
@@ -1058,21 +1141,34 @@ class DataTOp:
         object.__setattr__(self, "args", tuple(self.args))
 
 
-for _cls in (DataNVar, DataNOp, DataTNVar, DataTNOp, DataTVar, DataTOp):
+@dataclass(frozen=True)
+class DataTypeExpr:
+    ctor: str
+    args: tuple = ()
+
+
+for _cls in (DataNVar, DataNOp, DataTNVar, DataTNOp, DataTVar, DataTOp, DataTypeExpr):
     _cls.__qualname__ = _cls.__name__[len("Data"):]
 
 
+def as_data_type(ty):
+    """A copy of a type made of ``DataTypeExpr``, whose == is structural."""
+    return DataTypeExpr(ty.ctor, tuple(map(as_data_type, ty.args)))
+
+
 def as_dataclasses(t):
-    """A copy of a named or typed term made of the frozen dataclasses above."""
+    """A copy of a named or typed term made of the frozen dataclasses above,
+    its types too."""
     if isinstance(t, TVar):
-        return DataTVar(t.index, t.ty)
+        return DataTVar(t.index, as_data_type(t.ty))
     if isinstance(t, TOp):
-        return DataTOp(t.name, t.type_args, tuple(as_dataclasses(a) for a in t.args))
+        targs = tuple(map(as_data_type, t.type_args))
+        return DataTOp(t.name, targs, tuple(as_dataclasses(a) for a in t.args))
     if isinstance(t, NVar):
         return DataNVar(t.name)
     if isinstance(t, TNVar):
-        return DataTNVar(t.name, t.ty)
+        return DataTNVar(t.name, as_data_type(t.ty))
     args = tuple((binders, as_dataclasses(body)) for binders, body in t.args)
     if isinstance(t, NOp):
         return DataNOp(t.name, args)
-    return DataTNOp(t.name, t.type_args, args)
+    return DataTNOp(t.name, tuple(map(as_data_type, t.type_args)), args)

@@ -20,6 +20,7 @@ from debruijn import (
     Renaming,
     TOp,
     TVar,
+    TypecheckError,
     TypedAssignment,
     Var,
     arrow,
@@ -52,6 +53,8 @@ from debruijn.typed import _map_free_tvars, _shift
 from helpers import (
     app,
     lam,
+    list_stack_map_free_tvars,
+    list_stack_map_free_vars,
     ref_multi_shift,
     ref_rename,
     ref_subst,
@@ -336,7 +339,7 @@ def _same_sharing(t, new, old) -> bool:
         x, y, z = stack.pop()
         if (y is x) != (z is x):
             return False
-        if y is not x and type(x) is Op:
+        if y is not x and type(x) in (Op, TOp):
             stack.extend(zip(x.args, y.args, z.args))
     return True
 
@@ -412,6 +415,124 @@ def test_deep_chains_match_tuple_stack_copies(depth, monkeypatch):
         lambda: rename(t, Renaming((), 4), SIG),
     )
     _check_against_tuple_stack(monkeypatch, t, u, SIG, calls, bound=10.0)
+
+
+# --- the frame kernels against the list-stack copies ----------------------
+
+TYPED_MODULE = importlib.import_module("debruijn.typed")
+
+
+def _outcome(walk):
+    """``walk()``, or the type and message of the error it raised."""
+    try:
+        return walk()
+    except (TypeError, ValueError, KeyError, TypecheckError) as e:
+        return type(e), str(e)
+
+
+def _agree(t, new, old) -> bool:
+    """The same error, or equal results sharing the same subterms of ``t``."""
+    if type(old) is tuple:
+        return new == old
+    if type(new) is tuple:
+        return False
+    same = same_term(new, old) if type(new) in (Var, Op) else new == old
+    return same and _same_sharing(t, new, old)
+
+
+def _bury(bad, levels, wrap):
+    """``bad`` ``levels`` operations down, each made by ``wrap(child)``."""
+    for _ in range(levels):
+        bad = wrap(bad)
+    return bad
+
+
+@pytest.mark.parametrize("sig", [SIG, FO_SIG, MIXED_SIG], ids=["lambda", "FO", "MIXED"])
+def test_frame_kernel_matches_list_stack_copy(sig):
+    """``map_free_vars`` against its one-entry-per-node predecessor: the
+    result, what it shares with the input (the root too) and, at a node
+    that is not a term or has the wrong arity, at the root or three
+    levels down, the exception and its message."""
+    rng = random.Random(79)
+    images = (lam(app(Var(1), Var(0))), Var(4))
+    callbacks = (lambda d, n: Var(n), lambda d, n: Var(n + 1), lambda d, n: images[n % 2])
+    ops = [(name, len(ns)) for name, ns in sig.binders.items() if ns]
+
+    def wrap(child):  # child at a random argument, free variables beside it
+        name, n = rng.choice(ops)
+        args = [random_term(sig, rng, max_depth=2) for _ in range(n)]
+        args[rng.randrange(n)] = child
+        return Op(name, tuple(args))
+
+    bad = ["x", None, *(Op(name, (Var(50),) * (len(ns) + 1)) for name, ns in sig.binders.items())]
+    bad += [Op(name, (Var(50),) * (len(ns) - 1)) for name, ns in sig.binders.items() if len(ns) > 1]
+    cases = [random_term(sig, rng, max_depth=6) for _ in range(150)]
+    cases += [_binder_heavy_term(sig, rng, 80) for _ in range(50)]
+    cases += bad + [_bury(b, 3, wrap) for b in bad for _ in range(5)]
+    raised = 0
+    for t in cases:
+        for on_free in callbacks:
+            new = _outcome(lambda: map_free_vars(t, sig, on_free))
+            old = _outcome(lambda: list_stack_map_free_vars(t, sig, on_free))
+            assert _agree(t, new, old)
+            raised += type(old) is tuple
+    assert raised == 3 * len(bad) * 6
+    assert map_free_vars(cases[0], sig, callbacks[0]) is cases[0]
+
+
+def test_typed_frame_kernel_matches_list_stack_copy(monkeypatch):
+    """``_map_free_tvars`` against its one-entry-per-node predecessor, as
+    above, directly and under ``tsubst``, over the STLC."""
+    rng = random.Random(83)
+    pool = ground_types(SCH.grammar)
+    images = (TOp("lam", (A, A), (TVar(1, A),)), TVar(4, A))
+    callbacks = (
+        lambda node, s, m, depth: node,
+        lambda node, s, m, depth: TVar(node.index + 1, node.ty),
+        lambda node, s, m, depth: images[m % 2],
+    )
+
+    def wrap(child):
+        if rng.random() < 0.5:
+            return TOp("lam", (A, A), (child,))
+        return TOp("app", (A, A), (child, TVar(7, A))[:: rng.choice((1, -1))])
+
+    bad = ["x", None, TOp("lam", (A, A), (TVar(0, A), TVar(1, A))),
+           TOp("app", (A, A), (TVar(0, arrow(A, A)),)), TOp("foo", (), (TVar(0, A),)),
+           TOp("lam", (A, A), ())]
+    cases = [random_typed_term(SCH, rng, rng.choice(pool), max_depth=5) for _ in range(200)]
+    cases += bad + [_bury(b, 3, wrap) for b in bad for _ in range(5)]
+    raised = 0
+    for t in cases:
+        for on_free in callbacks:
+            new = _outcome(lambda: _map_free_tvars(t, SCH, on_free, {}, {}))
+            old = _outcome(lambda: list_stack_map_free_tvars(t, SCH, on_free, {}, {}))
+            assert _agree(t, new, old)
+            raised += type(old) is tuple
+        sigma = random_typed_assignment(SCH, rng)
+        new = _outcome(lambda: tsubst(t, sigma, SCH))
+        with monkeypatch.context() as m:
+            m.setattr(TYPED_MODULE, "_map_free_tvars", list_stack_map_free_tvars)
+            old = _outcome(lambda: tsubst(t, sigma, SCH))
+        assert _agree(t, new, old)
+    assert raised == 3 * len(bad) * 6
+
+
+@pytest.mark.parametrize("depth", [1_000, 10_000, 100_000], ids=["d1k", "d10k", "d100k"])
+def test_deep_typed_chains_match_list_stack_copy(depth, monkeypatch):
+    """``tsubst`` through ``depth`` binders, ``app (lam t) i`` nested over a
+    free leaf, against the list-stack kernel, each call under 10 s."""
+    t = TVar(depth + 2, A)
+    for level in range(depth):
+        t = TOp("app", (A, A), (TOp("lam", (A, A), (t,)), TVar(level % 5, A)))
+    sigma = TypedAssignment({A: ((TOp("lam", (A, A), (TVar(1, A),)), TVar(3, A)), 2)})
+    start = time.perf_counter()
+    new = tsubst(t, sigma, SCH)
+    assert time.perf_counter() - start < 10.0
+    with monkeypatch.context() as m:
+        m.setattr(TYPED_MODULE, "_map_free_tvars", list_stack_map_free_tvars)
+        old = tsubst(t, sigma, SCH)
+    assert new == old and _same_sharing(t, new, old)
 
 
 def test_kernel_exception_types():

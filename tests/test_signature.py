@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import pytest
 
+import copy
+import gc
 import os
 import pickle
 import random
 import subprocess
 import sys
+import threading
 import time
 
 from debruijn import (
@@ -30,9 +33,11 @@ from debruijn import (
     stlc_schema,
     validate_signature,
 )
-from debruijn.surface import ParseError
+from debruijn.gen import ground_types
+from debruijn.signature import _types
+from debruijn.surface import ParseError, parse_signature_file, parse_type
 
-from helpers import ref_type_eq, ref_type_str
+from helpers import DEEP_LIST_SIG, as_data_type, list_nest, ref_type_eq, ref_type_str
 
 
 def test_first_order_arity():
@@ -87,10 +92,10 @@ def test_type_eq_and_str_match_reference():
     equal = 0
     for _ in range(3000):
         x, y = random_type(rng, 3), random_type(rng, 3)
-        copy = pickle.loads(pickle.dumps(x))  # equal and unshared
+        again = pickle.loads(pickle.dumps(x))  # equal, and interned: x itself
         assert str(x) == ref_type_str(x)
         assert (x == y) == ref_type_eq(x, y) and (x != y) != ref_type_eq(x, y)
-        assert x == copy and not x != copy
+        assert x == again and not x != again
         equal += x == y
     assert 100 < equal < 2900
 
@@ -116,6 +121,89 @@ def test_deep_type_eq_and_str(depth):
     assert str(left) == "(" * (depth - 1) + "a -> a" + ") -> a" * (depth - 1)
     assert right != left and right == arrows(base("a"))[0]
     assert time.perf_counter() - start < 30
+
+
+def test_equal_types_are_one_object():
+    """Types are hash-consed: an equal type is the same object, however it
+    is made, and its hash and repr are the frozen dataclass's."""
+    sch = stlc_schema({"a", "b"})
+    a, b = base("a"), base("b")
+    assert arrow(a, b) is TypeExpr("->", [a, b]) is TypeExpr(ctor="->", args=(a, b))
+    assert parse_type("(a -> b) -> a") is arrow(arrow(a, b), a)
+    ar = instantiate_schema(sch.schemas["lam"], (a, arrow(a, b)), sch.grammar)
+    assert ar.premises[0] == ((a,), arrow(a, b)) and ar.premises[0][1] is parse_type("a -> b")
+    assert ar.conclusion is parse_type("a -> a -> b")
+    for ty in ground_types(sch.grammar):
+        assert parse_type(str(ty)) is ty
+        assert pickle.loads(pickle.dumps(ty)) is ty
+        assert copy.deepcopy(ty) is ty and copy.copy(ty) is ty
+        data = as_data_type(ty)
+        assert hash(ty) == hash(data) and repr(ty) == repr(data)
+    rng = random.Random(31)
+    for _ in range(1000):
+        ty = random_type(rng, 4)
+        data = as_data_type(ty)
+        assert hash(ty) == hash(data) and repr(ty) == repr(data)
+        assert copy.deepcopy(ty) is ty
+    assert all(random_type(random.Random(i), 4) is random_type(random.Random(i), 4)
+               for i in range(100))
+
+
+def test_a_type_nothing_holds_leaves_the_table():
+    ty = TypeExpr("only_here", (TypeExpr("nor_here"),))
+    assert ("only_here", (TypeExpr("nor_here"),)) in _types
+    del ty
+    gc.collect()
+    assert not [key for key in _types.keys() if key[0] in ("only_here", "nor_here")]
+
+
+def test_threads_building_one_type_get_one_object():
+    """Eight threads, switching often, build the same fresh types at once:
+    each type still comes out as one object."""
+    built = [None] * 8
+
+    def build(k):
+        built[k] = [arrow(base(f"thread{i}"), TypeExpr("list", (base(f"thread{i}"),)))
+                    for i in range(3000)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(k,)) for k in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for same in zip(*built):
+        assert all(ty is same[0] for ty in same)
+
+
+@pytest.mark.parametrize("depth", [1_000, 10_000, 100_000])
+def test_deep_type_repr_and_pickle(depth):
+    ty = base("a")
+    for _ in range(depth):
+        ty = TypeExpr("list", (ty,))
+    start = time.perf_counter()
+    assert repr(ty) == "TypeExpr(ctor='list', args=(" * depth + repr(base("a")) + ",))" * depth
+    assert pickle.loads(pickle.dumps(ty)) is ty and copy.deepcopy(ty) is ty
+    assert time.perf_counter() - start < 30
+
+
+def test_instantiated_types_past_the_parser_bound_print_and_pickle():
+    """The premise type of ``f`` at ``list`` nested 190 deep nests 380
+    deep; it and its arity have a repr and pickle."""
+    schema = parse_signature_file(DEEP_LIST_SIG).schemas["s"]
+    ar = instantiate_schema(schema.schemas["f"], (parse_type(list_nest("a")),), schema.grammar)
+    premise = ar.premises[0][1]
+    assert str(premise) == list_nest(list_nest("a"))
+    text = "TypeExpr(ctor='list', args=(" * 380 + repr(base("a")) + ",))" * 380
+    assert repr(premise) == text
+    assert repr(ar) == f"TypedArity(premises=(((), {text}),), conclusion={base('a')!r})"
+    assert pickle.loads(pickle.dumps(premise)) is premise
+    assert pickle.loads(pickle.dumps(ar)) == ar
 
 
 def test_stlc_schema_lam():

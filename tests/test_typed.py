@@ -34,6 +34,7 @@ from debruijn import (
     lambda_signature,
     parse_signature_file,
     parse_term,
+    parse_type,
     stlc_schema,
     subst,
     t_initial_fold,
@@ -114,6 +115,20 @@ def test_typed_nodes_match_the_frozen_dataclasses():
         with pytest.raises(FrozenInstanceError, match=f"cannot delete field '{field}'"):
             delattr(node, field)
     assert TVar(0, A) != DataTVar(0, A) and TVar(0, A) != Var(0)
+
+
+def test_typed_variables_compare_in_place():
+    """``==`` compares a typed variable by index and then by type, at the
+    root and as an argument, as the frozen dataclasses do structurally."""
+    types = [A, B, arrow(A, B), arrow(B, A), TypeExpr("->", (A, B)), parse_type("b -> a")]
+    tvars = [TVar(i, ty) for i in (0, 1) for ty in types]
+    tvars += [pickle.loads(pickle.dumps(v)) for v in tvars]  # equal, unshared
+    for x in tvars:
+        for y in tvars:
+            want = as_dataclasses(x) == as_dataclasses(y)
+            assert (x == y) == want and (x != y) != want
+            s, t = tapp(A, A, x, TVar(0, A)), tapp(A, A, y, TVar(0, A))
+            assert (s == t) == want and (s != t) != want
 
 
 # --- typechecking -------------------------------------------------------
