@@ -96,8 +96,7 @@ def rename(t: Term, f: Assignment, sig: BindingSignature) -> Term:
     """Apply ``f`` to the free variables of ``t``, lifting under binders."""
     # lift^d(f)(n) = n for n < d, f(n - d) + d otherwise
     if not f.prefix:  # a pure shift, or the identity
-        k = f.tail_shift
-        return map_free_vars(t, sig, lambda d, n: Var(n + k)) if k else t
+        return map_free_vars(t, sig, f.tail_shift) if f.tail_shift else t
     return map_free_vars(t, sig, lambda d, n: Var(at(f, n - d, NAT) + d))
 
 
@@ -107,7 +106,7 @@ def _shift_term(t: Term, by: int, sig: BindingSignature) -> Term:
         return t
     if type(t) is Var and t.index >= 0:
         return Var(t.index + by)
-    return rename(t, Renaming((), by), sig)
+    return map_free_vars(t, sig, by)
 
 
 def lift(sigma: Assignment, sig: BindingSignature) -> Assignment:
@@ -129,8 +128,8 @@ def subst(t: Term, sigma: Assignment, sig: BindingSignature) -> Term:
     image depends only on (n - d, d) and is computed once per pair.
     """
     prefix, q = sigma.prefix, len(sigma.prefix)
-    if not q and not sigma.tail_shift:
-        return t
+    if not q:  # a pure shift, or the identity
+        return map_free_vars(t, sig, sigma.tail_shift) if sigma.tail_shift else t
     images: dict[tuple[int, int], Term] = {}
 
     def on_free(d: int, n: int) -> Term:

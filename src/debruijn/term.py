@@ -139,9 +139,14 @@ class Var(Term):
     # wraps them
     __eq__, __hash__ = Term.__eq__, Term.__hash__
 
-    def __init__(self, index: int):
-        _var_index(self, index)
-        _var_top(self, index + 1)
+    def __new__(cls, index: int):
+        """Interned for an ``int`` index in ``range(256)``, unless subclassed."""
+        if type(index) is int and 0 <= index < _interned and cls is Var:
+            return _vars[index]
+        node = _VarBlank()
+        node.index, node._top = index, index + 1
+        node.__class__ = cls
+        return node
 
 
 class Op(Term):
@@ -155,26 +160,42 @@ class Op(Term):
     type_args = ()
     __eq__, __hash__ = Term.__eq__, Term.__hash__
 
-    def __init__(self, name: str, args: tuple[Term, ...]):
-        args = tuple(args)
+    def __new__(cls, name: str, args: tuple[Term, ...]):
+        node = _OpBlank()
+        node.name, node.args, node._sig = name, tuple(args), None
         top = 0
         try:
-            for a in args:
+            for a in node.args:
                 if a._top > top:
                     top = a._top
         except AttributeError:  # not a term: left to the walks to reject
             top = inf
-        _op_name(self, name)
-        _op_args(self, args)
-        _op_sig(self, None)
-        _op_top(self, top)
+        node._top = top
+        node.__class__ = cls
+        return node
 
 
 tvar_key = attrgetter("index", "ty")  # typed.TVar's key; == compares it in place
 
-# nodes are frozen: their slots are set through the slot descriptors
-_var_index, _var_top, _op_name, _op_args, _op_sig, _op_sup, _op_top = (
-    d.__set__ for d in (Var.index, Var._top, Op.name, Op.args, Op._sig, Op._sup, Op._top))
+
+def _blank(kind: type) -> type:
+    """``kind``'s layout without the frozen ``__setattr__`` and
+    ``__delattr__`` (both, as they share one type slot).  A node is filled
+    on one of these, whose slots take the interpreter's fast stores (a slot
+    descriptor's ``__set__`` costs about five times as much), and then
+    given its class, which must add no slots to ``kind``'s."""
+    return type(f"_{kind.__name__}Blank", kind.__bases__, {
+        "__slots__": kind.__slots__,
+        "__setattr__": object.__setattr__,
+        "__delattr__": object.__delattr__,
+    })
+
+
+_VarBlank, _OpBlank = _blank(Var), _blank(Op)
+_op_sig, _op_sup = Op._sig.__set__, Op._sup.__set__  # support's memo of a built node
+_interned = 0
+_vars = tuple(map(Var, range(256)))  # Var(i) reads this table from here on
+_interned = len(_vars)
 
 
 def gc_paused(walk: Callable) -> Callable:
@@ -329,12 +350,13 @@ def fold(sig: BindingSignature, var_case: Callable, op_case: Callable, t: Term):
 
 
 @gc_paused
-def map_free_vars(t: Term, sig: BindingSignature, on_free: Callable[[int, int], Term]) -> Term:
+def map_free_vars(t: Term, sig: BindingSignature, on_free: Callable | int) -> Term:
     """Rebuild ``t``, replacing each free variable occurrence.
 
     ``on_free(depth, index)`` is called for every ``Var(index)`` under
     ``depth`` accumulated binders with ``index >= depth``; bound
-    occurrences are kept as is.
+    occurrences are kept as is.  An ``int`` k in its place is the shift
+    by k, ``lambda depth, index: Var(index + k)``, applied with no call.
 
     Sharing: a subterm (``t`` too) in which no free variable changed index
     is returned itself, not a copy.  A subterm closed at its depth, by its
@@ -344,6 +366,7 @@ def map_free_vars(t: Term, sig: BindingSignature, on_free: Callable[[int, int], 
     that is not a term raises ``TypeError``.
     """
     binders = sig.binders
+    by = on_free if type(on_free) is int else None
     # the current operation in locals, its depth, binder counts, next argument and
     # argument count; the open ones on frames above a root frame around t
     frames, values = [], []
@@ -355,7 +378,7 @@ def map_free_vars(t: Term, sig: BindingSignature, on_free: Callable[[int, int], 
             i += 1
             if type(a) is Var:
                 if a.index >= n:
-                    new = on_free(n, a.index)
+                    new = on_free(n, a.index) if by is None else Var(a.index + by)
                     if type(new) is not Var or new.index != a.index:
                         a = new
                 push(a)

@@ -234,12 +234,17 @@ def _map_free_tvars(
 
 
 def _shift(t: TypedTerm, by: tuple[int, ...], schema, slot, shifts) -> TypedTerm:
-    """Add ``by[slot[ty]]`` to every free index of type ``ty``."""
+    """Add ``by[slot[ty]]`` to every free index of type ``ty``, with no walk for a variable."""
 
     def on_free(node, s, m, depth):
         return TVar(node.index + by[s], node.ty) if s < len(by) else node
 
-    return _map_free_tvars(t, schema, on_free, slot, shifts) if any(by) else t
+    if not any(by):
+        return t
+    if type(t) is TVar:
+        s = slot.setdefault(t.ty, len(slot))
+        return TVar(t.index + by[s], t.ty) if t.index >= 0 and s < len(by) and by[s] else t
+    return _map_free_tvars(t, schema, on_free, slot, shifts)
 
 
 def tlift_gamma(

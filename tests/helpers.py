@@ -142,8 +142,16 @@ def ref_subst(t, sigma, sig):
 # results, on sharing with the input and on the support memos.
 
 
+def as_callback(on_free):
+    """``on_free`` as a callback: an ``int`` k, the kernel's form of the
+    shift by k, is ``lambda d, n: Var(n + k)``."""
+    if type(on_free) is int:
+        return lambda d, n: Var(n + on_free)
+    return on_free
+
+
 def tuple_stack_map_free_vars(t, sig, on_free):
-    binders = sig.binders
+    binders, on_free = sig.binders, as_callback(on_free)
     stack = [(t, 0, False)]
     values = []
     push, pop, emit = stack.append, stack.pop, values.append
@@ -210,7 +218,7 @@ def tuple_stack_support(t, sig):
 
 
 def list_stack_map_free_vars(t, sig, on_free):
-    binders = sig.binders
+    binders, on_free = sig.binders, as_callback(on_free)
     nodes, depths, values = [t], [0], []  # depth ~d < 0: the node's arguments are done
     while nodes:
         node = nodes.pop()

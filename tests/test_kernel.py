@@ -47,6 +47,8 @@ from debruijn.gen import (
     random_typed_assignment,
     random_typed_term,
 )
+from debruijn.equational import _plug
+from debruijn.model import initial_fold, term_model
 from debruijn.term import fold_nodes
 from debruijn.typed import _map_free_tvars, _shift
 
@@ -309,6 +311,26 @@ def test_wellformed_paths_and_order():
     assert wellformed(SIG, app(Var(0), "x")) == ["not a term at [1]: 'x'"]
 
 
+def test_shifting_a_lone_typed_variable_matches_the_walk():
+    """``_shift`` moves a lone ``TVar`` with no walk, to what the kernel
+    gives with ``_shift``'s callback, sharing and slot table alike: its
+    type's slot present or absent, a shift of 0 or not, an index below 0."""
+    B = base("b")
+
+    def walk(t, by, slot):
+        def on_free(node, s, m, depth):
+            return TVar(node.index + by[s], node.ty) if s < len(by) else node
+        return _map_free_tvars(t, SCH, on_free, slot, {})
+
+    for v in (TVar(0, A), TVar(3, A), TVar(2, B), TVar(-1, A), TVar(5, arrow(A, B))):
+        for by in ((2,), (0, 2), (2, 0), (1, 3)):
+            for slot in ({}, {A: 0}, {B: 0}, {A: 0, B: 1}, {B: 0, A: 1}):
+                new_slot, old_slot = dict(slot), dict(slot)
+                new, old = _shift(v, by, SCH, new_slot, {}), walk(v, by, old_slot)
+                assert new == old and (new is v) == (old is v) and new_slot == old_slot
+        assert _shift(v, (0, 0), SCH, {A: 0}, {}) is v
+
+
 def test_deep_typed_substitution():
     t = TVar(100_000, A)
     for _ in range(100_000):
@@ -447,15 +469,10 @@ def _bury(bad, levels, wrap):
     return bad
 
 
-@pytest.mark.parametrize("sig", [SIG, FO_SIG, MIXED_SIG], ids=["lambda", "FO", "MIXED"])
-def test_frame_kernel_matches_list_stack_copy(sig):
-    """``map_free_vars`` against its one-entry-per-node predecessor: the
-    result, what it shares with the input (the root too) and, at a node
-    that is not a term or has the wrong arity, at the root or three
-    levels down, the exception and its message."""
-    rng = random.Random(79)
-    images = (lam(app(Var(1), Var(0))), Var(4))
-    callbacks = (lambda d, n: Var(n), lambda d, n: Var(n + 1), lambda d, n: images[n % 2])
+def _frame_cases(sig, rng):
+    """Random and binder-heavy terms over ``sig``, then ``bad``, nodes that
+    are not terms or have the wrong arity, each at the root and buried
+    three levels down five times; returns the cases and ``bad``."""
     ops = [(name, len(ns)) for name, ns in sig.binders.items() if ns]
 
     def wrap(child):  # child at a random argument, free variables beside it
@@ -469,6 +486,18 @@ def test_frame_kernel_matches_list_stack_copy(sig):
     cases = [random_term(sig, rng, max_depth=6) for _ in range(150)]
     cases += [_binder_heavy_term(sig, rng, 80) for _ in range(50)]
     cases += bad + [_bury(b, 3, wrap) for b in bad for _ in range(5)]
+    return cases, bad
+
+
+@pytest.mark.parametrize("sig", [SIG, FO_SIG, MIXED_SIG], ids=["lambda", "FO", "MIXED"])
+def test_frame_kernel_matches_list_stack_copy(sig):
+    """``map_free_vars`` against its one-entry-per-node predecessor: the
+    result, what it shares with the input (the root too) and, at a node
+    that is not a term or has the wrong arity, at the root or three
+    levels down, the exception and its message."""
+    images = (lam(app(Var(1), Var(0))), Var(4))
+    callbacks = (lambda d, n: Var(n), lambda d, n: Var(n + 1), lambda d, n: images[n % 2])
+    cases, bad = _frame_cases(sig, random.Random(79))
     raised = 0
     for t in cases:
         for on_free in callbacks:
@@ -478,6 +507,119 @@ def test_frame_kernel_matches_list_stack_copy(sig):
             raised += type(old) is tuple
     assert raised == 3 * len(bad) * 6
     assert map_free_vars(cases[0], sig, callbacks[0]) is cases[0]
+
+
+@pytest.mark.parametrize("sig", [SIG, FO_SIG, MIXED_SIG], ids=["lambda", "FO", "MIXED"])
+def test_integer_shift_matches_its_callback(sig):
+    """``map_free_vars(t, sig, k)`` against the callback it stands for,
+    ``lambda d, n: Var(n + k)``, on the cases above: the result, what it
+    shares with the input and the exception and its message."""
+    cases, bad = _frame_cases(sig, random.Random(79))
+    raised = 0
+    for t in cases:
+        for k in (0, 1, 3):
+            new = _outcome(lambda: map_free_vars(t, sig, k))
+            old = _outcome(lambda: map_free_vars(t, sig, lambda d, n: Var(n + k)))
+            assert _agree(t, new, old)
+            raised += type(old) is tuple
+    assert raised == 3 * len(bad) * 6
+
+
+def _built_like_constructor(t, out) -> bool:
+    """Whether each operation node of ``out`` that is not a node of ``t``
+    is of its public class and has exactly the slots, with the same
+    values, that the class's constructor sets from the same fields."""
+
+    def slots(x) -> dict:
+        return {f: getattr(x, f) for f in (*type(x).__slots__, "_hash") if hasattr(x, f)}
+
+    seen, stack = set(), [t]
+    while stack:
+        x = stack.pop()
+        if type(x) in (Op, TOp) and id(x) not in seen:
+            seen.add(id(x))
+            stack.extend(x.args)
+    stack = [out]
+    while stack:
+        x = stack.pop()
+        kind = type(x)
+        if kind not in (Var, TVar, Op, TOp):
+            return False
+        if kind in (Op, TOp) and id(x) not in seen:
+            seen.add(id(x))
+            if slots(x) != slots(kind(*(getattr(x, f) for f in kind._fields))):
+                return False
+            stack.extend(x.args)
+    return True
+
+
+def _plugged(t) -> list:
+    """``equational._plug`` of ``Var(9)`` at each argument of each
+    operation node of ``t``."""
+    out, stack = [], [t]
+    while stack:
+        x = stack.pop()
+        if type(x) is Op:
+            out += [_plug(x, i, Var(9)) for i in range(len(x.args))]
+            stack.extend(x.args)
+    return out
+
+
+@pytest.mark.parametrize("sig", [SIG, FO_SIG, MIXED_SIG], ids=["lambda", "FO", "MIXED"])
+def test_rebuilt_nodes_have_the_constructor_slots(sig):
+    """Every operation node that ``map_free_vars`` (under ``subst`` and
+    ``rename`` too), ``equational._plug`` and the term model's
+    interpretations build has the slots of ``Op(name, args)``: ``_top``
+    the children's largest and ``_sig`` None, with no support memo."""
+    rng = random.Random(89)
+    tm = term_model(sig)
+    cases, _ = _frame_cases(sig, random.Random(79))
+    built = 0
+    for t in cases:
+        if wellformed(sig, t):
+            continue
+        outs = [
+            map_free_vars(t, sig, 2),
+            map_free_vars(t, sig, lambda d, n: lam(Var(n + 1))),
+            subst(t, random_assignment(sig, rng, max_depth=3), sig),
+            rename(t, random_renaming(rng), sig),
+            initial_fold(sig, tm, t),
+            *_plugged(t),
+        ]
+        for out in outs:
+            assert _built_like_constructor(t, out)
+            built += out is not t
+    assert built > 1000
+
+
+def test_term_model_leaves_a_non_term_argument_to_the_walks():
+    """The term model's interpretations build through ``Op(...)``: a
+    list of arguments is taken, and one that is not a term gives a node
+    of unknown bound that the walks reject with ``TypeError``."""
+    node = term_model(SIG).interpretations["app"](["x", Var(0)])
+    assert type(node) is Op and node.args == ("x", Var(0)) and node._top == float("inf")
+    assert wellformed(SIG, node) == ["not a term at [0]: 'x'"]
+    with pytest.raises(TypeError, match="not a term: 'x'"):
+        subst(node, Assignment((Var(1),), 0), SIG)
+
+
+def test_rebuilt_nodes_of_a_deep_chain_have_the_constructor_slots():
+    t = _chain(100_000)
+    spine, node = [], t
+    while type(node) is Op:
+        spine.append(node)
+        node = node.args[0]
+    plugged = Var(0)
+    for parent in reversed(spine):
+        plugged = _plug(parent, 0, plugged)
+    for out in (
+        subst(t, Assignment((lam(Var(1)), Var(3)), 2), SIG),
+        rename(t, Renaming((), 4), SIG),
+        map_free_vars(t, SIG, lambda d, n: Var(n + 1)),
+        initial_fold(SIG, term_model(SIG), t),
+        plugged,
+    ):
+        assert out is not t and _built_like_constructor(t, out)
 
 
 def test_typed_frame_kernel_matches_list_stack_copy(monkeypatch):
@@ -508,6 +650,7 @@ def test_typed_frame_kernel_matches_list_stack_copy(monkeypatch):
             new = _outcome(lambda: _map_free_tvars(t, SCH, on_free, {}, {}))
             old = _outcome(lambda: list_stack_map_free_tvars(t, SCH, on_free, {}, {}))
             assert _agree(t, new, old)
+            assert type(new) is tuple or _built_like_constructor(t, new)
             raised += type(old) is tuple
         sigma = random_typed_assignment(SCH, rng)
         new = _outcome(lambda: tsubst(t, sigma, SCH))
@@ -616,7 +759,7 @@ def test_walks_restore_the_collector(enabled, gc_state):
 
 
 def test_callbacks_see_the_collector_paused(monkeypatch, gc_state):
-    """Inside a walk the collector is off, in the nested ``rename`` that
+    """Inside a walk the collector is off, in the nested walk that
     ``subst`` runs to shift an image too, and on again after it."""
     gc.enable()
     seen = []
@@ -628,6 +771,9 @@ def test_callbacks_see_the_collector_paused(monkeypatch, gc_state):
         return probe
 
     def probed(t, sig, on_free, real=map_free_vars):
+        if type(on_free) is int:  # a shift calls nothing: probed at the kernel's entry
+            seen.append(gc.isenabled())
+            return real(t, sig, on_free)
         return real(t, sig, probing(on_free))
 
     t = lam(lam(app(Var(2), Var(3))))
@@ -642,7 +788,7 @@ def test_callbacks_see_the_collector_paused(monkeypatch, gc_state):
         # the image lam(app 1 0) of 0 is shifted by 2 under the two binders
         assert subst(t, Assignment((lam(app(Var(1), Var(0))),), 0), SIG) == lam(
             lam(app(lam(app(Var(3), Var(0))), Var(2))))
-        assert len(seen) - before == 3  # two free occurrences, one in the image
+        assert len(seen) - before == 2 + 1  # two free occurrences, one nested shift walk
     assert seen and not any(seen)
     assert gc.isenabled()
 

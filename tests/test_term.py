@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import copy
 import pickle
 import random
+from dataclasses import FrozenInstanceError
 
 import pytest
 
@@ -148,6 +150,42 @@ def test_node_repr_eq_and_hash_are_the_dataclass_ones():
     assert o == app(lam(Var(0)), Var(3)) and o != app(lam(Var(0)), Var(4))
     assert Var(0) != lam(Var(0)) and Var(0) != 0
     assert pickle.loads(pickle.dumps(o)) == o
+
+
+def test_small_indices_are_interned():
+    """``Var(i)`` is one node for each ``int`` i in ``range(256)``; any
+    other index, and a subclass, gets a fresh node equal to another."""
+    assert all(Var(i) is Var(i) for i in range(256))
+    for i in (-1, 256, 1024, 10**6, True):
+        v = Var(i)
+        assert v is not Var(i) and v == Var(i) and hash(v) == hash(Var(i))
+        assert v.index is i and v._top == i + 1
+
+    class Sub(Var):
+        __slots__ = ()
+
+    class SubOp(Op):
+        __slots__ = ()
+
+    assert Sub(3) is not Sub(3) and type(Sub(3)) is Sub and Sub(3)._top == 4
+    o = SubOp("app", [Sub(3), Var(1)])
+    assert type(o) is SubOp and type(o.args) is tuple and o.args[1] is Var(1)
+    assert o._top == 4 and o._sig is None
+
+
+def test_interned_nodes_survive_copies_and_stay_frozen():
+    v = Var(7)
+    assert pickle.loads(pickle.dumps(v)) is v
+    assert copy.deepcopy(v) is v and copy.copy(v) is v
+    t = lam(app(Var(0), v))
+    assert pickle.loads(pickle.dumps(t)).args[0].args[1] is v
+    assert copy.deepcopy(t).args[0].args[1] is v
+    for name in ("index", "_top"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(v, name, 0)
+        with pytest.raises(FrozenInstanceError):
+            delattr(v, name)
+    assert v.index == 7 and v._top == 8 and Var(7) is v
 
 
 @pytest.mark.parametrize("sig", [SIG, FO_SIG, MIXED_SIG], ids=["lambda", "FO", "MIXED"])
