@@ -13,11 +13,10 @@ orientations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional
 
-from .signature import BindingArity, BindingSignature, lambda_signature
+from .signature import BindingArity, BindingSignature, Record, lambda_signature
 from .gen import random_assignment, random_term
 from .model import DBAlgebra, Report, named_model, term_model, to_named
 from .model import _binding_law, _binding_sampler, _naturality_law, _run_law
@@ -25,8 +24,7 @@ from .subst import Assignment
 from .term import Term, Var, Op, gc_paused, map_free_vars, support
 
 
-@dataclass(frozen=True)
-class MetaVar:
+class MetaVar(Record):
     """Reference to the i-th argument of the rule."""
 
     index: int
@@ -34,8 +32,7 @@ class MetaVar:
 
 # the explicit substitution of a metaterm is an ``Assignment`` whose
 # prefix holds metaterms; its tail variables are object variables
-@dataclass(frozen=True)
-class ExplicitSubst:
+class ExplicitSubst(Record):
     body: object
     assign: Assignment
 
@@ -45,16 +42,14 @@ class ExplicitSubst:
 MetaTerm = object
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(Record):
     name: str
     arity: BindingArity
     left: MetaTerm
     right: MetaTerm
 
 
-@dataclass(frozen=True)
-class EquationalTheory:
+class EquationalTheory(Record):
     signature: BindingSignature
     rules: tuple[Rule, ...]
 
@@ -142,8 +137,7 @@ _META, _INTERP, _APPLY, _SUBST = "meta", "interp", "apply", "subst"
 _ZERO = Var(0)  # what a metavariable the left side does not bind stands for
 
 
-@dataclass(frozen=True)
-class CompiledPattern:
+class CompiledPattern(Record):
     """A left side as a flat program, made by :func:`compile_pattern`.
 
     ``steps`` are ``(code, register, x, n)``: the term in the register
@@ -159,8 +153,7 @@ class CompiledPattern:
     gather: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class CompiledMetaterm:
+class CompiledMetaterm(Record):
     """A metaterm as a flat postfix program, made by :func:`compile_metaterm`.
 
     ``steps`` are ``(code, x, y)``: push metavariable x, variable x or
@@ -312,8 +305,7 @@ def match_pattern(pat, t: Term, sig: BindingSignature):
     return [regs[r] for r in left.gather]
 
 
-@dataclass(frozen=True)
-class NormalizeResult:
+class NormalizeResult(Record):
     term: Term
     exhausted: bool
     steps: int = 0  # contractions made

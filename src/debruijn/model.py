@@ -19,37 +19,34 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass, field
 from functools import partial
 from heapq import heappop, heappush
 from itertools import islice, repeat
 from operator import attrgetter
 from typing import Any, Callable, Optional
 
-from .signature import BindingSignature, TypeExpr
+from .signature import BindingSignature, Record, TypeExpr, factory
 from .subst import IDENTITY, NAT, Assignment, at, compose_with, lift_with, subst
 from .term import Term, Var, Op, _memoize, fold, gc_paused
 
 
 # A model's assignments are the one finite ``Assignment``, with the model's
 # variables map as the carrier's ``var``.
-@dataclass
-class DeBruijnMonad:
+class DeBruijnMonad(Record, frozen=False):
     """Carrier with variables and substitution maps plus decidable equality."""
 
     variables: Callable[[int], Any]
     substitution: Callable[[Any, Assignment], Any]
-    equal: Callable[[Any, Any], bool] = field(default=lambda a, b: a == b)
+    equal: Callable[[Any, Any], bool] = lambda a, b: a == b
 
 
-@dataclass
-class DBAlgebra(DeBruijnMonad):
+class DBAlgebra(DeBruijnMonad, frozen=False):
     """A De Bruijn monad with one interpretation per signature operation.
 
     Each interpretation takes the list of argument elements.
     """
 
-    interpretations: dict[str, Callable[[list], Any]] = field(default_factory=dict)
+    interpretations: dict[str, Callable[[list], Any]] = factory(dict)
 
 
 def model_lift_n(m: DeBruijnMonad, a: Assignment, n: int) -> Assignment:
@@ -96,18 +93,20 @@ class NamedTerm(Term):
 
     A variable's key (``_key``) is its name, or its (name, type) pair when
     typed; a binder declaration is a key, and it binds exactly the
-    variables of its key.  ``free``, the keys free in a node, is a memo
-    like ``_hash``, filled on first read for the node and each node below
-    it that lacks one; it takes no part in ==, hash or repr.  The hooks on
-    the operation classes are all that tells sorts apart."""
+    variables of its key.  ``free``, the keys free in a node, reads
+    ``_free``, a memo like ``_hash``, filled on first read for the node and
+    each node below it that lacks one; it takes no part in ==, hash or repr.
+    The hooks on the operation classes are all that tells sorts apart."""
 
-    __slots__ = ("free",)
+    __slots__ = ("_free",)
     _pairs = True
 
-    def __getattr__(self, name):  # only an unset memo gets here
-        if name == "free":
-            return _memoize(self, NamedTerm.free, _free_of)
-        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+    @property
+    def free(self) -> frozenset:
+        try:
+            return self._free
+        except AttributeError:  # not memoized yet
+            return _memoize(self, NamedTerm._free, _free_of)
 
 
 class NVar(NamedTerm):
@@ -191,7 +190,7 @@ def _free_of(t: NamedTerm) -> frozenset:
         return frozenset((t._key(t),))
     sets = []
     for binders, body in t.args:
-        fv = body.free
+        fv = body._free
         if not fv.isdisjoint(binders):
             fv = fv.difference(binders)
         sets.append(fv)
@@ -697,8 +696,7 @@ def from_named(sig: BindingSignature, t: NamedTerm) -> Term:
 # --- law checking -------------------------------------------------------
 
 
-@dataclass
-class LawResult:
+class LawResult(Record, frozen=False):
     law: str
     ok: bool
     seed: int
@@ -714,9 +712,8 @@ class LawResult:
         return s
 
 
-@dataclass
-class Report:
-    results: list[LawResult] = field(default_factory=list)
+class Report(Record, frozen=False):
+    results: list[LawResult] = factory(list)
 
     @property
     def ok(self) -> bool:

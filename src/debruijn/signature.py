@@ -10,20 +10,182 @@ stay finitely presented).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from functools import wraps
+from gc import disable, enable, isenabled
 from threading import RLock
+from typing import Callable
 from weakref import WeakValueDictionary
 
 
-@dataclass(frozen=True)
-class BindingArity:
+def gc_paused(walk: Callable) -> Callable:
+    """``walk`` run with the cyclic collector paused and restored on every
+    exit, return or raise.  Its output, immutable nodes built bottom-up,
+    holds no cycle, so a collection during it would only rescan that output.
+    A collector already off stays off: a caller's ``gc.disable()`` holds,
+    and a nested walk does not switch it back on."""
+
+    @wraps(walk)
+    def paused(*args, **kwargs):
+        if not isenabled():
+            return walk(*args, **kwargs)
+        try:
+            disable()
+            return walk(*args, **kwargs)
+        finally:
+            enable()
+    return paused
+
+
+class _RecordType(type):
+    """:class:`Record`'s metaclass, which reads a class body's fields."""
+
+    def __new__(meta, name, bases, ns, frozen=True):
+        own = tuple(ns.get("__annotations__", ()))
+        defaults = {f: ns.pop(f) for f in own if f in ns}
+        ns.setdefault("__slots__", own)
+        if not frozen:
+            ns.update(__setattr__=object.__setattr__, __delattr__=object.__delattr__, __hash__=None)
+        cls = super().__new__(meta, name, bases, ns)
+        cls._fields = cls.__match_args__ = cls._fields + own
+        cls._defaults = {**cls._defaults, **defaults}
+        return cls
+
+
+class factory(staticmethod):
+    """A field default made anew for each record: a ``default_factory``."""
+
+
+class Slotted:
+    """Base of the package's records and of the term nodes: slotted classes with a
+    frozen dataclass's ``==``, ``hash``, ``repr``, pickling and ``FrozenInstanceError``
+    over each class's ``_fields``, written once here with no generated code."""
+
+    __slots__ = ()
+    _fields, _defaults = (), {}
+
+    def __setattr__(self, name, value, verb="assign to"):
+        from dataclasses import FrozenInstanceError  # imported only to raise it
+        raise FrozenInstanceError(f"cannot {verb} field '{name}'")
+
+    def __delattr__(self, name):
+        self.__setattr__(name, None, "delete")
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        """A frozen dataclass's repr, on a stack where trees lay out their arguments."""
+        out, stack = [], [self]
+        while stack:
+            node = stack.pop()
+            kind = type(node)
+            if kind is str:
+                out.append(node)
+                continue
+            leaf = not isinstance(node, Tree) or kind._key is not None
+            head = ", ".join(f"{f}={getattr(node, f)!r}" for f in kind._fields[:None if leaf else -1])
+            if leaf:
+                out.append(f"{kind.__qualname__}({head})")
+                continue
+            out.append(f"{kind.__qualname__}({head}, args=(")
+            args = node.args
+            stack.append(",))" if len(args) == 1 else "))")
+            for i in range(len(args) - 1, -1, -1):
+                a = args[i]
+                if kind._pairs:  # (binders, body)
+                    stack += ")", a[1], f"({a[0]!r}, "
+                else:
+                    stack.append(a if isinstance(a, Tree) else repr(a))
+                if i:
+                    stack.append(", ")
+        return "".join(out)
+
+    @gc_paused
+    def __reduce__(self):
+        """The class and the fields; for a tree not a leaf, the flat postorder that
+        :func:`_tree_of_flat` rebuilds, a pair per node: ``(None, leaf)``, ``(class,
+        (*head, argument count or binders))``, or ``(True, k)`` for the k-th such, met again."""
+        if not isinstance(self, Tree) or self._key is not None:
+            return type(self), self._values()
+        flat, seen, nodes = [], {}, [(self, False)]
+        while nodes:
+            node, done = nodes.pop()
+            if done:
+                seen[id(node)] = len(seen)
+                shape = tuple([a[0] for a in node.args]) if node._pairs else len(node.args)
+                flat += type(node), (*[getattr(node, f) for f in node._fields[:-1]], shape)
+            elif not isinstance(node, Tree) or node._key is not None:
+                flat += None, node
+            elif id(node) in seen:
+                flat += True, seen[id(node)]
+            else:
+                nodes.append((node, True))
+                nodes += [(a[1] if node._pairs else a, False) for a in reversed(node.args)]
+        return _tree_of_flat, (tuple(flat),)
+
+
+class Record(Slotted, metaclass=_RecordType):
+    """A class whose body declares its fields by annotations, as a
+    dataclass's: they extend its bases' ``_fields`` and ``__match_args__``,
+    are its ``__slots__`` unless it lists its own, and their values are its
+    ``_defaults``; ``frozen=False`` makes it mutable and unhashable."""
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs or len(args) != len(fields):  # a field given twice raises here
+            given = dict(self._defaults, **dict(zip(fields, args)), **kwargs)
+            if len(args) > len(fields) or given.keys() ^ set(fields):
+                raise TypeError(f"{type(self).__name__}() takes the fields {fields}")
+            args = [given[f]() if type(given[f]) is factory else given[f] for f in fields]
+        for name, value in zip(fields, args):
+            object.__setattr__(self, name, value)
+
+
+class Tree(Slotted):
+    """The term nodes and the types: immutable, so a copy is the tree itself,
+    with children in a last field, ``args``, as (binders, child) pairs where
+    the class sets ``_pairs``; a class with a ``_key`` is a leaf.  Not a
+    ``Record``, so ``isinstance`` against a tree class takes the fast path."""
+
+    __slots__ = ()
+    _key = None
+    _pairs = False
+    __copy__ = __deepcopy__ = lambda self, memo=None: self
+
+
+@gc_paused
+def _tree_of_flat(flat: tuple) -> Tree:
+    """The tree ``Slotted.__reduce__`` flattened, each node built by its class."""
+    values, built = [], []
+    for kind, x in zip(flat[::2], flat[1::2]):
+        if kind is None or kind is True:
+            values.append(built[x] if kind else x)
+        else:
+            *head, shape = x
+            k = len(values) - (len(shape) if kind._pairs else shape)
+            args = tuple(zip(shape, values[k:])) if kind._pairs else tuple(values[k:])
+            values[k:] = [kind(*head, args)]
+            built.append(values[-1])
+    return values[0]
+
+
+class BindingArity(Record):
     """Sequence of binder counts, one per argument."""
 
     binders: tuple[int, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "binders", tuple(self.binders))
+    def __init__(self, binders: tuple[int, ...]):
+        object.__setattr__(self, "binders", tuple(binders))
 
 
 def first_order_arity(a: BindingArity) -> int:
@@ -31,16 +193,16 @@ def first_order_arity(a: BindingArity) -> int:
     return len(a.binders)
 
 
-@dataclass(frozen=True)
-class BindingSignature:
-    """Finite map from operation name to binding arity."""
+class BindingSignature(Record):
+    """Finite map from operation name to binding arity; ``binders`` holds
+    the binder counts by operation name, built with the signature."""
 
+    __slots__ = ("ops", "binders")
     ops: dict[str, BindingArity]
 
-    @cached_property
-    def binders(self) -> dict[str, tuple[int, ...]]:
-        """Binder counts by operation name, built once per signature."""
-        return {name: a.binders for name, a in self.ops.items()}
+    def __init__(self, ops: dict[str, BindingArity]):
+        object.__setattr__(self, "ops", ops)
+        object.__setattr__(self, "binders", {name: a.binders for name, a in ops.items()})
 
 
 def arity(*binders: int) -> BindingArity:
@@ -59,15 +221,17 @@ def lambda_signature() -> BindingSignature:
 # --- type expressions ---------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False, init=False, repr=False)
-class TypeExpr:
+class TypeExpr(Tree):
     """Type expression: a constructor name applied to argument types.
 
     Base types are nullary constructors; ``->`` is the binary arrow.  Types are immutable
     and hash-consed, so ``==`` is identity: building one returns any live equal type."""
 
+    __slots__ = ("ctor", "args", "_hash", "__weakref__")
+    __match_args__ = _fields = ("ctor", "args")
     ctor: str
-    args: tuple[TypeExpr, ...] = ()
+    args: tuple[TypeExpr, ...]
+    __eq__ = object.__eq__
 
     def __new__(cls, ctor: str, args: tuple[TypeExpr, ...] = ()):
         key = (ctor, tuple(args))
@@ -75,35 +239,13 @@ class TypeExpr:
             with _interning:  # so that two threads cannot both make it
                 if (ty := _types.get(key)) is None:
                     ty = super().__new__(cls)
-                    vars(ty).update(ctor=ctor, args=key[1], _hash=hash(key))  # frozen
+                    for name, value in zip(("ctor", "args", "_hash"), (*key, hash(key))):
+                        object.__setattr__(ty, name, value)  # frozen
                     _types[key] = ty  # only once whole: the first get takes no lock
         return ty
 
     def __hash__(self):  # the dataclass hash, computed once
         return self._hash
-
-    def __reduce__(self):
-        """Flat (constructor, argument count) pairs, preorder, last argument first."""
-        flat, stack = [], [self]
-        while stack:
-            ty = stack.pop()
-            flat += ty.ctor, len(ty.args)
-            stack += ty.args
-        return _type_of_flat, (tuple(flat),)
-
-    def __repr__(self) -> str:
-        """The frozen dataclass's repr, on an explicit stack of types and text."""
-        out, stack = [], [self]
-        while stack:
-            ty = stack.pop()
-            if type(ty) is str:
-                out.append(ty)
-            else:
-                out.append(f"TypeExpr(ctor={ty.ctor!r}, args=(")
-                stack.append(",))" if len(ty.args) == 1 else "))")
-                for i in range(len(ty.args) - 1, -1, -1):
-                    stack += (ty.args[i], ", ") if i else (ty.args[i],)
-        return "".join(out)
 
     def __str__(self) -> str:
         """``ctor(arg, ...)``, or ``src -> dst`` with a parenthesized arrow
@@ -132,15 +274,6 @@ class TypeExpr:
 _types, _interning = WeakValueDictionary(), RLock()  # the live types by (ctor, args)
 
 
-def _type_of_flat(flat: tuple) -> TypeExpr:
-    """The type ``TypeExpr.__reduce__`` flattened, its pairs read backwards."""
-    done: list[TypeExpr] = []
-    for i in range(len(flat) - 2, -1, -2):
-        k = len(done) - flat[i + 1]
-        done[k:] = [TypeExpr(flat[i], done[k:])]
-    return done[0]
-
-
 def base(name: str) -> TypeExpr:
     return TypeExpr(name)
 
@@ -149,8 +282,7 @@ def arrow(src: TypeExpr, dst: TypeExpr) -> TypeExpr:
     return TypeExpr("->", (src, dst))
 
 
-@dataclass(frozen=True)
-class TypeGrammar:
+class TypeGrammar(Record):
     """Declared type constructors with fixed arities."""
 
     ctors: dict[str, int]
@@ -172,23 +304,18 @@ class TypeGrammar:
 # --- typed arities and schemas ------------------------------------------
 
 
-@dataclass(frozen=True)
-class TypedArity:
+class TypedArity(Record):
     """Premises ``(gamma_i |- tau_i)`` and a conclusion type."""
 
     premises: tuple[tuple[tuple[TypeExpr, ...], TypeExpr], ...]
     conclusion: TypeExpr
 
-    def __post_init__(self):
-        object.__setattr__(
-            self,
-            "premises",
-            tuple((tuple(g), t) for g, t in self.premises),
-        )
+    def __init__(self, premises: tuple, conclusion: TypeExpr):
+        object.__setattr__(self, "premises", tuple((tuple(g), t) for g, t in premises))
+        object.__setattr__(self, "conclusion", conclusion)
 
 
-@dataclass(frozen=True)
-class OpSchema:
+class OpSchema(Record):
     """Operation schema: a typed arity template over type metavariables.
 
     Metavariables appear in the templates as nullary ``TypeExpr`` nodes
@@ -200,15 +327,16 @@ class OpSchema:
     template: TypedArity
 
 
-@dataclass(frozen=True)
-class TypedSignatureSchema:
-    grammar: TypeGrammar
-    schemas: dict[str, OpSchema] = field(default_factory=dict)
+class TypedSignatureSchema(Record):
+    """A type grammar and schemas; ``arities`` is ``typed.op_arity``'s memo."""
 
-    @cached_property
-    def arities(self) -> dict:
-        """``typed.op_arity``'s memo: arities by (name, type arguments)."""
-        return {}
+    __slots__ = ("grammar", "schemas", "arities")
+    grammar: TypeGrammar
+    schemas: dict[str, OpSchema] = factory(dict)
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        object.__setattr__(self, "arities", {})
 
 
 def _subst_type(ty: TypeExpr, env: dict[str, TypeExpr]) -> TypeExpr:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from itertools import islice
 from operator import length_hint
 from typing import Callable, Optional
@@ -23,6 +22,7 @@ from .signature import (
     BindingArity,
     BindingSignature,
     OpSchema,
+    Record,
     TypeExpr,
     TypeGrammar,
     TypedArity,
@@ -34,16 +34,14 @@ from .term import Term, Var, Op, fold_nodes, gc_paused, wellformed
 from .typed import TOp, TVar, TypedTerm
 
 
-@dataclass(frozen=True)
-class SourceSpan:
+class SourceSpan(Record):
     start: int
     end: int
     line: int
     column: int
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(Record):
     severity: str
     message: str
     span: Optional[SourceSpan] = None
@@ -596,8 +594,7 @@ def term_from_json(data) -> Term:
 # --- signature and theory files ------------------------------------------
 
 
-@dataclass
-class SignatureFile:
+class SignatureFile(Record, frozen=False):
     signatures: dict[str, BindingSignature]
     schemas: dict[str, TypedSignatureSchema]
 

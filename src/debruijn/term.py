@@ -8,36 +8,25 @@ recursion limit.
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError
-from functools import wraps
-from gc import disable, enable, isenabled
 from math import inf
 from operator import attrgetter, is_not
 from typing import Callable
 
-from .signature import BindingSignature, first_order_arity
+from .signature import BindingSignature, Slotted, Tree, first_order_arity, gc_paused
 
 
-class Term:
+class Term(Tree):
     """Base of every node class: ``Var`` and ``Op`` here, ``TVar`` and
     ``TOp`` of :mod:`debruijn.typed` and the named ones of
-    :mod:`debruijn.model`.  Nodes are immutable and slotted, with the
-    ``==``, ``hash``, ``repr`` and pickling of frozen dataclasses over each
-    class's ``_fields``, written once here without recursion.  A variable
+    :mod:`debruijn.model`.  Nodes are trees, immutable and slotted, with
+    the ``repr`` and pickling of :class:`~debruijn.signature.Slotted` and
+    ``==`` and ``hash`` written once here, none recursive.  A variable
     class's ``_key`` reads its fields; an operation class has ``name``,
     ``type_args`` and ``args``, each argument a subterm, or a (binders,
     body) pair where the class sets ``_pairs``.  ``_hash`` is a memo: the
     first ``hash`` fills it for the node and each node below it without one."""
 
     __slots__ = ("_hash",)
-    _key = None
-    _pairs = False
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field '{name}'")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field '{name}'")
 
     def __eq__(self, other):
         """Structural equality, with an explicit stack of operation pairs:
@@ -98,37 +87,7 @@ class Term:
         try:
             return self._hash
         except AttributeError:  # not memoized yet
-            return _memoize(self, Term._hash, _hash_of)
-
-    def __repr__(self):
-        """The frozen dataclass's repr, on an explicit stack of nodes and
-        text: deep terms render without recursion."""
-        out, stack = [], [self]
-        while stack:
-            node = stack.pop()
-            if type(node) is str:
-                out.append(node)
-                continue
-            kind = type(node)
-            head = ", ".join(f"{f}={getattr(node, f)!r}" for f in kind._fields if f != "args")
-            if kind._key is not None:
-                out.append(f"{kind.__name__}({head})")
-                continue
-            out.append(f"{kind.__name__}({head}, args=(")
-            args = node.args
-            stack.append(",))" if len(args) == 1 else "))")
-            for i in range(len(args) - 1, -1, -1):
-                a = args[i]
-                if kind._pairs:  # (binders, body)
-                    stack += ")", a[1], f"({a[0]!r}, "
-                else:
-                    stack.append(a if isinstance(a, Term) else repr(a))
-                if i:
-                    stack.append(", ")
-        return "".join(out)
-
-    def __reduce__(self):
-        return type(self), tuple(getattr(self, f) for f in self._fields)
+            return _memoize(self, Term._hash, Slotted.__hash__)  # reads the memos below
 
 
 class Var(Term):
@@ -198,25 +157,6 @@ _vars = tuple(map(Var, range(256)))  # Var(i) reads this table from here on
 _interned = len(_vars)
 
 
-def gc_paused(walk: Callable) -> Callable:
-    """``walk`` run with the cyclic collector paused and restored on every
-    exit, return or raise.  Its output, immutable nodes built bottom-up,
-    holds no cycle, so a collection during it would only rescan that output.
-    A collector already off stays off: a caller's ``gc.disable()`` holds,
-    and a nested walk does not switch it back on."""
-
-    @wraps(walk)
-    def paused(*args, **kwargs):
-        if not isenabled():
-            return walk(*args, **kwargs)
-        try:
-            disable()
-            return walk(*args, **kwargs)
-        finally:
-            enable()
-    return paused
-
-
 @gc_paused
 def _memoize(t: Term, memo, value: Callable):
     """``value(node)`` stored in the slot ``memo`` of ``t`` and of each node
@@ -224,7 +164,7 @@ def _memoize(t: Term, memo, value: Callable):
     children's memos: one walk with an explicit stack.  A variable is
     stored when it is reached, at least as cheap as testing its slot; an
     argument that is not a term is left to ``value``."""
-    get, put = memo.__get__, memo.__set__
+    name, put = memo.__name__, memo.__set__
     nodes, done = [t], [False]  # done: the node's arguments are memoized
     while nodes:
         node = nodes.pop()
@@ -232,11 +172,8 @@ def _memoize(t: Term, memo, value: Callable):
         if done.pop() or kind._key is not None:
             put(node, value(node))
             continue
-        try:
-            get(node)
+        if getattr(node, name, None) is not None:  # a probe that raises nothing
             continue  # memoized, and so is everything below it
-        except AttributeError:
-            pass
         nodes.append(node)
         done.append(True)
         for a in node.args:
@@ -245,13 +182,7 @@ def _memoize(t: Term, memo, value: Callable):
             if isinstance(a, Term):
                 nodes.append(a)
                 done.append(False)
-    return get(t)
-
-
-def _hash_of(t: Term) -> int:
-    """The frozen dataclass's hash, of the tuple of ``t``'s fields; the
-    tuple hash reads the arguments' memos."""
-    return hash(tuple([getattr(t, f) for f in t._fields]))
+    return memo.__get__(t)
 
 
 def wellformed(sig: BindingSignature, t: Term) -> list[str]:

@@ -13,7 +13,6 @@ one-sort case; this module adds its model, ``typed_named_model``.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import partial
 from operator import attrgetter, is_not
 from typing import Any, Callable
@@ -23,6 +22,7 @@ from .model import (
 )
 from .signature import (
     OpSchema,
+    Record,
     TypeExpr,
     TypeGrammar,
     TypedArity,
@@ -71,16 +71,15 @@ def _tvar(ty: TypeExpr) -> Callable[[int], TVar]:
     return partial(TVar, ty=ty)
 
 
-@dataclass(frozen=True)
-class TypedAssignment:
+class TypedAssignment(Record):
     """Family of finite assignments indexed by type; types not present
     are the identity."""
 
-    components: dict[TypeExpr, Assignment] = field(default_factory=dict)
+    components: dict[TypeExpr, Assignment]
 
-    def __post_init__(self):
+    def __init__(self, components: dict[TypeExpr, Assignment] = {}):  # read, never stored
         norm = {}
-        for ty, (prefix, k) in self.components.items():
+        for ty, (prefix, k) in components.items():
             a = Assignment(prefix, k, _tvar(ty))
             if a != IDENTITY:
                 norm[ty] = a
@@ -307,8 +306,7 @@ def tcompose(
 # --- typed models -------------------------------------------------------
 
 
-@dataclass
-class TypedAlgebra:
+class TypedAlgebra(Record, frozen=False):
     """Typed model contract: per-type variables, substitution against a
     typed assignment over the carrier, and one interpretation per
     (schema, type arguments) instantiation."""
@@ -316,7 +314,7 @@ class TypedAlgebra:
     variables: Callable[[int, TypeExpr], Any]
     substitution: Callable[[Any, TypedAssignment], Any]
     interpretation: Callable[[str, tuple[TypeExpr, ...], list], Any]
-    equal: Callable[[Any, Any], bool] = field(default=lambda a, b: a == b)
+    equal: Callable[[Any, Any], bool] = lambda a, b: a == b
 
 
 def typed_term_model(schema: TypedSignatureSchema) -> TypedAlgebra:
@@ -398,17 +396,14 @@ def from_degenerate(t: TypedTerm):
 # --- application binary trees (values signature) ------------------------
 
 
-@dataclass(frozen=True)
-class BTDerivation:
+class BTDerivation(Record):
     pass
 
 
-@dataclass(frozen=True)
 class BTLeaf(BTDerivation):
     ty: TypeExpr
 
 
-@dataclass(frozen=True)
 class BTNode(BTDerivation):
     left: BTDerivation
     right: BTDerivation

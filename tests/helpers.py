@@ -5,14 +5,16 @@ from __future__ import annotations
 
 import re
 from collections import Counter
+from functools import partial
 from itertools import zip_longest
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import is_not
 from typing import NamedTuple
 
 from debruijn import (
     NAT,
     Assignment,
+    IDENTITY,
     Diagnostic,
     ExplicitSubst,
     MetaVar,
@@ -33,7 +35,9 @@ from debruijn import (
     term_model,
     wellformed,
 )
+from debruijn import equational, model, signature, surface, typed
 from debruijn.model import _letter_supply, default_supply, default_supply_index
+from debruijn.signature import Record, Slotted, Tree
 from debruijn.surface import SourceSpan
 from debruijn.term import _op_sig, _op_sup
 from debruijn.typed import op_arity, typed_assignment_at
@@ -1180,3 +1184,189 @@ def as_dataclasses(t):
     if isinstance(t, NOp):
         return DataNOp(t.name, args)
     return DataTNOp(t.name, tuple(map(as_data_type, t.type_args)), args)
+
+
+# The package's records as they were first written: dataclasses, frozen
+# unless noted, with their defaults, default factories and __post_init__
+# normalisations.  Each takes its original's qualified name, which the
+# dataclass repr prints; ``RECORD_TWINS`` maps each record class to its twin.
+@dataclass(frozen=True)
+class DataBindingArity:
+    binders: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "binders", tuple(self.binders))
+
+
+@dataclass(frozen=True)
+class DataBindingSignature:
+    ops: dict
+
+
+@dataclass(frozen=True)
+class DataTypeGrammar:
+    ctors: dict
+
+
+@dataclass(frozen=True)
+class DataTypedArity:
+    premises: tuple
+    conclusion: TypeExpr
+
+    def __post_init__(self):
+        object.__setattr__(self, "premises", tuple((tuple(g), t) for g, t in self.premises))
+
+
+@dataclass(frozen=True)
+class DataOpSchema:
+    name: str
+    metavars: tuple
+    template: object
+
+
+@dataclass(frozen=True)
+class DataTypedSignatureSchema:
+    grammar: object
+    schemas: dict = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
+class DataMetaVar:
+    index: int
+
+
+@dataclass(frozen=True)
+class DataExplicitSubst:
+    body: object
+    assign: Assignment
+
+
+@dataclass(frozen=True)
+class DataRule:
+    name: str
+    arity: object
+    left: object
+    right: object
+
+
+@dataclass(frozen=True)
+class DataEquationalTheory:
+    signature: object
+    rules: tuple
+
+
+@dataclass(frozen=True)
+class DataCompiledPattern:
+    steps: tuple
+    binds: tuple
+    gather: tuple
+
+
+@dataclass(frozen=True)
+class DataCompiledMetaterm:
+    steps: tuple
+
+
+@dataclass(frozen=True)
+class DataNormalizeResult:
+    term: Term
+    exhausted: bool
+    steps: int = 0
+
+
+@dataclass
+class DataDeBruijnMonad:
+    variables: object
+    substitution: object
+    equal: object = field(default=lambda a, b: a == b)
+
+
+@dataclass
+class DataDBAlgebra(DataDeBruijnMonad):
+    interpretations: dict = field(default_factory=dict)
+
+
+@dataclass
+class DataLawResult:
+    law: str
+    ok: bool
+    seed: int
+    case: object = None
+    counterexample: object = None
+
+
+@dataclass
+class DataReport:
+    results: list = field(default_factory=list)
+
+
+@dataclass(frozen=True)
+class DataTypedAssignment:
+    components: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        norm = {}
+        for ty, (prefix, k) in self.components.items():
+            a = Assignment(prefix, k, partial(TVar, ty=ty))
+            if a != IDENTITY:
+                norm[ty] = a
+        object.__setattr__(self, "components", norm)
+
+
+@dataclass
+class DataTypedAlgebra:
+    variables: object
+    substitution: object
+    interpretation: object
+    equal: object = field(default=lambda a, b: a == b)
+
+
+@dataclass(frozen=True)
+class DataBTDerivation:
+    pass
+
+
+@dataclass(frozen=True)
+class DataBTLeaf(DataBTDerivation):
+    ty: TypeExpr
+
+
+@dataclass(frozen=True)
+class DataBTNode(DataBTDerivation):
+    left: object
+    right: object
+
+
+@dataclass(frozen=True)
+class DataSourceSpan:
+    start: int
+    end: int
+    line: int
+    column: int
+
+
+@dataclass(frozen=True)
+class DataDiagnostic:
+    severity: str
+    message: str
+    span: object = None
+    path: object = None
+
+
+@dataclass
+class DataSignatureFile:
+    signatures: dict
+    schemas: dict
+
+
+RECORD_TWINS = {
+    record: twin
+    for module in (signature, equational, model, typed, surface)
+    for record in vars(module).values()
+    if isinstance(record, type) and record.__module__ == module.__name__
+    and issubclass(record, Slotted) and not issubclass(record, Term)
+    and record not in (Slotted, Record, Tree)
+    for twin in [DataTypeExpr if record is TypeExpr else globals()[f"Data{record.__name__}"]]
+}
+for _twin in RECORD_TWINS.values():
+    _twin.__qualname__ = _twin.__name__[len("Data"):]

@@ -152,6 +152,22 @@ def test_node_repr_eq_and_hash_are_the_dataclass_ones():
     assert pickle.loads(pickle.dumps(o)) == o
 
 
+def test_pickling_keeps_shared_subterms_shared():
+    """A node met twice is pickled once and comes back shared: a term of
+    2 000 levels, each applying one node to itself, pickles in size linear
+    in its levels, not in its 2^2000 paths."""
+    t = Var(0)
+    for _ in range(2_000):
+        t = app(t, t)
+    data = pickle.dumps(t)
+    assert len(data) < 100 * 2_000
+    back, depth = pickle.loads(data), 0
+    while type(back) is Op:
+        assert back.args[0] is back.args[1]
+        back, depth = back.args[0], depth + 1
+    assert back is Var(0) and depth == 2_000
+
+
 def test_small_indices_are_interned():
     """``Var(i)`` is one node for each ``int`` i in ``range(256)``; any
     other index, and a subclass, gets a fresh node equal to another."""
