@@ -68,62 +68,45 @@ def validate_theory(theory: EquationalTheory) -> list[str]:
         if rule.name in seen:
             errs.append(f"duplicate rule name '{rule.name}'")
         seen.add(rule.name)
+        if any(n < 0 for n in rule.arity.binders):
+            errs.append(f"rule '{rule.name}' has a negative binder count")
         p = len(rule.arity.binders)
-        left, msg = _check_metaterm(rule.left, sig, p)
-        right, _ = _check_metaterm(rule.right, sig, p)
-        errs.extend(f"rule '{rule.name}' left: {e}" for e in left)
-        errs.extend(f"rule '{rule.name}' right: {e}" for e in right)
-        if msg:
-            errs.append(f"rule '{rule.name}' left: {msg}")
+        errs.extend(f"rule '{rule.name}' left: {e}" for e in _check_metaterm(rule.left, sig, p))
+        errs.extend(f"rule '{rule.name}' right: {e}" for e in _check_metaterm(rule.right, sig, p))
+        fault = compile_pattern(rule.left, p).fault
+        if fault:
+            errs.append(f"rule '{rule.name}' left: {fault}")
     return errs
 
 
-def _check_metaterm(mt: MetaTerm, sig: BindingSignature, metavars: int):
-    """The well-formedness errors of ``mt`` in preorder, and the first node
-    at which it breaks the pattern restrictions (or None), in one walk.
-
-    The walk does not check the arguments of an operation that is unknown
-    or has the wrong argument count, but still reads them as a pattern; it
-    reads the inside of an explicit substitution only as a metaterm."""
+def _check_metaterm(mt: MetaTerm, sig: BindingSignature, metavars: int) -> list[str]:
+    """The well-formedness errors of ``mt`` in preorder, in one walk.  The
+    walk does not check the arguments of an operation that is unknown or
+    has the wrong argument count."""
     errs: list[str] = []
-    msg: Optional[str] = None
-    used: set[int] = set()
-    stack = [(mt, True)]  # (node, whether to check it as a metaterm)
+    stack = [mt]
     while stack:
-        node, check = stack.pop()
-        pat = msg is None
+        node = stack.pop()
         match node:
             case MetaVar(index):
-                if check and not 0 <= index < metavars:
+                if not 0 <= index < metavars:
                     errs.append(f"metavariable ?{index} out of range (< {metavars})")
-                if pat:
-                    if index in used:
-                        msg = f"metavariable ?{index} used twice"
-                    used.add(index)
             case Var(index):
-                if check and index < 0:
+                if index < 0:
                     errs.append(f"negative variable index {index}")
             case Op(name, args):
-                if check and name not in sig.ops:
+                if name not in sig.ops:
                     errs.append(f"unknown operation '{name}'")
-                    check = False
-                elif check and len(args) != len(sig.ops[name].binders):
+                elif len(args) != len(sig.ops[name].binders):
                     want = len(sig.ops[name].binders)
                     errs.append(f"operation '{name}' expects {want} arguments, got {len(args)}")
-                    check = False
-                if check or pat:
-                    stack.extend((a, check) for a in reversed(args))
-            case ExplicitSubst(body, assign):
-                if pat and _shift_pattern(node) is None:
-                    msg = "explicit substitution in a pattern must be a shift of a metavariable"
-                if check or msg is None:  # unchecked, only a shift's metavariable is read
-                    stack.extend((x, check) for x in reversed((body, *assign.prefix)))
+                else:
+                    stack.extend(reversed(args))
+            case ExplicitSubst(body, Assignment() as assign):
+                stack.extend(reversed((body, *assign.prefix)))
             case _:
-                if check:
-                    errs.append(f"not a metaterm: {node!r}")
-                if pat:
-                    msg = f"bad pattern node {node!r}"
-    return errs, msg
+                errs.append(f"not a metaterm: {node!r}")
+    return errs
 
 
 # --- compiled rule sides -------------------------------------------------
@@ -143,14 +126,22 @@ class CompiledPattern(Record):
     ``steps`` are ``(code, register, x, n)``: the term in the register
     is an operation named x with n arguments, which are loaded; a
     variable with index x; or a k-shift, where x is k, replaced by its
-    unshift.  A step coded "bad" fails the match.  ``binds`` are the
-    (metavariable, register) pairs in preorder, and ``gather`` the
+    unshift.  A step coded "bad" fails the match.  ``gather`` is the
     register of each of the rule's metavariables, last bound wins, -1
-    for one that the side does not bind."""
+    for one that the side does not bind.  ``head`` is the name of the
+    side's root operation, or None; ``reach`` the levels of the side
+    that look at the term (its Op and Var nodes, the root at level 1),
+    or ``inf`` when it holds a shift pattern ``?i[^k]`` with k > 0,
+    which looks at every free variable of the subterm it matches; and
+    ``fault`` the message of the first node in preorder that breaks the
+    pattern restrictions, or None.  ``steps``, ``gather`` and ``reach``
+    cover the nodes before the first bad one."""
 
     steps: tuple[tuple, ...]
-    binds: tuple[tuple[int, int], ...]
     gather: tuple[int, ...]
+    head: Optional[str]
+    reach: float
+    fault: Optional[str]
 
 
 class CompiledMetaterm(Record):
@@ -161,9 +152,11 @@ class CompiledMetaterm(Record):
     apply the interpretation below the last x values to them; or
     substitute the last value, a body, by the assignment of the x values
     below it, its prefix, and tail shift y.  A step coded "bad" raises
-    ``TypeError(x)``, x not a metaterm."""
+    ``TypeError(x)``, x not a metaterm.  ``moved`` are the metavariables
+    inside an explicit substitution's prefix, in increasing order."""
 
     steps: tuple[tuple, ...]
+    moved: tuple[int, ...]
 
 
 def compile_pattern(pat: MetaTerm, metavars: int) -> CompiledPattern:
@@ -171,70 +164,76 @@ def compile_pattern(pat: MetaTerm, metavars: int) -> CompiledPattern:
     the result lists a term for each of the rule's ``metavars``
     metavariables.  The program stops at the first node that is not a
     pattern node: a match that gets there fails."""
-    steps, binds = [], []
-    nodes, registers, free = [pat], [0], 1  # free: the next register an operation loads
+    steps, bound, reach, fault = [], {}, 0, None  # bound: each metavariable's register
+    nodes, free = [(pat, 0, 1)], 1  # (node, register, level); free: the next register to load
     while nodes:
-        node, r = nodes.pop(), registers.pop()
-        if type(node) is MetaVar:
-            binds.append((node.index, r))
-        elif type(node) is Op:
+        node, r, level = nodes.pop()
+        if type(node) is Op:
             n = len(node.args)
             steps.append((_OP, r, node.name, n))
-            nodes.extend(reversed(node.args))
-            registers.extend(reversed(range(free, free + n)))
+            nodes.extend((node.args[i], free + i, level + 1) for i in reversed(range(n)))
             free += n
+            reach = max(reach, level)
         elif type(node) is Var:
             steps.append((_VAR, r, node.index, None))
-        elif (k := _shift_pattern(node)) is not None:
-            steps.append((_UNSHIFT, r, k, None))
-            binds.append((node.body.index, r))
+            reach = max(reach, level)
+        elif type(node) is MetaVar or (k := _shift_pattern(node)) is not None:
+            if type(node) is not MetaVar:
+                steps.append((_UNSHIFT, r, k, None))
+                reach = math.inf if k else reach
+                node = node.body
+            if node.index in bound and fault is None:
+                fault = f"metavariable ?{node.index} used twice"
+            bound[node.index] = r
         else:
             steps.append((_BAD, r, None, None))
+            fault = fault or ("explicit substitution in a pattern must be a shift of a metavariable"
+                              if type(node) is ExplicitSubst else f"bad pattern node {node!r}")
             break
-    last = dict(binds)
-    gather = tuple(last.get(i, -1) for i in range(metavars))
-    return CompiledPattern(tuple(steps), tuple(binds), gather)
+    gather = tuple(bound.get(i, -1) for i in range(metavars))
+    head = pat.name if type(pat) is Op else None
+    return CompiledPattern(tuple(steps), gather, head, reach, fault)
 
 
 def compile_metaterm(mt: MetaTerm) -> CompiledMetaterm:
     """``mt`` compiled for :func:`eval_metaterm`, in one walk: an
     operation's interpretation is looked up before its arguments, and a
     prefix evaluated before its body."""
-    steps, nodes, done = [], [mt], [False]  # done: the node's arguments are compiled
+    steps, moved = [], set()
+    nodes = [(mt, False, False)]  # (node, its arguments are compiled, it is inside a prefix)
     while nodes:
-        node = nodes.pop()
+        node, done, inside = nodes.pop()
         kind = type(node)
-        if done.pop():
+        if done:
             if kind is Op:
                 steps.append((_APPLY, len(node.args), None))
             else:
                 steps.append((_SUBST, len(node.assign.prefix), node.assign.tail_shift))
         elif kind is MetaVar:
             steps.append((_META, node.index, None))
+            if inside:
+                moved.add(node.index)
         elif kind is Var:
             steps.append((_VAR, node.index, None))
-        elif kind is Op or kind is ExplicitSubst:
-            if kind is Op:
-                steps.append((_INTERP, node.name, None))
-            args = node.args if kind is Op else (*node.assign.prefix, node.body)
-            nodes.append(node)
-            done.append(True)
-            nodes.extend(reversed(args))
-            done.extend([False] * len(args))
+        elif kind is Op:
+            steps.append((_INTERP, node.name, None))
+            nodes.append((node, True, inside))
+            nodes.extend((a, False, inside) for a in reversed(node.args))
+        elif kind is ExplicitSubst and isinstance(node.assign, Assignment):
+            nodes += [(node, True, inside), (node.body, False, inside)]
+            nodes.extend((x, False, True) for x in reversed(node.assign.prefix))
         else:
             steps.append((_BAD, node, None))
-    return CompiledMetaterm(tuple(steps))
+    return CompiledMetaterm(tuple(steps), tuple(sorted(moved)))
 
 
-def eval_metaterm(algebra: DBAlgebra, env, mt):
-    """Evaluate a metaterm in a model under an environment for its
-    metavariables.  ``mt`` is a metaterm, compiled here, or a
-    :class:`CompiledMetaterm`, whose program runs on one stack of values."""
-    program = mt if type(mt) is CompiledMetaterm else compile_metaterm(mt)
+def eval_metaterm(algebra: DBAlgebra, env, mt: CompiledMetaterm):
+    """Evaluate a compiled metaterm in a model under an environment for
+    its metavariables: its program runs on one stack of values."""
     var, substitution = algebra.variables, algebra.substitution
     values = []
     push = values.append
-    for code, x, y in program.steps:
+    for code, x, y in mt.steps:
         if code is _META:
             push(env[x])
         elif code is _SUBST:  # the prefix's x values, then the body
@@ -274,16 +273,14 @@ def _shift_pattern(node) -> Optional[int]:
     return None
 
 
-def match_pattern(pat, t: Term, sig: BindingSignature):
-    """The metavariable bindings under which the left side ``pat`` is
-    ``t``, or None.  ``pat`` is a metaterm, compiled here, whose bindings
-    are a dict; or a :class:`CompiledPattern`, whose bindings are a list
-    with a term for each of its rule's metavariables, ``Var(0)`` for one
-    that it does not bind.  Matching follows ``pat`` in preorder, so a
-    later binding of a metavariable wins."""
-    left = pat if type(pat) is CompiledPattern else compile_pattern(pat, 0)
+def match_pattern(pat: CompiledPattern, t: Term, sig: BindingSignature):
+    """The metavariable bindings under which the compiled left side
+    ``pat`` is ``t``, or None: a list with a term for each of its rule's
+    metavariables, ``Var(0)`` for one that it does not bind.  Matching
+    follows ``pat`` in preorder, so a later binding of a metavariable
+    wins."""
     regs = [t]
-    for code, r, x, n in left.steps:
+    for code, r, x, n in pat.steps:
         u = regs[r]
         if code is _OP:
             if type(u) is not Op or u.name != x or len(u.args) != n:
@@ -299,48 +296,14 @@ def match_pattern(pat, t: Term, sig: BindingSignature):
                 regs[r] = map_free_vars(u, sig, partial(_unshift, x))
             except _NotAShift:
                 return None
-    if left is not pat:
-        return {i: regs[r] for i, r in left.binds}
     regs.append(_ZERO)  # register -1, which gather names for a metavariable left unbound
-    return [regs[r] for r in left.gather]
+    return [regs[r] for r in pat.gather]
 
 
 class NormalizeResult(Record):
     term: Term
     exhausted: bool
     steps: int = 0  # contractions made
-
-
-def _reach(mt: MetaTerm) -> float:
-    """Levels of a left side that look at the term (its Op and Var
-    nodes), or every level when it holds a shift pattern ``?i[^k]`` with
-    k > 0, which looks at every free variable of the subterm it matches."""
-    reach, stack = 0, [(mt, 1)]
-    while stack:
-        node, level = stack.pop()
-        if type(node) is Op:
-            stack.extend((a, level + 1) for a in node.args)
-        elif type(node) is not Var:
-            if (_shift_pattern(node) or 0) > 0:
-                return math.inf
-            continue
-        reach = max(reach, level)
-    return reach
-
-
-def _moved(mt: MetaTerm) -> tuple[int, ...]:
-    """The metavariables inside a right side's explicit substitution prefixes."""
-    found, stack = set(), [(mt, False)]
-    while stack:
-        node, moved = stack.pop()
-        if type(node) is MetaVar and moved:
-            found.add(node.index)
-        elif type(node) is Op:
-            stack.extend((a, moved) for a in node.args)
-        elif type(node) is ExplicitSubst:
-            stack.extend((x, True) for x in node.assign.prefix)
-            stack.append((node.body, moved))
-    return tuple(sorted(found))
 
 
 def _plug(parent: Op, i: int, child: Term) -> Op:
@@ -378,7 +341,8 @@ def normalize(
 
     Each rule side is compiled once, when the call starts, and every
     match and contraction runs its program through :func:`match_pattern`
-    and :func:`eval_metaterm`.  The whole call runs with the cyclic
+    and :func:`eval_metaterm`; heads, reach and the values to memoize are
+    read off the programs.  The whole call runs with the cyclic
     collector paused (:func:`~debruijn.term.gc_paused`): it builds only
     acyclic terms.
 
@@ -388,25 +352,24 @@ def normalize(
     """
     sig = theory.signature
     tm = term_model(sig)
-    heads = [r.left.name if type(r.left) is Op else None for r in theory.rules]
     rules = [
-        (r.name, compile_pattern(r.left, len(r.arity.binders)), compile_metaterm(r.right),
-         _moved(r.right))
+        (r.name, compile_pattern(r.left, len(r.arity.binders)), compile_metaterm(r.right))
         for r in theory.rules
     ]
-    loose = tuple(rule for rule, h in zip(rules, heads) if h is None)
+    heads = {left.head for _, left, _ in rules}
+    loose = tuple(rule for rule in rules if rule[1].head is None)
     by_head = {
-        head: tuple(rule for rule, h in zip(rules, heads) if h is None or h == head)
-        for head in set(heads) - {None}
+        head: tuple(rule for rule in rules if rule[1].head in (None, head))
+        for head in heads - {None}
     }
-    reach = max((_reach(r.left) for r in theory.rules), default=0) - 1
+    reach = max((left.reach for _, left, _ in rules), default=0) - 1
     support(t, sig)
     frames: list[tuple[Op, int]] = []
     route: list[int] = []  # argument indices back down to the last contraction, innermost first
     node, steps = t, 0
     while True:
         candidates = by_head.get(node.name, loose) if type(node) is Op else loose
-        for name, left, right, moved in candidates:
+        for name, left, right in candidates:
             env = match_pattern(left, node, sig)
             if env is not None:
                 if steps >= fuel:
@@ -416,7 +379,7 @@ def normalize(
                 steps += 1
                 if on_step is not None:
                     on_step(steps, name, [i for _, i in frames])
-                for i in moved:
+                for i in right.moved:
                     if type(env[i]) is Op and env[i]._sig is not sig:
                         support(env[i], sig)
                 node = eval_metaterm(tm, env, right)

@@ -3,6 +3,7 @@ the test suite."""
 
 from __future__ import annotations
 
+import math
 import re
 from collections import Counter
 from functools import partial
@@ -496,6 +497,37 @@ def ref_match_pattern(pat, t, sig):
     return env if go(pat, t) else None
 
 
+def ref_reach(mt, level=1):
+    """The levels of a left side that look at the term (its Op and Var
+    nodes, the root at ``level``), or every level when it holds a shift
+    pattern ``?i[^k]`` with k > 0: the oracle of ``CompiledPattern.reach``."""
+    match mt:
+        case Op(_, args):
+            return max([level, *(ref_reach(a, level + 1) for a in args)])
+        case Var(_):
+            return level
+        case ExplicitSubst(MetaVar(_), Assignment((), k)) if k > 0:
+            return math.inf
+    return 0
+
+
+def ref_moved(mt):
+    """The metavariables inside a right side's explicit substitution
+    prefixes, in increasing order: the oracle of ``CompiledMetaterm.moved``."""
+
+    def go(mt, moved):
+        match mt:
+            case MetaVar(index):
+                return {index} if moved else set()
+            case Op(_, args):
+                return set().union(*(go(a, moved) for a in args))
+            case ExplicitSubst(body, Assignment() as assign):
+                return go(body, moved).union(*(go(x, True) for x in assign.prefix))
+        return set()
+
+    return tuple(sorted(go(mt, False)))
+
+
 def _redexes(theory, t):
     """One-step rewrites, positions enumerated leftmost-outermost."""
     sig = theory.signature
@@ -582,6 +614,8 @@ def ref_validate_theory(theory):
         if rule.name in seen:
             errs.append(f"duplicate rule name '{rule.name}'")
         seen.add(rule.name)
+        if any(n < 0 for n in rule.arity.binders):
+            errs.append(f"rule '{rule.name}' has a negative binder count")
         p = len(rule.arity.binders)
         for side, mt in (("left", rule.left), ("right", rule.right)):
             errs.extend(f"rule '{rule.name}' {side}: {e}" for e in _ref_check_metaterm(mt, sig, p))
@@ -635,7 +669,7 @@ def _ref_check_metaterm(mt, sig, metavars):
             for a in args:
                 out.extend(_ref_check_metaterm(a, sig, metavars))
             return out
-        case ExplicitSubst(body, assign):
+        case ExplicitSubst(body, Assignment() as assign):
             out = _ref_check_metaterm(body, sig, metavars)
             for p in assign.prefix:
                 out.extend(_ref_check_metaterm(p, sig, metavars))
@@ -1258,13 +1292,16 @@ class DataEquationalTheory:
 @dataclass(frozen=True)
 class DataCompiledPattern:
     steps: tuple
-    binds: tuple
     gather: tuple
+    head: object
+    reach: float
+    fault: object
 
 
 @dataclass(frozen=True)
 class DataCompiledMetaterm:
     steps: tuple
+    moved: tuple
 
 
 @dataclass(frozen=True)

@@ -3,10 +3,13 @@ and three-valued equivalence."""
 
 from __future__ import annotations
 
+import math
 import operator
 import random
 import time
 from collections import Counter
+
+import pytest
 
 from debruijn import (
     Assignment,
@@ -55,6 +58,8 @@ from helpers import (
     random_rule_side,
     ref_eval_metaterm,
     ref_match_pattern,
+    ref_moved,
+    ref_reach,
     ref_unshift,
     ref_validate_theory,
     rewrite_step,
@@ -70,22 +75,28 @@ L_BETA = BETA.rules[0].left
 R_BETA = BETA.rules[0].right
 
 
+def bindings(left, got):
+    """A compiled match's list as the dict of the metavariables ``left``
+    binds, the form of ``ref_match_pattern``'s result."""
+    return None if got is None else {i: got[i] for i, r in enumerate(left.gather) if r != -1}
+
+
 # --- metaterm evaluation ------------------------------------------------
 
 
 def test_eval_left_beta():
-    got = eval_metaterm(TM, [Var(0), Var(1)], L_BETA)
+    got = eval_metaterm(TM, [Var(0), Var(1)], compile_metaterm(L_BETA))
     assert got == app(lam(Var(0)), Var(1))
 
 
 def test_eval_right_beta():
-    got = eval_metaterm(TM, [Var(0), Var(1)], R_BETA)
+    got = eval_metaterm(TM, [Var(0), Var(1)], compile_metaterm(R_BETA))
     assert got == Var(1)
 
 
 def test_eval_metavar():
     t = lam(Var(0))
-    assert eval_metaterm(TM, [t], MetaVar(0)) == t
+    assert eval_metaterm(TM, [t], compile_metaterm(MetaVar(0))) == t
 
 
 def _outcome(fn, *args):
@@ -115,7 +126,7 @@ def test_eval_metaterm_matches_reference():
             for _ in range(150):
                 mt = random_rule_side(sig, rng, 3, ops=ops)
                 env = [draw() for _ in range(3)]
-                ok, got = _outcome(eval_metaterm, model, env, mt)
+                ok, got = _outcome(eval_metaterm, model, env, compile_metaterm(mt))
                 ref_ok, want = _outcome(ref_eval_metaterm, model, env, mt)
                 assert ok == ref_ok
                 assert same(got, want) if ok else got is want
@@ -205,7 +216,7 @@ def test_identity_explicit_subst_is_a_shift_pattern():
     assert left == lam(ExplicitSubst(MetaVar(0), Assignment((), 0)))
     assert validate_theory(theory) == []
     t = app(Var(0), Var(3))
-    assert match_pattern(left, lam(t), SIG) == {0: t}
+    assert match_pattern(compile_pattern(left, 1), lam(t), SIG) == [t]
 
 
 def test_shift_pattern_matches_reference():
@@ -227,8 +238,8 @@ def test_shift_pattern_matches_reference():
             for k in range(4):
                 pattern = ExplicitSubst(MetaVar(0), Assignment((), k))
                 want = ref_unshift(t, k, sig)
-                got = match_pattern(pattern, t, sig)
-                assert got == (None if want is None else {0: want})
+                got = match_pattern(compile_pattern(pattern, 1), t, sig)
+                assert got == (None if want is None else [want])
                 matched += want is not None
                 failed += want is None
     assert matched > 300 and failed > 300
@@ -251,9 +262,10 @@ def test_match_pattern_matches_reference():
             ok, instance = _outcome(ref_eval_metaterm, tm, env, pat)
             if ok and not wellformed(sig, instance):
                 subjects.append(instance)
+            left = compile_pattern(pat, 3)
             for t in subjects:
-                got = match_pattern(pat, t, sig)
-                assert got == ref_match_pattern(pat, t, sig)
+                got = match_pattern(left, t, sig)
+                assert bindings(left, got) == ref_match_pattern(pat, t, sig)
                 hits += got is not None
                 misses += got is None
     assert hits > 300 and misses > 300
@@ -261,8 +273,9 @@ def test_match_pattern_matches_reference():
 
 def test_compiled_sides_match_and_evaluate_as_the_metaterms_do():
     """A compiled pattern's match lists, for each of the rule's
-    metavariables, the binding the dict form holds, or Var(0); a compiled
-    metaterm evaluates to what the metaterm does, or raises the same."""
+    metavariables, the binding the reference's dict holds, or Var(0); a
+    compiled metaterm evaluates to what the reference does, or raises the
+    same."""
     rng = random.Random(97)
     hits = 0
     for sig in SIGS:
@@ -270,15 +283,62 @@ def test_compiled_sides_match_and_evaluate_as_the_metaterms_do():
         for _ in range(300):
             side = random_rule_side(sig, rng, 3)
             env = [random_term(sig, rng, max_depth=3) for _ in range(3)]
-            assert _outcome(eval_metaterm, tm, env, compile_metaterm(side)) == _outcome(
-                eval_metaterm, tm, env, side)
-            ok, t = _outcome(eval_metaterm, tm, env, side)
+            ok, t = _outcome(ref_eval_metaterm, tm, env, side)
+            assert _outcome(eval_metaterm, tm, env, compile_metaterm(side)) == (ok, t)
             for subject in (t, random_term(sig, rng, max_depth=4)) if ok else (env[0],):
-                want = match_pattern(side, subject, sig)
+                want = ref_match_pattern(side, subject, sig)
                 got = match_pattern(compile_pattern(side, 3), subject, sig)
                 assert got == (None if want is None else [want.get(i, Var(0)) for i in range(3)])
                 hits += got is not None
     assert hits > 200
+
+
+@pytest.mark.parametrize("sig", SIGS, ids=["lambda", "FO", "MIXED"])
+def test_compiled_sides_carry_head_reach_and_moved(sig):
+    """What normalize reads off the programs against the recursions they
+    replaced: a left side's head, and its reach, exact when its program
+    holds no bad step and at most the recursion's otherwise; and a right
+    side's moved metavariables."""
+    rng = random.Random(101)
+    seen = Counter()
+    for _ in range(600):
+        side = random_rule_side(sig, rng, 3)
+        left, right = compile_pattern(side, 3), compile_metaterm(side)
+        assert left.head == (side.name if type(side) is Op else None)
+        bad = bool(left.steps) and left.steps[-1][0] == "bad"
+        if bad:
+            assert left.reach <= ref_reach(side)
+        else:
+            assert left.reach == ref_reach(side)
+        assert right.moved == ref_moved(side)
+        seen["bad" if bad else "inf" if left.reach == math.inf else "finite"] += 1
+        seen["head"] += left.head is not None
+        seen["moved"] += bool(right.moved)
+    assert min(seen.values()) > 40, seen
+
+
+def test_negative_binder_count_of_a_rule_is_reported():
+    rule = Rule("r", BindingArity((-1,)), lam(MetaVar(0)), MetaVar(0))
+    theory = EquationalTheory(SIG, (rule,))
+    assert validate_theory(theory) == ["rule 'r' has a negative binder count"]
+    assert ref_validate_theory(theory) == validate_theory(theory)
+
+
+@pytest.mark.parametrize("assign", ["not an assignment", (MetaVar(1),)], ids=["str", "tuple"])
+def test_explicit_substitution_without_an_assignment_is_not_a_metaterm(assign):
+    junk = ExplicitSubst(MetaVar(0), assign)
+    rule = Rule("r", BindingArity((0, 0)), lam(junk), app(junk, MetaVar(1)))
+    theory = EquationalTheory(SIG, (rule,))
+    assert validate_theory(theory) == [
+        f"rule 'r' left: not a metaterm: {junk!r}",
+        f"rule 'r' right: not a metaterm: {junk!r}",
+        "rule 'r' left: explicit substitution in a pattern must be a shift of a metavariable",
+    ]
+    assert ref_validate_theory(theory) == validate_theory(theory)
+    assert compile_metaterm(junk).steps == (("bad", junk, None),)
+    with pytest.raises(TypeError):
+        eval_metaterm(TM, [Var(0), Var(1)], compile_metaterm(rule.right))
+    assert match_pattern(compile_pattern(rule.left, 2), lam(Var(0)), SIG) is None
 
 
 def test_meta_signature():
@@ -371,9 +431,11 @@ def test_rule_sides_of_any_depth():
     c = Op("c", ())
     start = time.perf_counter()
     deep = f_chain(DEEP, MetaVar(0))
-    assert match_pattern(deep, f_chain(DEEP + 1, c), F_SIG) == {0: f_chain(1, c)}
-    assert match_pattern(deep, f_chain(DEEP - 1, c), F_SIG) is None
-    assert eval_metaterm(term_model(F_SIG), [c], deep) == f_chain(DEEP, c)
+    left, right = compile_pattern(deep, 1), compile_metaterm(deep)
+    assert (left.head, left.reach, right.moved) == ("f", DEEP, ())
+    assert match_pattern(left, f_chain(DEEP + 1, c), F_SIG) == [f_chain(1, c)]
+    assert match_pattern(left, f_chain(DEEP - 1, c), F_SIG) is None
+    assert eval_metaterm(term_model(F_SIG), [c], right) == f_chain(DEEP, c)
     left = EquationalTheory(F_SIG, (Rule("r", BindingArity((0,)), deep, MetaVar(0)),))
     right = EquationalTheory(F_SIG, (Rule("r", BindingArity((0,)), f_chain(1, MetaVar(0)), deep),))
     assert validate_theory(left) == validate_theory(right) == []
@@ -397,7 +459,9 @@ def test_right_sides_nested_in_explicit_substitutions_of_any_depth():
     c = Op("c", ())
     start = time.perf_counter()
     deep = subst_chain(DEEP, MetaVar(0))
-    assert eval_metaterm(term_model(F_SIG), [c], deep) == f_chain(DEEP, c)
+    right = compile_metaterm(deep)
+    assert right.moved == (0,)
+    assert eval_metaterm(term_model(F_SIG), [c], right) == f_chain(DEEP, c)
     theory = EquationalTheory(F_SIG, (Rule("r", BindingArity((0,)), f_chain(1, MetaVar(0)), deep),))
     assert validate_theory(theory) == []
     assert normalize(theory, f_chain(2, c), 1) == NormalizeResult(f_chain(DEEP + 1, c), True, 1)

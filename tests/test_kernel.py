@@ -25,6 +25,7 @@ from debruijn import (
     Var,
     arrow,
     base,
+    compile_pattern,
     compose,
     lambda_signature,
     lift_n,
@@ -248,7 +249,8 @@ def test_skip_by_bound_matches_reference(sig):
         for k in range(3):
             pattern = ExplicitSubst(MetaVar(0), Assignment((), k))
             want = ref_unshift(t, k, sig)
-            assert match_pattern(pattern, t, sig) == (None if want is None else {0: want})
+            got = match_pattern(compile_pattern(pattern, 1), t, sig)
+            assert got == (None if want is None else [want])
         stack = [(t, 0)]
         while stack:
             x, depth = stack.pop()

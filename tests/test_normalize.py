@@ -22,12 +22,13 @@ from debruijn import (
     Var,
     beta_eta_theory,
     beta_theory,
+    compile_metaterm,
+    compile_pattern,
     equiv,
     make_signature,
     match_pattern,
     normalize,
 )
-from debruijn.equational import _moved
 from debruijn.gen import random_term
 
 from helpers import (
@@ -36,6 +37,7 @@ from helpers import (
     app,
     church,
     lam,
+    ref_moved,
     ref_normalize_all,
     same_term,
     tuple_stack_support,
@@ -160,7 +162,8 @@ def test_on_step_reports_each_redex_position(theory, t):
     for (n, name, path), term in zip(seen, before):
         for i in path:
             term = term.args[i]
-        assert match_pattern(rules[name].left, term, theory.signature) is not None
+        left = compile_pattern(rules[name].left, len(rules[name].arity.binders))
+        assert match_pattern(left, term, theory.signature) is not None
 
 
 def test_church_1000_normalizes_within_budget():
@@ -256,13 +259,18 @@ SHIFT_THEORY = EquationalTheory(FG_SIG, (SHIFT_RULE,))
 
 
 def test_moved_metavariables_of_right_sides():
-    assert _moved(BETA.rules[0].right) == (1,)
-    assert [_moved(r.right) for r in BETAETA.rules] == [(1,), ()]
-    assert _moved(SHIFT_RULE.right) == ()
+    def moved(mt):
+        got = compile_metaterm(mt).moved
+        assert got == ref_moved(mt)
+        return got
+
+    assert moved(BETA.rules[0].right) == (1,)
+    assert [moved(r.right) for r in BETAETA.rules] == [(1,), ()]
+    assert moved(SHIFT_RULE.right) == ()
     nested = ExplicitSubst(g(MetaVar(0)), Assignment((f(ExplicitSubst(MetaVar(1), Assignment(
         (MetaVar(2),), 0))),), 0))
-    assert _moved(nested) == (1, 2)
-    assert _moved(ExplicitSubst(MetaVar(0), Assignment((), 0))) == ()
+    assert moved(nested) == (1, 2)
+    assert moved(ExplicitSubst(MetaVar(0), Assignment((), 0))) == ()
 
 
 def test_pure_shift_right_side_follows_the_spec():

@@ -7,6 +7,7 @@ field values."""
 from __future__ import annotations
 
 import copy
+import math
 import operator
 import os
 import pickle
@@ -85,11 +86,12 @@ CALLS = {
            (("eta", ARITY, BETA.left, BETA.right), {}), (("c", ARITY, Var(0), Var(0)), {})],
     EquationalTheory: [((LAM, (BETA,)), {}), ((LAM,), {"rules": (BETA,)}), ((LAM, ()), {}),
                        ((BindingSignature({}), ()), {})],
-    CompiledPattern: [((((1, 0, "lam", 1),), ((0, 1),), (1,)), {}),
-                      ((((1, 0, "lam", 1),), ((0, 1),)), {"gather": (1,)}),
-                      (((), (), ()), {}), (((), (), (-1,)), {})],
-    CompiledMetaterm: [((((0, 1, 0),),), {}), ((), {"steps": ((0, 1, 0),)}), (((),), {}),
-                       ((((1, 2, 0),),), {})],
+    CompiledPattern: [((((1, 0, "lam", 1),), (1,), "lam", 2, None), {}),
+                      ((((1, 0, "lam", 1),), (1,)), {"head": "lam", "reach": 2, "fault": None}),
+                      (((), (), None, 0, "bad pattern node 'x'"), {}),
+                      (((), (-1,), None, math.inf, None), {})],
+    CompiledMetaterm: [((((0, 1, 0),), (1,)), {}), ((), {"steps": ((0, 1, 0),), "moved": (1,)}),
+                       (((), ()), {}), ((((1, 2, 0),), ()), {})],
     NormalizeResult: [((Var(0), False, 3), {}), ((Var(0),), {"exhausted": False, "steps": 3}),
                       ((Var(0), True, 3), {}), ((Var(1), False), {})],
     DeBruijnMonad: [((int, operator.add, operator.eq), {}), ((int,), {"substitution": operator.add,
