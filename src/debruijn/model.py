@@ -310,7 +310,6 @@ def fresh_names(count: int, avoid) -> list[str]:
         names, start = _more_names(), len(names)
 
 
-@gc_paused
 def named_subst(t: NamedTerm, mapping: dict) -> NamedTerm:
     """Simultaneous capture-avoiding substitution with deterministic
     fresh binder names; ``mapping`` sends keys to terms.
@@ -636,7 +635,6 @@ def to_named(sig: BindingSignature, t: Term) -> NamedTerm:
     )
 
 
-@gc_paused
 def from_named(sig: BindingSignature, t: NamedTerm) -> Term:
     """Invert the conversion; free names must come from the supply.
 

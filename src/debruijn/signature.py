@@ -108,7 +108,6 @@ class Slotted:
                     stack.append(", ")
         return "".join(out)
 
-    @gc_paused
     def __reduce__(self):
         """The class and the fields; for a tree not a leaf, the flat postorder that
         :func:`_tree_of_flat` rebuilds, a pair per node: ``(None, leaf)``, ``(class,
@@ -163,7 +162,6 @@ class Tree(Slotted):
     __copy__ = __deepcopy__ = lambda self, memo=None: self
 
 
-@gc_paused
 def _tree_of_flat(flat: tuple) -> Tree:
     """The tree ``Slotted.__reduce__`` flattened, each node built by its class."""
     values, built = [], []

@@ -31,7 +31,8 @@ from .term import Op, Term, Var, map_free_vars
 class Assignment(namedtuple("Assignment", ("prefix", "tail_shift"))):
     """The pair ``(prefix, tail_shift)``, trimmed on construction to
     canonical form against the carrier's ``var`` (terms unless given).
-    A negative tail shift, which would send indices below 0, raises
+    A negative tail shift, or a negative entry of a prefix in the ℕ monad
+    (``var`` is :data:`NAT`), would send indices below 0 and raises
     ``ValueError``."""
 
     __slots__ = ()
@@ -40,6 +41,8 @@ class Assignment(namedtuple("Assignment", ("prefix", "tail_shift"))):
         if tail_shift < 0:
             raise ValueError(f"negative tail shift {tail_shift}")
         prefix = tuple(prefix)
+        if var is NAT and min(prefix, default=0) < 0:
+            raise ValueError(f"negative natural {min(prefix)} in a renaming")
         q, k = len(prefix), tail_shift
         while q and k > 0 and prefix[q - 1] == var(k - 1):
             q -= 1
@@ -79,7 +82,10 @@ def drop(a: Assignment, k: int) -> Assignment:
 
 def lift_with(a: Assignment, n: int, var: Callable, shift: Callable) -> Assignment:
     """The n-fold lift: ``var(0) .. var(n - 1)``, then each image of ``a``
-    shifted once by n (``shift`` does that in the carrier), tail shift + n."""
+    shifted once by n (``shift`` does that in the carrier), tail shift + n.
+    A negative n raises ``ValueError``."""
+    if n < 0:
+        raise ValueError(f"negative lift count {n}")
     prefix, k = a
     return Assignment((*map(var, range(n)), *map(shift, prefix)), k + n, var)
 
@@ -93,11 +99,9 @@ def compose_with(f: Assignment, g: Assignment, var: Callable, image: Callable) -
 
 
 def rename(t: Term, f: Assignment, sig: BindingSignature) -> Term:
-    """Apply ``f`` to the free variables of ``t``, lifting under binders."""
-    # lift^d(f)(n) = n for n < d, f(n - d) + d otherwise
-    if not f.prefix:  # a pure shift, or the identity
-        return map_free_vars(t, sig, f.tail_shift) if f.tail_shift else t
-    return map_free_vars(t, sig, lambda d, n: Var(at(f, n - d, NAT) + d))
+    """Apply ``f`` to the free variables of ``t``, lifting under binders: the
+    renaming is an assignment in the ℕ monad, mapped into terms by ``Var``."""
+    return subst(t, Assignment(tuple(map(Var, f.prefix)), f.tail_shift), sig)
 
 
 def _shift_term(t: Term, by: int, sig: BindingSignature) -> Term:

@@ -238,8 +238,8 @@ class _Parser:
 # nameless and named readers walk the token list themselves and hand a
 # token no term can take to ``p.expect`` for the diagnostic the grammar
 # gives there; the typed reader, which carries little traffic, reads
-# through the parser's own rules.  Their output is acyclic, so they run
-# with the cyclic collector paused.
+# through the parser's own rules.  Their output is acyclic, so the nameless
+# and named readers run with the cyclic collector paused.
 
 
 @gc_paused
@@ -364,7 +364,6 @@ def _read_named(p: _Parser) -> NamedTerm:
     raise AssertionError("unreachable: the end token fails p.expect")
 
 
-@gc_paused
 def _read_typed(p: _Parser) -> TypedTerm:
     """A typed term.  ``head`` is the open operation's name and type
     arguments, None at the root; ``args`` its arguments read so far."""
@@ -559,7 +558,6 @@ def _json_index(i) -> str:
     return str(i) if type(i) is int else json.dumps(i)
 
 
-@gc_paused
 def term_from_json(data) -> Term:
     """``{"var": n}`` or ``{"op": name, "args": [...]}``, with exactly
     these keys; any other shape raises ``ValueError``.  One walk with an

@@ -241,7 +241,6 @@ def _faults(sig: BindingSignature, t: Term) -> list[str]:
     return errs
 
 
-@gc_paused
 def fold_nodes(t, on_var: Callable, on_op: Callable, var: type = Var, op: type = Op):
     """Bottom-up structural recursion over the nodes of ``t``, untyped or
     typed: ``var`` and ``op`` are its node classes, an ``op`` node holding

@@ -32,7 +32,7 @@ from .signature import (
     instantiate_schema,
 )
 from .subst import IDENTITY, Assignment, at, compose_with, lift_with
-from .term import Term, Var, Op, fold_nodes, gc_paused, tvar_key
+from .term import Term, Var, Op, fold_nodes, tvar_key
 
 
 class TypedTerm(Term):
@@ -181,15 +181,13 @@ def typecheck(schema: TypedSignatureSchema, t: TypedTerm) -> TypeExpr:
 # --- renaming and substitution ------------------------------------------
 
 
-@gc_paused
 def _map_free_tvars(
-    t: TypedTerm, schema: TypedSignatureSchema, on_free: Callable, slot: dict, shifts: dict
+    t: TypedTerm, schema: TypedSignatureSchema, on_free: Callable, slot: dict
 ) -> TypedTerm:
     """Typed ``term.map_free_vars``, on its frames: same sharing and errors.
     Depths are binder counts indexed by ``slot[ty]``; ``on_free(node, s,
     m, depth)`` gets a free variable, its type's slot and its index less the
-    binders of its type.  ``shifts`` caches the arguments' depths per (name,
-    type_args, depth); one substitution shares both tables."""
+    binders of its type; one substitution shares the table ``slot``."""
     frames, values = [], []
     push = values.append
     node, args, depths, i, m = None, (t,), ((),), 0, 1  # a root frame around t
@@ -208,17 +206,14 @@ def _map_free_tvars(
             elif type(a) is not TOp:
                 raise TypeError(f"not a typed term: {a!r}")
             else:
-                deeper = shifts.get((a.name, a.type_args, depth))
-                if deeper is None:  # depth plus the count of each slot's type in a context
-                    deeper = []
-                    for gamma, _ in op_arity(schema, a.name, a.type_args).premises:
-                        d = list(depth)
-                        for ty in gamma:
-                            s = slot.setdefault(ty, len(slot))
-                            d += [0] * (s + 1 - len(d))
-                            d[s] += 1
-                        deeper.append(tuple(d) if gamma else depth)
-                    deeper = shifts[a.name, a.type_args, depth] = tuple(deeper)
+                deeper = []  # depth plus the count of each slot's type in a context
+                for gamma, _ in op_arity(schema, a.name, a.type_args).premises:
+                    d = list(depth)
+                    for ty in gamma:
+                        s = slot.setdefault(ty, len(slot))
+                        d += [0] * (s + 1 - len(d))
+                        d[s] += 1
+                    deeper.append(tuple(d) if gamma else depth)
                 if len(deeper) != len(a.args):  # the ValueError of a strict zip
                     tuple(zip(a.args, deeper, strict=True))
                 frames.append((node, args, depths, i, m))
@@ -232,18 +227,15 @@ def _map_free_tvars(
         node, args, depths, i, m = frames.pop()
 
 
-def _shift(t: TypedTerm, by: tuple[int, ...], schema, slot, shifts) -> TypedTerm:
-    """Add ``by[slot[ty]]`` to every free index of type ``ty``, with no walk for a variable."""
+def _shift(t: TypedTerm, by: tuple[int, ...], schema, slot) -> TypedTerm:
+    """Add ``by[slot[ty]]`` to every free index of type ``ty``."""
 
     def on_free(node, s, m, depth):
         return TVar(node.index + by[s], node.ty) if s < len(by) else node
 
     if not any(by):
         return t
-    if type(t) is TVar:
-        s = slot.setdefault(t.ty, len(slot))
-        return TVar(t.index + by[s], t.ty) if t.index >= 0 and s < len(by) and by[s] else t
-    return _map_free_tvars(t, schema, on_free, slot, shifts)
+    return _map_free_tvars(t, schema, on_free, slot)
 
 
 def tlift_gamma(
@@ -253,10 +245,10 @@ def tlift_gamma(
     of that type in ``gamma``, and every image is shifted once by the
     count vector of ``gamma``."""
     counts = Counter(gamma)
-    by, slot, shifts = tuple(counts.values()), {ty: i for i, ty in enumerate(counts)}, {}
+    by, slot = tuple(counts.values()), {ty: i for i, ty in enumerate(counts)}
 
     def shift(t: TypedTerm) -> TypedTerm:
-        return _shift(t, by, schema, slot, shifts)
+        return _shift(t, by, schema, slot)
 
     return TypedAssignment({
         ty: lift_with(sigma.component(ty), counts[ty], _tvar(ty), shift)
@@ -277,16 +269,16 @@ def tsubst(
     """
     if not sigma.components:
         return t
-    slot, shifts, images = {}, {}, {}
+    slot, images = {}, {}
 
     def on_free(node, s, m, depth):
         image = images.get((s, m, depth))
         if image is None:
             image = typed_assignment_at(sigma, node.ty, m)
-            image = images[s, m, depth] = _shift(image, depth, schema, slot, shifts)
+            image = images[s, m, depth] = _shift(image, depth, schema, slot)
         return image
 
-    return _map_free_tvars(t, schema, on_free, slot, shifts)
+    return _map_free_tvars(t, schema, on_free, slot)
 
 
 def tcompose(

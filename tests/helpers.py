@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 import re
+import time
 from collections import Counter
 from functools import partial
 from itertools import zip_longest
@@ -260,7 +261,8 @@ def list_stack_map_free_vars(t, sig, on_free):
     return values[0]
 
 
-def list_stack_map_free_tvars(t, schema, on_free, slot, shifts):
+def list_stack_map_free_tvars(t, schema, on_free, slot):
+    shifts = {}  # the arity vectors of each (name, type_args) met
     stack = [(t, (), False)]
     values = []
     push, pop, emit = stack.append, stack.pop, values.append
@@ -1407,3 +1409,11 @@ RECORD_TWINS = {
 }
 for _twin in RECORD_TWINS.values():
     _twin.__qualname__ = _twin.__name__[len("Data"):]
+
+
+def timed(bound: float, call):
+    """``call()``, asserting that it returned within ``bound`` seconds."""
+    start = time.perf_counter()
+    out = call()
+    assert time.perf_counter() - start < bound
+    return out

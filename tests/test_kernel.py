@@ -95,7 +95,7 @@ def test_tsubst_and_multi_shift_match_reference():
         assert tsubst(t, sigma, SCH) == ref_tsubst(t, sigma, SCH)
         by = {ty: rng.randint(0, 2) for ty in rng.sample(pool, 2)}
         slot = {ty: i for i, ty in enumerate(by)}
-        assert _shift(t, tuple(by.values()), SCH, slot, {}) == ref_multi_shift(t, by, SCH)
+        assert _shift(t, tuple(by.values()), SCH, slot) == ref_multi_shift(t, by, SCH)
 
 
 def test_identity_returns_the_input():
@@ -106,7 +106,7 @@ def test_identity_returns_the_input():
         assert rename(t, Renaming((), 0), sig) is t
     t = random_typed_term(SCH, rng, arrow(A, A), max_depth=4)
     assert tsubst(t, TypedAssignment(), SCH) is t
-    assert _shift(t, (0,), SCH, {A: 0}, {}) is t
+    assert _shift(t, (0,), SCH, {A: 0}) is t
 
 
 def test_unchanged_subterms_are_shared():
@@ -125,7 +125,7 @@ def test_unchanged_subterms_are_shared():
     out = tsubst(tt, TypedAssignment({A: ((TVar(5, A),), 0)}), SCH)
     assert out == TOp("app", (A, A), (tclosed, TVar(5, A)))
     assert out.args[0] is tclosed
-    assert _shift(tclosed, (2,), SCH, {A: 0}, {}) is tclosed
+    assert _shift(tclosed, (2,), SCH, {A: 0}) is tclosed
 
 
 def test_substitution_images_are_shared_across_occurrences():
@@ -273,7 +273,7 @@ def test_non_term_nodes_raise_type_error():
     with pytest.raises(TypeError):
         tsubst(tbad, TypedAssignment({A: ((), 1)}), SCH)
     with pytest.raises(TypeError):
-        _shift(tbad, (1,), SCH, {A: 0}, {})
+        _shift(tbad, (1,), SCH, {A: 0})
 
 
 def test_wrong_argument_count_raises():
@@ -314,23 +314,23 @@ def test_wellformed_paths_and_order():
 
 
 def test_shifting_a_lone_typed_variable_matches_the_walk():
-    """``_shift`` moves a lone ``TVar`` with no walk, to what the kernel
-    gives with ``_shift``'s callback, sharing and slot table alike: its
-    type's slot present or absent, a shift of 0 or not, an index below 0."""
+    """``_shift`` moves a lone ``TVar`` to what the kernel gives with
+    ``_shift``'s callback, sharing and slot table alike: its type's slot
+    present or absent, a shift of 0 or not, an index below 0."""
     B = base("b")
 
     def walk(t, by, slot):
         def on_free(node, s, m, depth):
             return TVar(node.index + by[s], node.ty) if s < len(by) else node
-        return _map_free_tvars(t, SCH, on_free, slot, {})
+        return _map_free_tvars(t, SCH, on_free, slot)
 
     for v in (TVar(0, A), TVar(3, A), TVar(2, B), TVar(-1, A), TVar(5, arrow(A, B))):
         for by in ((2,), (0, 2), (2, 0), (1, 3)):
             for slot in ({}, {A: 0}, {B: 0}, {A: 0, B: 1}, {B: 0, A: 1}):
                 new_slot, old_slot = dict(slot), dict(slot)
-                new, old = _shift(v, by, SCH, new_slot, {}), walk(v, by, old_slot)
+                new, old = _shift(v, by, SCH, new_slot), walk(v, by, old_slot)
                 assert new == old and (new is v) == (old is v) and new_slot == old_slot
-        assert _shift(v, (0, 0), SCH, {A: 0}, {}) is v
+        assert _shift(v, (0, 0), SCH, {A: 0}) is v
 
 
 def test_deep_typed_substitution():
@@ -649,8 +649,8 @@ def test_typed_frame_kernel_matches_list_stack_copy(monkeypatch):
     raised = 0
     for t in cases:
         for on_free in callbacks:
-            new = _outcome(lambda: _map_free_tvars(t, SCH, on_free, {}, {}))
-            old = _outcome(lambda: list_stack_map_free_tvars(t, SCH, on_free, {}, {}))
+            new = _outcome(lambda: _map_free_tvars(t, SCH, on_free, {}))
+            old = _outcome(lambda: list_stack_map_free_tvars(t, SCH, on_free, {}))
             assert _agree(t, new, old)
             assert type(new) is tuple or _built_like_constructor(t, new)
             raised += type(old) is tuple
@@ -737,7 +737,7 @@ def test_walks_restore_the_collector(enabled, gc_state):
         lambda: to_named(SIG, t),
         lambda: fold_nodes(t, lambda v: v, lambda o, vs: o),
         lambda: tsubst(tt, TypedAssignment({A: ((TVar(4, A),), 0)}), SCH),
-        lambda: _shift(tt, (1,), SCH, {A: 0}, {}),
+        lambda: _shift(tt, (1,), SCH, {A: 0}),
     ]
     for call in returning:
         call()
@@ -745,14 +745,14 @@ def test_walks_restore_the_collector(enabled, gc_state):
     raising = [
         (TypeError, lambda: subst(app(Var(0), "x"), sigma, SIG)),
         (TypeError, lambda: fold_nodes(lam("x"), lambda v: v, lambda o, vs: o)),
-        (TypeError, lambda: _shift(TOp("lam", (A, A), ("x",)), (1,), SCH, {A: 0}, {})),
+        (TypeError, lambda: _shift(TOp("lam", (A, A), ("x",)), (1,), SCH, {A: 0})),
         (ValueError, lambda: rename(lam(Op("app", (Var(1),))), Renaming((), 1), SIG)),
         (ValueError, lambda: tsubst(TOp("lam", (A, A), (TVar(0, A), TVar(1, A))),
                                     TypedAssignment({A: ((), 1)}), SCH)),
         (KeyError, lambda: subst(lam(Op("foo", (Var(1),))), sigma, SIG)),
         (RuntimeError, lambda: map_free_vars(t, SIG, _raise)),
         (RuntimeError, lambda: fold_nodes(t, _raise, _raise)),
-        (RuntimeError, lambda: _map_free_tvars(tt, SCH, _raise, {}, {})),
+        (RuntimeError, lambda: _map_free_tvars(tt, SCH, _raise, {})),
     ]
     for error, call in raising:
         with pytest.raises(error):
@@ -780,10 +780,7 @@ def test_callbacks_see_the_collector_paused(monkeypatch, gc_state):
 
     t = lam(lam(app(Var(2), Var(3))))
     map_free_vars(t, SIG, probing(lambda d, n: Var(n)))
-    fold_nodes(t, probing(lambda v: v), probing(lambda o, vs: o))
-    tt = TOp("lam", (A, A), (TVar(1, A),))
-    _map_free_tvars(tt, SCH, probing(lambda node, s, m, depth: node), {}, {})
-    assert len(seen) == 2 + 5 + 1
+    assert len(seen) == 2
     with monkeypatch.context() as m:
         m.setattr(SUBST_MODULE, "map_free_vars", probed)
         before = len(seen)

@@ -29,7 +29,7 @@ from debruijn import (
 )
 from debruijn.gen import random_assignment, random_renaming, random_term
 
-from helpers import app, lam
+from helpers import app, lam, timed
 
 SIG = lambda_signature()
 N = nat_monad()
@@ -71,6 +71,26 @@ def test_negative_tail_shift_is_rejected(make):
     # subst(lam(Var 1), [; ^-2]) would make lam(Var -1), not a term
     with pytest.raises(ValueError, match="negative tail shift -2"):
         make((), -2)
+
+
+def test_negative_naturals_are_rejected():
+    # rename(lam(Var 1), [-1; ^0]) would make lam(Var 0), capturing the free variable
+    with pytest.raises(ValueError, match="negative natural -1"):
+        Renaming((-1,), 0)
+    with pytest.raises(ValueError, match="negative natural -2"):
+        Assignment((0, -2, 1), 3, NAT)
+    # only the naturals' prefix is checked: a term prefix may hold any term
+    assert Assignment((Var(-1),), 0).prefix == (Var(-1),)
+
+
+@pytest.mark.parametrize("lift_by", [
+    # lift_n([Var 5; ^2], -1) would give [Var 4; ^1]
+    lambda n: lift_n(Assignment((Var(5),), 2), n, SIG),
+    lambda n: model_lift_n(N, Renaming((3,), 2), n),
+], ids=["terms", "naturals"])
+def test_negative_lift_count_is_rejected(lift_by):
+    with pytest.raises(ValueError, match="negative lift count -1"):
+        lift_by(-1)
 
 
 def test_canonical_form_soundness():
@@ -263,6 +283,28 @@ def test_deep_term_subst_and_rename():
         t = lam(t)
     subst(t, Assignment((lam(Var(0)),), 2), SIG)
     rename(t, Renaming((3,), 1), SIG)
+
+
+def _chain(depth: int, leaf):
+    """``lam (app t 0)`` nested ``depth`` deep over ``leaf``."""
+    t = leaf
+    for _ in range(depth):
+        t = lam(app(t, Var(0)))
+    return t
+
+
+@pytest.mark.parametrize("depth", [1_000, 10_000, 100_000], ids=["d1k", "d10k", "d100k"])
+def test_deep_compose_and_lift_n(depth):
+    """``compose`` and ``lift_n`` of an image whose free variable sits at
+    the bottom of ``depth`` binders, so that no bound skips the walk, each
+    call in time linear in the depth."""
+    bound = 1.0 + depth * 50e-6
+    sigma = Assignment((_chain(depth, Var(depth)),), 0)
+    tau = Assignment((lam(Var(1)),), 2)
+    assert timed(bound, lambda: compose(sigma, tau, SIG)) == Assignment(
+        (_chain(depth, lam(Var(depth + 1))), lam(Var(1))), 2)
+    assert timed(bound, lambda: lift_n(sigma, 2, SIG)) == Assignment(
+        (Var(0), Var(1), _chain(depth, Var(depth + 2))), 2)
 
 
 def test_closed_term_fixed_by_any_assignment():

@@ -7,7 +7,6 @@ import hashlib
 import json
 import pickle
 import random
-import time
 
 import pytest
 
@@ -49,7 +48,7 @@ from debruijn import surface
 from debruijn.gen import random_assignment, random_term
 from debruijn.signature import _subst_type
 
-from helpers import app, lam, ref_parse, ref_term_from_json, ref_tokenize
+from helpers import app, lam, ref_parse, ref_term_from_json, ref_tokenize, timed
 
 SIG = lambda_signature()
 
@@ -722,13 +721,6 @@ def test_readers_agree_with_the_recursive_readers(kind):
 # --- deep terms ------------------------------------------------------------
 
 
-def _timed(bound: float, call):
-    start = time.perf_counter()
-    out = call()
-    assert time.perf_counter() - start < bound
-    return out
-
-
 def _deep_chains(depth: int):
     """``lam (app t 0)`` nested ``depth`` deep over the free leaf
     ``depth``: nameless, named (built directly, each ``lam`` binding
@@ -749,7 +741,7 @@ def test_deep_repr(depth):
     t = Var(depth)
     for _ in range(depth):
         t = lam(app(t, Var(0)))
-    text = _timed(1.0 + depth * 20e-6, lambda: repr(t))
+    text = timed(1.0 + depth * 20e-6, lambda: repr(t))
     assert text == (
         "Op(name='lam', args=(Op(name='app', args=(" * depth + f"Var(index={depth})"
         + ", Var(index=0))),))" * depth
@@ -762,34 +754,45 @@ def test_deep_terms_read_and_print(depth):
     and ``from_named`` take terms 100 000 binders deep, each call in time linear in the depth."""
     bound = 1.0 + depth * 50e-6
     t, n, typed = _deep_chains(depth)
-    text = _timed(bound, lambda: print_term(t))
+    text = timed(bound, lambda: print_term(t))
     assert text == "(lam (app " * depth + str(depth) + " 0))" * depth
-    js = _timed(bound, lambda: term_to_json(t))
+    js = timed(bound, lambda: term_to_json(t))
     for _ in range(depth):
         assert js["op"] == "lam"
         (body,) = js["args"]
         assert body["op"] == "app" and body["args"][1] == {"var": 0}
         js = body["args"][0]
     assert js == {"var": depth}
-    json_text = _timed(bound, lambda: print_json(t))
+    json_text = timed(bound, lambda: print_json(t))
     assert json_text == (
         '{"op": "lam", "args": [{"op": "app", "args": [' * depth + f'{{"var": {depth}}}'
         + ', {"var": 0}]}]}' * depth
     )
-    assert _timed(bound, lambda: term_from_json(term_to_json(t))) == t
-    assert _timed(bound, lambda: parse_term(text, sig=SIG)) == t
-    named = _timed(bound, lambda: print_term(n))
+    assert timed(bound, lambda: term_from_json(term_to_json(t))) == t
+    assert timed(bound, lambda: parse_term(text, sig=SIG)) == t
+    named = timed(bound, lambda: print_term(n))
     assert named == "(lam [a] (app " * depth + "x0" + " a))" * depth
-    back = _timed(bound, lambda: parse_term(named, "named"))
-    assert _timed(bound, lambda: print_term(back)) == named
-    assert _timed(bound, lambda: from_named(SIG, back)) == t
-    assert _timed(bound, lambda: from_named(SIG, n)) == t
-    typed_text = _timed(bound, lambda: print_term(typed))
+    back = timed(bound, lambda: parse_term(named, "named"))
+    assert timed(bound, lambda: print_term(back)) == named
+    assert timed(bound, lambda: from_named(SIG, back)) == t
+    assert timed(bound, lambda: from_named(SIG, n)) == t
+    typed_text = timed(bound, lambda: print_term(typed))
     assert typed_text == (
         "(op[lam; a, a] (op[app; a, a] " * depth + f"(#{depth} : a)" + " (#0 : a)))" * depth
     )
-    back = _timed(4 * bound, lambda: parse_term(typed_text, "typed"))
-    assert _timed(bound, lambda: print_term(back)) == typed_text
+    back = timed(4 * bound, lambda: parse_term(typed_text, "typed"))
+    assert timed(bound, lambda: print_term(back)) == typed_text
+
+
+@pytest.mark.parametrize("depth", [1_000, 10_000, 100_000], ids=["d1k", "d10k", "d100k"])
+def test_deep_assignment_read_and_print(depth):
+    """``print_assignment`` and ``parse_assignment`` of an entry 100 000
+    binders deep, each call in time linear in the depth."""
+    bound = 1.0 + depth * 50e-6
+    a = Assignment((_deep_chains(depth)[0], Var(3)), 2)
+    text = timed(bound, lambda: print_assignment(a))
+    assert text == "[" + "(lam (app " * depth + str(depth) + " 0))" * depth + ", 3; ^2]"
+    assert timed(bound, lambda: parse_assignment(text, SIG)) == a
 
 
 @pytest.mark.parametrize("depth", [1_000, 10_000, 100_000], ids=["d1k", "d10k", "d100k"])
@@ -800,9 +803,9 @@ def test_deep_pickle_and_copy(depth):
     as the table's node."""
     bound = 1.0 + depth * 50e-6
     for t in _deep_chains(depth):
-        data = _timed(bound, lambda: pickle.dumps(t))
-        back = _timed(bound, lambda: pickle.loads(data))
+        data = timed(bound, lambda: pickle.dumps(t))
+        back = timed(bound, lambda: pickle.loads(data))
         assert back == t and back is not t
-        assert _timed(bound, lambda: copy.deepcopy(t)) is t and copy.copy(t) is t
+        assert timed(bound, lambda: copy.deepcopy(t)) is t and copy.copy(t) is t
     back = pickle.loads(pickle.dumps(_deep_chains(depth)[0]))
     assert back.args[0].args[1] is Var(0)

@@ -69,6 +69,7 @@ from helpers import (
     lam,
     ref_typecheck,
     same_term,
+    timed,
 )
 
 SCH = stlc_schema({"a"})
@@ -623,3 +624,25 @@ def test_op_arity_is_memoized_per_schema_and_failures_are_not():
             with pytest.raises(TypecheckError):
                 op_arity(sch, name, targs)
     assert list(sch.arities) == [("lam", (A, B))]
+
+
+def _typed_chain(depth: int, leaf):
+    """``lam (app t 0)`` at type ``a``, nested ``depth`` deep over ``leaf``."""
+    t = leaf
+    for _ in range(depth):
+        t = tlam(A, A, TOp("app", (A, A), (t, TVar(0, A))))
+    return t
+
+
+@pytest.mark.parametrize("depth", [1_000, 10_000, 100_000], ids=["d1k", "d10k", "d100k"])
+def test_deep_tcompose_and_tlift_gamma(depth):
+    """``tcompose`` and ``tlift_gamma`` of a typed image whose free variable
+    sits at the bottom of ``depth`` binders, each call in time linear in
+    the depth."""
+    bound = 1.0 + depth * 50e-6
+    sigma = TypedAssignment({A: ((_typed_chain(depth, TVar(depth, A)),), 0)})
+    nu = TypedAssignment({A: ((TVar(7, A),), 0)})
+    assert timed(bound, lambda: tcompose(sigma, nu, SCH)) == TypedAssignment(
+        {A: ((_typed_chain(depth, TVar(depth + 7, A)), TVar(7, A)), 0)})
+    assert timed(bound, lambda: tlift_gamma(sigma, (A, A), SCH)) == TypedAssignment(
+        {A: ((TVar(0, A), TVar(1, A), _typed_chain(depth, TVar(depth + 2, A))), 2)})
