@@ -25,7 +25,7 @@ from collections import namedtuple
 from typing import Any, Callable
 
 from .signature import BindingSignature
-from .term import Op, Term, Var, map_free_vars
+from .term import Term, Var, _shift_term, map_free_vars
 
 
 class Assignment(namedtuple("Assignment", ("prefix", "tail_shift"))):
@@ -104,15 +104,6 @@ def rename(t: Term, f: Assignment, sig: BindingSignature) -> Term:
     return subst(t, Assignment(tuple(map(Var, f.prefix)), f.tail_shift), sig)
 
 
-def _shift_term(t: Term, by: int, sig: BindingSignature) -> Term:
-    """``t`` renamed by the shift ``by``; a closed term or a variable needs no walk."""
-    if by == 0 or type(t) is Op and (t._top == 0 or t._sig is sig and t._sup == 0):
-        return t
-    if type(t) is Var and t.index >= 0:
-        return Var(t.index + by)
-    return map_free_vars(t, sig, by)
-
-
 def lift(sigma: Assignment, sig: BindingSignature) -> Assignment:
     """0 -> Var(0), n+1 -> sigma(n) shifted by one."""
     return lift_n(sigma, 1, sig)
@@ -127,24 +118,13 @@ def subst(t: Term, sigma: Assignment, sig: BindingSignature) -> Term:
     """Parallel substitution; argument i of an operation binding n_i
     variables is substituted under the n_i-fold lifting of ``sigma``.
 
-    Uses the identity lift_n(sigma, d)(n) = sigma(n - d) shifted by d (for
-    n >= d), so lifted assignments are never materialised.  The shifted
-    image depends only on (n - d, d) and is computed once per pair.
+    ``sigma`` goes to :func:`~debruijn.term.map_free_vars` as it is, which
+    applies it with no callback.  The kernel uses the identity
+    lift_n(sigma, d)(n) = sigma(n - d) shifted by d (for n >= d), so lifted
+    assignments are never materialised; the shifted image depends only on
+    (n - d, d), and a memo keyed by that pair computes it once per walk.
     """
-    prefix, q = sigma.prefix, len(sigma.prefix)
-    if not q:  # a pure shift, or the identity
-        return map_free_vars(t, sig, sigma.tail_shift) if sigma.tail_shift else t
-    images: dict[tuple[int, int], Term] = {}
-
-    def on_free(d: int, n: int) -> Term:
-        if n - d >= q:
-            return Var(n + sigma.tail_shift - q)
-        image = images.get((n - d, d))
-        if image is None:
-            image = images[n - d, d] = _shift_term(prefix[n - d], d, sig)
-        return image
-
-    return map_free_vars(t, sig, on_free)
+    return map_free_vars(t, sig, sigma) if sigma.prefix or sigma.tail_shift else t
 
 
 def compose(sigma: Assignment, tau: Assignment, sig: BindingSignature) -> Assignment:

@@ -9,7 +9,7 @@ recursion limit.
 from __future__ import annotations
 
 from math import inf
-from operator import attrgetter, is_not
+from operator import attrgetter
 from typing import Callable
 
 from .signature import BindingSignature, Slotted, Tree, first_order_arity, gc_paused
@@ -280,13 +280,19 @@ def fold(sig: BindingSignature, var_case: Callable, op_case: Callable, t: Term):
 
 
 @gc_paused
-def map_free_vars(t: Term, sig: BindingSignature, on_free: Callable | int) -> Term:
+def map_free_vars(t: Term, sig: BindingSignature, on_free: Callable | int | tuple) -> Term:
     """Rebuild ``t``, replacing each free variable occurrence.
 
-    ``on_free(depth, index)`` is called for every ``Var(index)`` under
-    ``depth`` accumulated binders with ``index >= depth``; bound
-    occurrences are kept as is.  An ``int`` k in its place is the shift
-    by k, ``lambda depth, index: Var(index + k)``, applied with no call.
+    ``on_free`` takes one of three forms.  A callable is called as
+    ``on_free(depth, index)`` for every ``Var(index)`` under ``depth``
+    accumulated binders with ``index >= depth``; bound occurrences are
+    kept as is.  An ``int`` k is the shift by k, ``lambda depth, index:
+    Var(index + k)``, applied with no call.  An assignment, a ``(prefix,
+    tail_shift)`` pair such as :class:`~debruijn.subst.Assignment`, is
+    applied with no call as well: ``index - depth = j`` below ``len(prefix)``
+    gets ``prefix[j]`` shifted by ``depth``, computed once per ``(j, depth)``
+    and kept in a memo for the walk, and a larger index moves by
+    ``tail_shift - len(prefix)``.
 
     Sharing: a subterm (``t`` too) in which no free variable changed index
     is returned itself, not a copy.  A subterm closed at its depth, by its
@@ -296,41 +302,66 @@ def map_free_vars(t: Term, sig: BindingSignature, on_free: Callable | int) -> Te
     that is not a term raises ``TypeError``.
     """
     binders = sig.binders
-    by = on_free if type(on_free) is int else None
-    # the current operation in locals, its depth, binder counts, next argument and
-    # argument count; the open ones on frames above a root frame around t
+    if type(on_free) is int:
+        prefix, by = (), on_free
+    elif isinstance(on_free, tuple):
+        prefix, by = on_free
+        by -= len(prefix)
+    else:
+        prefix, by = (), None
+    q, images = len(prefix), {}
+    # the current operation in locals, its depth, binder counts, next argument,
+    # argument count and whether an argument changed; the open ones on frames
+    # above a root frame around t
     frames, values = [], []
     push = values.append
-    node, depth, args, ns, i, m = None, 0, (t,), (0,), 0, 1
+    node, depth, args, ns, i, m, changed = None, 0, (t,), (0,), 0, 1, False
     while True:
         while i < m:
             a, n = args[i], depth + ns[i]
             i += 1
             if type(a) is Var:
-                if a.index >= n:
-                    new = on_free(n, a.index) if by is None else Var(a.index + by)
+                j = a.index - n
+                if j >= 0:
+                    if j < q:
+                        new = images.get((j, n))
+                        if new is None:
+                            new = images[j, n] = _shift_term(prefix[j], n, sig)
+                    else:
+                        new = on_free(n, a.index) if by is None else Var(a.index + by)
                     if type(new) is not Var or new.index != a.index:
-                        a = new
+                        a, changed = new, True
                 push(a)
             elif type(a) is not Op:
                 raise TypeError(f"not a term: {a!r}")
             elif a._top <= n or a._sig is sig and a._sup <= n:
                 push(a)
             else:
-                frames.append((node, depth, args, ns, i, m))
-                node, depth, args, ns, i, m = a, n, a.args, binders[a.name], 0, len(a.args)
+                frames.append((node, depth, args, ns, i, m, changed))
+                node, depth, args, ns, i, m, changed = a, n, a.args, binders[a.name], 0, len(a.args), False
                 if len(ns) != m:
                     raise ValueError(f"operation '{a.name}' takes {len(ns)} arguments, got {m}")
         if node is None:
             return values[0]
         if m == 1:  # rebuilt in place
-            values[-1] = node if values[-1] is args[0] else Op(node.name, (values[-1],))
+            values[-1] = Op(node.name, (values[-1],)) if changed else node
         else:
             k = len(values) - m
-            rebuilt = tuple(values[k:])
+            new = Op(node.name, values[k:]) if changed else node
             del values[k:]
-            push(Op(node.name, rebuilt) if any(map(is_not, rebuilt, args)) else node)
-        node, depth, args, ns, i, m = frames.pop()
+            push(new)
+        rebuilt = changed
+        node, depth, args, ns, i, m, changed = frames.pop()
+        changed = changed or rebuilt
+
+
+def _shift_term(t: Term, by: int, sig: BindingSignature) -> Term:
+    """``t`` renamed by the shift ``by``; a closed term or a variable needs no walk."""
+    if by == 0 or type(t) is Op and (t._top == 0 or t._sig is sig and t._sup == 0):
+        return t
+    if type(t) is Var and t.index >= 0:
+        return Var(t.index + by)
+    return map_free_vars(t, sig, by)
 
 
 def support(t: Term, sig: BindingSignature) -> int:

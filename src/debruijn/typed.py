@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import partial
-from operator import attrgetter, is_not
+from operator import attrgetter
 from typing import Any, Callable
 
 from .model import (
@@ -190,7 +190,7 @@ def _map_free_tvars(
     binders of its type; one substitution shares the table ``slot``."""
     frames, values = [], []
     push = values.append
-    node, args, depths, i, m = None, (t,), ((),), 0, 1  # a root frame around t
+    node, args, depths, i, m, changed = None, (t,), ((),), 0, 1, False  # a root frame around t
     while True:
         while i < m:
             a, depth = args[i], depths[i]
@@ -201,7 +201,7 @@ def _map_free_tvars(
                 if j >= 0:
                     new = on_free(a, s, j, depth)
                     if type(new) is not TVar or new.index != a.index or new.ty is not a.ty:
-                        a = new
+                        a, changed = new, True
                 push(a)
             elif type(a) is not TOp:
                 raise TypeError(f"not a typed term: {a!r}")
@@ -216,15 +216,17 @@ def _map_free_tvars(
                     deeper.append(tuple(d) if gamma else depth)
                 if len(deeper) != len(a.args):  # the ValueError of a strict zip
                     tuple(zip(a.args, deeper, strict=True))
-                frames.append((node, args, depths, i, m))
-                node, args, depths, i, m = a, a.args, deeper, 0, len(a.args)
+                frames.append((node, args, depths, i, m, changed))
+                node, args, depths, i, m, changed = a, a.args, deeper, 0, len(a.args), False
         if node is None:
             return values[0]
         k = len(values) - m
-        rebuilt = tuple(values[k:])
+        new = TOp(node.name, node.type_args, values[k:]) if changed else node
         del values[k:]
-        push(TOp(node.name, node.type_args, rebuilt) if any(map(is_not, rebuilt, args)) else node)
-        node, args, depths, i, m = frames.pop()
+        push(new)
+        rebuilt = changed
+        node, args, depths, i, m, changed = frames.pop()
+        changed = changed or rebuilt
 
 
 def _shift(t: TypedTerm, by: tuple[int, ...], schema, slot) -> TypedTerm:

@@ -41,7 +41,7 @@ from debruijn import equational, model, signature, surface, typed
 from debruijn.model import _letter_supply, default_supply, default_supply_index
 from debruijn.signature import Record, Slotted, Tree
 from debruijn.surface import SourceSpan
-from debruijn.term import _op_sig, _op_sup
+from debruijn.term import _op_sig, _op_sup, _shift_term
 from debruijn.typed import op_arity, typed_assignment_at
 
 
@@ -148,16 +148,31 @@ def ref_subst(t, sigma, sig):
 # results, on sharing with the input and on the support memos.
 
 
-def as_callback(on_free):
+def as_callback(on_free, sig):
     """``on_free`` as a callback: an ``int`` k, the kernel's form of the
-    shift by k, is ``lambda d, n: Var(n + k)``."""
+    shift by k, is ``lambda d, n: Var(n + k)``; an assignment is the
+    callback ``subst`` built for it before the kernel applied assignments
+    itself, with its memo of images shifted by ``term._shift_term``."""
     if type(on_free) is int:
         return lambda d, n: Var(n + on_free)
-    return on_free
+    if not isinstance(on_free, Assignment):
+        return on_free
+    prefix, tail = on_free
+    q, images = len(prefix), {}
+
+    def callback(d, n):
+        if n - d >= q:
+            return Var(n + tail - q)
+        image = images.get((n - d, d))
+        if image is None:
+            image = images[n - d, d] = _shift_term(prefix[n - d], d, sig)
+        return image
+
+    return callback
 
 
 def tuple_stack_map_free_vars(t, sig, on_free):
-    binders, on_free = sig.binders, as_callback(on_free)
+    binders, on_free = sig.binders, as_callback(on_free, sig)
     stack = [(t, 0, False)]
     values = []
     push, pop, emit = stack.append, stack.pop, values.append
@@ -224,7 +239,7 @@ def tuple_stack_support(t, sig):
 
 
 def list_stack_map_free_vars(t, sig, on_free):
-    binders, on_free = sig.binders, as_callback(on_free)
+    binders, on_free = sig.binders, as_callback(on_free, sig)
     nodes, depths, values = [t], [0], []  # depth ~d < 0: the node's arguments are done
     while nodes:
         node = nodes.pop()

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import gc
 import importlib
+import operator
 import random
 import time
 
@@ -55,6 +56,7 @@ from debruijn.typed import _map_free_tvars, _shift
 
 from helpers import (
     app,
+    as_callback,
     lam,
     list_stack_map_free_tvars,
     list_stack_map_free_vars,
@@ -346,12 +348,15 @@ def test_deep_typed_substitution():
 # --- the parallel-list kernels against the tuple-stack copies ------------
 
 SUBST_MODULE = importlib.import_module("debruijn.subst")
+TERM_MODULE = importlib.import_module("debruijn.term")
 
 
 def _on_tuple_stack(monkeypatch, call):
-    """``call()`` with ``subst`` and ``rename`` on the tuple-stack kernel."""
+    """``call()`` with ``subst`` and ``rename`` on the tuple-stack kernel,
+    the image shifts nested in their walks too."""
     with monkeypatch.context() as m:
         m.setattr(SUBST_MODULE, "map_free_vars", tuple_stack_map_free_vars)
+        m.setattr(TERM_MODULE, "map_free_vars", tuple_stack_map_free_vars)
         return call()
 
 
@@ -525,6 +530,117 @@ def test_integer_shift_matches_its_callback(sig):
             assert _agree(t, new, old)
             raised += type(old) is tuple
     assert raised == 3 * len(bad) * 6
+
+
+def _assignment_cases(sig, rng):
+    """Random assignments over ``sig``, one fixing every variable, pure
+    shifts, and prefixes of a variable below 0 and of non-terms."""
+    cases = [random_assignment(sig, rng, max_depth=3) for _ in range(6)]
+    cases += [Assignment((Var(0), Var(2), Var(1)), 3), Assignment((), 2), IDENTITY]
+    return cases + [Assignment((Var(-1),), 1), Assignment(("x", Var(1)), 0)]
+
+
+@pytest.mark.parametrize("sig", [SIG, FO_SIG, MIXED_SIG], ids=["lambda", "FO", "MIXED"])
+def test_assignment_matches_its_callback(sig):
+    """``map_free_vars(t, sig, sigma)`` against the callback ``subst`` built
+    for ``sigma`` before the kernel applied it (``helpers.as_callback``),
+    on the cases above: the result, what it shares with the input and the
+    exception and its message."""
+    cases, bad = _frame_cases(sig, random.Random(79))
+    sigmas = _assignment_cases(sig, random.Random(97))
+    raised = 0
+    for t in cases:
+        for sigma in sigmas:
+            new = _outcome(lambda: map_free_vars(t, sig, sigma))
+            old = _outcome(lambda: map_free_vars(t, sig, as_callback(sigma, sig)))
+            assert _agree(t, new, old)
+            raised += type(old) is tuple
+    assert raised >= len(bad) * 6 * len(sigmas)
+
+
+@pytest.mark.parametrize("depth", [1_000, 10_000, 100_000], ids=["d1k", "d10k", "d100k"])
+def test_deep_chains_assignment_matches_its_callback(depth):
+    t = _chain(depth)
+    for sigma in (Assignment((lam(Var(1)), Var(3)), 2), Assignment((Var(2), Var(0)), 1),
+                  Assignment((Var(0), Var(1), app(Var(0), Var(2))), 3)):
+        start = time.perf_counter()
+        new = map_free_vars(t, SIG, sigma)
+        assert time.perf_counter() - start < 10.0
+        old = map_free_vars(t, SIG, as_callback(sigma, SIG))
+        assert same_term(new, old) and _same_sharing(t, new, old)
+
+
+# sends free index 2 to 9 and keeps every other free index
+FIX_BUT_2 = Assignment((Var(0), Var(1), Var(9)), 3)
+# per signature: an operation at binder depth e all of whose arguments are
+# free index 0 at their depth (walked, since its bound is past e, and kept
+# by FIX_BUT_2); the same with free index 2 at argument 0; a spine level
+# around x, kept variables beside it, and the binders it puts above x
+_FLAG_SIGS = {
+    "lambda": (SIG, lambda e: app(Var(e), Var(e)), lambda e: app(Var(e + 2), Var(e)),
+               lambda x: lam(app(x, Var(0))), 1),
+    "MIXED": (MIXED_SIG, lambda e: Op("m", (Var(e + 2), Var(e), Var(e + 1))),
+              lambda e: Op("m", (Var(e + 4), Var(e), Var(e + 1))),
+              lambda x: Op("m", (x, Var(0), Var(0))), 2),
+}
+
+
+def _flag_cases(sig, fixed, changed, depth, kept_vars):
+    """For each operation of ``sig`` at binder depth ``depth``: the node with
+    every argument kept (operations, then variables if ``kept_vars``), and
+    for each argument p, the node with p changed directly (free index 2) or
+    in a child frame that rebuilds (``changed``) and kept operations beside
+    it.  Yields (node, p, direct); p is None when nothing changes."""
+    for name, ns in sig.binders.items():
+        yield Op(name, tuple(fixed(depth + n) for n in ns)), None, None
+        if kept_vars:
+            yield Op(name, tuple(Var(depth + n) for n in ns)), None, None
+        for p in range(len(ns)):
+            for direct in (True, False):
+                args = [fixed(depth + n) for n in ns]
+                e = depth + ns[p]
+                args[p] = Var(e + 2) if direct else changed(e)
+                yield Op(name, tuple(args)), p, direct
+
+
+@pytest.mark.parametrize("levels", [0, 1_000, 10_000, 100_000], ids=["d0", "d1k", "d10k", "d100k"])
+@pytest.mark.parametrize("which", ["lambda", "MIXED"])
+def test_a_node_is_rebuilt_only_when_an_argument_changed(which, levels):
+    """Operations of 1, 2 and 3 arguments, at the root and under ``levels``
+    spine levels: a node none of whose arguments changed comes back as
+    itself; a node with one changed argument, directly or in a child frame
+    that rebuilt, is rebuilt and shares every other argument, and so is
+    each spine node above it; the identity and every pure shift of 0 return
+    the input itself.  Results agree with the callback form."""
+    sig, fixed, changed, wrap, step = _FLAG_SIGS[which]
+    per = 2 if which == "lambda" else 1  # spine nodes a level
+    for node, p, direct in _flag_cases(sig, fixed, changed, levels * step, not levels):
+        t = node
+        for _ in range(levels):
+            t = wrap(t)
+        assert subst(t, IDENTITY, sig) is t and rename(t, Renaming((), 0), sig) is t
+        if p is None or not levels:
+            for keep in (IDENTITY, 0, lambda d, n: Var(n)):
+                assert map_free_vars(t, sig, keep) is t
+        out = subst(t, FIX_BUT_2, sig)
+        if p is None:
+            assert out is t
+            continue
+        if levels < 100_000:  # test_deep_chains_assignment_matches_its_callback has 100k
+            assert same_term(out, map_free_vars(t, sig, as_callback(FIX_BUT_2, sig)))
+        x, y, spine = t, out, 0
+        while x is not node:
+            assert y is not x and all(map(operator.is_, x.args[1:], y.args[1:]))
+            x, y, spine = x.args[0], y.args[0], spine + 1
+        assert spine == levels * per and y is not x and type(y) is Op
+        assert all(b is a for i, (a, b) in enumerate(zip(x.args, y.args)) if i != p)
+        a, b = x.args[p], y.args[p]
+        assert b is not a
+        if direct:
+            assert b == Var(a.index + 7)
+        else:
+            assert b.args[0] == Var(a.args[0].index + 7)
+            assert all(map(operator.is_, a.args[1:], b.args[1:]))
 
 
 def _built_like_constructor(t, out) -> bool:
@@ -760,9 +876,12 @@ def test_walks_restore_the_collector(enabled, gc_state):
         assert gc.isenabled() is enabled
 
 
-def test_callbacks_see_the_collector_paused(monkeypatch, gc_state):
+def test_callbacks_see_the_collector_paused(gc_state):
     """Inside a walk the collector is off, in the nested walk that
-    ``subst`` runs to shift an image too, and on again after it."""
+    ``subst`` runs to shift an image too, and on again after it.  A
+    callback is probed when it runs; an assignment or a shift calls
+    nothing of ours, so a walk of one is probed where it reads the
+    signature's binders, inside the pause."""
     gc.enable()
     seen = []
 
@@ -772,22 +891,20 @@ def test_callbacks_see_the_collector_paused(monkeypatch, gc_state):
             return callback(*args)
         return probe
 
-    def probed(t, sig, on_free, real=map_free_vars):
-        if type(on_free) is int:  # a shift calls nothing: probed at the kernel's entry
+    class Probed:  # the signature as the kernel reads it: binders and identity
+        @property
+        def binders(self):
             seen.append(gc.isenabled())
-            return real(t, sig, on_free)
-        return real(t, sig, probing(on_free))
+            return SIG.binders
 
     t = lam(lam(app(Var(2), Var(3))))
     map_free_vars(t, SIG, probing(lambda d, n: Var(n)))
     assert len(seen) == 2
-    with monkeypatch.context() as m:
-        m.setattr(SUBST_MODULE, "map_free_vars", probed)
-        before = len(seen)
-        # the image lam(app 1 0) of 0 is shifted by 2 under the two binders
-        assert subst(t, Assignment((lam(app(Var(1), Var(0))),), 0), SIG) == lam(
-            lam(app(lam(app(Var(3), Var(0))), Var(2))))
-        assert len(seen) - before == 2 + 1  # two free occurrences, one nested shift walk
+    before = len(seen)
+    # the image lam(app 1 0) of 0 is shifted by 2 under the two binders
+    assert subst(t, Assignment((lam(app(Var(1), Var(0))),), 0), Probed()) == lam(
+        lam(app(lam(app(Var(3), Var(0))), Var(2))))
+    assert len(seen) - before == 1 + 1  # subst's walk, one nested shift walk
     assert seen and not any(seen)
     assert gc.isenabled()
 
@@ -804,6 +921,7 @@ def test_shifting_an_image_no_shift_can_change_walks_nothing(monkeypatch):
         return real(t, sig, on_free)
 
     monkeypatch.setattr(SUBST_MODULE, "map_free_vars", counted)
+    monkeypatch.setattr(TERM_MODULE, "map_free_vars", counted)
     sig = make_signature({"lam": (1,), "app": (0, 0), "c": ()})
     c = Op("c", ())
     by_bound = app(c, c)
