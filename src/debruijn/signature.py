@@ -326,7 +326,7 @@ class OpSchema(Record):
 
 
 class TypedSignatureSchema(Record):
-    """A type grammar and schemas; ``arities`` is ``typed.op_arity``'s memo."""
+    """A type grammar and schemas; ``arities`` is ``term.op_arity``'s memo."""
 
     __slots__ = ("grammar", "schemas", "arities")
     grammar: TypeGrammar

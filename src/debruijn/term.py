@@ -1,9 +1,10 @@
-"""Nameless terms over a binding signature.
+"""Nameless terms over a binding signature, untyped and simply typed.
 
 A term is a variable index or an operation applied to arity-many
 arguments.  Terms are immutable; equality is structural.  Traversals use
 explicit stacks so that very deep terms do not hit the interpreter's
-recursion limit.
+recursion limit.  The typed nodes ``TVar`` and ``TOp`` are here too, so
+that one kernel, :func:`map_free_vars`, rebuilds both families.
 """
 
 from __future__ import annotations
@@ -12,13 +13,13 @@ from math import inf
 from operator import attrgetter
 from typing import Callable
 
-from .signature import BindingSignature, Slotted, Tree, first_order_arity, gc_paused
+from .signature import BindingSignature, Slotted, Tree, TypedArity, TypedSignatureSchema, TypeExpr
+from .signature import first_order_arity, gc_paused, instantiate_schema
 
 
 class Term(Tree):
-    """Base of every node class: ``Var`` and ``Op`` here, ``TVar`` and
-    ``TOp`` of :mod:`debruijn.typed` and the named ones of
-    :mod:`debruijn.model`.  Nodes are trees, immutable and slotted, with
+    """Base of every node class: ``Var``, ``Op``, ``TVar`` and ``TOp`` here
+    and the named ones of :mod:`debruijn.model`.  Nodes are trees, immutable and slotted, with
     the ``repr`` and pickling of :class:`~debruijn.signature.Slotted` and
     ``==`` and ``hash`` written once here, none recursive.  A variable
     class's ``_key`` reads its fields; an operation class has ``name``,
@@ -38,7 +39,7 @@ class Term(Tree):
             return NotImplemented
         if self is other:
             return True
-        if kind is Var or kind._key is tvar_key:  # index first, then an interned type
+        if kind is Var or kind is TVar:  # index first, then an interned type
             return self.index == other.index and (kind is Var or self.ty is other.ty)
         if kind._key is not None:
             return kind._key(self) == kind._key(other)
@@ -73,7 +74,7 @@ class Term(Tree):
                 elif a.__class__ is not b.__class__ or not isinstance(a, Term):
                     if a != b:
                         return False
-                elif a._key is tvar_key:  # typed variables: index, then interned type
+                elif a.__class__ is TVar:  # typed variables: index, then interned type
                     if a.index != b.index or a.ty is not b.ty:
                         return False
                 elif a._key is not None:  # variables of one class
@@ -134,9 +135,6 @@ class Op(Term):
         return node
 
 
-tvar_key = attrgetter("index", "ty")  # typed.TVar's key; == compares it in place
-
-
 def _blank(kind: type) -> type:
     """``kind``'s layout without the frozen ``__setattr__`` and
     ``__delattr__`` (both, as they share one type slot).  A node is filled
@@ -155,6 +153,66 @@ _op_sig, _op_sup = Op._sig.__set__, Op._sup.__set__  # support's memo of a built
 _interned = 0
 _vars = tuple(map(Var, range(256)))  # Var(i) reads this table from here on
 _interned = len(_vars)
+
+
+class TypedTerm(Term):
+    """Base of the typed node classes."""
+
+    __slots__ = ()
+
+
+class TVar(TypedTerm):
+    __slots__ = ("index", "ty")
+    __match_args__ = _fields = ("index", "ty")
+    _key = attrgetter("index", "ty")  # == compares it in place
+
+    def __init__(self, index: int, ty: TypeExpr):
+        _tvar_index(self, index)
+        _tvar_ty(self, ty)
+
+
+class TOp(TypedTerm):
+    __slots__ = ("name", "type_args", "args")
+    __match_args__ = _fields = ("name", "type_args", "args")
+
+    def __init__(self, name: str, type_args: tuple[TypeExpr, ...], args: tuple[TypedTerm, ...]):
+        _top_name(self, name)
+        _top_type_args(self, tuple(type_args))
+        _top_args(self, tuple(args))
+
+
+# typed nodes are frozen: their slots are set through the slot descriptors
+_tvar_index, _tvar_ty, _top_name, _top_type_args, _top_args = (
+    d.__set__ for d in (TVar.index, TVar.ty, TOp.name, TOp.type_args, TOp.args))
+
+
+class TypecheckError(Exception):
+    """A typing fault at ``path``, the argument indices from the root.  The
+    message spells out a path of up to 8 steps, else its depth and last 8."""
+
+    def __init__(self, message: str, path: tuple[int, ...] = ()):
+        if len(path) > 8:
+            message += f" (at depth {len(path)}, path ending {list(path[-8:])})"
+        elif path:
+            message += f" (at {list(path)})"
+        super().__init__(message)
+        self.path = path
+
+
+def op_arity(schema: TypedSignatureSchema, name: str, type_args: tuple) -> TypedArity:
+    """The arity of ``name`` at ``type_args``, or a ``TypecheckError`` for
+    an unknown operation or ill-formed type arguments.  An arity is
+    instantiated once per schema; a failure is not memoized."""
+    ar = schema.arities.get((name, type_args))
+    if ar is None:
+        if name not in schema.schemas:
+            raise TypecheckError(f"unknown operation schema '{name}'")
+        try:
+            ar = instantiate_schema(schema.schemas[name], type_args, schema.grammar)
+        except ValueError as e:
+            raise TypecheckError(str(e)) from None
+        schema.arities[name, type_args] = ar
+    return ar
 
 
 @gc_paused
@@ -280,7 +338,7 @@ def fold(sig: BindingSignature, var_case: Callable, op_case: Callable, t: Term):
 
 
 @gc_paused
-def map_free_vars(t: Term, sig: BindingSignature, on_free: Callable | int | tuple) -> Term:
+def map_free_vars(t: Term, sig, on_free: Callable | int | tuple, slot: dict | None = None) -> Term:
     """Rebuild ``t``, replacing each free variable occurrence.
 
     ``on_free`` takes one of three forms.  A callable is called as
@@ -294,33 +352,42 @@ def map_free_vars(t: Term, sig: BindingSignature, on_free: Callable | int | tupl
     and kept in a memo for the walk, and a larger index moves by
     ``tail_shift - len(prefix)``.
 
-    Sharing: a subterm (``t`` too) in which no free variable changed index
-    is returned itself, not a copy.  A subterm closed at its depth, by its
-    bound ``_top`` (binder counts are >= 0) or by a :func:`support` memo
-    under ``sig``, is returned unwalked: an unknown operation or arity in
-    it goes unreported (:func:`wellformed` checks those).  A walked node
-    that is not a term raises ``TypeError``.
+    Given a table ``slot``, the walk is typed, over ``TVar``/``TOp`` under
+    a schema ``sig``: a depth is a vector whose entry ``slot[ty]`` counts
+    the binders of type ``ty`` (a type met first takes the next slot), and
+    argument i of an operation is deeper by premise i's context.  The
+    callable ``on_free(node, s, j, depth)`` gets each ``TVar`` whose index
+    less ``depth[s]``, with ``s`` its type's slot, is ``j >= 0``.
+
+    Sharing: a subterm (``t`` too) in which no free variable changed is
+    returned itself, not a copy.  An untyped subterm closed at its depth,
+    by its bound ``_top`` (binder counts are >= 0) or by a :func:`support`
+    memo under ``sig``, is returned unwalked: an unknown operation or
+    arity in it goes unreported (:func:`wellformed` checks those).  A
+    walked node not of the walk's family raises ``TypeError``; a wrong
+    argument count ``ValueError``; an unknown operation ``KeyError``, or
+    :class:`TypecheckError` in a typed walk.
     """
-    binders = sig.binders
-    if type(on_free) is int:
-        prefix, by = (), on_free
+    prefix, by, images, var, op, depth, ns = (), None, None, Var, Op, 0, (0,)
+    if slot is not None:  # the untyped classes are None: an untyped node is not a term here
+        var, op, depth, ns = None, None, (), ((),)
+    elif type(on_free) is int:
+        by = on_free
     elif isinstance(on_free, tuple):
-        prefix, by = on_free
+        (prefix, by), images = on_free, {}
         by -= len(prefix)
-    else:
-        prefix, by = (), None
-    q, images = len(prefix), {}
+    binders, q = sig.binders if slot is None else None, len(prefix)
     # the current operation in locals, its depth, binder counts, next argument,
     # argument count and whether an argument changed; the open ones on frames
-    # above a root frame around t
+    # above a root frame around t.  Typed, depth is () and counts are vectors: () + v is v
     frames, values = [], []
     push = values.append
-    node, depth, args, ns, i, m, changed = None, 0, (t,), (0,), 0, 1, False
+    node, args, i, m, changed = None, (t,), 0, 1, False
     while True:
         while i < m:
             a, n = args[i], depth + ns[i]
             i += 1
-            if type(a) is Var:
+            if type(a) is var:
                 j = a.index - n
                 if j >= 0:
                     if j < q:
@@ -332,27 +399,54 @@ def map_free_vars(t: Term, sig: BindingSignature, on_free: Callable | int | tupl
                     if type(new) is not Var or new.index != a.index:
                         a, changed = new, True
                 push(a)
-            elif type(a) is not Op:
-                raise TypeError(f"not a term: {a!r}")
-            elif a._top <= n or a._sig is sig and a._sup <= n:
+                continue
+            if type(a) is op:
+                if a._top <= n or a._sig is sig and a._sup <= n:
+                    push(a)
+                    continue
+                kids, counts = a.args, binders[a.name]
+            elif type(a) is TVar and slot is not None:
+                s = slot.setdefault(a.ty, len(slot))
+                j = a.index - (n[s] if s < len(n) else 0)
+                if j >= 0:
+                    new = on_free(a, s, j, n)
+                    if type(new) is not TVar or new.index != a.index or new.ty is not a.ty:
+                        a, changed = new, True
                 push(a)
+                continue
+            elif type(a) is TOp and slot is not None:
+                kids, counts = a.args, []
+                for gamma, _ in op_arity(sig, a.name, a.type_args).premises:
+                    d = list(n)  # n plus the count of each slot's type in gamma
+                    for ty in gamma:
+                        s = slot.setdefault(ty, len(slot))
+                        d += [0] * (s + 1 - len(d))
+                        d[s] += 1
+                    counts.append(tuple(d) if gamma else n)
+                n = ()
             else:
-                frames.append((node, depth, args, ns, i, m, changed))
-                node, depth, args, ns, i, m, changed = a, n, a.args, binders[a.name], 0, len(a.args), False
-                if len(ns) != m:
-                    raise ValueError(f"operation '{a.name}' takes {len(ns)} arguments, got {m}")
+                raise TypeError(f"not a {'' if slot is None else 'typed '}term: {a!r}")
+            frames.append((node, depth, args, ns, i, m, changed))
+            node, depth, args, ns, i, m, changed = a, n, kids, counts, 0, len(kids), False
+            if len(ns) != m:  # a typed walk raises a strict zip's ValueError
+                tuple(zip(args, ns, strict=slot is not None))
+                raise ValueError(f"operation '{a.name}' takes {len(ns)} arguments, got {m}")
         if node is None:
             return values[0]
-        if m == 1:  # rebuilt in place
-            values[-1] = Op(node.name, (values[-1],)) if changed else node
+        if m == 1:  # rebuilt in place; op is None in a typed walk
+            if changed:
+                node = (Op(node.name, (values[-1],)) if op
+                        else TOp(node.name, node.type_args, (values[-1],)))
+            values[-1] = node
         else:
             k = len(values) - m
-            new = Op(node.name, values[k:]) if changed else node
+            if changed:
+                node = (Op(node.name, values[k:]) if op
+                        else TOp(node.name, node.type_args, values[k:]))
             del values[k:]
-            push(new)
-        rebuilt = changed
-        node, depth, args, ns, i, m, changed = frames.pop()
-        changed = changed or rebuilt
+            push(node)
+        node, depth, args, ns, i, m, was = frames.pop()
+        changed = was or changed
 
 
 def _shift_term(t: Term, by: int, sig: BindingSignature) -> Term:

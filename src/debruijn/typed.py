@@ -1,9 +1,11 @@
-"""Simply-typed terms over a typed signature schema: per-type variable
-indices, typed lifting and substitution, typed models and folds, and the
+"""Simply-typed terms over a typed signature schema: typing, typed
+lifting and substitution, typed models and folds, and the
 application-binary-tree signature generator for call-by-value languages.
 
 Variables of each type have their own index space; lifting at a type
 shifts only that type's indices and leaves every other type untouched.
+The nodes ``TVar`` and ``TOp`` and their substitution kernel, which
+advances a vector of per-type depths, are those of :mod:`debruijn.term`.
 A typed assignment is one :class:`~debruijn.subst.Assignment` per type,
 whose carrier's ``var`` is ``TVar(·, ty)``.  The typed named oracle is the
 named layer of :mod:`debruijn.model`, whose untyped terms are its
@@ -29,41 +31,9 @@ from .signature import (
     TypedSignatureSchema,
     arrow,
     base,
-    instantiate_schema,
 )
 from .subst import IDENTITY, Assignment, at, compose_with, lift_with
-from .term import Term, Var, Op, fold_nodes, tvar_key
-
-
-class TypedTerm(Term):
-    """Base of the typed node classes."""
-
-    __slots__ = ()
-
-
-class TVar(TypedTerm):
-    __slots__ = ("index", "ty")
-    __match_args__ = _fields = ("index", "ty")
-    _key = tvar_key
-
-    def __init__(self, index: int, ty: TypeExpr):
-        _tvar_index(self, index)
-        _tvar_ty(self, ty)
-
-
-class TOp(TypedTerm):
-    __slots__ = ("name", "type_args", "args")
-    __match_args__ = _fields = ("name", "type_args", "args")
-
-    def __init__(self, name: str, type_args: tuple[TypeExpr, ...], args: tuple[TypedTerm, ...]):
-        _top_name(self, name)
-        _top_type_args(self, tuple(type_args))
-        _top_args(self, tuple(args))
-
-
-# typed nodes are frozen: their slots are set through the slot descriptors
-_tvar_index, _tvar_ty, _top_name, _top_type_args, _top_args = (
-    d.__set__ for d in (TVar.index, TVar.ty, TOp.name, TOp.type_args, TOp.args))
+from .term import TOp, TVar, TypecheckError, TypedTerm, Var, Op, fold_nodes, map_free_vars, op_arity
 
 
 def _tvar(ty: TypeExpr) -> Callable[[int], TVar]:
@@ -94,35 +64,6 @@ def typed_assignment_at(sigma: TypedAssignment, ty: TypeExpr, n: int) -> TypedTe
 
 
 # --- typing -------------------------------------------------------------
-
-
-class TypecheckError(Exception):
-    """A typing fault at ``path``, the argument indices from the root.  The
-    message spells out a path of up to 8 steps, else its depth and last 8."""
-
-    def __init__(self, message: str, path: tuple[int, ...] = ()):
-        if len(path) > 8:
-            message += f" (at depth {len(path)}, path ending {list(path[-8:])})"
-        elif path:
-            message += f" (at {list(path)})"
-        super().__init__(message)
-        self.path = path
-
-
-def op_arity(schema: TypedSignatureSchema, name: str, type_args: tuple) -> TypedArity:
-    """The arity of ``name`` at ``type_args``, or a ``TypecheckError`` for
-    an unknown operation or ill-formed type arguments.  An arity is
-    instantiated once per schema; a failure is not memoized."""
-    ar = schema.arities.get((name, type_args))
-    if ar is None:
-        if name not in schema.schemas:
-            raise TypecheckError(f"unknown operation schema '{name}'")
-        try:
-            ar = instantiate_schema(schema.schemas[name], type_args, schema.grammar)
-        except ValueError as e:
-            raise TypecheckError(str(e)) from None
-        schema.arities[name, type_args] = ar
-    return ar
 
 
 def typecheck(schema: TypedSignatureSchema, t: TypedTerm) -> TypeExpr:
@@ -181,63 +122,13 @@ def typecheck(schema: TypedSignatureSchema, t: TypedTerm) -> TypeExpr:
 # --- renaming and substitution ------------------------------------------
 
 
-def _map_free_tvars(
-    t: TypedTerm, schema: TypedSignatureSchema, on_free: Callable, slot: dict
-) -> TypedTerm:
-    """Typed ``term.map_free_vars``, on its frames: same sharing and errors.
-    Depths are binder counts indexed by ``slot[ty]``; ``on_free(node, s,
-    m, depth)`` gets a free variable, its type's slot and its index less the
-    binders of its type; one substitution shares the table ``slot``."""
-    frames, values = [], []
-    push = values.append
-    node, args, depths, i, m, changed = None, (t,), ((),), 0, 1, False  # a root frame around t
-    while True:
-        while i < m:
-            a, depth = args[i], depths[i]
-            i += 1
-            if type(a) is TVar:
-                s = slot.setdefault(a.ty, len(slot))
-                j = a.index - (depth[s] if s < len(depth) else 0)
-                if j >= 0:
-                    new = on_free(a, s, j, depth)
-                    if type(new) is not TVar or new.index != a.index or new.ty is not a.ty:
-                        a, changed = new, True
-                push(a)
-            elif type(a) is not TOp:
-                raise TypeError(f"not a typed term: {a!r}")
-            else:
-                deeper = []  # depth plus the count of each slot's type in a context
-                for gamma, _ in op_arity(schema, a.name, a.type_args).premises:
-                    d = list(depth)
-                    for ty in gamma:
-                        s = slot.setdefault(ty, len(slot))
-                        d += [0] * (s + 1 - len(d))
-                        d[s] += 1
-                    deeper.append(tuple(d) if gamma else depth)
-                if len(deeper) != len(a.args):  # the ValueError of a strict zip
-                    tuple(zip(a.args, deeper, strict=True))
-                frames.append((node, args, depths, i, m, changed))
-                node, args, depths, i, m, changed = a, a.args, deeper, 0, len(a.args), False
-        if node is None:
-            return values[0]
-        k = len(values) - m
-        new = TOp(node.name, node.type_args, values[k:]) if changed else node
-        del values[k:]
-        push(new)
-        rebuilt = changed
-        node, args, depths, i, m, changed = frames.pop()
-        changed = changed or rebuilt
-
-
 def _shift(t: TypedTerm, by: tuple[int, ...], schema, slot) -> TypedTerm:
     """Add ``by[slot[ty]]`` to every free index of type ``ty``."""
 
     def on_free(node, s, m, depth):
         return TVar(node.index + by[s], node.ty) if s < len(by) else node
 
-    if not any(by):
-        return t
-    return _map_free_tvars(t, schema, on_free, slot)
+    return map_free_vars(t, schema, on_free, slot) if any(by) else t
 
 
 def tlift_gamma(
@@ -280,7 +171,7 @@ def tsubst(
             image = images[s, m, depth] = _shift(image, depth, schema, slot)
         return image
 
-    return _map_free_tvars(t, schema, on_free, slot)
+    return map_free_vars(t, schema, on_free, slot)
 
 
 def tcompose(

@@ -232,10 +232,11 @@ def tuple_stack_support(t, sig):
 
 # --- the one-stack-entry-per-node kernels ---------------------------------
 #
-# ``term.map_free_vars`` and ``typed._map_free_tvars`` as they were before
-# their frame design: every node, variables too, goes onto the stack and
-# off it again.  The frame kernels must agree with these on results, on
-# sharing with the input and on the exception and message at a bad node.
+# ``term.map_free_vars``'s untyped and typed walks as they were before
+# their frame design, when the typed one was a second kernel of its own:
+# every node, variables too, goes onto the stack and off it again.  The
+# frame kernel must agree with these on results, on sharing with the
+# input and on the exception and message at a bad node.
 
 
 def list_stack_map_free_vars(t, sig, on_free):

@@ -52,7 +52,7 @@ from debruijn.gen import (
 from debruijn.equational import _plug
 from debruijn.model import initial_fold, term_model
 from debruijn.term import fold_nodes
-from debruijn.typed import _map_free_tvars, _shift
+from debruijn.typed import _shift, tlift_gamma
 
 from helpers import (
     app,
@@ -324,7 +324,7 @@ def test_shifting_a_lone_typed_variable_matches_the_walk():
     def walk(t, by, slot):
         def on_free(node, s, m, depth):
             return TVar(node.index + by[s], node.ty) if s < len(by) else node
-        return _map_free_tvars(t, SCH, on_free, slot)
+        return map_free_vars(t, SCH, on_free, slot)
 
     for v in (TVar(0, A), TVar(3, A), TVar(2, B), TVar(-1, A), TVar(5, arrow(A, B))):
         for by in ((2,), (0, 2), (2, 0), (1, 3)):
@@ -740,9 +740,19 @@ def test_rebuilt_nodes_of_a_deep_chain_have_the_constructor_slots():
         assert out is not t and _built_like_constructor(t, out)
 
 
+def _counted(calls: list, walk):
+    """``walk``, appending its first argument to ``calls`` at each call:
+    a comparison that patches a copy in can check that the copy ran."""
+    def counted(*args):
+        calls.append(args[0])
+        return walk(*args)
+    return counted
+
+
 def test_typed_frame_kernel_matches_list_stack_copy(monkeypatch):
-    """``_map_free_tvars`` against its one-entry-per-node predecessor, as
-    above, directly and under ``tsubst``, over the STLC."""
+    """The kernel's typed walk against its one-entry-per-node predecessor,
+    as above, directly and under ``tsubst``, over the STLC; under
+    ``tsubst`` the copy replaces the kernel where ``typed`` looks it up."""
     rng = random.Random(83)
     pool = ground_types(SCH.grammar)
     images = (TOp("lam", (A, A), (TVar(1, A),)), TVar(4, A))
@@ -762,21 +772,25 @@ def test_typed_frame_kernel_matches_list_stack_copy(monkeypatch):
            TOp("lam", (A, A), ())]
     cases = [random_typed_term(SCH, rng, rng.choice(pool), max_depth=5) for _ in range(200)]
     cases += bad + [_bury(b, 3, wrap) for b in bad for _ in range(5)]
-    raised = 0
+    raised = ran = 0
     for t in cases:
         for on_free in callbacks:
-            new = _outcome(lambda: _map_free_tvars(t, SCH, on_free, {}))
+            new = _outcome(lambda: map_free_vars(t, SCH, on_free, {}))
             old = _outcome(lambda: list_stack_map_free_tvars(t, SCH, on_free, {}))
             assert _agree(t, new, old)
             assert type(new) is tuple or _built_like_constructor(t, new)
             raised += type(old) is tuple
         sigma = random_typed_assignment(SCH, rng)
         new = _outcome(lambda: tsubst(t, sigma, SCH))
+        calls = []
         with monkeypatch.context() as m:
-            m.setattr(TYPED_MODULE, "_map_free_tvars", list_stack_map_free_tvars)
+            m.setattr(TYPED_MODULE, "map_free_vars", _counted(calls, list_stack_map_free_tvars))
             old = _outcome(lambda: tsubst(t, sigma, SCH))
         assert _agree(t, new, old)
+        assert (calls[:1] == [t]) == bool(sigma.components)  # the identity walks nothing
+        ran += bool(calls)
     assert raised == 3 * len(bad) * 6
+    assert ran > len(cases) // 2
 
 
 @pytest.mark.parametrize("depth", [1_000, 10_000, 100_000], ids=["d1k", "d10k", "d100k"])
@@ -790,9 +804,11 @@ def test_deep_typed_chains_match_list_stack_copy(depth, monkeypatch):
     start = time.perf_counter()
     new = tsubst(t, sigma, SCH)
     assert time.perf_counter() - start < 10.0
+    calls = []
     with monkeypatch.context() as m:
-        m.setattr(TYPED_MODULE, "_map_free_tvars", list_stack_map_free_tvars)
+        m.setattr(TYPED_MODULE, "map_free_vars", _counted(calls, list_stack_map_free_tvars))
         old = tsubst(t, sigma, SCH)
+    assert calls[:1] == [t]
     assert new == old and _same_sharing(t, new, old)
 
 
@@ -868,12 +884,46 @@ def test_walks_restore_the_collector(enabled, gc_state):
         (KeyError, lambda: subst(lam(Op("foo", (Var(1),))), sigma, SIG)),
         (RuntimeError, lambda: map_free_vars(t, SIG, _raise)),
         (RuntimeError, lambda: fold_nodes(t, _raise, _raise)),
-        (RuntimeError, lambda: _map_free_tvars(tt, SCH, _raise, {})),
+        (RuntimeError, lambda: map_free_vars(tt, SCH, _raise, {})),
     ]
     for error, call in raising:
         with pytest.raises(error):
             call()
         assert gc.isenabled() is enabled
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+def test_a_node_of_the_other_family_keeps_its_message(enabled, gc_state):
+    """A typed node that an untyped walk meets is "not a term", and an
+    untyped node that a typed walk meets is "not a typed term", at the
+    root and three operations down; after each raise the collector is on
+    exactly when it was on before."""
+    (gc.enable if enabled else gc.disable)()
+    untyped_walks = [
+        lambda t: subst(t, Assignment((Var(3),), 0), SIG),
+        lambda t: rename(t, Renaming((), 1), SIG),
+        lambda t: map_free_vars(t, SIG, lambda d, n: Var(n + 1)),
+    ]
+    typed_walks = [
+        lambda t: tsubst(t, TypedAssignment({A: ((TVar(3, A),), 0)}), SCH),
+        lambda t: _shift(t, (1,), SCH, {A: 0}),
+        lambda t: tlift_gamma(TypedAssignment({A: ((t,), 0)}), (A,), SCH),
+    ]
+    for bad in (TVar(0, A), TOp("lam", (A, A), (TVar(0, A),))):
+        for t in (bad, lam(app(Var(1), lam(bad)))):
+            for walk in untyped_walks:
+                with pytest.raises(TypeError) as e:
+                    walk(t)
+                assert str(e.value) == f"not a term: {bad!r}"
+                assert gc.isenabled() is enabled
+    tlam = lambda child: TOp("lam", (A, A), (child,))
+    for bad in (Var(0), lam(Var(0))):
+        for t in (bad, tlam(TOp("app", (A, A), (tlam(bad), TVar(1, A))))):
+            for walk in typed_walks:
+                with pytest.raises(TypeError) as e:
+                    walk(t)
+                assert str(e.value) == f"not a typed term: {bad!r}"
+                assert gc.isenabled() is enabled
 
 
 def test_callbacks_see_the_collector_paused(gc_state):
