@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import random
 import re
+from collections import defaultdict
 from functools import partial
 from heapq import heappop, heappush
 from itertools import islice, repeat
@@ -180,6 +181,10 @@ class TNOp(NamedTerm):
 _nvar_name, _nop_name, _nop_args, _tnvar_name, _tnvar_ty, _tnop_name, _tnop_type_args, _tnop_args = (
     d.__set__ for d in (NVar.name, NOp.name, NOp.args, TNVar.name, TNVar.ty,
                         TNOp.name, TNOp.type_args, TNOp.args))
+
+
+# the marks on named_walk's stack around the body of an argument with binders
+_ENTER, _LEAVE = object(), object()
 
 
 def _free_of(t: NamedTerm) -> frozenset:
@@ -446,50 +451,52 @@ def initial_fold(sig: BindingSignature, algebra: DBAlgebra, t: Term):
 
 
 @gc_paused
-def named_walk(
-    t, var: type, op: type, arg_sorts: Callable, var_sort: Callable, build: Callable, named: type
-) -> NamedTerm:
+def named_walk(t, var: type, op: type, arg_sorts: Callable, named: type) -> NamedTerm:
     """The term that the fold of ``t`` into the named model gives, equal to
     it under ``==``, binder names included.
 
-    ``t`` has node classes ``var`` and ``op``; ``arg_sorts(node)`` lists each
-    argument's binder sorts, outermost first, and ``var_sort(v)`` is a
-    variable's sort.  ``build(node, args)`` makes the named node, and the
-    hooks ``var`` and ``decls`` of ``named`` its variables and binders.
+    ``t`` has node classes ``var`` and ``op``, typed when ``named`` is
+    ``TNOp``, whose variables' sort is their type (untyped: None);
+    ``arg_sorts(node)`` lists each argument's binder sorts, outermost
+    first.  ``named`` is the class of the named operations.
 
     The fold names the binder group of an argument (:func:`bind_fresh`) once
     its body is named, and its :func:`named_subst` renames a group inside
     that body whose binder an image would capture, instead of the image.
     Each binder and each free (sort, root index) here is an identity, and
-    ``free[g]`` holds the identities free in the body of group ``g``.  A
-    capture at ``h`` in the pass of ``g`` needs a binder of ``h`` with the
-    image name of an identity free in ``h``'s body: a binder of ``g`` or of
-    a group renamed in the same pass, as no binder takes a free variable's
-    name.  So each pass visits, in preorder, only the users of ``g`` (the
-    groups whose body refers to its binders) and of each group it renames,
-    and renames exactly as ``named_subst`` does.  The named term is built
-    once, at the end.
+    ``free[g]`` lists the identities free in the body of group ``g`` that it
+    does not bind.  A capture at ``h`` in the pass of ``g`` needs a binder
+    of ``h`` with the image name of an identity free in ``h``'s body: a
+    binder of ``g`` or of a group renamed in the same pass, as no binder
+    takes a free variable's name.  So each pass visits, in preorder, only
+    the users of ``g`` (the groups whose body refers to its binders) and of
+    each group it renames, and renames exactly as ``named_subst`` does.
+    The named term is built once, at the end.
 
-    The cost is linear in the size of ``t``, plus, for each renaming the
-    fold makes, the free set of the renamed group's body.
-    Renamings can cascade: down a chain of groups of 50 binders, each
-    using the last binder of the group above, every pass renames a binder
-    in every group below it, so the cost is quadratic in the chain's
-    length, as the fold's own renaming work is."""
-    env: dict = {}  # sort -> identities of the binders in scope, innermost last
-    sorts, owner, names = [], [], []  # per identity
+    The cost is linear in the size of ``t`` plus the sizes of the free
+    lists, plus, for each renaming the fold makes, the free list of the
+    renamed group's body.  Renamings can cascade: down a chain of groups of
+    50 binders, each using the last binder of the group above, every pass
+    renames a binder in every group below it, so the cost is quadratic in
+    the chain's length, as the fold's own renaming work is."""
+    typed = named is TNOp
+    env: dict = defaultdict(list)  # sort -> identities of the binders in scope, innermost last
+    # per identity: sort, owning group (-1 if free), name, and how many
+    # groups had been entered at its last occurrence
+    sorts, owner, names, last = [], [], [], []
     free_ids: dict = {}  # (sort, index at the root) -> identity of a free variable
-    single: dict = {}  # identity -> frozenset of it
     # per group, numbered in preorder: first identity, binder sorts,
-    # identities free in its body
-    gfirst, gsorts, free = [], [], []
-    users: dict = {}
-    post: list = []  # an identity per variable, (node, group per argument) per operation
-    frames: list = []
-    node = t
-    while True:
+    # identities free in its body (None for none), groups using its binders
+    gfirst, gsorts, free, users = [], [], [], []
+    inside: list = []  # the groups entered and not left, innermost last
+    pre: list = []  # preorder: an identity per variable, ~g per group entered, operations
+    supply = _NAMES
+    stack: list = [t]
+    pop, push = stack.pop, stack.append
+    while stack:
+        node = pop()
         if type(node) is var:
-            s, i = var_sort(node), node.index
+            s, i = node.ty if typed else None, node.index
             scope = env.get(s, ())
             if i < 0:
                 raise ValueError(f"negative variable index {i}")
@@ -503,116 +510,131 @@ def named_walk(
                     sorts.append(s)
                     owner.append(-1)
                     names.append(default_supply(r))
-            post.append(ident)
-            value = single.get(ident)
-            if value is None:
-                value = single[ident] = frozenset((ident,))
+                    last.append(0)
+            pre.append(ident)
+            o, seen = owner[ident], last[ident]
+            for h in reversed(inside):
+                if h == o or h < seen:
+                    break
+                if free[h] is None:
+                    free[h] = [ident]
+                else:
+                    free[h].append(ident)
+                if o >= 0:
+                    if users[o] is None:
+                        users[o] = [h]
+                    else:
+                        users[o].append(h)
+            last[ident] = len(gfirst)
         elif type(node) is op:
-            frames.append((node, arg_sorts(node), [], []))
-            value = None
+            pre.append(node)
+            args = node.args
+            k = len(args)
+            for ss in reversed(arg_sorts(node)):
+                k -= 1
+                if ss:  # the argument's body between entering and leaving its group
+                    push(_LEAVE)
+                    push(args[k])
+                    push(ss)
+                    push(_ENTER)
+                else:
+                    push(args[k])
+        elif node is _LEAVE:
+            for s in gsorts[inside.pop()]:
+                env[s].pop()
+        elif node is _ENTER:  # a group of binders of the sorts next on the stack
+            node = pop()
+            g = len(gfirst)
+            pre.append(~g)
+            gfirst.append(len(sorts))
+            gsorts.append(node)
+            free.append(None)
+            users.append(None)
+            inside.append(g)
+            for s in node:
+                env[s].append(len(sorts))
+                sorts.append(s)
+                owner.append(g)
+                last.append(0)
+            while len(supply) < len(node):
+                supply = _more_names()
+            names += supply[:len(node)]
         else:
             raise TypeError(f"not a term: {node!r}")
-        while frames:  # hand the value up, to the first operation with an argument left
-            parent, arg_ss, values, gids = frames[-1]
-            if value is not None:
-                g = gids[-1]
-                if g >= 0:
-                    own = range(gfirst[g], gfirst[g] + len(gsorts[g]))
-                    for s in gsorts[g]:
-                        env[s].pop()
-                    free[g] = value
-                    for i in value:
-                        if owner[i] >= 0 and owner[i] != g:
-                            users.setdefault(owner[i], []).append(g)
-                    if not value.isdisjoint(own):
-                        value = value.difference(own)
-                values.append(value)
-            if len(values) < len(parent.args):
-                ss = arg_ss[len(values)]
-                g = -1
-                if ss:
-                    g = len(gfirst)
-                    gfirst.append(len(sorts))
-                    gsorts.append(ss)
-                    for s in ss:
-                        env.setdefault(s, []).append(len(sorts))
-                        sorts.append(s)
-                        owner.append(g)
-                        names.append(None)
-                    free.append(None)
-                gids.append(g)
-                node = parent.args[len(values)]
-                break
-            frames.pop()
-            post.append((parent, gids))
-            value = values[0] if len(values) == 1 else frozenset().union(*values)
-        else:
-            break
 
-    first_names: dict = {}  # binder count -> the first names of the supply
+    # the passes, innermost first; a pass of g reads only the names of the
+    # identities that g and the groups inside it bind
     for g in reversed(range(len(gfirst))):
-        first, ss = gfirst[g], gsorts[g]
-        zs = first_names.get(len(ss))
-        if zs is None:
-            zs = first_names[len(ss)] = fresh_names(len(ss), ())
-        names[first:first + len(ss)] = zs
-        seen = set(users.get(g, ()))
-        if not seen:
+        if users[g] is None:
             continue
+        first, n = gfirst[g], len(gsorts[g])
+        seen = set(users[g])
         heap = sorted(seen)
-        renamed: dict = {}  # identity -> its name after this pass
-        images: dict = {}  # (name, sort) -> the binders of g and renamed ones with that image
-        for b in range(first, first + len(ss)):
-            images.setdefault((names[b], sorts[b]), []).append(b)
+        # identity -> (name, sort) after this pass: the binders of g and
+        # those renamed, whose keys the images of this pass are
+        image = {b: (names[b], sorts[b]) for b in range(first, first + n)}
         while heap:
             h = heappop(heap)
-            own = range(gfirst[h], gfirst[h] + len(gsorts[h]))
-            body = free[h]
-            hits = []  # binders captured by the image of an identity free in the body
-            for b in own:
-                key = names[b], sorts[b]
-                if key in images and not body.isdisjoint(images[key]):
+            f, m = gfirst[h], gfirst[h] + len(gsorts[h])
+            # avoid the images, the body's free names and the group's own
+            # names; at this point of the fold an identity that neither g nor
+            # a group inside it binds has a name x<i>, which no binder takes
+            avoid = set(names[f:m])
+            captured = set()
+            for i in free[h]:
+                if owner[i] >= g:
+                    avoid.add(names[i])
+                    if i in image:
+                        key = image[i]
+                        avoid.add(key[0])
+                        captured.add(key)
+            hits = []  # the binders that an image would capture
+            for b in range(f, m):
+                if (names[b], sorts[b]) in captured:
                     hits.append(b)
             if not hits:
                 continue
-            # avoid the images, the body's free names and the group's own names
-            avoid = {names[b] for b in own}
-            for i in body:
-                if owner[i] >= g:
-                    avoid.add(names[i])
-                    if i in renamed:
-                        avoid.add(renamed[i])
-            for b, z in zip(hits, fresh_names(len(hits), avoid)):
-                renamed[b] = z
-                images.setdefault((z, sorts[b]), []).append(b)
-            for u in users.get(h, ()):
+            # the first names of the supply not avoided, as fresh_names picks
+            k = 0
+            for z in supply:
+                if z not in avoid:
+                    image[hits[k]] = z, sorts[hits[k]]
+                    k += 1
+                    if k == len(hits):
+                        break
+            else:  # past the names drawn so far
+                for b, z in zip(hits, fresh_names(len(hits), avoid)):
+                    image[b] = z, sorts[b]
+                supply = _NAMES
+            for u in users[h] or ():
                 if u not in seen:
                     seen.add(u)
                     heappush(heap, u)
-        for i, z in renamed.items():
-            names[i] = z
+        for i, key in image.items():
+            names[i] = key[0]
 
-    variables: dict = {}
-    values = []
-    for item in post:
+    # the named term, from the preorder read backwards, so that the values
+    # of an operation's arguments lie on top, the first last
+    keys = list(zip(names, sorts)) if typed else names
+    decls = [tuple(keys[f:f + len(ss)]) for f, ss in zip(gfirst, gsorts)]
+    pairs: list = [None] * len(names)  # per identity, ((), its variable)
+    values: list = []  # ((), node) or (binders, body) per argument done
+    for item in reversed(pre):
         if type(item) is int:
-            v = variables.get(item)
-            if v is None:
-                v = variables[item] = named.var(names[item], sorts[item])
-            values.append(v)
+            if item < 0:
+                values[-1] = decls[~item], values[-1][1]
+                continue
+            p = pairs[item]
+            if p is None:
+                p = pairs[item] = (), named.var(names[item], sorts[item])
+            values.append(p)
             continue
-        node, gids = item
-        k = len(values) - len(gids)
-        args = []
-        for g, body in zip(gids, values[k:]):
-            if g < 0:
-                args.append(((), body))
-            else:
-                first, ss = gfirst[g], gsorts[g]
-                args.append((named.decls(names[first:first + len(ss)], ss), body))
-        del values[k:]
-        values.append(build(node, tuple(args)))
-    return values[0]
+        k = len(item.args)
+        args = tuple(values[:-k - 1:-1])
+        v = named(item.name, item.type_args, args) if typed else named(item.name, args)
+        del values[len(values) - k:]
+        values.append(((), v))
+    return values[0][1]
 
 
 def to_named(sig: BindingSignature, t: Term) -> NamedTerm:
@@ -630,9 +652,7 @@ def to_named(sig: BindingSignature, t: Term) -> NamedTerm:
             )
         return ss
 
-    return named_walk(
-        t, Var, Op, arg_sorts, lambda v: None, lambda o, args: NOp(o.name, args), NOp
-    )
+    return named_walk(t, Var, Op, arg_sorts, NOp)
 
 
 def from_named(sig: BindingSignature, t: NamedTerm) -> Term:
@@ -642,7 +662,7 @@ def from_named(sig: BindingSignature, t: NamedTerm) -> Term:
     values of its arguments so far.  ``levels`` maps each bound name to
     the levels (binders above, counted from the root) of its binders in
     scope, innermost last, so a variable is found in constant time."""
-    levels: dict[str, list[int]] = {}
+    levels: defaultdict[str, list[int]] = defaultdict(list)
     depth = 0  # binders in scope
     frames: list[tuple[str, tuple, tuple, list]] = []
     node = t
@@ -682,7 +702,7 @@ def from_named(sig: BindingSignature, t: NamedTerm) -> Term:
                 if len(bs) != k:
                     raise ValueError(f"operation '{op}' expects {k} binders, got {len(bs)}")
                 for name in bs:
-                    levels.setdefault(name, []).append(depth)
+                    levels[name].append(depth)
                     depth += 1
                 break
             value = Op(op, tuple(values))

@@ -344,9 +344,15 @@ def _read_named(p: _Parser) -> NamedTerm:
                     node = known[tok] = tok[1:]
                 elif tok == "[" and name is not None and bound is None:
                     names = []
-                    while not p.accept("]"):
-                        names.append(p.expect("ident"))
-                    it.__setstate__(p.pos)
+                    for tok in it:  # binder names up to ], each an identifier
+                        if tok == "]":
+                            break
+                        if type(known.get(tok)) is not NVar:
+                            if _kind(tok) != "ident":
+                                p.pos = len(toks) - length_hint(it) - 1
+                                p.expect("ident")  # fails
+                            known[tok] = NVar(tok)
+                        names.append(tok)
                     bound = tuple(names)
                     continue
                 else:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import partial
-from operator import attrgetter
 from typing import Any, Callable
 
 from .model import (
@@ -250,10 +249,7 @@ def typed_to_named(schema: TypedSignatureSchema, t: TypedTerm) -> NamedTerm:
             )
         return [g for g, _ in premises]
 
-    return named_walk(
-        t, TVar, TOp, arg_sorts, attrgetter("ty"),
-        lambda o, args: TNOp(o.name, o.type_args, args), TNOp,
-    )
+    return named_walk(t, TVar, TOp, arg_sorts, TNOp)
 
 
 # --- degenerate single-type reduction -----------------------------------

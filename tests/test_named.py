@@ -589,6 +589,72 @@ def test_to_named_is_the_fold(sig, depth):
         assert same_named(to_named(sig, t), initial_fold(sig, nm, t)), t
 
 
+def cli_shaped_term(rng: random.Random, n: int, mixed: bool, bound: int = 0):
+    """A term of about ``n`` nodes as perfbench's cli-mix draws them: a
+    leaf is a bound variable with p = 0.8 when one is in scope, else one of
+    the first four free ones; a lambda node is ``lam`` with p = 0.35 and
+    otherwise ``app`` with a third to two thirds of the size on the left;
+    a MIXED node is ``m : (2, 0, 1)`` over three such parts."""
+    if n < (4 if mixed else 2):
+        if bound and rng.random() < 0.8:
+            return Var(rng.randrange(bound))
+        return Var(bound + rng.randrange(4))
+    if mixed:
+        a = max(1, round((n - 1) * rng.uniform(1 / 4, 1 / 2)))
+        b = max(1, round((n - 1 - a) * rng.uniform(1 / 3, 2 / 3)))
+        b = min(b, n - 2 - a)
+        return Op("m", (cli_shaped_term(rng, a, mixed, bound + 2),
+                        cli_shaped_term(rng, b, mixed, bound),
+                        cli_shaped_term(rng, n - 1 - a - b, mixed, bound + 1)))
+    if n == 2 or rng.random() < 0.35:
+        return lam(cli_shaped_term(rng, n - 1, mixed, bound + 1))
+    left = min(max(1, round((n - 1) * rng.uniform(1 / 3, 2 / 3))), n - 2)
+    return app(cli_shaped_term(rng, left, mixed, bound),
+               cli_shaped_term(rng, n - 1 - left, mixed, bound))
+
+
+@pytest.mark.parametrize("sig", [SIG, MIXED_SIG], ids=["lambda", "MIXED"])
+def test_to_named_is_the_fold_on_cli_mix_shaped_terms(sig, monkeypatch):
+    """Terms of 200-2,000 nodes, on which the fold renames a binder group
+    for every one to four nodes (on cli-mix's own inputs, one per two):
+    ``to_named`` returns the fold's term, binder names included, and
+    ``from_named`` inverts it."""
+    import debruijn.model as model
+
+    calls = []  # one per group the fold names, and one per group it renames
+    inner = model.fresh_names
+
+    def counted(count, avoid):
+        calls.append(count)
+        return inner(count, avoid)
+
+    rng = random.Random(97)
+    nm = named_model(sig)
+    nodes = groups = 0
+    for _ in range(10):
+        t = cli_shaped_term(rng, rng.randint(200, 2000), sig is MIXED_SIG)
+        walk = _timed(1.0, lambda: to_named(sig, t))
+        monkeypatch.setattr(model, "fresh_names", counted)
+        fold = initial_fold(sig, nm, t)
+        monkeypatch.setattr(model, "fresh_names", inner)
+        assert same_named(walk, fold)
+        assert from_named(sig, walk) == t
+        nodes += len(print_term(t).split())  # a token per leaf and per operation
+        groups += sum(map(bool, binder_names_per_group(fold)))
+    renamed = len(calls) - groups
+    assert 0.25 * nodes < renamed < nodes
+
+
+def binder_names_per_group(t) -> list:
+    """The binder tuple of every argument of every operation in ``t``."""
+    out, stack = [], [t]
+    while stack:
+        for binders, body in getattr(stack.pop(), "args", ()):
+            out.append(binders)
+            stack.append(body)
+    return out
+
+
 def fan_in_chain(rng: random.Random):
     """n binders, each over an application to any variable with p = 0.3,
     over an application spine of the variables i < n + 3, each kept with

@@ -93,6 +93,21 @@ def test_parse_named():
     assert got == NOp("lam", ((("x",), NOp("app", (((), NVar("x")), ((), NVar("x0"))))),))
 
 
+@pytest.mark.parametrize("text, message", [
+    ("(lam [a 1] a)", "1:9: error: expected 'ident', found '1'"),
+    ("(lam [a b", "1:10: error: expected 'ident', found 'end of input'"),
+    ("(lam [(a)] a)", "1:7: error: expected 'ident', found '('"),
+    ("(lam [a] [b] a)", "1:10: error: expected '(', found '['"),
+    ("[a] a", "1:1: error: expected '(', found '['"),
+])
+def test_named_binder_list_diagnostics_are_pinned(text, message):
+    """The named reader reads a ``[a b]`` binder list off the token list;
+    a token there that is not a name fails where the grammar's rule did."""
+    with pytest.raises(ParseError) as e:
+        parse_term(text, "named")
+    assert str(e.value) == message
+
+
 def test_named_printing_uses_letter_supply():
     named = to_named(SIG, lam(lam(app(Var(1), Var(0)))))
     assert print_term(named) == "(lam [a] (lam [b] (app a b)))"
